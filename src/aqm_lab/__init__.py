@@ -14,6 +14,7 @@ from .config_space import (
     MINKOWSKI,
     NULL_TOL,
     RAPIDITY_MAX,
+    GroupMetric,
     TopMetric,
     angles_from_lorentz,
     compose_angles,
@@ -55,6 +56,7 @@ from .geometry import (
     christoffel_at,
     conformal_transform,
     covariant_divergence_at,
+    laplace_beltrami,
     riemann_scalar_at,
     weyl_scalar_at,
 )

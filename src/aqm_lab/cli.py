@@ -18,8 +18,9 @@ import time
 import numpy as np
 
 from . import __version__
-from .config_space import RAPIDITY_MAX, TopMetric, sample_point
-from .dirac import MassScale, dispersion_root, gamma_matrices, \
+from .config_space import RAPIDITY_MAX, TopMetric, lorentz_from_angles, \
+    sample_point
+from .dirac import MassScale, clifford_defect, dispersion_root, \
     mass_closure_defect, mass_spin_spectrum, squared_dirac_matrix, \
     top_spinor_matrix
 from .dynamics import integrate_bundle, transport_check, velocity_field
@@ -29,7 +30,8 @@ from .geometry import WeylGauge, conformal_transform, riemann_scalar_at, \
 from .hj import EMConfig, WaveInputs, conformal_coupling, draw_wave_inputs, \
     linearization_check
 from .lorentz_reps import Irrep, angular_laplacian_check, casimir_value, \
-    conjugation_defect, irrep_generators, reps_up_to_dim, vector_intertwiner
+    commutator_defect, conjugation_defect, d_matrix, reps_up_to_dim, \
+    vector_intertwiner
 from .report import build_report, check_at_least, check_close, dump_report, \
     trajectory_rows, write_csv, SPECTRUM_COLUMNS, TRAJECTORY_COLUMNS
 
@@ -252,9 +254,11 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 def _validate(command: str, cfg: dict) -> None:
-    if "n_draws" in cfg and (not isinstance(cfg["n_draws"], int)
+    if "n_draws" in cfg and (type(cfg["n_draws"]) is not int
                              or cfg["n_draws"] < 1):
         raise ConfigError("--n-draws must be a positive integer")
+    if "order" in cfg and cfg["order"] not in (2, 4):
+        raise ConfigError("--order must be 2 or 4")
     if cfg.get("a") is not None and cfg["a"] <= 0:
         raise ConfigError("--a must be positive")
     if cfg.get("mass") is not None and cfg["mass"] <= 0:
@@ -389,25 +393,9 @@ def _run_verify_reps(cfg: dict):
                               rng.uniform(-1.2, 1.2, 3)])
               for _ in range(cfg["n_draws"])]
 
-    eps = np.zeros((3, 3, 3))
-    eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1.0
-    eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1.0
-
-    comm_defect = 0.0
-    conj_defect = 0.0
-    for rep in reps:
-        j, k = irrep_generators(rep)
-        for a in range(3):
-            for b in range(3):
-                target_j = 1j * np.einsum("c,cij->ij", eps[a, b], j)
-                target_k = 1j * np.einsum("c,cij->ij", eps[a, b], k)
-                comm_defect = max(
-                    comm_defect,
-                    float(np.max(np.abs(j[a] @ j[b] - j[b] @ j[a] - target_j))),
-                    float(np.max(np.abs(j[a] @ k[b] - k[b] @ j[a] - target_k))),
-                    float(np.max(np.abs(k[a] @ k[b] - k[b] @ k[a] + target_j))))
-        for theta in thetas:
-            conj_defect = max(conj_defect, conjugation_defect(rep, theta))
+    comm_defect = max(commutator_defect(rep) for rep in reps)
+    conj_defect = max(conjugation_defect(rep, theta)
+                      for rep in reps for theta in thetas)
 
     casimir_rel = 0.0
     for rep in (Irrep(0, 0.5), Irrep(0.5, 0.5)):
@@ -419,8 +407,6 @@ def _run_verify_reps(cfg: dict):
             casimir_rel = max(casimir_rel, dev / abs(expected))
 
     x, sigma_min = vector_intertwiner()
-    from .config_space import lorentz_from_angles
-    from .lorentz_reps import d_matrix
     fresh = np.array([0.5, 0.1, -0.4, 0.3, -0.2, 0.6])
     resid = float(np.max(np.abs(
         d_matrix(Irrep(0.5, 0.5), fresh) @ x - x @ lorentz_from_angles(fresh))))
@@ -445,15 +431,6 @@ def _run_verify_dirac(cfg: dict):
     rng = np.random.default_rng(cfg["seed"])
     scale = MassScale(cfg["mass"])
     a = scale.a
-
-    gam = gamma_matrices()
-    g = np.diag([-1.0, 1.0, 1.0, 1.0])
-    clifford = 0.0
-    for mu in range(4):
-        for nu in range(4):
-            anti = gam[mu] @ gam[nu] + gam[nu] @ gam[mu]
-            clifford = max(clifford, float(np.max(np.abs(
-                anti - 2.0 * g[mu, nu] * np.eye(4)))))
 
     gap_defect = 0.0
     ct_defect = 0.0
@@ -487,7 +464,8 @@ def _run_verify_dirac(cfg: dict):
     disp_rel = abs(root - root_exact) / root_exact
 
     checks = [
-        check_close("dirac_clifford_max_defect", clifford, 0.0, _tol(cfg, 1e-12)),
+        check_close("dirac_clifford_max_defect", clifford_defect(), 0.0,
+                    _tol(cfg, 1e-12)),
         check_close("dirac_gap_max_defect", gap_defect, 0.0, _tol(cfg, 1e-10)),
         check_close("dirac_counterterm_max_defect", ct_defect, 0.0,
                     _tol(cfg, 1e-12)),

@@ -185,13 +185,31 @@ def angular_velocity(theta: np.ndarray, dtheta: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
+class GroupMetric(MetricField):
+    """Invariant metric of the Lorentz group in the chart, on theta alone.
+
+    The polarization of (a^2/2) tr(omega omega-raised) over the six chart
+    directions, which equals a^2 C^T diag(1, 1, 1, -1, -1, -1) C with C the
+    frame matrix. Its scalar curvature is the constant 6/a^2.
+    """
+
+    dim = 6
+
+    def __init__(self, a: float = 1.0):
+        if a <= 0:
+            raise ValueError("internal length scale a must be positive")
+        self.a = float(a)
+
+    def matrix(self, theta):
+        c = frame_coefficients(theta)
+        return self.a ** 2 * c.T @ (0.5 * GENERATOR_PAIRING) @ c
+
+
 class TopMetric(MetricField):
     """Metric of the spinning-top configuration space.
 
-    Block diagonal: Minkowski diag(-1, 1, 1, 1) on spacetime, and on the
-    group factor the polarization of (a^2/2) tr(omega omega-raised) over the
-    six chart directions, which equals a^2 C^T diag(1, 1, 1, -1, -1, -1) C
-    with C the frame matrix. Components depend on theta only.
+    Block diagonal: Minkowski diag(-1, 1, 1, 1) on spacetime and the
+    ``GroupMetric`` on the group factor. Components depend on theta only.
 
     The scalar curvature of this metric is the constant 6/a^2.
     """
@@ -200,16 +218,14 @@ class TopMetric(MetricField):
     constant_dims = frozenset(range(4))
 
     def __init__(self, a: float = 1.0):
-        if a <= 0:
-            raise ValueError("internal length scale a must be positive")
-        self.a = float(a)
+        self.group = GroupMetric(a)
+        self.a = self.group.a
 
     def matrix(self, q):
         _, theta = split_point(q)
-        c = frame_coefficients(theta)
         g = np.zeros((10, 10))
         g[:4, :4] = MINKOWSKI
-        g[4:, 4:] = self.a ** 2 * c.T @ (0.5 * GENERATOR_PAIRING) @ c
+        g[4:, 4:] = self.group.matrix(theta)
         return g
 
     def riemann_scalar(self) -> float:

@@ -54,6 +54,13 @@ def gamma_matrices() -> np.ndarray:
     return out
 
 
+def clifford_defect() -> float:
+    """Largest entry of {gamma^mu, gamma^nu} - 2 g^{mu nu} I over all index pairs."""
+    gam = gamma_matrices()
+    anti = gam[:, None] @ gam[None, :] + gam[None, :] @ gam[:, None]
+    return float(np.max(np.abs(anti - 2.0 * MINKOWSKI[:, :, None, None] * np.eye(4))))
+
+
 def spin_sigma_matrices() -> np.ndarray:
     """Block-diagonal spin matrices Sigma_k = diag(sigma_k, sigma_k)."""
     sig = pauli_matrices()

@@ -5,7 +5,8 @@ quantities are assembled from nested central differences of the metric
 components; a Weyl structure adds a positive gauge field chi(q) whose
 logarithmic gradient is the Weyl covector, and the Weyl scalar curvature is
 provided in two algebraically equivalent but independently coded forms so
-their agreement is a meaningful check.
+their agreement is a meaningful check. One gauge-covariant Laplace-Beltrami
+operator serves the Weyl scalar, the wave operator and the Casimir check.
 """
 
 from __future__ import annotations
@@ -149,11 +150,14 @@ def riemann_scalar_at(metric: MetricField, point: np.ndarray, h: float = 1e-2,
 
 
 def covariant_divergence_at(metric: MetricField, vector: Callable[[np.ndarray], np.ndarray],
-                            point: np.ndarray, h: float = 1e-3, order: int = 4) -> float:
-    """Covariant divergence of a contravariant vector field V^k(q).
+                            point: np.ndarray, h: float = 1e-3, order: int = 4,
+                            potential: Callable[[np.ndarray], np.ndarray] | None = None):
+    """Gauge-covariant divergence (1/sqrt g)(d_k - i A_k)(sqrt g V^k) of a vector field.
 
-    Uses the density form (1/sqrt g) d_k (sqrt g V^k), which needs no
-    Christoffel symbols.
+    ``vector(q)`` returns V^k on its first axis; trailing axes may hold
+    complex or matrix values, and the result has their shape.
+    ``potential(q)``, when given, is the charge-weighted covector A_k.
+    Uses the density form, which needs no Christoffel symbols.
     """
     point = np.asarray(point, dtype=float)
     total = 0.0
@@ -161,7 +165,33 @@ def covariant_divergence_at(metric: MetricField, vector: Callable[[np.ndarray], 
         total += central_diff(
             lambda q: metric.sqrt_det(q) * np.asarray(vector(q))[k],
             point, axis=k, h=h, order=order)
-    return float(total / metric.sqrt_det(point))
+    sqrt_g = metric.sqrt_det(point)
+    if potential is not None:
+        total -= np.tensordot(1j * potential(point), sqrt_g * vector(point), axes=1)
+    return total / sqrt_g
+
+
+def laplace_beltrami(metric: MetricField, f: Callable[[np.ndarray], np.ndarray],
+                     point: np.ndarray, h: float = 1e-3, order: int = 4,
+                     potential: Callable[[np.ndarray], np.ndarray] | None = None,
+                     h_inner: float | None = None):
+    """Gauge-covariant Laplace-Beltrami operator (1/sqrt g) D_i (sqrt g g^{ij} D_j f).
+
+    D = d - i A with the charge-weighted covector ``potential`` (zero when
+    omitted). ``f`` may be real, complex or matrix valued. ``h`` steps the
+    outer divergence, ``h_inner`` (default h) the inner gradient.
+    """
+    h_inner = h if h_inner is None else h_inner
+
+    def grad_up(q):
+        df = np.stack([central_diff(f, q, axis=j, h=h_inner, order=order)
+                       for j in range(metric.dim)])
+        if potential is not None:
+            df = df - 1j * np.multiply.outer(potential(q), f(q))
+        return np.tensordot(metric.inverse(q), df, axes=1)
+
+    return covariant_divergence_at(metric, grad_up, point, h=h, order=order,
+                                   potential=potential)
 
 
 # ---------------------------------------------------------------------------
@@ -222,20 +252,14 @@ def weyl_scalar_at(metric: MetricField, gauge: WeylGauge, point: np.ndarray,
         if r_scalar is None else float(r_scalar)
 
     if form == "phi":
-        def phi_up(q):
-            return metric.inverse(q) @ gauge.covector(q, h=h, order=order)
-
-        div_phi = covariant_divergence_at(metric, phi_up, point, h=h, order=order)
+        div_phi = laplace_beltrami(metric, gauge.log_chi, point, h=h, order=order)
         phi = gauge.covector(point, h=h, order=order)
         phi_sq = float(phi @ metric.inverse(point) @ phi)
         return r + 2.0 * (n - 1) * div_phi - (n - 1) * (n - 2) * phi_sq
 
     if form == "chi":
-        def grad_chi_up(q):
-            return metric.inverse(q) @ gradient(gauge.chi, q, h=h, order=order)
-
         chi0 = gauge.chi(point)
-        lap_chi = covariant_divergence_at(metric, grad_chi_up, point, h=h, order=order)
+        lap_chi = laplace_beltrami(metric, gauge.chi, point, h=h, order=order)
         dchi = gradient(gauge.chi, point, h=h, order=order)
         grad_sq = float(dchi @ metric.inverse(point) @ dchi)
         return r + 2.0 * (n - 1) * lap_chi / chi0 - n * (n - 1) * grad_sq / chi0 ** 2

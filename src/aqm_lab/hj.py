@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config_space import killing_vectors, split_point
-from .fd import central_diff, gradient
+from .fd import gradient
 from .fields import draw_field
 from .geometry import MetricField, WeylGauge, covariant_divergence_at, \
-    riemann_scalar_at, weyl_scalar_at
+    laplace_beltrami, riemann_scalar_at, weyl_scalar_at
 
 
 def conformal_coupling(n: int) -> float:
@@ -224,18 +224,6 @@ def divergence_residual(fields: WaveInputs, em: EMConfig, metric: MetricField,
     return covariant_divergence_at(metric, current_up, point, h=h, order=order)
 
 
-def current_vector(fields: WaveInputs, em: EMConfig, metric: MetricField,
-                   point: np.ndarray, n: int | None = None, h: float = 1e-3,
-                   order: int = 4) -> np.ndarray:
-    """Conserved current density j^i = |psi|^2 sqrt(g) g^{ij} u_j at a point."""
-    point = np.asarray(point, dtype=float)
-    if n is None:
-        n = metric.dim
-    u = momentum_covector(fields, em, point, h=h, order=order)
-    return born_density(fields, point, n=n) * metric.sqrt_det(point) \
-        * (metric.inverse(point) @ u)
-
-
 def wave_operator(psi: Callable[[np.ndarray], complex], em: EMConfig,
                   metric: MetricField, point: np.ndarray, xi2: float,
                   r_scalar: float, h: float = 1e-3, order: int = 4) -> complex:
@@ -245,21 +233,9 @@ def wave_operator(psi: Callable[[np.ndarray], complex], em: EMConfig,
             + xi^2 R psi,
     evaluated at one point by nested central differences.
     """
-    point = np.asarray(point, dtype=float)
-    e = em.e_charge
-
-    def flux(q):
-        dpsi = np.array([central_diff(psi, q, axis=j, h=h, order=order)
-                         for j in range(metric.dim)])
-        covariant = dpsi - 1j * e * em.potential(q) * psi(q)
-        return metric.sqrt_det(q) * (metric.inverse(q) @ covariant)
-
-    div = 0.0 + 0.0j
-    for i in range(metric.dim):
-        div += central_diff(lambda q: flux(q)[i], point, axis=i, h=h, order=order)
-    flux0 = flux(point)
-    div -= 1j * e * em.potential(point) @ flux0
-    return complex(-div / metric.sqrt_det(point) + xi2 * r_scalar * psi(point))
+    lap = laplace_beltrami(metric, psi, point, h=h, order=order,
+                           potential=lambda q: em.e_charge * em.potential(q))
+    return complex(-lap + xi2 * r_scalar * psi(point))
 
 
 def linearization_check(fields: WaveInputs, em: EMConfig, metric: MetricField,

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .config_space import frame_coefficients, GENERATOR_PAIRING, lorentz_from_angles
-from .fd import central_diff
+from .config_space import GroupMetric, lorentz_from_angles
+from .geometry import laplace_beltrami
 
 
 def _is_half_integer(x: float) -> bool:
@@ -99,6 +99,23 @@ def irrep_generators(rep: Irrep) -> tuple[np.ndarray, np.ndarray]:
     j = np.stack([np.kron(a[k], eye_v) + np.kron(eye_u, b[k]) for k in range(3)])
     k_ = np.stack([-1j * (np.kron(a[k], eye_v) - np.kron(eye_u, b[k])) for k in range(3)])
     return j, k_
+
+
+def commutator_defect(rep: Irrep) -> float:
+    """Largest entry of the residuals of the three commutation relations of (J, K)."""
+    eps = np.zeros((3, 3, 3))
+    eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1.0
+    eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1.0
+    j, k = irrep_generators(rep)
+    residuals = []
+    for a in range(3):
+        for b in range(3):
+            target_j = 1j * np.einsum("c,cij->ij", eps[a, b], j)
+            target_k = 1j * np.einsum("c,cij->ij", eps[a, b], k)
+            residuals += [j[a] @ j[b] - j[b] @ j[a] - target_j,
+                          j[a] @ k[b] - k[b] @ j[a] - target_k,
+                          k[a] @ k[b] - k[b] @ k[a] + target_j]
+    return float(np.max(np.abs(residuals)))
 
 
 def casimir_value(rep: Irrep) -> float:
@@ -232,11 +249,6 @@ def mode_expand(rep: Irrep,
 # ---------------------------------------------------------------------------
 
 
-def _angular_metric(theta: np.ndarray, a: float) -> np.ndarray:
-    c = frame_coefficients(theta)
-    return a ** 2 * c.T @ (0.5 * GENERATOR_PAIRING) @ c
-
-
 def angular_laplacian_check(rep: Irrep, theta: np.ndarray, a: float = 1.0,
                             h: float = 1e-2, h_inner: float = 1e-3,
                             order: int = 4) -> np.ndarray:
@@ -251,22 +263,6 @@ def angular_laplacian_check(rep: Irrep, theta: np.ndarray, a: float = 1.0,
     normalization, and the representation conventions.
     """
     theta = np.asarray(theta, dtype=float)
-
-    def dinv(t):
-        return d_matrix_inverse(rep, t)
-
-    def sqrt_det(t):
-        return float(np.sqrt(abs(np.linalg.det(_angular_metric(t, a)))))
-
-    def flux(t):
-        grad = np.stack([central_diff(dinv, t, axis=b, h=h_inner, order=order)
-                         for b in range(6)])
-        ginv = np.linalg.inv(_angular_metric(t, a))
-        return sqrt_det(t) * np.einsum("ab,bij->aij", ginv, grad)
-
-    lap = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for alpha in range(6):
-        lap += central_diff(lambda t: flux(t)[alpha], theta, axis=alpha,
-                            h=h, order=order)
-    lap /= sqrt_det(theta)
+    lap = laplace_beltrami(GroupMetric(a), lambda t: d_matrix_inverse(rep, t),
+                           theta, h=h, order=order, h_inner=h_inner)
     return lap @ d_matrix(rep, theta)

@@ -94,6 +94,9 @@ def test_malformed_config_is_error(tmp_path):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")
     assert main(["verify-dirac", "--config", str(cfg)]) == 2
+    for bad in ({"order": 3}, {"n_draws": True}):
+        cfg.write_text(json.dumps(bad))
+        assert main(["verify-curvature", "--config", str(cfg)]) == 2
 
 
 def test_out_flag_writes_file(tmp_path):

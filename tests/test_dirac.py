@@ -6,6 +6,7 @@ from aqm_lab.lorentz_reps import Irrep, casimir_value
 from aqm_lab.dirac import (
     MassScale,
     PlaneWave,
+    clifford_defect,
     dirac_alpha_matrices,
     dispersion_root,
     gamma_matrices,
@@ -31,6 +32,7 @@ def test_clifford_relations_exact():
         for nu in range(4):
             anti = gam[mu] @ gam[nu] + gam[nu] @ gam[mu]
             assert np.max(np.abs(anti - 2 * MOSTLY_PLUS[mu, nu] * np.eye(4))) == 0.0
+    assert clifford_defect() == 0.0
 
 
 def test_gamma_hermiticity_pattern():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aqm_lab.config_space import TopMetric, sample_point
+from aqm_lab.config_space import GroupMetric, TopMetric, sample_point
 from aqm_lab.fd import gradient
 from aqm_lab.fields import draw_field
 from aqm_lab.geometry import (
@@ -12,6 +12,7 @@ from aqm_lab.geometry import (
     christoffel_at,
     conformal_transform,
     covariant_divergence_at,
+    laplace_beltrami,
     riemann_scalar_at,
     weyl_scalar_at,
 )
@@ -81,6 +82,50 @@ def test_covariant_divergence_sphere():
     q = np.array([0.9, 0.2])
     val = covariant_divergence_at(m, cov, q)
     assert abs(val - 1.0 / np.tan(0.9)) < 1e-8
+
+
+def test_group_metric_scalar_curvature():
+    theta = np.array([0.3, -0.2, 0.5, 0.1, -0.4, 0.2])
+    for a in (1.0, 2.0):
+        val = riemann_scalar_at(GroupMetric(a), theta)
+        assert abs(val - 6.0 / a ** 2) / (6.0 / a ** 2) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Laplace-Beltrami operator, against closed forms
+# ---------------------------------------------------------------------------
+
+
+def test_laplace_beltrami_sphere_harmonics():
+    # l = 1 and l = 2 spherical harmonics: Delta Y_l = -l(l+1) Y_l / r^2
+    q = np.array([0.9, 0.4])
+    y1 = lambda p: float(np.cos(p[0]))
+    y2 = lambda p: float(np.sin(p[0]) ** 2 * np.cos(2.0 * p[1]))
+    for r in (1.0, 2.0):
+        m = SphereMetric(radius=r)
+        assert abs(laplace_beltrami(m, y1, q) + 2.0 * y1(q) / r ** 2) < 1e-8
+        assert abs(laplace_beltrami(m, y2, q) + 6.0 * y2(q) / r ** 2) < 1e-8
+
+
+def test_laplace_beltrami_gauged_plane_wave():
+    # D_j e^{ik.x} = i (k - A)_j e^{ik.x} for a constant potential A
+    eta = np.diag([-1.0, 1.0, 1.0, 1.0])
+    m = ConstantMetric(eta)
+    k = np.array([0.7, -0.3, 0.5, 0.2])
+    a = np.array([0.1, 0.4, -0.2, 0.3])
+    f = lambda x: complex(np.exp(1j * (k @ x)))
+    x = np.array([0.3, -0.5, 0.2, 0.8])
+    val = laplace_beltrami(m, f, x, potential=lambda q: a)
+    expected = -float((k - a) @ np.linalg.inv(eta) @ (k - a)) * f(x)
+    assert abs(val - expected) < 1e-8
+
+
+def test_laplace_beltrami_matrix_valued():
+    # Delta (q_a q_b) = 2 delta_ab on flat R^3
+    m = ConstantMetric(np.eye(3))
+    val = laplace_beltrami(m, lambda q: np.outer(q, q), np.array([0.4, -0.7, 0.2]))
+    assert val.shape == (3, 3)
+    assert np.max(np.abs(val - 2.0 * np.eye(3))) < 1e-8
 
 
 # ---------------------------------------------------------------------------

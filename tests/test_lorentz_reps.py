@@ -7,6 +7,7 @@ from aqm_lab.lorentz_reps import (
     angular_laplacian_check,
     casimir_matrix,
     casimir_value,
+    commutator_defect,
     conjugation_defect,
     d_matrix,
     d_matrix_inverse,
@@ -72,6 +73,7 @@ def test_commutators_all_small_reps():
                 assert np.max(np.abs(j[a] @ j[b] - j[b] @ j[a] - tj)) < 1e-12
                 assert np.max(np.abs(j[a] @ k[b] - k[b] @ j[a] - tk)) < 1e-12
                 assert np.max(np.abs(k[a] @ k[b] - k[b] @ k[a] + tj)) < 1e-12
+        assert commutator_defect(rep) < 1e-12
 
 
 def test_casimir_is_scalar_matrix():
