@@ -2,18 +2,22 @@
 
 Every verb draws its random inputs from one seeded generator, runs a finite
 computation, emits a report (JSON by default, CSV where a tabular layout is
-defined) and exits 0 when all checks pass, 1 when any check fails, and 2 on
-configuration errors. Flags override the optional JSON config file, which
-in turn overrides built-in defaults; config keys equal the flag names
-without the leading dashes (``n-draws`` may be spelled ``n_draws``).
+defined) and exits 0 when all checks pass, 1 when any check fails, 2 on
+configuration errors and 3 on internal errors. Flags override the optional
+JSON config file, which in turn overrides built-in defaults; config keys
+equal the flag names without the leading dashes (``n-draws`` may be spelled
+``n_draws``). Flags, config keys, defaults and checks come from one table.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -27,8 +31,7 @@ from .dynamics import integrate_bundle, transport_check, velocity_field
 from .fields import LinearField, draw_field
 from .geometry import WeylGauge, conformal_transform, riemann_scalar_at, \
     weyl_scalar_at
-from .hj import EMConfig, WaveInputs, conformal_coupling, draw_wave_inputs, \
-    linearization_check
+from .hj import EMConfig, WaveInputs, draw_wave_inputs, linearization_check
 from .lorentz_reps import Irrep, angular_laplacian_check, casimir_value, \
     commutator_defect, conjugation_defect, d_matrix, reps_up_to_dim, \
     vector_intertwiner
@@ -38,6 +41,7 @@ from .report import build_report, check_at_least, check_close, dump_report, \
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
+EXIT_INTERNAL_ERROR = 3
 
 
 class ConfigError(Exception):
@@ -45,54 +49,64 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# argument plumbing
+# parameters: each declared once with its flag parser and typed check
 # ---------------------------------------------------------------------------
 
-_DEFAULTS: dict[str, dict] = {
-    "verify-curvature": {
-        "seed": 0, "n_draws": 50, "a": 1.0, "h": 1e-2, "order": 4,
-        "tol": None, "out": None, "format": "json",
-    },
-    "verify-weyl": {
-        "seed": 0, "n_draws": 100, "a": 1.0, "h": 1e-3, "order": 4,
-        "tol": None, "out": None, "format": "json",
-    },
-    "verify-linearization": {
-        "seed": 0, "n_draws": 100, "a": 1.0, "h": 1e-3, "order": 4,
-        "H": (0.3, -0.2, 0.4), "E": (0.2, 0.1, -0.3), "kappa": 2.0,
-        "tol": None, "out": None, "format": "json",
-    },
-    "verify-reps": {
-        "seed": 0, "n_draws": 5, "a": 1.0, "order": 4,
-        "tol": None, "out": None, "format": "json",
-    },
-    "verify-dirac": {
-        "seed": 0, "n_draws": 10, "mass": 1.0, "kappa": 2.0,
-        "H": None, "E": None, "counterterm": False,
-        "tol": None, "out": None, "format": "json",
-    },
-    "trace": {
-        "seed": 0, "n_draws": 8, "a": 1.0, "h": 1e-3, "order": 4,
-        "H": (0.0, 0.0, 0.0), "E": (0.0, 0.0, 0.0), "kappa": 2.0,
-        "ds": 0.01, "steps": 200, "sections": 5, "spread": 0.05,
-        "tol": None, "out": None, "format": "csv",
-    },
-    "spectrum": {
-        "seed": 0, "a": None, "mass": None, "rep": None,
-        "out": None, "format": "json",
-    },
-}
+
+@dataclass(frozen=True)
+class Kind:
+    """``parse``: flag text to value (``None``: a switch). ``check``: a value
+    from a flag or a config file to the value used, or raise unless ``need``."""
+
+    parse: Callable[[str], object] | None
+    check: Callable[[object], object]
+    need: str
+    choices: tuple | None = None
+    metavar: str | None = None
+    repeat: bool = False
 
 
-def _vec3(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected three comma-separated numbers")
-    try:
-        x, y, z = (float(p) for p in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return (x, y, z)
+def _finite(v, positive: bool = False) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(v)
+    if not math.isfinite(float(v)) or (positive and v <= 0):
+        raise ValueError(v)
+    return float(v)
+
+
+def _int_from(low: int, need: str) -> Kind:
+    def check(v) -> int:
+        if type(v) is not int or v < low:
+            raise ValueError(v)
+        return v
+    return Kind(int, check, need)
+
+
+def _one_of(*choices) -> Kind:
+    def check(v):
+        if type(v) is not type(choices[0]) or v not in choices:
+            raise ValueError(v)
+        return v
+    return Kind(type(choices[0]), check, " or ".join(map(str, choices)),
+                choices=choices)
+
+
+def _numbers(text: str) -> list[float]:
+    return [float(p) for p in text.split(",")]
+
+
+def _vector(v) -> tuple[float, float, float]:
+    if not isinstance(v, (list, tuple)) or len(v) != 3:
+        raise TypeError(v)
+    return tuple(_finite(x) for x in v)
+
+
+def _of_type(cls):
+    def check(v):
+        if type(v) is not cls:
+            raise TypeError(v)
+        return v
+    return check
 
 
 def _parse_rep(text: str) -> Irrep:
@@ -108,170 +122,85 @@ def _parse_rep(text: str) -> Irrep:
         raise ConfigError(f"bad representation label {text!r}; use 'u,v'")
     try:
         return Irrep(half(parts[0]), half(parts[1]))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(f"bad representation label {text!r}: {exc}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="aqm-lab",
-        description="Numerical verification of the conformal top construction: "
-                    "curvature, Weyl scalar forms, exact linearization, "
-                    "representation identities, the squared spin-1/2 operator, "
-                    "and trajectory bundle transport.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, with_draws=True):
-        p.add_argument("--seed", type=int, default=None,
-                       help="random seed driving every draw of the run")
-        if with_draws:
-            p.add_argument("--n-draws", dest="n_draws", type=int, default=None,
-                           help="number of random draws (points, fields or configs)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the tolerance of every check in this verb")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default=None,
-                       help="report format")
-        p.add_argument("--config", default=None,
-                       help="JSON file with defaults for any flag of this verb")
-
-    p = sub.add_parser("verify-curvature",
-                       help="scalar curvature of the top metric against 6/a^2")
-    add_common(p)
-    p.add_argument("--a", type=float, default=None, help="internal length scale")
-    p.add_argument("--h", type=float, default=None, help="stencil step")
-    p.add_argument("--order", type=int, choices=(2, 4), default=None)
-
-    p = sub.add_parser("verify-weyl",
-                       help="agreement of the two Weyl scalar forms and the "
-                            "conformal weight")
-    add_common(p)
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--order", type=int, choices=(2, 4), default=None)
-
-    p = sub.add_parser("verify-linearization",
-                       help="exact equivalence of the nonlinear pair with the "
-                            "linear wave equation")
-    add_common(p)
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--order", type=int, choices=(2, 4), default=None)
-    p.add_argument("--H", type=_vec3, default=None, metavar="x,y,z",
-                   help="magnetic field for the coupled draws")
-    p.add_argument("--E", type=_vec3, default=None, metavar="x,y,z",
-                   help="electric field for the coupled draws")
-    p.add_argument("--kappa", type=float, default=None,
-                   help="group-direction coupling of the potential")
-
-    p = sub.add_parser("verify-reps",
-                       help="commutators, conjugation, Casimir eigenvalues and "
-                            "the vector equivalence")
-    add_common(p)
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--order", type=int, choices=(2, 4), default=None)
-
-    p = sub.add_parser("verify-dirac",
-                       help="reduced operator against the squared Dirac "
-                            "operator, dispersion and mass closure")
-    add_common(p)
-    p.add_argument("--mass", type=float, default=None)
-    p.add_argument("--kappa", type=float, default=None)
-    p.add_argument("--H", type=_vec3, default=None, metavar="x,y,z",
-                   help="fix the magnetic field instead of drawing it")
-    p.add_argument("--E", type=_vec3, default=None, metavar="x,y,z",
-                   help="fix the electric field instead of drawing it")
-    p.add_argument("--counterterm", action="store_true", default=None,
-                   help="apply the field-invariant counterterm in the gap check")
-
-    p = sub.add_parser("trace",
-                       help="integrate a plane-wave trajectory bundle and "
-                            "report transport diagnostics")
-    add_common(p)
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--order", type=int, choices=(2, 4), default=None)
-    p.add_argument("--H", type=_vec3, default=None, metavar="x,y,z")
-    p.add_argument("--E", type=_vec3, default=None, metavar="x,y,z")
-    p.add_argument("--kappa", type=float, default=None)
-    p.add_argument("--ds", type=float, default=None, help="integration step")
-    p.add_argument("--steps", type=int, default=None, help="steps per trajectory")
-    p.add_argument("--sections", type=int, default=None,
-                   help="number of flux cross-sections")
-    p.add_argument("--spread", type=float, default=None,
-                   help="radius of the bundle seed ball")
-
-    p = sub.add_parser("spectrum",
-                       help="squared-mass spectrum over irreducible representations")
-    add_common(p, with_draws=False)
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--mass", type=float, default=None,
-                   help="derive the length scale from this mass")
-    p.add_argument("--rep", action="append", default=None, metavar="u,v",
-                   help="representation label, repeatable (default: all with "
-                            "dimension at most 9)")
-
-    return parser
+def _rep_labels(v):
+    labels = [v] if isinstance(v, str) else v
+    if not isinstance(labels, list) \
+            or not all(isinstance(s, str) for s in labels):
+        raise TypeError(v)
+    for label in labels:
+        _parse_rep(label)
+    return v
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    defaults = dict(_DEFAULTS[args.command])
-    file_cfg = {}
-    if getattr(args, "config", None):
+REAL = Kind(float, _finite, "a finite number")
+POSITIVE = Kind(float, lambda v: _finite(v, positive=True),
+                "a finite positive number")
+VECTOR = Kind(_numbers, _vector, "three finite numbers", metavar="x,y,z")
+SWITCH = Kind(None, _of_type(bool), "true or false")
+TEXT = Kind(str, _of_type(str), "a string")
+REPS = Kind(str, _rep_labels, "a 'u,v' label or a list of them",
+            metavar="u,v", repeat=True)
+
+
+@dataclass(frozen=True)
+class Param:
+    """Flag ``--name`` and config key ``name``; null only if the default is.
+    ``in_file``: a config-file key; ``echo``: in the payload's config echo."""
+
+    name: str
+    kind: Kind
+    default: object
+    help: str
+    in_file: bool = True
+    echo: bool = True
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+    def check(self, value):
+        if value is None and self.default is None:
+            return None
         try:
-            with open(args.config, encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {args.config}: {exc}")
-        if not isinstance(file_cfg, dict):
-            raise ConfigError("config file must hold a JSON object")
-        file_cfg = {str(k).replace("-", "_"): v for k, v in file_cfg.items()}
-        unknown = set(file_cfg) - set(defaults)
-        if unknown:
-            raise ConfigError(
-                f"unknown config keys for {args.command}: {sorted(unknown)}")
-
-    cfg = {}
-    for key, builtin in defaults.items():
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            cfg[key] = flag_val
-        elif key in file_cfg:
-            cfg[key] = file_cfg[key]
-        else:
-            cfg[key] = builtin
-
-    for key in ("H", "E"):
-        if cfg.get(key) is not None:
-            vec = tuple(float(x) for x in cfg[key])
-            if len(vec) != 3:
-                raise ConfigError(f"--{key} needs three components")
-            cfg[key] = vec
-    _validate(args.command, cfg)
-    return cfg
+            return self.kind.check(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"{self.flag} must be {self.kind.need}; "
+                              f"got {value!r}") from None
 
 
-def _validate(command: str, cfg: dict) -> None:
-    if "n_draws" in cfg and (type(cfg["n_draws"]) is not int
-                             or cfg["n_draws"] < 1):
-        raise ConfigError("--n-draws must be a positive integer")
-    if "order" in cfg and cfg["order"] not in (2, 4):
-        raise ConfigError("--order must be 2 or 4")
-    if cfg.get("a") is not None and cfg["a"] <= 0:
-        raise ConfigError("--a must be positive")
-    if cfg.get("mass") is not None and cfg["mass"] <= 0:
-        raise ConfigError("--mass must be positive")
-    if cfg.get("tol") is not None and cfg["tol"] <= 0:
-        raise ConfigError("--tol must be positive")
-    if cfg.get("h") is not None and cfg["h"] <= 0:
-        raise ConfigError("--h must be positive")
-    if command == "trace":
-        if cfg["ds"] <= 0 or cfg["steps"] < 1 or cfg["sections"] < 2:
-            raise ConfigError("trace needs ds > 0, steps >= 1, sections >= 2")
-        if cfg["spread"] <= 0:
-            raise ConfigError("--spread must be positive")
+SEED = Param("seed", _int_from(0, "a non-negative integer"), 0,
+             "random seed driving every draw of the run")
+N_DRAWS = Param("n_draws", _int_from(1, "a positive integer"), 10,
+                "number of random draws (points, fields or configs)")
+TOL = Param("tol", POSITIVE, None,
+            "override the tolerance of every check in this verb")
+# the output path is plumbing, not an input of the computation; keeping it
+# out of the payload preserves byte-identity across --out choices
+OUT = Param("out", TEXT, None, "output path (default stdout)", echo=False)
+FORMAT = Param("format", _one_of("json", "csv"), "json", "report format")
+A = Param("a", POSITIVE, 1.0, "internal length scale")
+STEP = Param("h", POSITIVE, 1e-3, "stencil step")
+ORDER = Param("order", _one_of(2, 4), 4, "stencil order")
+H_FIELD = Param("H", VECTOR, None, "constant magnetic field "
+                "(verify-dirac: drawn per draw by default)")
+E_FIELD = Param("E", VECTOR, None, "constant electric field "
+                "(verify-dirac: drawn per draw by default)")
+KAPPA = Param("kappa", REAL, 2.0, "group-direction coupling of the potential")
+MASS = Param("mass", POSITIVE, 1.0,
+             "particle mass (spectrum: derive the length scale from it)")
+COUNTERTERM = Param("counterterm", SWITCH, False,
+                    "apply the field-invariant counterterm in the gap check")
+DS = Param("ds", POSITIVE, 0.01, "integration step")
+STEPS = Param("steps", N_DRAWS.kind, 200, "steps per trajectory")
+SECTIONS = Param("sections", _int_from(2, "an integer >= 2"), 5,
+                 "number of flux cross-sections")
+SPREAD = Param("spread", POSITIVE, 0.05, "radius of the bundle seed ball")
+REP = Param("rep", REPS, None, "representation label, repeatable (default: "
+                               "all with dimension at most 9)")
 
 
 def _tol(cfg: dict, default: float) -> float:
@@ -279,7 +208,9 @@ def _tol(cfg: dict, default: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# verb runners: each returns (checks, records)
+# verb runners: each returns (checks, records, csv table or None)
+# (worst cases use np.max / np.maximum: a NaN residual propagates, where
+# the builtin max can drop it and pass the check)
 # ---------------------------------------------------------------------------
 
 
@@ -296,12 +227,12 @@ def _run_verify_curvature(cfg: dict):
         rel_errors.append(rel)
         records.append({"point": list(q), "r_scalar": r, "rel_error": rel})
     checks = [
-        check_close("curvature_max_rel_error", max(rel_errors), 0.0,
+        check_close("curvature_max_rel_error", np.max(rel_errors), 0.0,
                     _tol(cfg, 1e-3)),
         check_close("curvature_mean_rel_error",
                     float(np.mean(rel_errors)), 0.0, _tol(cfg, 1e-4)),
     ]
-    return checks, records
+    return checks, records, None
 
 
 def _run_verify_weyl(cfg: dict):
@@ -339,11 +270,12 @@ def _run_verify_weyl(cfg: dict):
         weight_errs.append(abs(rho0 * moved - base) / max(abs(base), 1.0))
 
     checks = [
-        check_close("weyl_forms_max_rel_diff", max(diffs), 0.0, _tol(cfg, 1e-6)),
-        check_close("weyl_conformal_weight_max_rel", max(weight_errs), 0.0,
+        check_close("weyl_forms_max_rel_diff", np.max(diffs), 0.0,
+                    _tol(cfg, 1e-6)),
+        check_close("weyl_conformal_weight_max_rel", np.max(weight_errs), 0.0,
                     _tol(cfg, 1e-5)),
     ]
-    return checks, records
+    return checks, records, None
 
 
 def _run_verify_linearization(cfg: dict):
@@ -376,14 +308,14 @@ def _run_verify_linearization(cfg: dict):
             control_defects.append(abs(control))
 
     checks = [
-        check_close("linearization_max_defect_free", max(free_defects), 0.0,
+        check_close("linearization_max_defect_free", np.max(free_defects), 0.0,
                     _tol(cfg, 1e-6)),
-        check_close("linearization_max_defect_em", max(em_defects), 0.0,
+        check_close("linearization_max_defect_em", np.max(em_defects), 0.0,
                     _tol(cfg, 1e-6)),
         check_at_least("linearization_control_min_defect",
-                       min(control_defects), 1e-2),
+                       np.min(control_defects), 1e-2),
     ]
-    return checks, records
+    return checks, records, None
 
 
 def _run_verify_reps(cfg: dict):
@@ -393,9 +325,9 @@ def _run_verify_reps(cfg: dict):
                               rng.uniform(-1.2, 1.2, 3)])
               for _ in range(cfg["n_draws"])]
 
-    comm_defect = max(commutator_defect(rep) for rep in reps)
-    conj_defect = max(conjugation_defect(rep, theta)
-                      for rep in reps for theta in thetas)
+    comm_defect = np.max([commutator_defect(rep) for rep in reps])
+    conj_defect = np.max([conjugation_defect(rep, theta)
+                          for rep in reps for theta in thetas])
 
     casimir_rel = 0.0
     for rep in (Irrep(0, 0.5), Irrep(0.5, 0.5)):
@@ -404,7 +336,7 @@ def _run_verify_reps(cfg: dict):
             ratio = angular_laplacian_check(rep, theta, a=cfg["a"],
                                             order=cfg["order"])
             dev = float(np.max(np.abs(ratio - expected * np.eye(rep.dim))))
-            casimir_rel = max(casimir_rel, dev / abs(expected))
+            casimir_rel = np.maximum(casimir_rel, dev / abs(expected))
 
     x, sigma_min = vector_intertwiner()
     fresh = np.array([0.5, 0.1, -0.4, 0.3, -0.2, 0.6])
@@ -424,7 +356,7 @@ def _run_verify_reps(cfg: dict):
                     _tol(cfg, 1e-8)),
     ]
     records = [{"reps_checked": [r.label() for r in reps]}]
-    return checks, records
+    return checks, records, None
 
 
 def _run_verify_dirac(cfg: dict):
@@ -450,11 +382,11 @@ def _run_verify_dirac(cfg: dict):
         gap_expected = 0.0 if cfg["counterterm"] \
             else (em.e_charge * a) ** 2 * em.invariant_h2_e2()
         gap = float(np.max(np.abs(m18 - m19 - gap_expected * np.eye(4))))
-        gap_defect = max(gap_defect, gap)
+        gap_defect = np.maximum(gap_defect, gap)
 
         m18_ct = top_spinor_matrix(p, em, scale, x=x, counterterm=True)
         ct = float(np.max(np.abs(m18_ct - m19)))
-        ct_defect = max(ct_defect, ct)
+        ct_defect = np.maximum(ct_defect, ct)
         records.append({"H": list(h_field), "E": list(e_field), "p": list(p),
                         "gap_defect": gap, "counterterm_defect": ct})
 
@@ -473,7 +405,7 @@ def _run_verify_dirac(cfg: dict):
         check_close("dirac_mass_closure_defect", mass_closure_defect(), 0.0,
                     _tol(cfg, 1e-14)),
     ]
-    return checks, records
+    return checks, records, None
 
 
 def _plane_wave_bundle_inputs(cfg: dict, rng: np.random.Generator):
@@ -501,7 +433,7 @@ def _run_trace(cfg: dict):
                               ds=cfg["ds"], n_steps=cfg["steps"],
                               h=cfg["h"], order=cfg["order"])
     if cfg["format"] == "csv":
-        return bundle, None, None
+        return [], None, (TRAJECTORY_COLUMNS, trajectory_rows(bundle))
 
     rep = transport_check(fields, em, metric, bundle,
                           n_sections=cfg["sections"], h=cfg["h"],
@@ -525,7 +457,7 @@ def _run_trace(cfg: dict):
         "timelike": bool(norm2 < 0),
         "samples_per_trajectory": [t.n_samples for t in bundle],
     }]
-    return bundle, checks, records
+    return checks, records, None
 
 
 def _run_spectrum(cfg: dict):
@@ -543,14 +475,121 @@ def _run_spectrum(cfg: dict):
     records = mass_spin_spectrum(reps, a)
     checks = [
         check_close("spectrum_mass_closure_defect", mass_closure_defect(),
-                    0.0, 1e-14),
+                    0.0, _tol(cfg, 1e-14)),
     ]
-    return records, checks
+    rows = [[r["u"], r["v"], r["casimir"], r["m2"]] for r in records]
+    return checks, records, (SPECTRUM_COLUMNS, rows)
 
 
 # ---------------------------------------------------------------------------
-# entry point
+# the verb table and the entry point
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Verb:
+    help: str
+    run: Callable[[dict], tuple]
+    params: tuple[Param, ...]
+
+
+_ZERO = (0.0, 0.0, 0.0)
+_COMMON = (SEED, TOL, OUT, FORMAT)
+
+VERBS: dict[str, Verb] = {
+    "verify-curvature": Verb(
+        "scalar curvature of the top metric against 6/a^2",
+        _run_verify_curvature, (*_COMMON, replace(N_DRAWS, default=50), A,
+                                replace(STEP, default=1e-2), ORDER)),
+    "verify-weyl": Verb(
+        "agreement of the two Weyl scalar forms and the conformal weight",
+        _run_verify_weyl,
+        (*_COMMON, replace(N_DRAWS, default=100), A, STEP, ORDER)),
+    "verify-linearization": Verb(
+        "exact equivalence of the nonlinear pair with the linear wave equation",
+        _run_verify_linearization,
+        (*_COMMON, replace(N_DRAWS, default=100), A, STEP, ORDER, KAPPA,
+         replace(H_FIELD, default=(0.3, -0.2, 0.4)),
+         replace(E_FIELD, default=(0.2, 0.1, -0.3)))),
+    "verify-reps": Verb(
+        "commutators, conjugation, Casimir eigenvalues and the vector "
+        "equivalence",
+        _run_verify_reps, (*_COMMON, replace(N_DRAWS, default=5), A, ORDER)),
+    "verify-dirac": Verb(
+        "reduced operator against the squared Dirac operator, dispersion "
+        "and mass closure",
+        _run_verify_dirac,
+        (*_COMMON, N_DRAWS, MASS, KAPPA, H_FIELD, E_FIELD, COUNTERTERM)),
+    "trace": Verb(
+        "integrate a plane-wave trajectory bundle and report transport "
+        "diagnostics",
+        _run_trace,
+        (SEED, TOL, OUT, replace(FORMAT, default="csv"),
+         replace(N_DRAWS, default=8), A, STEP, ORDER, KAPPA,
+         replace(H_FIELD, default=_ZERO), replace(E_FIELD, default=_ZERO),
+         DS, STEPS, SECTIONS, SPREAD)),
+    "spectrum": Verb(
+        "squared-mass spectrum over irreducible representations",
+        _run_spectrum,
+        (SEED, OUT, FORMAT, replace(TOL, in_file=False, echo=False),
+         replace(A, default=None), replace(MASS, default=None), REP)),
+}
+
+CHECK_COLUMNS = ["name", "value", "expected", "tolerance", "pass"]
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="aqm-lab",
+        description="Numerical verification of the conformal top construction: "
+                    "curvature, Weyl scalar forms, exact linearization, "
+                    "representation identities, the squared spin-1/2 operator, "
+                    "and trajectory bundle transport.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, verb in VERBS.items():
+        p = sub.add_parser(name, help=verb.help)
+        for param in verb.params:
+            kind = param.kind
+            if kind.parse is None:
+                p.add_argument(param.flag, dest=param.name, default=None,
+                               action="store_true", help=param.help)
+            else:
+                p.add_argument(param.flag, dest=param.name, default=None,
+                               action="append" if kind.repeat else "store",
+                               type=kind.parse, choices=kind.choices,
+                               metavar=kind.metavar, help=param.help)
+        p.add_argument("--config", default=None,
+                       help="JSON file with defaults for any flag of this verb")
+    return parser
+
+
+def _read_config(path: str | None) -> dict:
+    if path is None:
+        return {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            file_cfg = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}")
+    if not isinstance(file_cfg, dict):
+        raise ConfigError("config file must hold a JSON object")
+    return {str(k).replace("-", "_"): v for k, v in file_cfg.items()}
+
+
+def resolve_config(command: str, file_cfg: dict, flags: dict) -> dict:
+    """Each parameter's flag value (``None``: not given), else its config
+    key, else its default; every value given passes its parameter's check."""
+    params = VERBS[command].params
+    unknown = set(file_cfg) - {p.name for p in params if p.in_file}
+    if unknown:
+        raise ConfigError(
+            f"unknown config keys for {command}: {sorted(unknown)}")
+    cfg = {p.name: p.check(file_cfg.get(p.name, p.default)) for p in params}
+    cfg.update((p.name, p.check(flags[p.name])) for p in params
+               if flags.get(p.name) is not None)
+    return cfg
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -560,68 +599,33 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
+    verb = VERBS[args.command]
     try:
-        cfg = _merge_config(args)
+        cfg = resolve_config(args.command, _read_config(args.config),
+                             vars(args))
+        start = time.perf_counter()
+        checks, records, table = verb.run(cfg)
+        if cfg["format"] == "csv":
+            if table is None:
+                table = (CHECK_COLUMNS,
+                         [[c.name, c.value, c.expected, c.tolerance,
+                           int(c.passed)]
+                          for c in sorted(checks, key=lambda c: c.name)])
+            write_csv(*table, out=cfg["out"])
+        else:
+            echo = {p.name: cfg[p.name] for p in verb.params if p.echo}
+            report = build_report(args.command, echo, checks, records,
+                                  wall_time_s=time.perf_counter() - start)
+            dump_report(report, out=cfg["out"])
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-
-    start = time.perf_counter()
-    try:
-        if args.command == "trace":
-            bundle, checks, records = _run_trace(cfg)
-            if cfg["format"] == "csv":
-                write_csv(TRAJECTORY_COLUMNS, trajectory_rows(bundle),
-                          out=cfg["out"])
-                return EXIT_PASS
-        elif args.command == "spectrum":
-            spec_records, checks = _run_spectrum(cfg)
-            if cfg["format"] == "csv":
-                rows = [[r["u"], r["v"], r["casimir"], r["m2"]]
-                        for r in spec_records]
-                write_csv(SPECTRUM_COLUMNS, rows, out=cfg["out"])
-                return EXIT_PASS
-            records = spec_records
-        else:
-            runner = {
-                "verify-curvature": _run_verify_curvature,
-                "verify-weyl": _run_verify_weyl,
-                "verify-linearization": _run_verify_linearization,
-                "verify-reps": _run_verify_reps,
-                "verify-dirac": _run_verify_dirac,
-            }[args.command]
-            checks, records = runner(cfg)
-            if cfg["format"] == "csv":
-                rows = [[c.name, c.value, c.expected, c.tolerance,
-                         int(c.passed)] for c in sorted(checks,
-                                                        key=lambda c: c.name)]
-                write_csv(["name", "value", "expected", "tolerance", "pass"],
-                          rows, out=cfg["out"])
-                return EXIT_PASS if all(c.passed for c in checks) \
-                    else EXIT_CHECK_FAILURE
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-
-    wall = time.perf_counter() - start
-    report = build_report(args.command, _echo(cfg), checks, records,
-                          wall_time_s=wall)
-    dump_report(report, out=cfg["out"])
-    return EXIT_PASS if report["payload"]["passed"] else EXIT_CHECK_FAILURE
-
-
-def _echo(cfg: dict) -> dict:
-    # the output path is plumbing, not an input of the computation; keeping
-    # it out of the payload preserves byte-identity across --out choices
-    out = {}
-    for key, val in cfg.items():
-        if key == "out":
-            continue
-        if isinstance(val, tuple):
-            out[key] = list(val)
-        else:
-            out[key] = val
-    return out
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"error: internal: {type(exc).__name__}: {message}",
+              file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
+    return EXIT_PASS if all(c.passed for c in checks) else EXIT_CHECK_FAILURE
 
 
 if __name__ == "__main__":

@@ -5,7 +5,9 @@ check records, optional data records) from volatile envelope fields
 (currently only the wall-clock time). Two runs with the same seed must
 produce byte-identical payloads; comparing
 ``json.dumps(report["payload"], sort_keys=True)`` between runs is the
-supported determinism check.
+supported determinism check. Non-finite numbers never reach JSON: a check
+on one fails and carries ``"value": null, "nonfinite": true``, and one in
+the records becomes ``null``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -28,7 +31,7 @@ class CheckRecord:
     For ordinary checks ``passed`` means |value - expected| <= tolerance.
     Control checks that must stay far from zero use ``check_at_least``:
     there ``passed`` means value >= expected and the tolerance is zero by
-    convention.
+    convention. A non-finite value fails either kind.
     """
 
     name: str
@@ -38,13 +41,16 @@ class CheckRecord:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "name": self.name,
             "value": float(self.value),
             "expected": float(self.expected),
             "tolerance": float(self.tolerance),
             "pass": bool(self.passed),
         }
+        if not math.isfinite(self.value):
+            out.update(value=None, nonfinite=True)
+        return out
 
 
 def check_close(name: str, value: float, expected: float, tolerance: float
@@ -52,14 +58,16 @@ def check_close(name: str, value: float, expected: float, tolerance: float
     value = float(value)
     return CheckRecord(name=name, value=value, expected=float(expected),
                        tolerance=float(tolerance),
-                       passed=bool(abs(value - expected) <= tolerance))
+                       passed=math.isfinite(value)
+                       and bool(abs(value - expected) <= tolerance))
 
 
 def check_at_least(name: str, value: float, threshold: float) -> CheckRecord:
     """Control check that passes only when the value stays above a floor."""
     value = float(value)
     return CheckRecord(name=name, value=value, expected=float(threshold),
-                       tolerance=0.0, passed=bool(value >= threshold))
+                       tolerance=0.0,
+                       passed=math.isfinite(value) and bool(value >= threshold))
 
 
 def build_report(command: str, config: dict, checks: list[CheckRecord],
@@ -82,7 +90,10 @@ def build_report(command: str, config: dict, checks: list[CheckRecord],
 
 
 def _plain(obj):
-    """Recursively convert numpy scalars and arrays to built-in types."""
+    """Recursively convert numpy scalars and arrays to built-in types.
+
+    Non-finite floats become ``None``, so the payload stays valid JSON.
+    """
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -90,7 +101,9 @@ def _plain(obj):
     if isinstance(obj, np.ndarray):
         return [_plain(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     return obj
 
 

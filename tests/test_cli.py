@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -7,16 +9,23 @@ import venv
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aqm_lab.cli import main
+from aqm_lab.cli import VERBS, ConfigError, main, resolve_config
 
 FAST_DIRAC = ["verify-dirac", "--n-draws", "2"]
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(args):
+    # the child imports this checkout as the in-process tests do, with or
+    # without PYTHONPATH=src set (pytest's pythonpath reaches only itself)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "aqm_lab.cli"] + args,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
 
 
 def env_without_pythonpath():
@@ -88,8 +97,16 @@ def test_zero_draws_is_config_error():
     assert main(["verify-curvature", "--n-draws", "0"]) == 2
 
 
-def test_negative_scale_is_config_error():
-    assert main(["verify-curvature", "--a", "-1.0"]) == 2
+def assert_one_line_error(capsys, prefix="error: "):
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(prefix), err
+
+
+def test_negative_scale_is_config_error(capsys):
+    for flags in (["--a", "-1.0"], ["--seed", "-1"], ["--h", "nan"],
+                  ["--tol", "nan"], ["--a", "inf"]):
+        assert main(["verify-curvature"] + flags) == 2, flags
+        assert_one_line_error(capsys)
 
 
 def test_tight_tolerance_fails_checks(capsys):
@@ -99,11 +116,16 @@ def test_tight_tolerance_fails_checks(capsys):
 
 
 def test_tol_overrides_every_check(capsys):
-    code = main(FAST_DIRAC + ["--tol", "1e-3"])
-    out = capsys.readouterr().out
-    report = json.loads(out)
-    assert code == 0
-    assert all(c["tolerance"] == 1e-3 for c in report["payload"]["checks"])
+    for argv in (FAST_DIRAC, ["spectrum"]):
+        code = main(argv + ["--tol", "1e-3"])
+        out = capsys.readouterr().out
+        report = json.loads(out)
+        assert code == 0
+        assert all(c["tolerance"] == 1e-3
+                   for c in report["payload"]["checks"])
+    main(["spectrum", "--tol", "1e-300"])
+    checks = json.loads(capsys.readouterr().out)["payload"]["checks"]
+    assert [c["tolerance"] for c in checks] == [1e-300]
 
 
 def test_config_file_merging(tmp_path, capsys):
@@ -132,13 +154,20 @@ def test_unknown_config_key_is_error(tmp_path):
     assert main(["verify-dirac", "--config", str(cfg)]) == 2
 
 
-def test_malformed_config_is_error(tmp_path):
+def test_malformed_config_is_error(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")
     assert main(["verify-dirac", "--config", str(cfg)]) == 2
-    for bad in ({"order": 3}, {"n_draws": True}):
+    for bad in ({"order": 3}, {"n_draws": True}, {"seed": "x"}, {"seed": -1},
+                {"seed": 1.5}, {"a": "1"}, {"format": "xml"}, {"out": 5}):
         cfg.write_text(json.dumps(bad))
-        assert main(["verify-curvature", "--config", str(cfg)]) == 2
+        capsys.readouterr()
+        assert main(["verify-curvature", "--config", str(cfg)]) == 2, bad
+        assert_one_line_error(capsys)
+    for bad in ({"kappa": None}, {"H": "abc"}, {"counterterm": "no"}):
+        cfg.write_text(json.dumps(bad))
+        assert main(["verify-dirac", "--config", str(cfg)]) == 2, bad
+        assert_one_line_error(capsys)
 
 
 def test_out_flag_writes_file(tmp_path):
@@ -226,6 +255,113 @@ def test_spectrum_rep_selection_and_csv(tmp_path):
 
 def test_spectrum_bad_rep_label():
     assert main(["spectrum", "--rep", "0.3,7"]) == 2
+
+
+def test_internal_error_exits_three(capsys):
+    assert main(["verify-dirac", "--n-draws", "1", "--mass", "1e-200"]) == 3
+    assert_one_line_error(capsys, "error: internal: OverflowError: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-weyl", "--n-draws", "1", "--h", "1e-300"],
+    ["trace", "--n-draws", "1", "--steps", "5", "--h", "1e-300",
+     "--format", "json"],
+    # NaN residuals inside a worst-case loop must not be dropped by max()
+    ["verify-dirac", "--n-draws", "1", "--kappa", "1e300"],
+])
+def test_nonfinite_values_fail_checks_in_valid_json(argv, capsys):
+    assert main(argv) == 1
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    nonfinite = [c for c in payload["checks"] if c.get("nonfinite")]
+    assert nonfinite
+    assert all(c["value"] is None and not c["pass"] for c in nonfinite)
+    assert payload["passed"] is False
+
+
+# config fuzz: the verb's own keys plus junk keys, with JSON values
+JUNK_KEYS = ["draws", "config", "verbose", "n_draw", "Tol"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from([0, 1, 2, 4, 0.5, 1e-3, "json", "csv", "0,1/2",
+                       "1/2,1/2", [0.1, -0.2, 0.3], ["0,1/2"]]),
+    lambda inner: st.lists(inner, max_size=4), max_leaves=6)
+
+
+def file_keys(verb):
+    return [p.name for p in VERBS[verb].params if p.in_file]
+
+
+def fuzzed_configs(verbs):
+    return st.sampled_from(verbs).flatmap(lambda verb: st.tuples(
+        st.just(verb),
+        st.dictionaries(st.sampled_from(file_keys(verb) + JUNK_KEYS),
+                        JSON_VALUES, max_size=5)))
+
+
+def is_finite_number(v, positive=False):
+    return (type(v) in (int, float) and v == v and abs(v) != float("inf")
+            and (v > 0 or not positive))
+
+
+@settings(max_examples=400, deadline=None)
+@given(fuzzed_configs(sorted(VERBS)))
+def test_fuzzed_config_resolves_to_checked_values_or_config_error(case):
+    verb, raw = case
+    try:
+        cfg = resolve_config(verb, raw, {})
+    except ConfigError:
+        return
+    assert set(raw) <= set(file_keys(verb))
+    assert set(cfg) == {p.name for p in VERBS[verb].params}
+    assert type(cfg["seed"]) is int and cfg["seed"] >= 0
+    assert cfg["format"] in ("json", "csv")
+    assert cfg["out"] is None or isinstance(cfg["out"], str)
+    assert cfg["tol"] is None or is_finite_number(cfg["tol"], positive=True)
+    for key in ("n_draws", "steps", "sections"):
+        assert key not in cfg or (type(cfg[key]) is int and cfg[key] >= 1)
+    assert cfg.get("order", 4) in (2, 4) and type(cfg.get("order", 4)) is int
+    for key in ("a", "h", "mass", "ds", "spread"):
+        assert cfg.get(key) is None or is_finite_number(cfg[key], True)
+    assert is_finite_number(cfg.get("kappa", 0.0))
+    for key in ("H", "E"):
+        vec = cfg.get(key)
+        assert vec is None or (len(vec) == 3
+                               and all(is_finite_number(x) for x in vec))
+    assert type(cfg.get("counterterm", False)) is bool
+    for key, value in raw.items():
+        assert cfg[key] == (tuple(value) if key in ("H", "E") and value
+                            is not None else value)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=60, deadline=None)
+@given(fuzzed_configs(["verify-dirac", "spectrum"]))
+def test_fuzzed_config_runs_end_to_end(fuzz_dir, case):
+    verb, raw = case
+    cfg_path, out = fuzz_dir / "cfg.json", fuzz_dir / "out"
+    cfg_path.write_text(json.dumps(raw))
+    flags = {"out": str(out)}
+    argv = [verb, "--config", str(cfg_path), "--out", str(out)]
+    if verb == "verify-dirac":
+        flags["n_draws"] = 1
+        argv += ["--n-draws", "1"]
+    try:
+        resolve_config(verb, raw, flags)
+        allowed = {0, 1, 3}
+    except ConfigError:
+        allowed = {2}
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in allowed, (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code in (2, 3):
+        assert len(err.getvalue().splitlines()) == 1
 
 
 def test_subprocess_matches_in_process(tmp_path):

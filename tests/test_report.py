@@ -74,10 +74,48 @@ def test_numpy_values_serialize_plainly(tmp_path):
 
 
 def test_dump_rejects_nan():
-    checks = [check_close("a", float("nan"), 0.0, 1.0)]
-    report = build_report("cmd", {}, checks)
+    # build_report turns non-finite numbers into null; a NaN that reaches
+    # dump_report some other way is still refused, never written as NaN
     with pytest.raises(ValueError):
-        dump_report(report, out=None)
+        dump_report({"payload": {"value": float("nan")}}, out=None)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_nonfinite_value_fails_every_check(bad):
+    assert not check_close("x", bad, 0.0, 1e300).passed
+    assert not check_at_least("floor", bad, 1e-6).passed
+
+
+def test_nonfinite_check_serializes_as_null(tmp_path):
+    checks = [check_close("a", float("nan"), 0.0, 1.0),
+              check_at_least("b", float("inf"), 1e-6),
+              check_close("c", 0.5, 0.0, 1.0)]
+    report = build_report("cmd", {}, checks,
+                          records=[{"r": float("nan"), "v": [1.0, -np.inf]}])
+    out = tmp_path / "r.json"
+    dump_report(report, out=str(out))
+    payload = json.loads(out.read_text())["payload"]
+    a, b, c = payload["checks"]
+    for rec in (a, b):
+        assert rec["value"] is None and rec["nonfinite"] is True
+        assert rec["pass"] is False
+    assert c == {"name": "c", "value": 0.5, "expected": 0.0,
+                 "tolerance": 1.0, "pass": True}
+    assert payload["passed"] is False
+    assert payload["records"] == [{"r": None, "v": [1.0, None]}]
+
+
+def test_finite_payload_bytes_golden():
+    checks = [check_close("a", 1.25e-9, 0.0, 1e-6),
+              check_at_least("b", 0.5, 1e-2)]
+    report = build_report("cmd", {"seed": 3, "H": (0.1, 0.2, 0.3)}, checks,
+                          records=[{"x": np.float64(2.5), "n": np.int64(4)}])
+    assert payload_bytes(report) == (
+        b'{"checks": [{"expected": 0.0, "name": "a", "pass": true, '
+        b'"tolerance": 1e-06, "value": 1.25e-09}, {"expected": 0.01, '
+        b'"name": "b", "pass": true, "tolerance": 0.0, "value": 0.5}], '
+        b'"command": "cmd", "config": {"H": [0.1, 0.2, 0.3], "seed": 3}, '
+        b'"passed": true, "records": [{"n": 4, "x": 2.5}]}')
 
 
 def test_matrix_json_round_trip():
