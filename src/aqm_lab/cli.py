@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -109,6 +110,17 @@ def _of_type(cls):
     return check
 
 
+def _writable_path(v) -> str:
+    """A writable file, or a new file in a writable directory; checked
+    before any computation, nothing is created."""
+    path = _of_type(str)(v)
+    target = path if os.path.exists(path) \
+        else os.path.dirname(os.path.abspath(path))
+    if not path or os.path.isdir(path) or not os.access(target, os.W_OK):
+        raise ValueError(v)
+    return path
+
+
 def _parse_rep(text: str) -> Irrep:
     def half(s: str) -> float:
         s = s.strip()
@@ -141,7 +153,7 @@ POSITIVE = Kind(float, lambda v: _finite(v, positive=True),
                 "a finite positive number")
 VECTOR = Kind(_numbers, _vector, "three finite numbers", metavar="x,y,z")
 SWITCH = Kind(None, _of_type(bool), "true or false")
-TEXT = Kind(str, _of_type(str), "a string")
+OUT_PATH = Kind(str, _writable_path, "a writable file path")
 REPS = Kind(str, _rep_labels, "a 'u,v' label or a list of them",
             metavar="u,v", repeat=True)
 
@@ -180,7 +192,8 @@ TOL = Param("tol", POSITIVE, None,
             "override the tolerance of every check in this verb")
 # the output path is plumbing, not an input of the computation; keeping it
 # out of the payload preserves byte-identity across --out choices
-OUT = Param("out", TEXT, None, "output path (default stdout)", echo=False)
+OUT = Param("out", OUT_PATH, None, "output path (default stdout)",
+            echo=False)
 FORMAT = Param("format", _one_of("json", "csv"), "json", "report format")
 A = Param("a", POSITIVE, 1.0, "internal length scale")
 STEP = Param("h", POSITIVE, 1e-3, "stencil step")
@@ -378,7 +391,7 @@ def _run_verify_dirac(cfg: dict):
 
         m18 = top_spinor_matrix(p, em, scale, x=x,
                                 counterterm=bool(cfg["counterterm"]))
-        m19 = squared_dirac_matrix(p, em, cfg["mass"], x=x)
+        m19 = squared_dirac_matrix(p, em, scale.mass, x=x)
         gap_expected = 0.0 if cfg["counterterm"] \
             else (em.e_charge * a) ** 2 * em.invariant_h2_e2()
         gap = float(np.max(np.abs(m18 - m19 - gap_expected * np.eye(4))))
@@ -392,7 +405,7 @@ def _run_verify_dirac(cfg: dict):
 
     p_spatial = rng.uniform(-1.0, 1.0, 3)
     root = dispersion_root(p_spatial, scale)
-    root_exact = float(np.sqrt(p_spatial @ p_spatial + cfg["mass"] ** 2))
+    root_exact = float(np.sqrt(p_spatial @ p_spatial + scale.mass ** 2))
     disp_rel = abs(root - root_exact) / root_exact
 
     checks = [

@@ -8,6 +8,9 @@ the square of the covariant Dirac operator in the mostly-plus signature.
 Identifying the constant terms fixes the internal length scale a against
 the particle mass and yields the mass spectrum over all irreps.
 
+Scales are numpy floats, so a square that over- or underflows gives inf or
+0 and the result a non-finite value, where a Python float would raise.
+
 Operators are evaluated on plane waves psi(x) = w exp(i p.x) with the
 uniform-field potential, for which the action of covariant momentum
 products is exact (polynomial coefficients only), so every identity here
@@ -25,6 +28,9 @@ from scipy.optimize import brentq
 from .config_space import MINKOWSKI
 from .hj import EMConfig, conformal_coupling
 from .lorentz_reps import Irrep, casimir_value, irrep_generators
+
+# conformal coupling xi^2 = 2/9 of the 10-dim configuration space
+XI2 = conformal_coupling(10) ** 2
 
 # ---------------------------------------------------------------------------
 # gamma matrices, mostly-plus signature
@@ -133,35 +139,35 @@ class MassScale:
     """
 
     mass: float
-    n: int = 10
 
     def __post_init__(self):
         if self.mass <= 0:
             raise ValueError("mass must be positive")
+        object.__setattr__(self, "mass", np.float64(self.mass))
 
     @property
     def xi2(self) -> float:
-        return conformal_coupling(self.n) ** 2
+        return XI2
 
     @property
     def a(self) -> float:
-        return float(np.sqrt(1.5 * (1.0 + 4.0 * self.xi2)) / self.mass)
+        return np.sqrt(1.5 * (1.0 + 4.0 * XI2)) / self.mass
 
 
-def mass_closure_defect(n: int = 10) -> float:
+def mass_closure_defect() -> float:
     """|casimir(0,1/2) + 6 xi^2 - m^2 a^2| at any mass (mass drops out)."""
-    scale = MassScale(mass=1.0, n=n)
+    scale = MassScale(mass=1.0)
     lhs = casimir_value(Irrep(0.0, 0.5)) + 6.0 * scale.xi2
     return float(abs(lhs - (scale.mass * scale.a) ** 2))
 
 
-def mass_spin_spectrum(reps: list[Irrep], a: float, n: int = 10) -> list[dict]:
+def mass_spin_spectrum(reps: list[Irrep], a: float) -> list[dict]:
     """Squared-mass spectrum m^2(u, v) = (casimir(u, v) + 6 xi^2) / a^2.
 
     Quadratic in the spin content through the Casimir, the same closure that
     fixes the spin-1/2 mass; returned as records for direct serialization.
     """
-    xi2 = conformal_coupling(n) ** 2
+    a2 = np.float64(a) ** 2
     out = []
     for rep in reps:
         cas = casimir_value(rep)
@@ -169,7 +175,7 @@ def mass_spin_spectrum(reps: list[Irrep], a: float, n: int = 10) -> list[dict]:
             "u": rep.u,
             "v": rep.v,
             "casimir": cas,
-            "m2": (cas + 6.0 * xi2) / a ** 2,
+            "m2": float((cas + 6.0 * XI2) / a2),
         })
     return out
 
@@ -242,7 +248,7 @@ def squared_dirac_matrix(p: np.ndarray, em: EMConfig, mass: float,
     gam = gamma_matrices()
     t = momentum_product_symbol(p, em, x)
     out = np.einsum("mij,njk,mn->ik", gam, gam, t)
-    return out + mass ** 2 * np.eye(4, dtype=complex)
+    return out + np.float64(mass) ** 2 * np.eye(4, dtype=complex)
 
 
 def top_spinor_operator(wave: PlaneWave, em: EMConfig, scale: MassScale,
@@ -265,7 +271,8 @@ def dispersion_root(p_spatial: np.ndarray, scale: MassScale) -> float:
     """Positive-energy root p^0 of the field-free reduced operator.
 
     Found by bracketed root finding on the scalar part of the operator; the
-    closed-form answer is sqrt(|p|^2 + mass^2).
+    closed-form answer is sqrt(|p|^2 + mass^2). NaN when the operator is not
+    finite at the ends of the bracket (the scale over- or underflowed).
     """
     p_spatial = np.asarray(p_spatial, dtype=float)
     em = EMConfig.zero()
@@ -275,4 +282,6 @@ def dispersion_root(p_spatial: np.ndarray, scale: MassScale) -> float:
         return float(np.real(np.trace(m)) / 4.0)
 
     upper = np.sqrt(p_spatial @ p_spatial + (2.0 * scale.mass) ** 2) + 2.0
+    if not np.all(np.isfinite([scalar_part(0.0), scalar_part(upper)])):
+        return float("nan")
     return float(brentq(scalar_part, 0.0, upper, xtol=1e-14, rtol=1e-15))

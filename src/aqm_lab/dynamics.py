@@ -135,8 +135,8 @@ def min_pairwise_distance(bundle: list[Trajectory]) -> float:
         for j in range(i + 1, len(bundle)):
             d = np.linalg.norm(bundle[i].points[:n_common]
                                - bundle[j].points[:n_common], axis=1)
-            best = min(best, float(d.min()))
-    return best
+            best = np.min([best, d.min()])
+    return float(best)
 
 
 @dataclass
@@ -151,15 +151,12 @@ class TransportReport:
 
 
 def flux_density(fields: WaveInputs, em: EMConfig, metric: MetricField,
-                 point: np.ndarray, n: int | None = None, h: float = 1e-3,
-                 order: int = 4) -> float:
+                 point: np.ndarray, h: float = 1e-3, order: int = 4) -> float:
     """Current magnitude along the flow: |psi|^2 sqrt(g) sqrt(|g^{ij} u_i u_j|)."""
     point = np.asarray(point, dtype=float)
-    if n is None:
-        n = metric.dim
     u = momentum_covector(fields, em, point, h=h, order=order)
     norm2 = float(u @ metric.inverse(point) @ u)
-    return born_density(fields, point, n=n) * metric.sqrt_det(point) \
+    return born_density(fields, point) * metric.sqrt_det(point) \
         * float(np.sqrt(abs(norm2)))
 
 
@@ -171,7 +168,8 @@ def transport_check(fields: WaveInputs, em: EMConfig, metric: MetricField,
     Cross-sections are equally spaced parameter steps shared by all
     trajectories; the flux through a section is the bundle average of the
     current magnitude. Truncated trajectories shorten the shared range and
-    are counted, not failed.
+    are counted, not failed. Worst cases use np.max, so a NaN divergence or
+    flux propagates instead of being dropped by the builtin max.
     """
     n_common = min(t.n_samples for t in bundle)
     if n_common < 2:
@@ -185,14 +183,14 @@ def transport_check(fields: WaveInputs, em: EMConfig, metric: MetricField,
         fluxes.append(float(np.mean([
             flux_density(fields, em, metric, p, h=h, order=order)
             for p in section_points])))
-        div = max(abs(divergence_residual(fields, em, metric, p, h=h, order=order))
-                  for p in section_points)
-        max_div = max(max_div, div)
+        max_div = np.max([max_div, *(
+            abs(divergence_residual(fields, em, metric, p, h=h, order=order))
+            for p in section_points)])
 
-    drift = max(abs(f - fluxes[0]) for f in fluxes) / abs(fluxes[0])
+    drift = np.max([abs(f - fluxes[0]) for f in fluxes]) / abs(fluxes[0])
     return TransportReport(
-        max_divergence=max_div,
-        flux_drift=drift,
+        max_divergence=float(max_div),
+        flux_drift=float(drift),
         min_distance=min_pairwise_distance(bundle),
         n_truncated=sum(1 for t in bundle if t.truncated is not None),
         section_flux=fluxes,

@@ -59,22 +59,18 @@ def derivative_stack(f: Callable[[np.ndarray], np.ndarray], point: np.ndarray,
                      skip: Iterable[int] = ()) -> np.ndarray:
     """Stack of partial derivatives: out[i] = d f / d q^i at ``point``.
 
-    Axes listed in ``skip`` are known to leave ``f`` unchanged and get an
-    exact zero block without any function evaluations.
+    The one place where stencils are assembled over the axes. Axes listed in
+    ``skip`` are known to leave ``f`` unchanged and get an exact zero block
+    without any function evaluations; ``f`` is evaluated at ``point`` only
+    when every axis is skipped, to learn the block's shape.
     """
     point = np.asarray(point, dtype=float)
-    n = point.size
     skip = frozenset(skip)
-    probe = np.asarray(f(point))
-    out = np.zeros((n, *probe.shape), dtype=complex if np.iscomplexobj(probe) else float)
-    for i in range(n):
-        if i in skip:
-            continue
-        out[i] = central_diff(f, point, i, h=h, order=order)
-    return out
-
-
-def gradient(f: Callable[[np.ndarray], float], point: np.ndarray,
-             h: float = 1e-3, order: int = 4) -> np.ndarray:
-    """Gradient of a scalar callable."""
-    return derivative_stack(f, point, h=h, order=order)
+    blocks = {i: central_diff(f, point, i, h=h, order=order)
+              for i in range(point.size) if i not in skip}
+    if blocks:
+        zero = np.zeros_like(next(iter(blocks.values())))
+    else:
+        value = np.asarray(f(point))
+        zero = np.zeros(value.shape, complex if np.iscomplexobj(value) else float)
+    return np.stack([blocks.get(i, zero) for i in range(point.size)])

@@ -57,16 +57,15 @@ class LinearField:
         return float(self.coeffs @ np.asarray(q, dtype=float))
 
 
-def draw_field(rng: np.random.Generator, dim: int, n_terms: int = 4,
-               k_scale: float = 0.5, amp_scale: float = 1.0,
-               max_degree: int = 2) -> BandLimitedField:
-    """Draw a random band-limited field with coefficients in [-1, 1] scaled ranges."""
-    if max_degree not in (0, 1, 2):
-        raise ValueError("max_degree must be 0, 1 or 2")
+def draw_field(rng: np.random.Generator, dim: int,
+               amp_scale: float = 1.0) -> BandLimitedField:
+    """Draw a random field of four terms: wavevectors and polynomial factors
+    uniform in [-1/2, 1/2], phases in [0, 2 pi), degrees in {0, 1, 2} and
+    amplitudes uniform in [-amp_scale, amp_scale]."""
     return BandLimitedField(
-        amp=amp_scale * rng.uniform(-1.0, 1.0, n_terms),
-        wavevec=rng.uniform(-k_scale, k_scale, (n_terms, dim)),
-        phase=rng.uniform(0.0, 2.0 * np.pi, n_terms),
-        poly=rng.uniform(-k_scale, k_scale, (n_terms, 2, dim)),
-        degree=rng.integers(0, max_degree + 1, n_terms),
+        amp=amp_scale * rng.uniform(-1.0, 1.0, 4),
+        wavevec=rng.uniform(-0.5, 0.5, (4, dim)),
+        phase=rng.uniform(0.0, 2.0 * np.pi, 4),
+        poly=rng.uniform(-0.5, 0.5, (4, 2, dim)),
+        degree=rng.integers(0, 3, 4),
     )

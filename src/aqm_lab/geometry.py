@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fd import central_diff, derivative_stack, gradient
+from .fd import derivative_stack
 
 # ---------------------------------------------------------------------------
 # metric fields
@@ -87,15 +87,10 @@ class SphereMetric(MetricField):
 class ScaledMetric(MetricField):
     """Pointwise conformal scaling rho(q) * g_ij(q) of a base metric."""
 
-    def __init__(self, base: MetricField, rho: Callable[[np.ndarray], float],
-                 constant_dims: frozenset[int] | None = None):
+    def __init__(self, base: MetricField, rho: Callable[[np.ndarray], float]):
         self.base = base
         self.rho = rho
         self.dim = base.dim
-        if constant_dims is None:
-            self.constant_dims = frozenset()
-        else:
-            self.constant_dims = frozenset(constant_dims) & base.constant_dims
 
     def matrix(self, q):
         return self.rho(q) * self.base.matrix(q)
@@ -128,15 +123,14 @@ def christoffel_at(metric: MetricField, point: np.ndarray, h: float = 1e-3,
 
 
 def riemann_scalar_at(metric: MetricField, point: np.ndarray, h: float = 1e-2,
-                      order: int = 4, h_inner: float | None = None) -> float:
+                      order: int = 4) -> float:
     """Riemann scalar curvature R at one point by nested finite differences.
 
-    ``h`` steps the outer derivatives of the Christoffel symbols, ``h_inner``
-    (default h/10) the metric derivatives inside each Christoffel evaluation.
+    ``h`` steps the outer derivatives of the Christoffel symbols, h/10 the
+    metric derivatives inside each Christoffel evaluation.
     """
     point = np.asarray(point, dtype=float)
-    if h_inner is None:
-        h_inner = h / 10.0
+    h_inner = h / 10.0
     gam = christoffel_at(metric, point, h=h_inner, order=order)
     dgam = derivative_stack(
         lambda q: christoffel_at(metric, q, h=h_inner, order=order),
@@ -160,11 +154,11 @@ def covariant_divergence_at(metric: MetricField, vector: Callable[[np.ndarray], 
     Uses the density form, which needs no Christoffel symbols.
     """
     point = np.asarray(point, dtype=float)
+    flux = derivative_stack(lambda q: metric.sqrt_det(q) * np.asarray(vector(q)),
+                            point, h=h, order=order)  # flux[i, k] = d_i (sqrt g V^k)
     total = 0.0
     for k in range(metric.dim):
-        total += central_diff(
-            lambda q: metric.sqrt_det(q) * np.asarray(vector(q))[k],
-            point, axis=k, h=h, order=order)
+        total += flux[k, k]
     sqrt_g = metric.sqrt_det(point)
     if potential is not None:
         total -= np.tensordot(1j * potential(point), sqrt_g * vector(point), axes=1)
@@ -184,8 +178,7 @@ def laplace_beltrami(metric: MetricField, f: Callable[[np.ndarray], np.ndarray],
     h_inner = h if h_inner is None else h_inner
 
     def grad_up(q):
-        df = np.stack([central_diff(f, q, axis=j, h=h_inner, order=order)
-                       for j in range(metric.dim)])
+        df = derivative_stack(f, q, h=h_inner, order=order)
         if potential is not None:
             df = df - 1j * np.multiply.outer(potential(q), f(q))
         return np.tensordot(metric.inverse(q), df, axes=1)
@@ -225,13 +218,12 @@ class WeylGauge:
 
     def covector(self, q: np.ndarray, h: float = 1e-3, order: int = 4) -> np.ndarray:
         """Weyl covector phi_i = d_i log chi at a point."""
-        return gradient(self.log_chi, np.asarray(q, dtype=float), h=h, order=order)
+        return derivative_stack(self.log_chi, q, h=h, order=order)
 
 
 def weyl_scalar_at(metric: MetricField, gauge: WeylGauge, point: np.ndarray,
-                   n: int | None = None, h: float = 1e-3, order: int = 4,
-                   form: str = "phi", r_scalar: float | None = None,
-                   curvature_h: float = 1e-2) -> float:
+                   h: float = 1e-3, order: int = 4, form: str = "phi",
+                   r_scalar: float | None = None) -> float:
     """Weyl scalar curvature of (metric, gauge) at one point.
 
     Two independently coded forms of the same scalar:
@@ -240,15 +232,12 @@ def weyl_scalar_at(metric: MetricField, gauge: WeylGauge, point: np.ndarray,
       with phi_i = d_i log chi raised by the inverse metric.
     * ``form="chi"``:  R + 2(n-1) (lap chi)/chi - n(n-1) |grad chi|^2/chi^2.
 
-    ``r_scalar`` short-circuits the Riemann scalar when it is known in
-    closed form (it enters both forms additively).
+    with n = ``metric.dim``. ``r_scalar`` short-circuits the Riemann scalar
+    when it is known in closed form (it enters both forms additively).
     """
     point = np.asarray(point, dtype=float)
-    if n is None:
-        n = metric.dim
-    elif n != metric.dim:
-        raise ValueError(f"n = {n} does not match metric dimension {metric.dim}")
-    r = riemann_scalar_at(metric, point, h=curvature_h, order=order) \
+    n = metric.dim
+    r = riemann_scalar_at(metric, point, order=order) \
         if r_scalar is None else float(r_scalar)
 
     if form == "phi":
@@ -260,7 +249,7 @@ def weyl_scalar_at(metric: MetricField, gauge: WeylGauge, point: np.ndarray,
     if form == "chi":
         chi0 = gauge.chi(point)
         lap_chi = laplace_beltrami(metric, gauge.chi, point, h=h, order=order)
-        dchi = gradient(gauge.chi, point, h=h, order=order)
+        dchi = derivative_stack(gauge.chi, point, h=h, order=order)
         grad_sq = float(dchi @ metric.inverse(point) @ dchi)
         return r + 2.0 * (n - 1) * lap_chi / chi0 - n * (n - 1) * grad_sq / chi0 ** 2
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config_space import killing_vectors, split_point
-from .fd import gradient
+from .fd import derivative_stack
 from .fields import draw_field
 from .geometry import MetricField, WeylGauge, covariant_divergence_at, \
     laplace_beltrami, riemann_scalar_at, weyl_scalar_at
@@ -136,13 +136,10 @@ class WaveInputs:
     gauge: WeylGauge
 
 
-def draw_wave_inputs(rng: np.random.Generator, dim: int = 10, n_terms: int = 4,
-                     k_scale: float = 0.5, amp_scale: float = 1.0) -> WaveInputs:
-    """Random band-limited phase and log-gauge fields."""
-    s_field = draw_field(rng, dim, n_terms=n_terms, k_scale=k_scale,
-                         amp_scale=amp_scale)
-    log_chi = draw_field(rng, dim, n_terms=n_terms, k_scale=k_scale,
-                         amp_scale=amp_scale)
+def draw_wave_inputs(rng: np.random.Generator) -> WaveInputs:
+    """Random band-limited phase and log-gauge fields on the 10-dim space."""
+    s_field = draw_field(rng, 10)
+    log_chi = draw_field(rng, 10)
     return WaveInputs(s_field=s_field, gauge=WeylGauge.from_log(log_chi))
 
 
@@ -150,22 +147,24 @@ def momentum_covector(fields: WaveInputs, em: EMConfig, point: np.ndarray,
                       h: float = 1e-3, order: int = 4) -> np.ndarray:
     """Gauge-covariant momentum u_j = d_j S - e A_j at a point."""
     point = np.asarray(point, dtype=float)
-    return gradient(fields.s_field, point, h=h, order=order) \
+    return derivative_stack(fields.s_field, point, h=h, order=order) \
         - em.e_charge * em.potential(point)
 
 
-def born_density(fields: WaveInputs, point: np.ndarray, n: int = 10) -> float:
-    """Scalar density |psi|^2 = chi^(-(n-2)) carried by the linearizing map."""
-    return float(np.exp(-(n - 2) * fields.gauge.log_chi(np.asarray(point, dtype=float))))
+def born_density(fields: WaveInputs, point: np.ndarray) -> float:
+    """Scalar density |psi|^2 = chi^(-(n-2)) carried by the linearizing map,
+    with n the dimension of ``point``."""
+    point = np.asarray(point, dtype=float)
+    return float(np.exp(-(point.size - 2) * fields.gauge.log_chi(point)))
 
 
-def wave_ansatz(fields: WaveInputs, n: int = 10) -> Callable[[np.ndarray], complex]:
-    """The linearizing map psi(q) = chi^(-(n-2)/2) exp(i S)."""
+def wave_ansatz(fields: WaveInputs) -> Callable[[np.ndarray], complex]:
+    """The linearizing map psi(q) = chi^(-(n-2)/2) exp(i S), n = dim q."""
     s_field, log_chi = fields.s_field, fields.gauge.log_chi
 
     def psi(q: np.ndarray) -> complex:
         q = np.asarray(q, dtype=float)
-        return complex(np.exp(-(n - 2) / 2.0 * log_chi(q) + 1j * s_field(q)))
+        return complex(np.exp(-(q.size - 2) / 2.0 * log_chi(q) + 1j * s_field(q)))
 
     return psi
 
@@ -186,7 +185,7 @@ def _resolve_r_scalar(metric: MetricField, point: np.ndarray,
 
 
 def hj_residual(fields: WaveInputs, em: EMConfig, metric: MetricField,
-                point: np.ndarray, n: int | None = None, xi2: float | None = None,
+                point: np.ndarray, xi2: float | None = None,
                 r_scalar: float | None = None, h: float = 1e-3,
                 order: int = 4) -> float:
     """Residual of the Hamilton-Jacobi equation at a point.
@@ -197,29 +196,25 @@ def hj_residual(fields: WaveInputs, em: EMConfig, metric: MetricField,
     honest values.
     """
     point = np.asarray(point, dtype=float)
-    if n is None:
-        n = metric.dim
     if xi2 is None:
-        xi2 = conformal_coupling(n) ** 2
+        xi2 = conformal_coupling(metric.dim) ** 2
     r = _resolve_r_scalar(metric, point, r_scalar, order)
     u = momentum_covector(fields, em, point, h=h, order=order)
-    rw = weyl_scalar_at(metric, fields.gauge, point, n=n, h=h, order=order,
+    rw = weyl_scalar_at(metric, fields.gauge, point, h=h, order=order,
                         r_scalar=r)
     return float(u @ metric.inverse(point) @ u + xi2 * rw)
 
 
 def divergence_residual(fields: WaveInputs, em: EMConfig, metric: MetricField,
-                        point: np.ndarray, n: int | None = None,
-                        h: float = 1e-3, order: int = 4) -> float:
+                        point: np.ndarray, h: float = 1e-3, order: int = 4
+                        ) -> float:
     """Residual of the transport equation: covariant divergence of the
     density-weighted momentum current chi^(-(n-2)) g^{ij} u_j."""
     point = np.asarray(point, dtype=float)
-    if n is None:
-        n = metric.dim
 
     def current_up(q):
         u = momentum_covector(fields, em, q, h=h, order=order)
-        return born_density(fields, q, n=n) * (metric.inverse(q) @ u)
+        return born_density(fields, q) * (metric.inverse(q) @ u)
 
     return covariant_divergence_at(metric, current_up, point, h=h, order=order)
 
@@ -239,8 +234,8 @@ def wave_operator(psi: Callable[[np.ndarray], complex], em: EMConfig,
 
 
 def linearization_check(fields: WaveInputs, em: EMConfig, metric: MetricField,
-                        point: np.ndarray, n: int | None = None,
-                        xi2: float | None = None, r_scalar: float | None = None,
+                        point: np.ndarray, xi2: float | None = None,
+                        r_scalar: float | None = None,
                         h: float = 1e-3, order: int = 4
                         ) -> tuple[complex, float, float]:
     """Verify the exact linearization at one point.
@@ -258,17 +253,16 @@ def linearization_check(fields: WaveInputs, em: EMConfig, metric: MetricField,
     (xi2_true - xi2) (R_W - R), which is generically far from zero.
     """
     point = np.asarray(point, dtype=float)
-    if n is None:
-        n = metric.dim
+    n = metric.dim
     if xi2 is None:
         xi2 = conformal_coupling(n) ** 2
     r = _resolve_r_scalar(metric, point, r_scalar, order)
 
-    psi = wave_ansatz(fields, n=n)
+    psi = wave_ansatz(fields)
     w = wave_operator(psi, em, metric, point, xi2=xi2, r_scalar=r, h=h, order=order)
-    hj = hj_residual(fields, em, metric, point, n=n, xi2=xi2, r_scalar=r,
+    hj = hj_residual(fields, em, metric, point, xi2=xi2, r_scalar=r,
                      h=h, order=order)
-    div = divergence_residual(fields, em, metric, point, n=n, h=h, order=order)
+    div = divergence_residual(fields, em, metric, point, h=h, order=order)
     chi_pow = float(np.exp((n - 2) * fields.gauge.log_chi(point)))
     defect = w / psi(point) - hj + 1j * chi_pow * div
     return complex(defect), float(hj), float(div)

@@ -184,21 +184,19 @@ def conjugation_defect(rep: Irrep, theta: np.ndarray) -> float:
     return float(np.max(np.abs(d_uv.conj().T - p.T @ d_vu_inv @ p)))
 
 
-def vector_intertwiner(thetas: list[np.ndarray] | None = None
-                       ) -> tuple[np.ndarray, float]:
+def vector_intertwiner() -> tuple[np.ndarray, float]:
     """Equivalence between the (1/2, 1/2) irrep and the vector chart.
 
-    Solves D(theta) X = X Lambda(theta) simultaneously over a set of sample
-    angles by an SVD nullspace (row-major vectorization). Returns the
+    Solves D(theta) X = X Lambda(theta) simultaneously over three fixed
+    sample angles by an SVD nullspace (row-major vectorization). Returns the
     intertwiner, normalized to unit largest entry, and the smallest singular
     value of the stacked system (zero for a genuine equivalence).
     """
-    if thetas is None:
-        thetas = [
-            np.array([0.7, -0.3, 0.2, 0.4, 0.1, -0.5]),
-            np.array([-0.2, 0.5, -0.6, 0.1, -0.3, 0.2]),
-            np.array([0.1, 0.2, 0.9, -0.2, 0.6, 0.3]),
-        ]
+    thetas = [
+        np.array([0.7, -0.3, 0.2, 0.4, 0.1, -0.5]),
+        np.array([-0.2, 0.5, -0.6, 0.1, -0.3, 0.2]),
+        np.array([0.1, 0.2, 0.9, -0.2, 0.6, 0.3]),
+    ]
     rep = Irrep(0.5, 0.5)
     eye = np.eye(4)
     blocks = []
@@ -250,7 +248,6 @@ def mode_expand(rep: Irrep,
 
 
 def angular_laplacian_check(rep: Irrep, theta: np.ndarray, a: float = 1.0,
-                            h: float = 1e-2, h_inner: float = 1e-3,
                             order: int = 4) -> np.ndarray:
     """Laplace-Beltrami operator of the group block applied to D(Lambda)^{-1}.
 
@@ -260,9 +257,10 @@ def angular_laplacian_check(rep: Irrep, theta: np.ndarray, a: float = 1.0,
     matrix -(casimir / a^2) I, independent of theta: the group-invariant
     second-order operator acts on translated matrix elements through the
     Casimir alone. This single number ties together the chart, the metric
-    normalization, and the representation conventions.
+    normalization, and the representation conventions. The outer divergence
+    steps by 1e-2, the inner gradient by 1e-3.
     """
     theta = np.asarray(theta, dtype=float)
     lap = laplace_beltrami(GroupMetric(a), lambda t: d_matrix_inverse(rep, t),
-                           theta, h=h, order=order, h_inner=h_inner)
+                           theta, h=1e-2, order=order, h_inner=1e-3)
     return lap @ d_matrix(rep, theta)

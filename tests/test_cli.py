@@ -8,6 +8,7 @@ import sys
 import venv
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -168,6 +169,16 @@ def test_malformed_config_is_error(tmp_path, capsys):
         cfg.write_text(json.dumps(bad))
         assert main(["verify-dirac", "--config", str(cfg)]) == 2, bad
         assert_one_line_error(capsys)
+    # an output path that cannot be written is rejected before the run,
+    # from a flag or a config file, and no file is created
+    missing = tmp_path / "missing" / "x.json"
+    for bad in ({"out": str(missing)}, {"out": str(tmp_path)}, {"out": ""}):
+        cfg.write_text(json.dumps(bad))
+        assert main(["spectrum", "--config", str(cfg)]) == 2, bad
+        assert_one_line_error(capsys, "error: --out ")
+    assert main(["spectrum", "--out", str(missing)]) == 2
+    assert_one_line_error(capsys, "error: --out ")
+    assert not missing.parent.exists()
 
 
 def test_out_flag_writes_file(tmp_path):
@@ -257,9 +268,25 @@ def test_spectrum_bad_rep_label():
     assert main(["spectrum", "--rep", "0.3,7"]) == 2
 
 
-def test_internal_error_exits_three(capsys):
-    assert main(["verify-dirac", "--n-draws", "1", "--mass", "1e-200"]) == 3
+def test_internal_error_exits_three(capsys, monkeypatch):
+    def overflow(*args, **kwargs):
+        raise OverflowError("Numerical result out of range")
+
+    monkeypatch.setattr("aqm_lab.cli.dispersion_root", overflow)
+    assert main(["verify-dirac", "--n-draws", "1"]) == 3
     assert_one_line_error(capsys, "error: internal: OverflowError: ")
+
+
+@pytest.mark.parametrize("argv, null_m2", [
+    (["spectrum", "--a", "1e-300"], True),     # a^2 underflows to 0
+    (["spectrum", "--mass", "1e300"], True),   # a = 1.6e-300, same
+    (["spectrum", "--a", "1e200"], False),     # a^2 overflows: m2 = 0
+])
+def test_spectrum_extreme_scales_give_null_records(argv, null_m2, capsys):
+    with np.errstate(all="ignore"):
+        assert main(argv) in (0, 1)  # not an internal error
+    records = json.loads(capsys.readouterr().out)["payload"]["records"]
+    assert all((r["m2"] is None) == null_m2 for r in records)
 
 
 @pytest.mark.parametrize("argv", [
@@ -268,6 +295,8 @@ def test_internal_error_exits_three(capsys):
      "--format", "json"],
     # NaN residuals inside a worst-case loop must not be dropped by max()
     ["verify-dirac", "--n-draws", "1", "--kappa", "1e300"],
+    # (e a)^2 overflows in the gap and counterterm checks
+    ["verify-dirac", "--n-draws", "1", "--mass", "1e-200"],
 ])
 def test_nonfinite_values_fail_checks_in_valid_json(argv, capsys):
     assert main(argv) == 1
@@ -352,7 +381,7 @@ def test_fuzzed_config_runs_end_to_end(fuzz_dir, case):
         argv += ["--n-draws", "1"]
     try:
         resolve_config(verb, raw, flags)
-        allowed = {0, 1, 3}
+        allowed = {0, 1}
     except ConfigError:
         allowed = {2}
     err = io.StringIO()

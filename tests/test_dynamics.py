@@ -151,3 +151,16 @@ def test_transport_report_plane_wave():
     assert rep.n_truncated == 0
     assert len(rep.section_flux) == 5
     assert rep.min_distance > 0.0
+
+
+def test_transport_check_keeps_nan_divergence():
+    # at h = 1e-300 every stencil quotient overflows and each section
+    # divergence is NaN; the worst case must stay NaN, not max(0.0, nan) = 0.0
+    fields = _plane_wave(np.array([0.3, -0.2, 0.4]))
+    q0 = np.array([0.1, -0.2, 0.3, 0.25, 0.2, -0.1, 0.3, 0.1, 0.2, -0.3])
+    bundle = integrate_bundle(fields, EM0, METRIC, q0, np.random.default_rng(0),
+                              n_traj=2, n_steps=5)
+    with np.errstate(all="ignore"):
+        report = transport_check(fields, EM0, METRIC, bundle, h=1e-300)
+    assert np.isnan(report.max_divergence)
+    assert report.min_distance > 0.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aqm_lab.fd import central_diff, derivative_stack, gradient, stencil
+from aqm_lab.fd import central_diff, derivative_stack, stencil
 
 
 def test_stencil_orders():
@@ -65,12 +65,44 @@ def test_derivative_stack_and_skip():
     assert stack[1] == 0.0
     assert abs(stack[2] - 3.0) < 1e-11
 
-
-def test_gradient_matches_analytic():
-    def f(q):
+    # gradient of a scalar callable against its analytic value
+    def g(q):
         return np.sin(q[0]) * np.cos(q[1])
 
-    point = np.array([0.3, 1.1])
-    g = gradient(f, point, h=1e-3, order=4)
+    grad = derivative_stack(g, np.array([0.3, 1.1]), h=1e-3, order=4)
     expected = np.array([np.cos(0.3) * np.cos(1.1), -np.sin(0.3) * np.sin(1.1)])
-    assert np.max(np.abs(g - expected)) < 1e-11
+    assert np.max(np.abs(grad - expected)) < 1e-11
+
+    # 4 evaluations per differentiated axis at order 4, no probe call
+    calls = []
+
+    def counted(q):
+        calls.append(q.copy())
+        return np.array([[q[0], q[1]], [q[2], q[3]]])
+
+    point4 = np.array([0.1, 0.2, 0.3, 0.4])
+    for skip in ((), (2,), (0, 3)):
+        calls.clear()
+        stack = derivative_stack(counted, point4, h=1e-3, order=4, skip=skip)
+        assert len(calls) == 4 * (4 - len(skip))
+        assert stack.shape == (4, 2, 2) and stack.dtype == float
+        for i in skip:
+            assert not np.any(stack[i])
+
+    # every axis skipped: zero blocks shaped like f, f evaluated once
+    calls.clear()
+    stack = derivative_stack(counted, point4, skip=range(4))
+    assert len(calls) == 1
+    assert stack.shape == (4, 2, 2) and stack.dtype == float
+    assert not np.any(stack)
+    stack = derivative_stack(lambda q: np.exp(1j * q[:2]), point4[:2],
+                             skip=(0, 1))
+    assert stack.shape == (2, 2) and stack.dtype == complex
+    assert not np.any(stack)
+
+    # a complex-valued callable keeps a complex stack, zero blocks included
+    stack = derivative_stack(lambda q: np.exp(1j * q[0]) + q[1], point[:2],
+                             h=1e-3, order=4, skip=(1,))
+    assert stack.dtype == complex
+    assert abs(stack[0] - 1j * np.exp(0.1j)) < 1e-12
+    assert stack[1] == 0.0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from aqm_lab.config_space import GroupMetric, TopMetric, sample_point
-from aqm_lab.fd import gradient
+from aqm_lab.fd import derivative_stack
 from aqm_lab.fields import draw_field
 from aqm_lab.geometry import (
     ConstantMetric,
@@ -137,7 +137,7 @@ def test_gauge_covector_is_log_gradient():
     log_chi = draw_field(np.random.default_rng(11), dim=3)
     gauge = WeylGauge.from_log(log_chi)
     q = np.array([0.2, 0.5, -0.4])
-    expected = gradient(log_chi, q, h=1e-4, order=4)
+    expected = derivative_stack(log_chi, q, h=1e-4, order=4)
     assert np.max(np.abs(gauge.covector(q) - expected)) < 1e-9
 
 
