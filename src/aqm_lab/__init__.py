@@ -16,26 +16,20 @@ from .config_space import (
     RAPIDITY_MAX,
     GroupMetric,
     TopMetric,
-    angles_from_lorentz,
-    compose_angles,
     frame_coefficients,
     generators,
     killing_vectors,
     lorentz_from_angles,
     sample_point,
-    structure_constants,
 )
 from .dirac import (
     MassScale,
-    PlaneWave,
     dispersion_root,
     gamma_matrices,
     mass_closure_defect,
     mass_spin_spectrum,
     squared_dirac_matrix,
-    squared_dirac_operator,
     top_spinor_matrix,
-    top_spinor_operator,
 )
 from .dynamics import (
     DegenerateDirection,
@@ -82,7 +76,6 @@ from .lorentz_reps import (
     d_matrix,
     d_matrix_inverse,
     irrep_generators,
-    mode_expand,
     reps_up_to_dim,
     su2_generators,
     vector_intertwiner,
@@ -93,9 +86,6 @@ from .report import (
     check_at_least,
     check_close,
     dump_report,
-    json_to_matrix,
-    matrix_to_json,
-    payload_bytes,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

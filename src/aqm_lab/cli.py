@@ -149,6 +149,7 @@ def _rep_labels(v):
 
 
 REAL = Kind(float, _finite, "a finite number")
+AT_LEAST_TWO = _int_from(2, "an integer >= 2")
 POSITIVE = Kind(float, lambda v: _finite(v, positive=True),
                 "a finite positive number")
 VECTOR = Kind(_numbers, _vector, "three finite numbers", metavar="x,y,z")
@@ -209,7 +210,7 @@ COUNTERTERM = Param("counterterm", SWITCH, False,
                     "apply the field-invariant counterterm in the gap check")
 DS = Param("ds", POSITIVE, 0.01, "integration step")
 STEPS = Param("steps", N_DRAWS.kind, 200, "steps per trajectory")
-SECTIONS = Param("sections", _int_from(2, "an integer >= 2"), 5,
+SECTIONS = Param("sections", AT_LEAST_TWO, 5,
                  "number of flux cross-sections")
 SPREAD = Param("spread", POSITIVE, 0.05, "radius of the bundle seed ball")
 REP = Param("rep", REPS, None, "representation label, repeatable (default: "
@@ -274,9 +275,7 @@ def _run_verify_weyl(cfg: dict):
         q = sample_point(rng, rot_scale=1.0, boost_bound=1.0)
         base = weyl_scalar_at(metric, gauge, q, h=cfg["h"], order=cfg["order"],
                               r_scalar=metric.riemann_scalar())
-        new_metric, new_gauge = conformal_transform(
-            metric, gauge, rho=lambda p: float(np.exp(log_rho(p))),
-            log_rho=log_rho)
+        new_metric, new_gauge = conformal_transform(metric, gauge, log_rho)
         moved = weyl_scalar_at(new_metric, new_gauge, q, h=cfg["h"],
                                order=cfg["order"])
         rho0 = float(np.exp(log_rho(q)))
@@ -486,9 +485,12 @@ def _run_spectrum(cfg: dict):
     else:
         a = 1.0
     records = mass_spin_spectrum(reps, a)
+    n_nonfinite = sum(not math.isfinite(r["m2"]) for r in records)
     checks = [
         check_close("spectrum_mass_closure_defect", mass_closure_defect(),
                     0.0, _tol(cfg, 1e-14)),
+        check_close("spectrum_nonfinite_m2_count", n_nonfinite, 0.0,
+                    _tol(cfg, 0.0)),
     ]
     rows = [[r["u"], r["v"], r["casimir"], r["m2"]] for r in records]
     return checks, records, (SPECTRUM_COLUMNS, rows)
@@ -538,9 +540,9 @@ VERBS: dict[str, Verb] = {
         "diagnostics",
         _run_trace,
         (SEED, TOL, OUT, replace(FORMAT, default="csv"),
-         replace(N_DRAWS, default=8), A, STEP, ORDER, KAPPA,
-         replace(H_FIELD, default=_ZERO), replace(E_FIELD, default=_ZERO),
-         DS, STEPS, SECTIONS, SPREAD)),
+         replace(N_DRAWS, kind=AT_LEAST_TWO, default=8), A, STEP, ORDER,
+         KAPPA, replace(H_FIELD, default=_ZERO),
+         replace(E_FIELD, default=_ZERO), DS, STEPS, SECTIONS, SPREAD)),
     "spectrum": Verb(
         "squared-mass spectrum over irreducible representations",
         _run_spectrum,

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.spatial.transform import Rotation
 
 from .geometry import MetricField
 
@@ -66,15 +65,6 @@ def basis_decompose(m: np.ndarray) -> np.ndarray:
     return np.array([m[3, 2], m[1, 3], m[2, 1], m[0, 1], m[0, 2], m[0, 3]])
 
 
-def structure_constants() -> np.ndarray:
-    """f[a, b, c] with [T_a, T_b] = sum_c f[a, b, c] T_c, recomputed from the basis."""
-    f = np.zeros((6, 6, 6))
-    for a in range(6):
-        for b in range(6):
-            f[a, b] = basis_decompose(_GEN[a] @ _GEN[b] - _GEN[b] @ _GEN[a])
-    return f
-
-
 def ad_matrix(m: np.ndarray) -> np.ndarray:
     """Adjoint action ad_m as a 6x6 matrix in the generator basis."""
     return np.column_stack([basis_decompose(m @ t - t @ m) for t in _GEN])
@@ -109,35 +99,6 @@ def lorentz_from_angles(theta: np.ndarray) -> np.ndarray:
     return rot @ boost
 
 
-def angles_from_lorentz(lam: np.ndarray) -> np.ndarray:
-    """Chart coordinates of a proper orthochronous Lorentz matrix.
-
-    Polar decomposition with respect to the Minkowski pairing: the positive
-    factor B = sqrt(Lambda^T Lambda) is a pure boost whose generator is read
-    off its matrix logarithm, and Lambda B^{-1} is a spatial rotation whose
-    rotation vector completes the chart. Exact up to floating point, no
-    iteration involved.
-    """
-    lam = np.asarray(lam, dtype=float)
-    w, v = np.linalg.eigh(lam.T @ lam)
-    if np.any(w <= 0):
-        raise ValueError("matrix is not in the proper Lorentz group")
-    log_b = v @ np.diag(0.5 * np.log(w)) @ v.T   # symmetric log of the boost factor
-    theta_boost = np.array([log_b[0, 1], log_b[0, 2], log_b[0, 3]])
-    b_inv = v @ np.diag(w ** -0.5) @ v.T
-    rot = lam @ b_inv
-    if rot[0, 0] < 0:
-        raise ValueError("matrix is not orthochronous")
-    rvec = Rotation.from_matrix(rot[1:, 1:]).as_rotvec()
-    return np.concatenate([rvec, theta_boost])
-
-
-def compose_angles(theta_left: np.ndarray, theta_right: np.ndarray) -> np.ndarray:
-    """Chart coordinates of Lambda(theta_left) Lambda(theta_right)."""
-    return angles_from_lorentz(lorentz_from_angles(theta_left)
-                               @ lorentz_from_angles(theta_right))
-
-
 def frame_coefficients(theta: np.ndarray) -> np.ndarray:
     """Left-trivialized frame C[b, alpha] of the chart.
 
@@ -166,18 +127,6 @@ def killing_vectors(theta: np.ndarray) -> np.ndarray:
     the standard sign for right-invariant fields.
     """
     return np.linalg.inv(frame_coefficients(theta))
-
-
-def angular_velocity(theta: np.ndarray, dtheta: np.ndarray,
-                     raised: bool = False) -> np.ndarray:
-    """Body angular velocity omega = (dLambda/dsigma) Lambda^{-1} as a 4x4 matrix.
-
-    ``dtheta`` holds the chart velocities. With ``raised`` the second index
-    is raised by the Minkowski metric, giving the antisymmetric omega^{mu nu}.
-    """
-    coeffs = frame_coefficients(theta) @ np.asarray(dtheta, dtype=float)
-    omega = np.einsum("b,bij->ij", coeffs, _GEN)
-    return omega @ MINKOWSKI if raised else omega
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +187,15 @@ class TopMetric(MetricField):
 # ---------------------------------------------------------------------------
 
 
-def sample_point(rng: np.random.Generator, x_scale: float = 1.0,
-                 rot_scale: float = np.pi, boost_bound: float = RAPIDITY_MAX,
-                 ) -> np.ndarray:
-    """Draw a random configuration point with componentwise bounded rapidity."""
+def sample_point(rng: np.random.Generator, rot_scale: float = np.pi,
+                 boost_bound: float = RAPIDITY_MAX) -> np.ndarray:
+    """Draw a random configuration point with componentwise bounded rapidity.
+
+    Spacetime components are uniform in [-1, 1].
+    """
     if boost_bound > RAPIDITY_MAX:
         raise ValueError(f"boost_bound exceeds the domain bound {RAPIDITY_MAX}")
-    x = rng.uniform(-x_scale, x_scale, 4)
+    x = rng.uniform(-1.0, 1.0, 4)
     rot = rng.uniform(-rot_scale, rot_scale, 3)
     boost = rng.uniform(-boost_bound, boost_bound, 3)
     return np.concatenate([x, rot, boost])

@@ -67,31 +67,6 @@ def clifford_defect() -> float:
     return float(np.max(np.abs(anti - 2.0 * MINKOWSKI[:, :, None, None] * np.eye(4))))
 
 
-def spin_sigma_matrices() -> np.ndarray:
-    """Block-diagonal spin matrices Sigma_k = diag(sigma_k, sigma_k)."""
-    sig = pauli_matrices()
-    return np.stack([block_diag(sig[k], sig[k]) for k in range(3)])
-
-
-def dirac_alpha_matrices() -> np.ndarray:
-    """Chirality-weighted matrices alpha_k = diag(sigma_k, -sigma_k)."""
-    sig = pauli_matrices()
-    return np.stack([block_diag(sig[k], -sig[k]) for k in range(3)])
-
-
-def parity_generators() -> tuple[np.ndarray, np.ndarray]:
-    """Generators of the parity-symmetric spin-1/2 pair, first factor (0, 1/2).
-
-    J = Sigma/2 and K = (i/2) alpha as block matrices; the direct sum of the
-    (0, 1/2) and (1/2, 0) irrep generators in that order.
-    """
-    ju, ku = irrep_generators(Irrep(0.0, 0.5))
-    jd, kd = irrep_generators(Irrep(0.5, 0.0))
-    j = np.stack([block_diag(ju[k], jd[k]) for k in range(3)])
-    k_ = np.stack([block_diag(ku[k], kd[k]) for k in range(3)])
-    return j, k_
-
-
 # ---------------------------------------------------------------------------
 # spin coupling block
 # ---------------------------------------------------------------------------
@@ -146,10 +121,6 @@ class MassScale:
         object.__setattr__(self, "mass", np.float64(self.mass))
 
     @property
-    def xi2(self) -> float:
-        return XI2
-
-    @property
     def a(self) -> float:
         return np.sqrt(1.5 * (1.0 + 4.0 * XI2)) / self.mass
 
@@ -157,7 +128,7 @@ class MassScale:
 def mass_closure_defect() -> float:
     """|casimir(0,1/2) + 6 xi^2 - m^2 a^2| at any mass (mass drops out)."""
     scale = MassScale(mass=1.0)
-    lhs = casimir_value(Irrep(0.0, 0.5)) + 6.0 * scale.xi2
+    lhs = casimir_value(Irrep(0.0, 0.5)) + 6.0 * XI2
     return float(abs(lhs - (scale.mass * scale.a) ** 2))
 
 
@@ -183,22 +154,6 @@ def mass_spin_spectrum(reps: list[Irrep], a: float) -> list[dict]:
 # ---------------------------------------------------------------------------
 # plane-wave operators
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PlaneWave:
-    """Spinor plane wave w exp(i p.x); momentum components are covariant."""
-
-    momentum: np.ndarray
-    spinor: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "momentum", np.asarray(self.momentum, dtype=float))
-        object.__setattr__(self, "spinor", np.asarray(self.spinor, dtype=complex))
-        if self.momentum.shape != (4,) or self.spinor.shape != (4,):
-            raise ValueError("momentum and spinor must be 4-vectors")
-        if not np.any(self.spinor):
-            raise ValueError("spinor must be nonzero")
 
 
 def momentum_product_symbol(p: np.ndarray, em: EMConfig, x: np.ndarray) -> np.ndarray:
@@ -228,7 +183,7 @@ def top_spinor_matrix(p: np.ndarray, em: EMConfig, scale: MassScale,
     a = scale.a
     t = momentum_product_symbol(p, em, x)
     scalar = np.einsum("mn,mn->", np.linalg.inv(MINKOWSKI), t)
-    curvature = 6.0 * scale.xi2 / a ** 2
+    curvature = 6.0 * XI2 / a ** 2
     if counterterm:
         curvature -= (em.e_charge * a) ** 2 * em.invariant_h2_e2()
     return scalar * np.eye(4, dtype=complex) \
@@ -237,34 +192,16 @@ def top_spinor_matrix(p: np.ndarray, em: EMConfig, scale: MassScale,
 
 
 def squared_dirac_matrix(p: np.ndarray, em: EMConfig, mass: float,
-                         x: np.ndarray | None = None) -> np.ndarray:
+                         x: np.ndarray) -> np.ndarray:
     """Square of the covariant Dirac operator on a plane wave, plus m^2.
 
     gamma^mu gamma^nu Pi_mu Pi_nu + m^2 c^2 I in the mostly-plus signature;
     this matrix annihilates on-shell free spinors with (p^0)^2 = |p|^2 + m^2.
     """
-    if x is None:
-        x = np.zeros(4)
     gam = gamma_matrices()
     t = momentum_product_symbol(p, em, x)
     out = np.einsum("mij,njk,mn->ik", gam, gam, t)
     return out + np.float64(mass) ** 2 * np.eye(4, dtype=complex)
-
-
-def top_spinor_operator(wave: PlaneWave, em: EMConfig, scale: MassScale,
-                        point: np.ndarray | None = None,
-                        counterterm: bool = False) -> np.ndarray:
-    """Apply the reduced top operator to a plane wave's spinor amplitude."""
-    x = None if point is None else np.asarray(point, dtype=float)[:4]
-    return top_spinor_matrix(wave.momentum, em, scale, x=x,
-                             counterterm=counterterm) @ wave.spinor
-
-
-def squared_dirac_operator(wave: PlaneWave, em: EMConfig, mass: float,
-                           point: np.ndarray | None = None) -> np.ndarray:
-    """Apply the squared Dirac operator to a plane wave's spinor amplitude."""
-    x = None if point is None else np.asarray(point, dtype=float)[:4]
-    return squared_dirac_matrix(wave.momentum, em, mass, x=x) @ wave.spinor
 
 
 def dispersion_root(p_spatial: np.ndarray, scale: MassScale) -> float:

@@ -12,7 +12,7 @@ operator serves the Weyl scalar, the wave operator and the Casimir check.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -201,12 +201,7 @@ class WeylGauge:
     """
 
     chi: Callable[[np.ndarray], float]
-    log_chi: Callable[[np.ndarray], float] = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.log_chi is None:
-            chi = self.chi
-            object.__setattr__(self, "log_chi", lambda q: float(np.log(chi(q))))
+    log_chi: Callable[[np.ndarray], float]
 
     @classmethod
     def from_log(cls, log_chi: Callable[[np.ndarray], float]) -> "WeylGauge":
@@ -257,18 +252,18 @@ def weyl_scalar_at(metric: MetricField, gauge: WeylGauge, point: np.ndarray,
 
 
 def conformal_transform(metric: MetricField, gauge: WeylGauge,
-                        rho: Callable[[np.ndarray], float],
-                        log_rho: Callable[[np.ndarray], float] | None = None
+                        log_rho: Callable[[np.ndarray], float]
                         ) -> tuple[ScaledMetric, WeylGauge]:
-    """Conformal gauge change (g, chi) -> (rho g, chi sqrt(rho)).
+    """Conformal gauge change (g, chi) -> (rho g, chi sqrt(rho)), rho = exp(log_rho).
 
     This is the unique gauge shift under which the Weyl scalar transforms
     with weight -1 (rho * R_W(transformed) = R_W(original)) and under which
     the unit gauge rho = chi^(-2) drives chi to 1, reducing the Weyl scalar
     to the Riemann scalar of the rescaled metric.
     """
-    if log_rho is None:
-        log_rho = lambda q: float(np.log(rho(q)))
+    def rho(q):
+        return float(np.exp(log_rho(q)))
+
     chi = gauge.chi
     log_chi = gauge.log_chi
     new_gauge = WeylGauge(

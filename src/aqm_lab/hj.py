@@ -24,7 +24,7 @@ from .config_space import killing_vectors, split_point
 from .fd import derivative_stack
 from .fields import draw_field
 from .geometry import MetricField, WeylGauge, covariant_divergence_at, \
-    laplace_beltrami, riemann_scalar_at, weyl_scalar_at
+    laplace_beltrami, weyl_scalar_at
 
 
 def conformal_coupling(n: int) -> float:
@@ -66,8 +66,8 @@ class EMConfig:
             raise ValueError("e_field and h_field must be 3-vectors")
 
     @classmethod
-    def zero(cls, e_charge: float = 1.0, kappa: float = 2.0) -> "EMConfig":
-        return cls(np.zeros(3), np.zeros(3), e_charge=e_charge, kappa=kappa)
+    def zero(cls, kappa: float = 2.0) -> "EMConfig":
+        return cls(np.zeros(3), np.zeros(3), kappa=kappa)
 
     def potential_spacetime(self, x: np.ndarray) -> np.ndarray:
         """Covariant components (A_0, A_1, A_2, A_3) at the event x."""
@@ -76,17 +76,6 @@ class EMConfig:
         a[0] = self.e_field @ x[1:]
         a[1:] = 0.5 * np.cross(self.h_field, x[1:])
         return a
-
-    def field_strength(self) -> np.ndarray:
-        """Constant field tensor F_{mu nu} with F_{0k} = -E_k, F_{kl} = eps_{klm} H_m."""
-        f = np.zeros((4, 4))
-        f[0, 1:] = -self.e_field
-        f[1:, 0] = self.e_field
-        e = self.h_field
-        f[1, 2], f[2, 1] = e[2], -e[2]
-        f[2, 3], f[3, 2] = e[0], -e[0]
-        f[3, 1], f[1, 3] = e[1], -e[1]
-        return f
 
     def invariant_h2_e2(self) -> float:
         """The scalar invariant (1/2) F_{mu nu} F^{mu nu} = H^2 - E^2."""
@@ -174,34 +163,21 @@ def wave_ansatz(fields: WaveInputs) -> Callable[[np.ndarray], complex]:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_r_scalar(metric: MetricField, point: np.ndarray,
-                      r_scalar: float | None, order: int) -> float:
-    if r_scalar is not None:
-        return float(r_scalar)
-    closed = getattr(metric, "riemann_scalar", None)
-    if callable(closed):
-        return float(closed())
-    return riemann_scalar_at(metric, point, order=order)
-
-
 def hj_residual(fields: WaveInputs, em: EMConfig, metric: MetricField,
-                point: np.ndarray, xi2: float | None = None,
-                r_scalar: float | None = None, h: float = 1e-3,
-                order: int = 4) -> float:
+                point: np.ndarray, r_scalar: float, xi2: float | None = None,
+                h: float = 1e-3, order: int = 4) -> float:
     """Residual of the Hamilton-Jacobi equation at a point.
 
-    g^{ij} u_i u_j + xi^2 R_W, which vanishes on solutions. ``xi2`` may
-    override the conformal coupling (for control experiments) and
-    ``r_scalar`` may inject a known Riemann scalar; both default to the
-    honest values.
+    g^{ij} u_i u_j + xi^2 R_W, which vanishes on solutions. ``r_scalar`` is
+    the Riemann scalar of the metric at the point; ``xi2`` may override the
+    conformal coupling (for control experiments).
     """
     point = np.asarray(point, dtype=float)
     if xi2 is None:
         xi2 = conformal_coupling(metric.dim) ** 2
-    r = _resolve_r_scalar(metric, point, r_scalar, order)
     u = momentum_covector(fields, em, point, h=h, order=order)
     rw = weyl_scalar_at(metric, fields.gauge, point, h=h, order=order,
-                        r_scalar=r)
+                        r_scalar=r_scalar)
     return float(u @ metric.inverse(point) @ u + xi2 * rw)
 
 
@@ -234,10 +210,9 @@ def wave_operator(psi: Callable[[np.ndarray], complex], em: EMConfig,
 
 
 def linearization_check(fields: WaveInputs, em: EMConfig, metric: MetricField,
-                        point: np.ndarray, xi2: float | None = None,
-                        r_scalar: float | None = None,
-                        h: float = 1e-3, order: int = 4
-                        ) -> tuple[complex, float, float]:
+                        point: np.ndarray, r_scalar: float,
+                        xi2: float | None = None, h: float = 1e-3,
+                        order: int = 4) -> tuple[complex, float, float]:
     """Verify the exact linearization at one point.
 
     Returns (defect, hj_res, div_res) where
@@ -256,11 +231,11 @@ def linearization_check(fields: WaveInputs, em: EMConfig, metric: MetricField,
     n = metric.dim
     if xi2 is None:
         xi2 = conformal_coupling(n) ** 2
-    r = _resolve_r_scalar(metric, point, r_scalar, order)
 
     psi = wave_ansatz(fields)
-    w = wave_operator(psi, em, metric, point, xi2=xi2, r_scalar=r, h=h, order=order)
-    hj = hj_residual(fields, em, metric, point, xi2=xi2, r_scalar=r,
+    w = wave_operator(psi, em, metric, point, xi2=xi2, r_scalar=r_scalar,
+                      h=h, order=order)
+    hj = hj_residual(fields, em, metric, point, r_scalar, xi2=xi2,
                      h=h, order=order)
     div = divergence_residual(fields, em, metric, point, h=h, order=order)
     chi_pow = float(np.exp((n - 2) * fields.gauge.log_chi(point)))

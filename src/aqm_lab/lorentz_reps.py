@@ -10,7 +10,6 @@ checked numerically between the two.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,11 +122,6 @@ def casimir_value(rep: Irrep) -> float:
     return 2.0 * (rep.u * (rep.u + 1) + rep.v * (rep.v + 1))
 
 
-def casimir_matrix(rep: Irrep) -> np.ndarray:
-    j, k = irrep_generators(rep)
-    return sum(j[a] @ j[a] for a in range(3)) - sum(k[a] @ k[a] for a in range(3))
-
-
 def d_matrix(rep: Irrep, theta: np.ndarray) -> np.ndarray:
     """Representation matrix D(Lambda(theta)), same chart as the vector rep.
 
@@ -210,36 +204,6 @@ def vector_intertwiner() -> tuple[np.ndarray, float]:
     x = vh[-1].conj().reshape(4, 4)
     pivot = x.flat[np.argmax(np.abs(x))]
     return x / pivot, float(s[-1])
-
-
-def mode_expand(rep: Irrep,
-                coeff_undotted: np.ndarray | Callable[[np.ndarray], np.ndarray],
-                coeff_dotted: np.ndarray | Callable[[np.ndarray], np.ndarray],
-                ) -> Callable[[np.ndarray], complex]:
-    """Parity-symmetric mode expansion over one irrep and its conjugate.
-
-    Returns the scalar field
-    psi(q) = tr(D_(u,v)(Lambda(theta))^{-1} C_u(x))
-           + tr(D_(v,u)(Lambda(theta))^{-1} C_d(x))
-    on the 10-dimensional configuration space; the coefficients are constant
-    matrices or callables of the spacetime event.
-    """
-    conj = rep.conjugate
-
-    def coeff_fn(c):
-        return c if callable(c) else (lambda x, c=np.asarray(c, dtype=complex): c)
-
-    c_u = coeff_fn(coeff_undotted)
-    c_d = coeff_fn(coeff_dotted)
-
-    def psi(q: np.ndarray) -> complex:
-        q = np.asarray(q, dtype=float)
-        x, theta = q[:4], q[4:]
-        t_u = np.trace(d_matrix_inverse(rep, theta) @ c_u(x))
-        t_d = np.trace(d_matrix_inverse(conj, theta) @ c_d(x))
-        return complex(t_u + t_d)
-
-    return psi
 
 
 # ---------------------------------------------------------------------------

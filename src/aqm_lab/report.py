@@ -113,25 +113,6 @@ def dump_report(report: dict, out=None) -> None:
     _write_text(text + "\n", out)
 
 
-def payload_bytes(report: dict) -> bytes:
-    """Canonical bytes of the payload, the object under the determinism contract."""
-    return json.dumps(report["payload"], sort_keys=True, allow_nan=False).encode()
-
-
-def matrix_to_json(m: np.ndarray) -> dict:
-    """Row-major dump of a complex matrix as re/im pairs, for golden tests."""
-    m = np.asarray(m, dtype=complex)
-    return {
-        "shape": list(m.shape),
-        "data": [[float(z.real), float(z.imag)] for z in m.ravel(order="C")],
-    }
-
-
-def json_to_matrix(obj: dict) -> np.ndarray:
-    data = np.array([re + 1j * im for re, im in obj["data"]], dtype=complex)
-    return data.reshape(obj["shape"], order="C")
-
-
 # ---------------------------------------------------------------------------
 # CSV layouts
 # ---------------------------------------------------------------------------

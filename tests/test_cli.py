@@ -94,13 +94,18 @@ def test_dirac_passes_and_reports(capsys):
     assert names == sorted(names)
 
 
-def test_zero_draws_is_config_error():
-    assert main(["verify-curvature", "--n-draws", "0"]) == 2
-
-
 def assert_one_line_error(capsys, prefix="error: "):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith(prefix), err
+
+
+def test_zero_draws_is_config_error(capsys):
+    assert main(["verify-curvature", "--n-draws", "0"]) == 2
+    assert_one_line_error(capsys)
+    # a bundle check needs pairs of trajectories, in either format
+    for fmt in ("csv", "json"):
+        assert main(["trace", "--n-draws", "1", "--format", fmt]) == 2
+        assert_one_line_error(capsys, "error: --n-draws ")
 
 
 def test_negative_scale_is_config_error(capsys):
@@ -126,7 +131,7 @@ def test_tol_overrides_every_check(capsys):
                    for c in report["payload"]["checks"])
     main(["spectrum", "--tol", "1e-300"])
     checks = json.loads(capsys.readouterr().out)["payload"]["checks"]
-    assert [c["tolerance"] for c in checks] == [1e-300]
+    assert [c["tolerance"] for c in checks] == [1e-300, 1e-300]
 
 
 def test_config_file_merging(tmp_path, capsys):
@@ -169,6 +174,9 @@ def test_malformed_config_is_error(tmp_path, capsys):
         cfg.write_text(json.dumps(bad))
         assert main(["verify-dirac", "--config", str(cfg)]) == 2, bad
         assert_one_line_error(capsys)
+    cfg.write_text(json.dumps({"n_draws": 1}))
+    assert main(["trace", "--config", str(cfg)]) == 2
+    assert_one_line_error(capsys, "error: --n-draws ")
     # an output path that cannot be written is rejected before the run,
     # from a flag or a config file, and no file is created
     missing = tmp_path / "missing" / "x.json"
@@ -284,14 +292,19 @@ def test_internal_error_exits_three(capsys, monkeypatch):
 ])
 def test_spectrum_extreme_scales_give_null_records(argv, null_m2, capsys):
     with np.errstate(all="ignore"):
-        assert main(argv) in (0, 1)  # not an internal error
-    records = json.loads(capsys.readouterr().out)["payload"]["records"]
-    assert all((r["m2"] is None) == null_m2 for r in records)
+        code = main(argv)
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert all((r["m2"] is None) == null_m2 for r in payload["records"])
+    # a spectrum without a finite value fails, a finite one passes
+    assert code == (1 if null_m2 else 0)
+    count = {c["name"]: c for c in payload["checks"]}[
+        "spectrum_nonfinite_m2_count"]
+    assert count["value"] == (len(payload["records"]) if null_m2 else 0)
 
 
 @pytest.mark.parametrize("argv", [
     ["verify-weyl", "--n-draws", "1", "--h", "1e-300"],
-    ["trace", "--n-draws", "1", "--steps", "5", "--h", "1e-300",
+    ["trace", "--n-draws", "2", "--steps", "5", "--h", "1e-300",
      "--format", "json"],
     # NaN residuals inside a worst-case loop must not be dropped by max()
     ["verify-dirac", "--n-draws", "1", "--kappa", "1e300"],
@@ -305,6 +318,8 @@ def test_nonfinite_values_fail_checks_in_valid_json(argv, capsys):
     assert nonfinite
     assert all(c["value"] is None and not c["pass"] for c in nonfinite)
     assert payload["passed"] is False
+    if argv[0] == "trace":
+        assert "trace_max_divergence" in {c["name"] for c in nonfinite}
 
 
 # config fuzz: the verb's own keys plus junk keys, with JSON values
@@ -349,6 +364,7 @@ def test_fuzzed_config_resolves_to_checked_values_or_config_error(case):
     assert cfg["tol"] is None or is_finite_number(cfg["tol"], positive=True)
     for key in ("n_draws", "steps", "sections"):
         assert key not in cfg or (type(cfg[key]) is int and cfg[key] >= 1)
+    assert verb != "trace" or cfg["n_draws"] >= 2
     assert cfg.get("order", 4) in (2, 4) and type(cfg.get("order", 4)) is int
     for key in ("a", "h", "mass", "ds", "spread"):
         assert cfg.get(key) is None or is_finite_number(cfg[key], True)

@@ -1,29 +1,56 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from aqm_lab.hj import EMConfig
-from aqm_lab.lorentz_reps import Irrep, casimir_value
+from aqm_lab.lorentz_reps import Irrep, casimir_value, irrep_generators
 from aqm_lab.dirac import (
+    XI2,
     MassScale,
-    PlaneWave,
     clifford_defect,
-    dirac_alpha_matrices,
     dispersion_root,
     gamma_matrices,
     mass_closure_defect,
     mass_spin_spectrum,
     momentum_product_symbol,
-    parity_generators,
     parity_spin_coupling,
+    pauli_matrices,
     spin_coupling_matrix,
-    spin_sigma_matrices,
     squared_dirac_matrix,
-    squared_dirac_operator,
     top_spinor_matrix,
-    top_spinor_operator,
 )
 
 MOSTLY_PLUS = np.diag([-1.0, 1.0, 1.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# Dirac-basis references: block matrices built from the Pauli matrices
+# ---------------------------------------------------------------------------
+
+
+def spin_sigma_matrices() -> np.ndarray:
+    """Block-diagonal spin matrices Sigma_k = diag(sigma_k, sigma_k)."""
+    sig = pauli_matrices()
+    return np.stack([block_diag(sig[k], sig[k]) for k in range(3)])
+
+
+def dirac_alpha_matrices() -> np.ndarray:
+    """Chirality-weighted matrices alpha_k = diag(sigma_k, -sigma_k)."""
+    sig = pauli_matrices()
+    return np.stack([block_diag(sig[k], -sig[k]) for k in range(3)])
+
+
+def parity_generators() -> tuple[np.ndarray, np.ndarray]:
+    """Generators of the parity-symmetric spin-1/2 pair, first factor (0, 1/2).
+
+    The direct sum of the (0, 1/2) and (1/2, 0) irrep generators in that
+    order; it should equal J = Sigma/2 and K = (i/2) alpha.
+    """
+    ju, ku = irrep_generators(Irrep(0.0, 0.5))
+    jd, kd = irrep_generators(Irrep(0.5, 0.0))
+    j = np.stack([block_diag(ju[k], jd[k]) for k in range(3)])
+    k_ = np.stack([block_diag(ku[k], kd[k]) for k in range(3)])
+    return j, k_
 
 
 def test_clifford_relations_exact():
@@ -118,28 +145,11 @@ def test_counterterm_closes_gap():
     assert np.max(np.abs(m18 - m19)) < 1e-12
 
 
-def test_operators_match_matrices_on_plane_wave():
-    rng = np.random.default_rng(27)
-    scale = MassScale(1.0)
-    em = EMConfig(e_field=(0.2, 0.1, -0.3), h_field=(0.4, -0.2, 0.3))
-    p = rng.uniform(-1, 1, 4)
-    spinor = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
-    wave = PlaneWave(momentum=p, spinor=spinor)
-    x = np.array([0.3, -0.2, 0.5, 0.1])
-    point = np.concatenate([x, np.zeros(6)])
-    got = top_spinor_operator(wave, em, scale, point)
-    expected = top_spinor_matrix(p, em, scale, x=x) @ spinor
-    assert np.max(np.abs(got - expected)) < 1e-12
-    got = squared_dirac_operator(wave, em, scale.mass, point)
-    expected = squared_dirac_matrix(p, em, scale.mass, x=x) @ spinor
-    assert np.max(np.abs(got - expected)) < 1e-12
-
-
 def test_mass_scale_closed_form():
     m = 1.4
     scale = MassScale(m)
     assert scale.a == pytest.approx(np.sqrt(17.0 / 6.0) / m)
-    assert scale.xi2 == pytest.approx(2.0 / 9.0)
+    assert XI2 == pytest.approx(2.0 / 9.0)
     with pytest.raises(ValueError):
         MassScale(0.0)
 
@@ -166,10 +176,3 @@ def test_dispersion_root_matches_relativistic_energy():
         root = dispersion_root(p_spatial, scale)
         expected = np.sqrt(p_spatial @ p_spatial + scale.mass ** 2)
         assert abs(root - expected) / expected < 1e-10
-
-
-def test_plane_wave_validation():
-    with pytest.raises(ValueError):
-        PlaneWave(momentum=np.zeros(3), spinor=np.ones(4))
-    with pytest.raises(ValueError):
-        PlaneWave(momentum=np.zeros(4), spinor=np.zeros(4))

@@ -191,8 +191,7 @@ def test_weyl_scalar_conformal_weight():
     log_rho = draw_field(rng, 10, amp_scale=0.4)
     q = sample_point(rng, rot_scale=1.0, boost_bound=1.0)
     base = weyl_scalar_at(m, gauge, q, r_scalar=m.riemann_scalar())
-    new_m, new_gauge = conformal_transform(
-        m, gauge, rho=lambda p: float(np.exp(log_rho(p))), log_rho=log_rho)
+    new_m, new_gauge = conformal_transform(m, gauge, log_rho)
     moved = weyl_scalar_at(new_m, new_gauge, q)
     rho0 = float(np.exp(log_rho(q)))
     assert abs(rho0 * moved - base) / max(abs(base), 1.0) < 1e-5
@@ -219,8 +218,7 @@ def test_conformal_transform_composes_gauge():
     gauge = WeylGauge.from_log(lambda q: float(q[0]))
     m = ConstantMetric(np.eye(2))
     new_m, new_gauge = conformal_transform(
-        m, gauge, rho=lambda q: float(np.exp(4.0 * q[1])),
-        log_rho=lambda q: 4.0 * float(q[1]))
+        m, gauge, log_rho=lambda q: 4.0 * float(q[1]))
     q = np.array([0.3, 0.2])
     assert abs(new_gauge.log_chi(q) - (0.3 + 2.0 * 0.2)) < 1e-12
     assert np.max(np.abs(new_m.matrix(q) - np.exp(0.8) * np.eye(2))) < 1e-12

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
-from aqm_lab.config_space import compose_angles, generators, lorentz_from_angles
+from aqm_lab.config_space import generators, lorentz_from_angles
 from aqm_lab.lorentz_reps import (
     Irrep,
     angular_laplacian_check,
-    casimir_matrix,
     casimir_value,
     commutator_defect,
     conjugation_defect,
@@ -13,7 +15,6 @@ from aqm_lab.lorentz_reps import (
     d_matrix_inverse,
     factor_swap,
     irrep_generators,
-    mode_expand,
     reps_up_to_dim,
     su2_generators,
     vector_intertwiner,
@@ -22,6 +23,74 @@ from aqm_lab.lorentz_reps import (
 SIGMA = np.array([[[0, 1], [1, 0]],
                   [[0, -1j], [1j, 0]],
                   [[1, 0], [0, -1]]], dtype=complex)
+
+
+# ---------------------------------------------------------------------------
+# chart inverse: the independent reference of the homomorphism test
+# ---------------------------------------------------------------------------
+
+
+def angles_from_lorentz(lam: np.ndarray) -> np.ndarray:
+    """Chart coordinates of a proper orthochronous Lorentz matrix.
+
+    Polar decomposition with respect to the Minkowski pairing: the positive
+    factor B = sqrt(Lambda^T Lambda) is a pure boost whose generator is read
+    off its matrix logarithm, and Lambda B^{-1} is a spatial rotation whose
+    rotation vector completes the chart. Exact up to floating point, no
+    iteration involved.
+    """
+    lam = np.asarray(lam, dtype=float)
+    w, v = np.linalg.eigh(lam.T @ lam)
+    if np.any(w <= 0):
+        raise ValueError("matrix is not in the proper Lorentz group")
+    log_b = v @ np.diag(0.5 * np.log(w)) @ v.T   # symmetric log of the boost factor
+    theta_boost = np.array([log_b[0, 1], log_b[0, 2], log_b[0, 3]])
+    b_inv = v @ np.diag(w ** -0.5) @ v.T
+    rot = lam @ b_inv
+    if rot[0, 0] < 0:
+        raise ValueError("matrix is not orthochronous")
+    rvec = Rotation.from_matrix(rot[1:, 1:]).as_rotvec()
+    return np.concatenate([rvec, theta_boost])
+
+
+def compose_angles(theta_left: np.ndarray, theta_right: np.ndarray) -> np.ndarray:
+    """Chart coordinates of Lambda(theta_left) Lambda(theta_right)."""
+    return angles_from_lorentz(lorentz_from_angles(theta_left)
+                               @ lorentz_from_angles(theta_right))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(-1.5, 1.5), min_size=6, max_size=6))
+def test_angle_round_trip(vals):
+    theta = np.array(vals)
+    lam = lorentz_from_angles(theta)
+    back = angles_from_lorentz(lam)
+    assert np.max(np.abs(lorentz_from_angles(back) - lam)) < 1e-10
+
+
+def test_angle_round_trip_near_identity():
+    theta = np.array([1e-9, 0.0, -1e-9, 1e-9, 0.0, 0.0])
+    back = angles_from_lorentz(lorentz_from_angles(theta))
+    assert np.max(np.abs(back - theta)) < 1e-12
+
+
+def test_angles_reject_non_orthochronous():
+    with pytest.raises(ValueError):
+        angles_from_lorentz(-np.eye(4))  # PT: proper but past-pointing
+
+
+def test_compose_is_group_multiplication():
+    rng = np.random.default_rng(3)
+    t1 = rng.uniform(-1, 1, 6)
+    t2 = rng.uniform(-1, 1, 6)
+    lhs = lorentz_from_angles(compose_angles(t1, t2))
+    rhs = lorentz_from_angles(t1) @ lorentz_from_angles(t2)
+    assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# generators
+# ---------------------------------------------------------------------------
 
 
 def test_irrep_validation_and_labels():
@@ -78,7 +147,8 @@ def test_commutators_all_small_reps():
 
 def test_casimir_is_scalar_matrix():
     for rep in (Irrep(0, 0.5), Irrep(0.5, 0.5), Irrep(1, 1)):
-        c = casimir_matrix(rep)
+        j, k = irrep_generators(rep)
+        c = sum(j[a] @ j[a] - k[a] @ k[a] for a in range(3))
         assert np.max(np.abs(c - casimir_value(rep) * np.eye(rep.dim))) < 1e-12
 
 
@@ -215,31 +285,3 @@ def test_angular_laplacian_separates_reps():
     v1 = angular_laplacian_check(Irrep(0, 0.5), theta)[0, 0]
     v2 = angular_laplacian_check(Irrep(0.5, 0.5), theta)[0, 0]
     assert abs(v1 - v2) > 1.0
-
-
-# ---------------------------------------------------------------------------
-# matrix-element wave functions
-# ---------------------------------------------------------------------------
-
-
-def test_mode_expand_matches_trace_formula():
-    rep = Irrep(0, 0.5)
-    c_u = np.array([[0.3 + 0.1j, 0.0], [-0.2j, 0.5]])
-    c_d = np.zeros((2, 2), dtype=complex)
-    psi = mode_expand(rep, c_u, c_d)
-    q = np.concatenate([np.array([0.1, 0.2, 0.3, 0.4]),
-                        np.array([0.5, -0.2, 0.1, 0.3, 0.0, -0.4])])
-    expected = np.trace(d_matrix_inverse(rep, q[4:]) @ c_u)
-    assert abs(psi(q) - expected) < 1e-12
-
-
-def test_mode_expand_position_dependent_coefficients():
-    rep = Irrep(0, 0.5)
-
-    def c_u(x):
-        return np.array([[x[0], 0.0], [0.0, 0.0]], dtype=complex)
-
-    psi = mode_expand(rep, c_u, np.zeros((2, 2), dtype=complex))
-    q = np.zeros(10)
-    q[0] = 2.5
-    assert abs(psi(q) - 2.5) < 1e-12

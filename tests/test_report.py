@@ -17,12 +17,14 @@ from aqm_lab.report import (
     check_at_least,
     check_close,
     dump_report,
-    json_to_matrix,
-    matrix_to_json,
-    payload_bytes,
     trajectory_rows,
     write_csv,
 )
+
+
+def payload_bytes(report: dict) -> bytes:
+    """Canonical bytes of the payload, the object under the determinism contract."""
+    return json.dumps(report["payload"], sort_keys=True, allow_nan=False).encode()
 
 
 def test_check_close_semantics():
@@ -116,19 +118,6 @@ def test_finite_payload_bytes_golden():
         b'"name": "b", "pass": true, "tolerance": 0.0, "value": 0.5}], '
         b'"command": "cmd", "config": {"H": [0.1, 0.2, 0.3], "seed": 3}, '
         b'"passed": true, "records": [{"n": 4, "x": 2.5}]}')
-
-
-def test_matrix_json_round_trip():
-    m = np.array([[1.0 + 2.0j, 0.0], [-1.5j, 3.0]])
-    back = json_to_matrix(matrix_to_json(m))
-    assert np.max(np.abs(back - m)) == 0.0
-
-
-def test_matrix_json_layout_golden():
-    m = np.array([[1.0 + 2.0j]])
-    obj = matrix_to_json(m)
-    assert obj["shape"] == [1, 1]
-    assert obj["data"] == [[1.0, 2.0]]
 
 
 def test_trajectory_rows_layout():
