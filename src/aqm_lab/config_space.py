@@ -16,6 +16,8 @@ natural units hbar = c = 1.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import expm
 
@@ -70,17 +72,34 @@ def ad_matrix(m: np.ndarray) -> np.ndarray:
     return np.column_stack([basis_decompose(m @ t - t @ m) for t in _GEN])
 
 
-def _phi1(a: np.ndarray) -> np.ndarray:
-    """Phi1(a) = (exp(a) - 1) a^{-1}, defined for singular a by the series.
+# flattened adjoint matrices ad_{T_a} of the basis, so that ad_m for
+# m = sum_a m_a T_a is one contraction of the coefficients against this table
+_AD = np.stack([ad_matrix(t) for t in _GEN]).reshape(6, 36)
+_EYE6 = np.eye(6)
 
-    Evaluated exactly through the block identity
-    expm([[a, I], [0, 0]]) = [[exp(a), Phi1(a)], [0, I]].
+# below this |theta| the closed-form coefficients lose digits to
+# cancellation, so their Taylor series are used instead
+SERIES_CUTOFF = 1e-3
+
+
+def _rodrigues_coefficients(s: float) -> tuple[float, float, float]:
+    """(e1, e2, e3) = sum_k s^k / ((2k+1)!, (2k+2)!, (2k+3)!).
+
+    For a matrix X with X^3 = s X these give exp(X) = I + e1 X + e2 X^2 and
+    Phi1(X) = (exp(X) - I) X^{-1} = I + e2 X + e3 X^2 (the Rodrigues and
+    dexp formulas). s = -|theta|^2 for a rotation, +|theta|^2 for a boost.
     """
-    n = a.shape[0]
-    z = np.zeros((2 * n, 2 * n))
-    z[:n, :n] = a
-    z[:n, n:] = np.eye(n)
-    return expm(z)[:n, n:]
+    if abs(s) < SERIES_CUTOFF ** 2:
+        return (1.0 + s / 6.0 + s * s / 120.0,
+                0.5 + s / 24.0 + s * s / 720.0,
+                1.0 / 6.0 + s / 120.0 + s * s / 5040.0)
+    t = math.sqrt(abs(s))
+    if s < 0:
+        sn, half = math.sin(t), math.sin(0.5 * t)
+    else:
+        sn, half = math.sinh(t), math.sinh(0.5 * t)
+    # 1 - cos t = 2 sin^2(t/2), cosh t - 1 = 2 sinh^2(t/2): no cancellation
+    return sn / t, 2.0 * half * half / (t * t), (sn - t) / (s * t)
 
 
 def split_point(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -106,15 +125,21 @@ def frame_coefficients(theta: np.ndarray) -> np.ndarray:
     In the two-factor exponential chart the columns are closed-form:
     rotation columns come from Phi1(ad_R), boost columns from
     exp(ad_R) Phi1(ad_B), with R and B the rotation and boost generators.
+    On the adjoint, ad_R^3 = -|theta_rot|^2 ad_R and
+    ad_B^3 = +|theta_boost|^2 ad_B, so each factor is a quadratic in ad.
     """
     theta = np.asarray(theta, dtype=float)
-    r = np.einsum("a,aij->ij", theta[:3], _GEN[:3])
-    b = np.einsum("a,aij->ij", theta[3:], _GEN[3:])
-    ad_r = ad_matrix(r)
-    ad_b = ad_matrix(b)
+    rot, boost = theta[:3], theta[3:]
+    ad_r = (rot @ _AD[:3]).reshape(6, 6)
+    ad_b = (boost @ _AD[3:]).reshape(6, 6)
+    ad_r2 = ad_r @ ad_r
+    ad_b2 = ad_b @ ad_b
+    e1, e2, e3 = _rodrigues_coefficients(-float(rot @ rot))
+    _, f2, f3 = _rodrigues_coefficients(float(boost @ boost))
     c = np.empty((6, 6))
-    c[:, :3] = _phi1(ad_r)[:, :3]
-    c[:, 3:] = (expm(ad_r) @ _phi1(ad_b))[:, 3:]
+    c[:, :3] = (_EYE6 + e2 * ad_r + e3 * ad_r2)[:, :3]
+    c[:, 3:] = ((_EYE6 + e1 * ad_r + e2 * ad_r2)
+                @ (_EYE6 + f2 * ad_b + f3 * ad_b2)[:, 3:])
     return c
 
 

@@ -9,7 +9,9 @@ Identifying the constant terms fixes the internal length scale a against
 the particle mass and yields the mass spectrum over all irreps.
 
 Scales are numpy floats, so a square that over- or underflows gives inf or
-0 and the result a non-finite value, where a Python float would raise.
+0 and the result a non-finite value, where a Python float would raise. The
+caller reports that value, so numpy's floating-point warnings are silenced
+on these paths.
 
 Operators are evaluated on plane waves psi(x) = w exp(i p.x) with the
 uniform-field potential, for which the action of covariant momentum
@@ -31,6 +33,10 @@ from .lorentz_reps import Irrep, casimir_value, irrep_generators
 
 # conformal coupling xi^2 = 2/9 of the 10-dim configuration space
 XI2 = conformal_coupling(10) ** 2
+
+# np.errstate of the scale arithmetic: over- and underflow give a non-finite
+# result that the caller reports, not a warning
+EXTREME_SCALES = {"over": "ignore", "divide": "ignore", "invalid": "ignore"}
 
 # ---------------------------------------------------------------------------
 # gamma matrices, mostly-plus signature
@@ -138,16 +144,17 @@ def mass_spin_spectrum(reps: list[Irrep], a: float) -> list[dict]:
     Quadratic in the spin content through the Casimir, the same closure that
     fixes the spin-1/2 mass; returned as records for direct serialization.
     """
-    a2 = np.float64(a) ** 2
     out = []
-    for rep in reps:
-        cas = casimir_value(rep)
-        out.append({
-            "u": rep.u,
-            "v": rep.v,
-            "casimir": cas,
-            "m2": float((cas + 6.0 * XI2) / a2),
-        })
+    with np.errstate(**EXTREME_SCALES):
+        a2 = np.float64(a) ** 2
+        for rep in reps:
+            cas = casimir_value(rep)
+            out.append({
+                "u": rep.u,
+                "v": rep.v,
+                "casimir": cas,
+                "m2": float((cas + 6.0 * XI2) / a2),
+            })
     return out
 
 
@@ -183,12 +190,13 @@ def top_spinor_matrix(p: np.ndarray, em: EMConfig, scale: MassScale,
     a = scale.a
     t = momentum_product_symbol(p, em, x)
     scalar = np.einsum("mn,mn->", np.linalg.inv(MINKOWSKI), t)
-    curvature = 6.0 * XI2 / a ** 2
-    if counterterm:
-        curvature -= (em.e_charge * a) ** 2 * em.invariant_h2_e2()
-    return scalar * np.eye(4, dtype=complex) \
-        + parity_spin_coupling(Irrep(0.0, 0.5), em, a) \
-        + curvature * np.eye(4, dtype=complex)
+    with np.errstate(**EXTREME_SCALES):
+        curvature = 6.0 * XI2 / a ** 2
+        if counterterm:
+            curvature -= (em.e_charge * a) ** 2 * em.invariant_h2_e2()
+        return scalar * np.eye(4, dtype=complex) \
+            + parity_spin_coupling(Irrep(0.0, 0.5), em, a) \
+            + curvature * np.eye(4, dtype=complex)
 
 
 def squared_dirac_matrix(p: np.ndarray, em: EMConfig, mass: float,

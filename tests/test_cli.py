@@ -128,10 +128,12 @@ def test_tol_overrides_every_check(capsys):
         report = json.loads(out)
         assert code == 0
         assert all(c["tolerance"] == 1e-3
-                   for c in report["payload"]["checks"])
+                   for c in report["payload"]["checks"]
+                   if c["name"] != "spectrum_nonfinite_m2_count")
     main(["spectrum", "--tol", "1e-300"])
     checks = json.loads(capsys.readouterr().out)["payload"]["checks"]
-    assert [c["tolerance"] for c in checks] == [1e-300, 1e-300]
+    # the non-finite count is not a residual: its tolerance stays 0
+    assert [c["tolerance"] for c in checks] == [1e-300, 0.0]
 
 
 def test_config_file_merging(tmp_path, capsys):
@@ -300,6 +302,28 @@ def test_spectrum_extreme_scales_give_null_records(argv, null_m2, capsys):
     count = {c["name"]: c for c in payload["checks"]}[
         "spectrum_nonfinite_m2_count"]
     assert count["value"] == (len(payload["records"]) if null_m2 else 0)
+
+
+def test_tol_cannot_forgive_nonfinite_spectrum(capsys):
+    assert main(["spectrum", "--a", "1e-300", "--tol", "23"]) == 1
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    count = {c["name"]: c for c in payload["checks"]}[
+        "spectrum_nonfinite_m2_count"]
+    assert count["value"] == 23 and count["tolerance"] == 0.0
+    assert not count["pass"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--a", "1e-300"],
+    ["spectrum", "--a", "1e200"],
+    ["verify-dirac", "--n-draws", "1", "--mass", "1e300"],
+    ["verify-dirac", "--n-draws", "1", "--mass", "1e-200"],
+])
+def test_extreme_scales_write_no_runtime_warning(argv):
+    # the payload reports the non-finite value; stderr stays clean
+    proc = run_cli(argv)
+    assert proc.returncode in (0, 1)
+    assert "RuntimeWarning" not in proc.stderr, proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

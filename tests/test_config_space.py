@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from aqm_lab import config_space
 from aqm_lab.config_space import (
     GENERATOR_PAIRING,
     MINKOWSKI,
     RAPIDITY_MAX,
+    SERIES_CUTOFF,
+    GroupMetric,
     TopMetric,
     ad_matrix,
     basis_decompose,
@@ -29,6 +33,33 @@ def structure_constants() -> np.ndarray:
         for b in range(6):
             f[a, b] = basis_decompose(gen[a] @ gen[b] - gen[b] @ gen[a])
     return f
+
+
+def _phi1_reference(a: np.ndarray) -> np.ndarray:
+    """Phi1(a) = (exp(a) - 1) a^{-1} through the block identity
+    expm([[a, I], [0, 0]]) = [[exp(a), Phi1(a)], [0, I]]."""
+    n = a.shape[0]
+    z = np.zeros((2 * n, 2 * n))
+    z[:n, :n] = a
+    z[:n, n:] = np.eye(n)
+    return expm(z)[:n, n:]
+
+
+def frame_reference(theta: np.ndarray) -> np.ndarray:
+    """The chart frame by dense ``expm``, reference of the closed form."""
+    gen = generators()
+    ad_r = ad_matrix(np.einsum("a,aij->ij", theta[:3], gen[:3]))
+    ad_b = ad_matrix(np.einsum("a,aij->ij", theta[3:], gen[3:]))
+    c = np.empty((6, 6))
+    c[:, :3] = _phi1_reference(ad_r)[:, :3]
+    c[:, 3:] = (expm(ad_r) @ _phi1_reference(ad_b))[:, 3:]
+    return c
+
+
+def _frame_rel_error(theta: np.ndarray) -> float:
+    ref = frame_reference(theta)
+    return float(np.max(np.abs(frame_coefficients(theta) - ref))
+                 / np.max(np.abs(ref)))
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +180,48 @@ def test_frame_rotation_block_closed_form():
            + (phi - np.sin(phi)) / phi ** 3 * cross @ cross)
     assert np.max(np.abs(c[:3, :3] - jac)) < 1e-12
     assert np.max(np.abs(c[3:, :3])) < 1e-14
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-2, 1e-5, 1e-9])
+def test_frame_matches_expm_reference_at_random_points(scale):
+    # full sampler range: rotation up to pi, rapidity up to RAPIDITY_MAX
+    rng = np.random.default_rng(10)
+    for _ in range(40):
+        theta = scale * sample_point(rng)[4:]
+        assert _frame_rel_error(theta) <= 1e-11
+
+
+@pytest.mark.parametrize("norm", [0.99 * SERIES_CUTOFF, SERIES_CUTOFF,
+                                  1.01 * SERIES_CUTOFF])
+@pytest.mark.parametrize("block", [slice(0, 3), slice(3, 6)])
+def test_frame_matches_expm_reference_at_series_cutoff(norm, block):
+    # pure rotations and pure boosts on both sides of the series switch
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        direction = rng.normal(size=3)
+        theta = np.zeros(6)
+        theta[block] = norm * direction / np.linalg.norm(direction)
+        assert _frame_rel_error(theta) <= 1e-11
+
+
+def test_frame_matches_expm_reference_at_zero():
+    assert _frame_rel_error(np.zeros(6)) == 0.0
+
+
+def test_frame_layers_evaluate_without_expm(monkeypatch):
+    # the frame is closed-form: a slow path through expm must not come back
+    def no_expm(*args, **kwargs):
+        raise AssertionError("expm called on a frame evaluation")
+
+    monkeypatch.setattr(config_space, "expm", no_expm)
+    q = sample_point(np.random.default_rng(12))
+    top = TopMetric(1.3)
+    g = top.matrix(q)
+    assert np.all(np.isfinite(g))
+    assert np.allclose(top.inverse(q) @ g, np.eye(10), atol=1e-9)
+    assert top.sqrt_det(q) > 0.0
+    assert np.all(np.isfinite(GroupMetric(1.3).matrix(q[4:])))
+    assert np.all(np.isfinite(killing_vectors(q[4:])))
 
 
 def test_frame_identity_at_origin():
