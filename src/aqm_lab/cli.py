@@ -376,40 +376,37 @@ def _run_verify_dirac(cfg: dict):
     scale = MassScale(cfg["mass"])
     a = scale.a
 
-    # extreme --mass or --kappa make these values non-finite; the checks
-    # report them, so numpy does not warn
-    with np.errstate(**EXTREME_SCALES):
-        gap_defect = 0.0
-        ct_defect = 0.0
-        records = []
-        for _ in range(cfg["n_draws"]):
-            h_field = np.array(cfg["H"]) if cfg["H"] is not None \
-                else rng.uniform(-1.0, 1.0, 3)
-            e_field = np.array(cfg["E"]) if cfg["E"] is not None \
-                else rng.uniform(-1.0, 1.0, 3)
-            em = EMConfig(e_field=e_field, h_field=h_field, kappa=cfg["kappa"])
-            p = rng.uniform(-1.0, 1.0, 4)
-            x = rng.uniform(-1.0, 1.0, 4)
+    gap_defect = 0.0
+    ct_defect = 0.0
+    records = []
+    for _ in range(cfg["n_draws"]):
+        h_field = np.array(cfg["H"]) if cfg["H"] is not None \
+            else rng.uniform(-1.0, 1.0, 3)
+        e_field = np.array(cfg["E"]) if cfg["E"] is not None \
+            else rng.uniform(-1.0, 1.0, 3)
+        em = EMConfig(e_field=e_field, h_field=h_field, kappa=cfg["kappa"])
+        p = rng.uniform(-1.0, 1.0, 4)
+        x = rng.uniform(-1.0, 1.0, 4)
 
-            m18 = top_spinor_matrix(p, em, scale, x=x,
-                                    counterterm=bool(cfg["counterterm"]))
-            m19 = squared_dirac_matrix(p, em, scale.mass, x=x)
-            gap_expected = 0.0 if cfg["counterterm"] \
-                else (em.e_charge * a) ** 2 * em.invariant_h2_e2()
-            gap = float(np.max(np.abs(m18 - m19 - gap_expected * np.eye(4))))
-            gap_defect = np.maximum(gap_defect, gap)
+        m18 = top_spinor_matrix(p, em, scale, x=x,
+                                counterterm=bool(cfg["counterterm"]))
+        m19 = squared_dirac_matrix(p, em, scale.mass, x=x)
+        gap_expected = 0.0 if cfg["counterterm"] \
+            else (em.e_charge * a) ** 2 * em.invariant_h2_e2()
+        gap = float(np.max(np.abs(m18 - m19 - gap_expected * np.eye(4))))
+        gap_defect = np.maximum(gap_defect, gap)
 
-            m18_ct = top_spinor_matrix(p, em, scale, x=x, counterterm=True)
-            ct = float(np.max(np.abs(m18_ct - m19)))
-            ct_defect = np.maximum(ct_defect, ct)
-            records.append({"H": list(h_field), "E": list(e_field),
-                            "p": list(p), "gap_defect": gap,
-                            "counterterm_defect": ct})
+        m18_ct = top_spinor_matrix(p, em, scale, x=x, counterterm=True)
+        ct = float(np.max(np.abs(m18_ct - m19)))
+        ct_defect = np.maximum(ct_defect, ct)
+        records.append({"H": list(h_field), "E": list(e_field),
+                        "p": list(p), "gap_defect": gap,
+                        "counterterm_defect": ct})
 
-        p_spatial = rng.uniform(-1.0, 1.0, 3)
-        root = dispersion_root(p_spatial, scale)
-        root_exact = float(np.sqrt(p_spatial @ p_spatial + scale.mass ** 2))
-        disp_rel = abs(root - root_exact) / root_exact
+    p_spatial = rng.uniform(-1.0, 1.0, 3)
+    root = dispersion_root(p_spatial, scale)
+    root_exact = float(np.sqrt(p_spatial @ p_spatial + scale.mass ** 2))
+    disp_rel = abs(root - root_exact) / root_exact
 
     checks = [
         check_close("dirac_clifford_max_defect", clifford_defect(), 0.0,
@@ -623,7 +620,10 @@ def main(argv: list[str] | None = None) -> int:
         cfg = resolve_config(args.command, _read_config(args.config),
                              vars(args))
         start = time.perf_counter()
-        checks, records, table = verb.run(cfg)
+        # extreme scales or steps make values non-finite; the checks report
+        # them, so numpy does not warn
+        with np.errstate(**EXTREME_SCALES):
+            checks, records, table = verb.run(cfg)
         if cfg["format"] == "csv":
             if table is None:
                 table = (CHECK_COLUMNS,

@@ -16,8 +16,6 @@ natural units hbar = c = 1.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy.linalg import expm
 
@@ -72,54 +70,62 @@ def ad_matrix(m: np.ndarray) -> np.ndarray:
     return np.column_stack([basis_decompose(m @ t - t @ m) for t in _GEN])
 
 
-# flattened adjoint matrices ad_{T_a} of the basis, so that ad_m for
-# m = sum_a m_a T_a is one contraction of the coefficients against this table
-_AD = np.stack([ad_matrix(t) for t in _GEN]).reshape(6, 36)
+# flattened adjoint matrices ad_{T_a} of the basis, split into the rotation
+# and the boost half, so that ad_R and ad_B for the two halves of theta are
+# one contraction of the angles against this table
+_AD_HALVES = np.stack([ad_matrix(t) for t in _GEN]).reshape(2, 3, 36)
 _EYE6 = np.eye(6)
+# sign of s in ``_rodrigues_coefficients`` for each half: -|theta_rot|^2
+# for the rotation, +|theta_boost|^2 for the boost
+_HALF_SIGNS = np.array([-1.0, 1.0])
 
 # below this |theta| the closed-form coefficients lose digits to
 # cancellation, so their Taylor series are used instead
 SERIES_CUTOFF = 1e-3
 
 
-def _rodrigues_coefficients(s: float) -> tuple[float, float, float]:
-    """(e1, e2, e3) = sum_k s^k / ((2k+1)!, (2k+2)!, (2k+3)!).
+def _rodrigues_coefficients(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(e1, e2, e3) = sum_k s^k / ((2k+1)!, (2k+2)!, (2k+3)!), elementwise.
 
     For a matrix X with X^3 = s X these give exp(X) = I + e1 X + e2 X^2 and
     Phi1(X) = (exp(X) - I) X^{-1} = I + e2 X + e3 X^2 (the Rodrigues and
     dexp formulas). s = -|theta|^2 for a rotation, +|theta|^2 for a boost.
+    Each element below the cutoff takes the Taylor series.
     """
-    if abs(s) < SERIES_CUTOFF ** 2:
-        return (1.0 + s / 6.0 + s * s / 120.0,
-                0.5 + s / 24.0 + s * s / 720.0,
-                1.0 / 6.0 + s / 120.0 + s * s / 5040.0)
-    t = math.sqrt(abs(s))
-    if s < 0:
-        sn, half = math.sin(t), math.sin(0.5 * t)
-    else:
-        sn, half = math.sinh(t), math.sinh(0.5 * t)
+    s = np.asarray(s, dtype=float)
+    series = np.abs(s) < SERIES_CUTOFF ** 2
+    # the closed forms see 1 where the series is taken, so nothing divides by 0
+    s_far = np.where(series, 1.0, s)
+    t = np.sqrt(np.abs(s_far))
+    trig = s_far < 0
+    sn = np.where(trig, np.sin(t), np.sinh(t))
+    half = np.where(trig, np.sin(0.5 * t), np.sinh(0.5 * t))
     # 1 - cos t = 2 sin^2(t/2), cosh t - 1 = 2 sinh^2(t/2): no cancellation
-    return sn / t, 2.0 * half * half / (t * t), (sn - t) / (s * t)
+    return (np.where(series, 1.0 + s / 6.0 + s * s / 120.0, sn / t),
+            np.where(series, 0.5 + s / 24.0 + s * s / 720.0,
+                     2.0 * half * half / (t * t)),
+            np.where(series, 1.0 / 6.0 + s / 120.0 + s * s / 5040.0,
+                     (sn - t) / (s_far * t)))
 
 
 def split_point(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a 10-vector into (x, theta)."""
+    """Split 10-vectors on the last axis into (x, theta)."""
     q = np.asarray(q, dtype=float)
-    if q.shape != (10,):
+    if q.ndim == 0 or q.shape[-1] != 10:
         raise ValueError("configuration point must be a 10-vector")
-    return q[:4], q[4:]
+    return q[..., :4], q[..., 4:]
 
 
 def lorentz_from_angles(theta: np.ndarray) -> np.ndarray:
     """Group element Lambda(theta) in the rotation-then-boost exponential chart."""
     theta = np.asarray(theta, dtype=float)
-    rot = expm(np.einsum("a,aij->ij", theta[:3], _GEN[:3]))
-    boost = expm(np.einsum("a,aij->ij", theta[3:], _GEN[3:]))
+    rot = expm(np.einsum("...a,aij->...ij", theta[..., :3], _GEN[:3]))
+    boost = expm(np.einsum("...a,aij->...ij", theta[..., 3:], _GEN[3:]))
     return rot @ boost
 
 
 def frame_coefficients(theta: np.ndarray) -> np.ndarray:
-    """Left-trivialized frame C[b, alpha] of the chart.
+    """Left-trivialized frame C[..., b, alpha] of the chart, per angle 6-vector.
 
     Defined by (d Lambda / d theta^alpha) Lambda^{-1} = sum_b C[b, alpha] T_b.
     In the two-factor exponential chart the columns are closed-form:
@@ -129,22 +135,30 @@ def frame_coefficients(theta: np.ndarray) -> np.ndarray:
     ad_B^3 = +|theta_boost|^2 ad_B, so each factor is a quadratic in ad.
     """
     theta = np.asarray(theta, dtype=float)
-    rot, boost = theta[:3], theta[3:]
-    ad_r = (rot @ _AD[:3]).reshape(6, 6)
-    ad_b = (boost @ _AD[3:]).reshape(6, 6)
-    ad_r2 = ad_r @ ad_r
-    ad_b2 = ad_b @ ad_b
-    e1, e2, e3 = _rodrigues_coefficients(-float(rot @ rot))
-    _, f2, f3 = _rodrigues_coefficients(float(boost @ boost))
-    c = np.empty((6, 6))
-    c[:, :3] = (_EYE6 + e2 * ad_r + e3 * ad_r2)[:, :3]
-    c[:, 3:] = ((_EYE6 + e1 * ad_r + e2 * ad_r2)
-                @ (_EYE6 + f2 * ad_b + f3 * ad_b2)[:, 3:])
+    batch = theta.shape[:-1]
+    halves = theta.reshape(batch + (2, 1, 3))  # rotation, boost
+    ad = (halves @ _AD_HALVES).reshape(batch + (2, 6, 6))  # ad_R, ad_B
+    ad2 = ad @ ad
+    e1, e2, e3 = (e[..., None, None] for e in _rodrigues_coefficients(
+        _HALF_SIGNS * np.sum(halves * halves, axis=(-2, -1))))
+    # exp(ad_R), then Phi1(ad_R) and Phi1(ad_B) over ad and ad2: summed in
+    # place, a batch of frames keeps fewer temporaries alive
+    exp_r = e1[..., 0, :, :] * ad[..., 0, :, :]
+    exp_r += e2[..., 0, :, :] * ad2[..., 0, :, :]
+    exp_r += _EYE6
+    phi1 = ad
+    phi1 *= e2
+    ad2 *= e3
+    phi1 += ad2
+    phi1 += _EYE6
+    c = np.empty(batch + (6, 6))
+    c[..., :3] = phi1[..., 0, :, :3]
+    c[..., 3:] = exp_r @ phi1[..., 1, :, 3:]
     return c
 
 
 def killing_vectors(theta: np.ndarray) -> np.ndarray:
-    """Right-invariant vector fields xi[alpha, a] on the group in this chart.
+    """Right-invariant vector fields xi[..., alpha, a] on the group in this chart.
 
     Column a holds the chart components of the field generated by T_a, i.e.
     the inverse of the frame matrix. At theta = 0 this is the identity. The
@@ -176,7 +190,7 @@ class GroupMetric(MetricField):
 
     def matrix(self, theta):
         c = frame_coefficients(theta)
-        return self.a ** 2 * c.T @ (0.5 * GENERATOR_PAIRING) @ c
+        return self.a ** 2 * np.swapaxes(c, -1, -2) @ (0.5 * GENERATOR_PAIRING) @ c
 
 
 class TopMetric(MetricField):
@@ -197,9 +211,10 @@ class TopMetric(MetricField):
 
     def matrix(self, q):
         _, theta = split_point(q)
-        g = np.zeros((10, 10))
-        g[:4, :4] = MINKOWSKI
-        g[4:, 4:] = self.group.matrix(theta)
+        group = self.group.matrix(theta)
+        g = np.zeros(theta.shape[:-1] + (10, 10))
+        g[..., :4, :4] = MINKOWSKI
+        g[..., 4:, 4:] = group
         return g
 
     def riemann_scalar(self) -> float:

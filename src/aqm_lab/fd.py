@@ -3,6 +3,12 @@
 Everything downstream (curvature, Weyl scalar, wave operator, angular
 Laplacian) is built from nested first derivatives, so only first-derivative
 stencils live here.
+
+Every callable differentiated here follows one convention, that of a numpy
+gufunc with signature ``(n)->()``: it takes points on the last axis, with
+any number of leading batch axes, and returns its values with those batch
+axes leading. All stencil points of one derivative stack are evaluated in
+one call, so a nested derivative costs one call per nesting level.
 """
 
 from __future__ import annotations
@@ -26,51 +32,47 @@ def stencil(order: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
         raise ValueError(f"unsupported stencil order {order}; choose from {sorted(_STENCILS)}")
 
 
-def central_diff(f: Callable[[np.ndarray], np.ndarray], point: np.ndarray,
-                 axis: int, h: float = 1e-3, order: int = 4) -> np.ndarray:
-    """Derivative of an array-valued callable along one coordinate axis.
-
-    Parameters
-    ----------
-    f : callable
-        Maps a point (1-d array) to a scalar or ndarray. The output shape
-        must not depend on the point.
-    point : ndarray
-        Evaluation point.
-    axis : int
-        Coordinate index to differentiate along.
-    h : float
-        Step size.
-    order : int
-        Stencil accuracy order, 2 or 4.
-    """
-    offsets, weights = stencil(order)
-    acc = None
-    for k, w in zip(offsets, weights):
-        q = np.array(point, dtype=float)
-        q[axis] += k * h
-        term = w * np.asarray(f(q))
-        acc = term if acc is None else acc + term
-    return acc / h
-
-
 def derivative_stack(f: Callable[[np.ndarray], np.ndarray], point: np.ndarray,
                      h: float = 1e-3, order: int = 4,
                      skip: Iterable[int] = ()) -> np.ndarray:
-    """Stack of partial derivatives: out[i] = d f / d q^i at ``point``.
+    """Stack of partial derivatives: out[..., i, ...] = d f / d q^i at ``point``.
 
-    The one place where stencils are assembled over the axes. Axes listed in
+    ``point`` has shape (*batch, dim) and the result (*batch, dim, *value),
+    where ``f`` maps (*batch, dim) points to (*batch, *value) values. The
+    stencil points of every differentiated axis go to ``f`` in one call, as
+    an array of shape (n_offsets, *batch, n_axes, dim). Axes listed in
     ``skip`` are known to leave ``f`` unchanged and get an exact zero block
     without any function evaluations; ``f`` is evaluated at ``point`` only
     when every axis is skipped, to learn the block's shape.
     """
     point = np.asarray(point, dtype=float)
+    batch, dim = point.shape[:-1], point.shape[-1]
     skip = frozenset(skip)
-    blocks = {i: central_diff(f, point, i, h=h, order=order)
-              for i in range(point.size) if i not in skip}
-    if blocks:
-        zero = np.zeros_like(next(iter(blocks.values())))
-    else:
+    axes = [i for i in range(dim) if i not in skip]
+    if not axes:
         value = np.asarray(f(point))
-        zero = np.zeros(value.shape, complex if np.iscomplexobj(value) else float)
-    return np.stack([blocks.get(i, zero) for i in range(point.size)])
+        dtype = complex if np.iscomplexobj(value) else float
+        return np.zeros(batch + (dim,) + value.shape[len(batch):], dtype)
+
+    offsets, weights = stencil(order)
+    steps = np.zeros((len(offsets), len(axes), dim))
+    steps[:, range(len(axes)), axes] = (np.array(offsets) * h)[:, None]
+    points = point[..., None, :] + steps.reshape(
+        (len(offsets),) + (1,) * len(batch) + (len(axes), dim))
+    values = np.asarray(f(points))  # values[k]: all points at offset k
+    partials = sum(w * v for w, v in zip(weights, values)) / h
+    if len(axes) == dim:
+        return partials
+    out = np.zeros(batch + (dim,) + partials.shape[len(batch) + 1:], partials.dtype)
+    out[(slice(None),) * len(batch) + (axes,)] = partials
+    return out
+
+
+def central_diff(f: Callable[[np.ndarray], np.ndarray], point: np.ndarray,
+                 axis: int, h: float = 1e-3, order: int = 4) -> np.ndarray:
+    """Derivative of ``f`` along one coordinate axis: the one-axis case of
+    ``derivative_stack``, with the same calling convention for ``f``."""
+    point = np.asarray(point, dtype=float)
+    others = set(range(point.shape[-1])) - {axis}
+    stack = derivative_stack(f, point, h=h, order=order, skip=others)
+    return np.take(stack, axis, axis=point.ndim - 1)

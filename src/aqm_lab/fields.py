@@ -30,14 +30,15 @@ class BandLimitedField:
     def dim(self) -> int:
         return self.wavevec.shape[1]
 
-    def __call__(self, q: np.ndarray) -> float:
+    def __call__(self, q: np.ndarray) -> np.ndarray:
+        """Values at points on the last axis of ``q``, shape ``q.shape[:-1]``."""
         q = np.asarray(q, dtype=float)
-        osc = np.sin(self.wavevec @ q + self.phase)
-        factors = np.ones_like(self.amp)
-        lin = self.poly @ q  # (m, 2)
+        osc = np.sin(q @ self.wavevec.T + self.phase)  # (..., m)
+        lin = np.einsum("...d,mkd->...mk", q, self.poly)  # (..., m, 2)
+        factors = np.ones_like(osc)
         for d in range(2):
-            factors = factors * np.where(self.degree > d, lin[:, d], 1.0)
-        return float(np.dot(self.amp, factors * osc))
+            factors = factors * np.where(self.degree > d, lin[..., d], 1.0)
+        return (factors * osc) @ self.amp
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,8 @@ class LinearField:
     def dim(self) -> int:
         return self.coeffs.size
 
-    def __call__(self, q: np.ndarray) -> float:
-        return float(self.coeffs @ np.asarray(q, dtype=float))
+    def __call__(self, q: np.ndarray) -> np.ndarray:
+        return np.asarray(q, dtype=float) @ self.coeffs
 
 
 def draw_field(rng: np.random.Generator, dim: int,

@@ -29,7 +29,8 @@ class MetricField:
     Subclasses set ``dim``, ``constant_dims`` (coordinate indices the
     components provably do not depend on, exploited to skip finite
     differences) and implement ``matrix``. ``inverse`` and ``sqrt_det``
-    have generic fallbacks.
+    have generic fallbacks. Every method takes points on the last axis of
+    ``q`` and returns its values with the leading axes of ``q`` in front.
     """
 
     dim: int = 0
@@ -41,8 +42,8 @@ class MetricField:
     def inverse(self, q: np.ndarray) -> np.ndarray:
         return np.linalg.inv(self.matrix(q))
 
-    def sqrt_det(self, q: np.ndarray) -> float:
-        return float(np.sqrt(abs(np.linalg.det(self.matrix(q)))))
+    def sqrt_det(self, q: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.abs(np.linalg.det(self.matrix(q))))
 
 
 class ConstantMetric(MetricField):
@@ -54,18 +55,18 @@ class ConstantMetric(MetricField):
             raise ValueError("metric matrix must be square")
         self._m = m
         self._inv = np.linalg.inv(m)
-        self._sd = float(np.sqrt(abs(np.linalg.det(m))))
+        self._sd = np.sqrt(np.abs(np.linalg.det(m)))
         self.dim = m.shape[0]
         self.constant_dims = frozenset(range(self.dim))
 
     def matrix(self, q):
-        return self._m
+        return np.broadcast_to(self._m, np.shape(q)[:-1] + self._m.shape)
 
     def inverse(self, q):
-        return self._inv
+        return np.broadcast_to(self._inv, np.shape(q)[:-1] + self._inv.shape)
 
     def sqrt_det(self, q):
-        return self._sd
+        return np.broadcast_to(self._sd, np.shape(q)[:-1])
 
 
 class SphereMetric(MetricField):
@@ -81,25 +82,36 @@ class SphereMetric(MetricField):
 
     def matrix(self, q):
         r2 = self.radius ** 2
-        return np.diag([r2, r2 * np.sin(q[0]) ** 2])
+        q = np.asarray(q, dtype=float)
+        g = np.zeros(q.shape[:-1] + (2, 2))
+        g[..., 0, 0] = r2
+        g[..., 1, 1] = r2 * np.sin(q[..., 0]) ** 2
+        return g
 
 
 class ScaledMetric(MetricField):
     """Pointwise conformal scaling rho(q) * g_ij(q) of a base metric."""
 
-    def __init__(self, base: MetricField, rho: Callable[[np.ndarray], float]):
+    def __init__(self, base: MetricField, rho: Callable[[np.ndarray], np.ndarray]):
         self.base = base
         self.rho = rho
         self.dim = base.dim
 
     def matrix(self, q):
-        return self.rho(q) * self.base.matrix(q)
+        return np.asarray(self.rho(q))[..., None, None] * self.base.matrix(q)
 
     def inverse(self, q):
-        return self.base.inverse(q) / self.rho(q)
+        return self.base.inverse(q) / np.asarray(self.rho(q))[..., None, None]
 
     def sqrt_det(self, q):
         return self.base.sqrt_det(q) * self.rho(q) ** (self.dim / 2.0)
+
+
+def _lead(a, ndim: int) -> np.ndarray:
+    """``a`` with trailing unit axes up to ``ndim``, so that it broadcasts
+    against an array that carries extra axes after the batch axes of ``a``."""
+    a = np.asarray(a)
+    return a.reshape(a.shape + (1,) * (ndim - a.ndim))
 
 
 # ---------------------------------------------------------------------------
@@ -109,17 +121,17 @@ class ScaledMetric(MetricField):
 
 def christoffel_at(metric: MetricField, point: np.ndarray, h: float = 1e-3,
                    order: int = 4) -> np.ndarray:
-    """Christoffel symbols Gamma^i_{jk} of the metric at one point.
+    """Christoffel symbols Gamma^i_{jk} of the metric at points on the last axis.
 
     Components are assembled from central differences of the metric matrix;
     axes in ``metric.constant_dims`` contribute exact zero derivatives.
     """
     point = np.asarray(point, dtype=float)
     dg = derivative_stack(metric.matrix, point, h=h, order=order,
-                          skip=metric.constant_dims)  # dg[l, i, j] = d_l g_ij
+                          skip=metric.constant_dims)  # dg[..., l, i, j] = d_l g_ij
     ginv = metric.inverse(point)
-    term = np.einsum("jlk->ljk", dg) + np.einsum("klj->ljk", dg) - dg
-    return 0.5 * np.einsum("il,ljk->ijk", ginv, term)
+    term = np.einsum("...jlk->...ljk", dg) + np.einsum("...klj->...ljk", dg) - dg
+    return 0.5 * np.einsum("...il,...ljk->...ijk", ginv, term)
 
 
 def riemann_scalar_at(metric: MetricField, point: np.ndarray, h: float = 1e-2,
@@ -148,14 +160,19 @@ def covariant_divergence_at(metric: MetricField, vector: Callable[[np.ndarray], 
                             potential: Callable[[np.ndarray], np.ndarray] | None = None):
     """Gauge-covariant divergence (1/sqrt g)(d_k - i A_k)(sqrt g V^k) of a vector field.
 
-    ``vector(q)`` returns V^k on its first axis; trailing axes may hold
-    complex or matrix values, and the result has their shape.
-    ``potential(q)``, when given, is the charge-weighted covector A_k.
-    Uses the density form, which needs no Christoffel symbols.
+    ``vector(q)`` returns V^k on the axis after the batch axes of ``q``;
+    trailing axes may hold complex or matrix values, and the result has
+    their shape. ``potential(q)``, when given, is the charge-weighted
+    covector A_k. Uses the density form, which needs no Christoffel symbols.
     """
     point = np.asarray(point, dtype=float)
-    flux = derivative_stack(lambda q: metric.sqrt_det(q) * np.asarray(vector(q)),
-                            point, h=h, order=order)  # flux[i, k] = d_i (sqrt g V^k)
+
+    def density(q):
+        v = np.asarray(vector(q))
+        return _lead(metric.sqrt_det(q), v.ndim) * v
+
+    # flux[i, k] = d_i (sqrt g V^k)
+    flux = derivative_stack(density, point, h=h, order=order)
     total = 0.0
     for k in range(metric.dim):
         total += flux[k, k]
@@ -178,10 +195,13 @@ def laplace_beltrami(metric: MetricField, f: Callable[[np.ndarray], np.ndarray],
     h_inner = h if h_inner is None else h_inner
 
     def grad_up(q):
-        df = derivative_stack(f, q, h=h_inner, order=order)
+        df = derivative_stack(f, q, h=h_inner, order=order)  # (*batch, dim, *value)
+        batch = q.shape[:-1]
         if potential is not None:
-            df = df - 1j * np.multiply.outer(potential(q), f(q))
-        return np.tensordot(metric.inverse(q), df, axes=1)
+            df = df - 1j * (_lead(potential(q), df.ndim)
+                            * np.expand_dims(f(q), len(batch)))
+        flat = df.reshape(df.shape[:len(batch) + 1] + (-1,))
+        return (metric.inverse(q) @ flat).reshape(df.shape)
 
     return covariant_divergence_at(metric, grad_up, point, h=h, order=order,
                                    potential=potential)
@@ -200,16 +220,17 @@ class WeylGauge:
     trip when the gauge is built from a log-space field.
     """
 
-    chi: Callable[[np.ndarray], float]
-    log_chi: Callable[[np.ndarray], float]
+    chi: Callable[[np.ndarray], np.ndarray]
+    log_chi: Callable[[np.ndarray], np.ndarray]
 
     @classmethod
-    def from_log(cls, log_chi: Callable[[np.ndarray], float]) -> "WeylGauge":
-        return cls(chi=lambda q: float(np.exp(log_chi(q))), log_chi=log_chi)
+    def from_log(cls, log_chi: Callable[[np.ndarray], np.ndarray]) -> "WeylGauge":
+        return cls(chi=lambda q: np.exp(log_chi(q)), log_chi=log_chi)
 
     @classmethod
     def unit(cls) -> "WeylGauge":
-        return cls(chi=lambda q: 1.0, log_chi=lambda q: 0.0)
+        return cls(chi=lambda q: np.ones(np.shape(q)[:-1]),
+                   log_chi=lambda q: np.zeros(np.shape(q)[:-1]))
 
     def covector(self, q: np.ndarray, h: float = 1e-3, order: int = 4) -> np.ndarray:
         """Weyl covector phi_i = d_i log chi at a point."""
@@ -252,7 +273,7 @@ def weyl_scalar_at(metric: MetricField, gauge: WeylGauge, point: np.ndarray,
 
 
 def conformal_transform(metric: MetricField, gauge: WeylGauge,
-                        log_rho: Callable[[np.ndarray], float]
+                        log_rho: Callable[[np.ndarray], np.ndarray]
                         ) -> tuple[ScaledMetric, WeylGauge]:
     """Conformal gauge change (g, chi) -> (rho g, chi sqrt(rho)), rho = exp(log_rho).
 
@@ -262,12 +283,12 @@ def conformal_transform(metric: MetricField, gauge: WeylGauge,
     to the Riemann scalar of the rescaled metric.
     """
     def rho(q):
-        return float(np.exp(log_rho(q)))
+        return np.exp(log_rho(q))
 
     chi = gauge.chi
     log_chi = gauge.log_chi
     new_gauge = WeylGauge(
-        chi=lambda q: float(chi(q) * np.sqrt(rho(q))),
-        log_chi=lambda q: float(log_chi(q) + 0.5 * log_rho(q)),
+        chi=lambda q: chi(q) * np.sqrt(rho(q)),
+        log_chi=lambda q: log_chi(q) + 0.5 * log_rho(q),
     )
     return ScaledMetric(metric, rho), new_gauge

@@ -70,11 +70,11 @@ class EMConfig:
         return cls(np.zeros(3), np.zeros(3), kappa=kappa)
 
     def potential_spacetime(self, x: np.ndarray) -> np.ndarray:
-        """Covariant components (A_0, A_1, A_2, A_3) at the event x."""
+        """Covariant components (A_0, A_1, A_2, A_3) at events x on the last axis."""
         x = np.asarray(x, dtype=float)
-        a = np.empty(4)
-        a[0] = self.e_field @ x[1:]
-        a[1:] = 0.5 * np.cross(self.h_field, x[1:])
+        a = np.empty(x.shape)
+        a[..., 0] = x[..., 1:] @ self.e_field
+        a[..., 1:] = 0.5 * np.cross(self.h_field, x[..., 1:])
         return a
 
     def invariant_h2_e2(self) -> float:
@@ -95,10 +95,10 @@ class EMConfig:
         return -0.5 * self.kappa * np.concatenate([self.h_field, self.e_field])
 
     def potential(self, q: np.ndarray) -> np.ndarray:
-        """Full 10-component covariant potential at a configuration point."""
+        """Full 10-component covariant potential at configuration points."""
         x, theta = split_point(q)
         return np.concatenate([self.potential_spacetime(x),
-                               extend_potential(self, theta)])
+                               extend_potential(self, theta)], axis=-1)
 
 
 def extend_potential(em: EMConfig, theta: np.ndarray) -> np.ndarray:
@@ -121,7 +121,7 @@ def extend_potential(em: EMConfig, theta: np.ndarray) -> np.ndarray:
 class WaveInputs:
     """Classical data of the system: phase field S(q) and Weyl gauge chi(q)."""
 
-    s_field: Callable[[np.ndarray], float]
+    s_field: Callable[[np.ndarray], np.ndarray]
     gauge: WeylGauge
 
 
@@ -134,26 +134,26 @@ def draw_wave_inputs(rng: np.random.Generator) -> WaveInputs:
 
 def momentum_covector(fields: WaveInputs, em: EMConfig, point: np.ndarray,
                       h: float = 1e-3, order: int = 4) -> np.ndarray:
-    """Gauge-covariant momentum u_j = d_j S - e A_j at a point."""
+    """Gauge-covariant momentum u_j = d_j S - e A_j at points on the last axis."""
     point = np.asarray(point, dtype=float)
     return derivative_stack(fields.s_field, point, h=h, order=order) \
         - em.e_charge * em.potential(point)
 
 
-def born_density(fields: WaveInputs, point: np.ndarray) -> float:
+def born_density(fields: WaveInputs, point: np.ndarray) -> np.ndarray:
     """Scalar density |psi|^2 = chi^(-(n-2)) carried by the linearizing map,
-    with n the dimension of ``point``."""
+    with n the length of the last axis of ``point``."""
     point = np.asarray(point, dtype=float)
-    return float(np.exp(-(point.size - 2) * fields.gauge.log_chi(point)))
+    return np.exp(-(point.shape[-1] - 2) * fields.gauge.log_chi(point))
 
 
-def wave_ansatz(fields: WaveInputs) -> Callable[[np.ndarray], complex]:
+def wave_ansatz(fields: WaveInputs) -> Callable[[np.ndarray], np.ndarray]:
     """The linearizing map psi(q) = chi^(-(n-2)/2) exp(i S), n = dim q."""
     s_field, log_chi = fields.s_field, fields.gauge.log_chi
 
-    def psi(q: np.ndarray) -> complex:
+    def psi(q: np.ndarray) -> np.ndarray:
         q = np.asarray(q, dtype=float)
-        return complex(np.exp(-(q.size - 2) / 2.0 * log_chi(q) + 1j * s_field(q)))
+        return np.exp(-(q.shape[-1] - 2) / 2.0 * log_chi(q) + 1j * s_field(q))
 
     return psi
 
@@ -190,12 +190,13 @@ def divergence_residual(fields: WaveInputs, em: EMConfig, metric: MetricField,
 
     def current_up(q):
         u = momentum_covector(fields, em, q, h=h, order=order)
-        return born_density(fields, q) * (metric.inverse(q) @ u)
+        up = (metric.inverse(q) @ u[..., None])[..., 0]
+        return born_density(fields, q)[..., None] * up
 
     return covariant_divergence_at(metric, current_up, point, h=h, order=order)
 
 
-def wave_operator(psi: Callable[[np.ndarray], complex], em: EMConfig,
+def wave_operator(psi: Callable[[np.ndarray], np.ndarray], em: EMConfig,
                   metric: MetricField, point: np.ndarray, xi2: float,
                   r_scalar: float, h: float = 1e-3, order: int = 4) -> complex:
     """Minimally coupled curvature-potential wave operator applied to psi.

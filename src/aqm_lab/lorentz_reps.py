@@ -136,15 +136,16 @@ def d_matrix(rep: Irrep, theta: np.ndarray) -> np.ndarray:
 
 
 def d_matrix_inverse(rep: Irrep, theta: np.ndarray) -> np.ndarray:
-    """Inverse of d_matrix in closed form (reversed factor order).
+    """Inverse of d_matrix in closed form (reversed factor order), per angle
+    6-vector on the last axis of ``theta``.
 
     Boosted representation matrices are badly conditioned, so inverting
     through the exponentials is far more accurate than a linear solve.
     """
     theta = np.asarray(theta, dtype=float)
     j, k = irrep_generators(rep)
-    boost = expm(1j * np.einsum("a,aij->ij", theta[3:], k))
-    rot = expm(1j * np.einsum("a,aij->ij", theta[:3], j))
+    boost = expm(1j * np.einsum("...a,aij->...ij", theta[..., 3:], k))
+    rot = expm(1j * np.einsum("...a,aij->...ij", theta[..., :3], j))
     return boost @ rot
 
 

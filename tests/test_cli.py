@@ -318,6 +318,9 @@ def test_tol_cannot_forgive_nonfinite_spectrum(capsys):
     ["spectrum", "--a", "1e200"],
     ["verify-dirac", "--n-draws", "1", "--mass", "1e300"],
     ["verify-dirac", "--n-draws", "1", "--mass", "1e-200"],
+    ["verify-weyl", "--n-draws", "1", "--h", "1e-300"],
+    ["trace", "--format", "json", "--n-draws", "2", "--steps", "5",
+     "--h", "1e-300"],
 ])
 def test_extreme_scales_write_no_runtime_warning(argv):
     # the payload reports the non-finite value; stderr stays clean

@@ -208,6 +208,30 @@ def test_frame_matches_expm_reference_at_zero():
     assert _frame_rel_error(np.zeros(6)) == 0.0
 
 
+def test_frame_batch_matches_expm_reference_per_row():
+    # one (N, 6) call whose rows take the series and the closed form side by
+    # side: theta = 0, pure rotations and boosts on both sides of the
+    # cutoff, mixed rows and the full sampler range
+    rng = np.random.default_rng(13)
+    rows = [np.zeros(6)]
+    for norm in (0.99 * SERIES_CUTOFF, SERIES_CUTOFF, 1.01 * SERIES_CUTOFF):
+        for block in (slice(0, 3), slice(3, 6)):
+            direction = rng.normal(size=3)
+            theta = np.zeros(6)
+            theta[block] = norm * direction / np.linalg.norm(direction)
+            rows.append(theta)
+            full = sample_point(rng)[4:]
+            full[block] = theta[block]
+            rows.append(full)
+    rows += [sample_point(rng)[4:] for _ in range(20)]
+    thetas = np.array(rng.permutation(rows))
+    batch = frame_coefficients(thetas)
+    assert batch.shape == (len(rows), 6, 6)
+    for theta, c in zip(thetas, batch):
+        ref = frame_reference(theta)
+        assert np.max(np.abs(c - ref)) / np.max(np.abs(ref)) <= 1e-11
+
+
 def test_frame_layers_evaluate_without_expm(monkeypatch):
     # the frame is closed-form: a slow path through expm must not come back
     def no_expm(*args, **kwargs):

@@ -66,7 +66,7 @@ def test_covariant_divergence_flat_linear():
 
     def cov(q):
         # covector field with components (x, y): divergence 2
-        return np.array([q[0], q[1]])
+        return np.stack([q[..., 0], q[..., 1]], axis=-1)
 
     val = covariant_divergence_at(m, cov, np.array([0.4, -0.7]))
     assert abs(val - 2.0) < 1e-9
@@ -99,8 +99,8 @@ def test_group_metric_scalar_curvature():
 def test_laplace_beltrami_sphere_harmonics():
     # l = 1 and l = 2 spherical harmonics: Delta Y_l = -l(l+1) Y_l / r^2
     q = np.array([0.9, 0.4])
-    y1 = lambda p: float(np.cos(p[0]))
-    y2 = lambda p: float(np.sin(p[0]) ** 2 * np.cos(2.0 * p[1]))
+    y1 = lambda p: np.cos(p[..., 0])
+    y2 = lambda p: np.sin(p[..., 0]) ** 2 * np.cos(2.0 * p[..., 1])
     for r in (1.0, 2.0):
         m = SphereMetric(radius=r)
         assert abs(laplace_beltrami(m, y1, q) + 2.0 * y1(q) / r ** 2) < 1e-8
@@ -113,9 +113,9 @@ def test_laplace_beltrami_gauged_plane_wave():
     m = ConstantMetric(eta)
     k = np.array([0.7, -0.3, 0.5, 0.2])
     a = np.array([0.1, 0.4, -0.2, 0.3])
-    f = lambda x: complex(np.exp(1j * (k @ x)))
+    f = lambda x: np.exp(1j * (x @ k))
     x = np.array([0.3, -0.5, 0.2, 0.8])
-    val = laplace_beltrami(m, f, x, potential=lambda q: a)
+    val = laplace_beltrami(m, f, x, potential=lambda q: np.broadcast_to(a, q.shape))
     expected = -float((k - a) @ np.linalg.inv(eta) @ (k - a)) * f(x)
     assert abs(val - expected) < 1e-8
 
@@ -123,7 +123,8 @@ def test_laplace_beltrami_gauged_plane_wave():
 def test_laplace_beltrami_matrix_valued():
     # Delta (q_a q_b) = 2 delta_ab on flat R^3
     m = ConstantMetric(np.eye(3))
-    val = laplace_beltrami(m, lambda q: np.outer(q, q), np.array([0.4, -0.7, 0.2]))
+    val = laplace_beltrami(m, lambda q: q[..., :, None] * q[..., None, :],
+                           np.array([0.4, -0.7, 0.2]))
     assert val.shape == (3, 3)
     assert np.max(np.abs(val - 2.0 * np.eye(3))) < 1e-8
 
@@ -153,7 +154,7 @@ def test_weyl_scalar_flat_constant_slope():
     # chi = exp(c.x) on flat R^3: R_W = -(n-1)(n-2) |c|^2
     c = np.array([0.3, -0.1, 0.2])
     m = ConstantMetric(np.eye(3))
-    gauge = WeylGauge.from_log(lambda q: float(c @ q))
+    gauge = WeylGauge.from_log(lambda q: q @ c)
     q = np.array([0.5, 0.4, -0.2])
     expected = -2.0 * float(c @ c)
     for form in ("phi", "chi"):
@@ -165,7 +166,7 @@ def test_weyl_scalar_flat_quadratic_log():
     # log chi = |x|^2 / 2 on flat R^3: phi_k = x_k,
     # R_W = 2(n-1) div(phi) - (n-1)(n-2) |x|^2 = 12 - 2 |x|^2
     m = ConstantMetric(np.eye(3))
-    gauge = WeylGauge.from_log(lambda q: 0.5 * float(q @ q))
+    gauge = WeylGauge.from_log(lambda q: 0.5 * np.sum(q * q, axis=-1))
     q = np.array([0.6, -0.3, 0.1])
     expected = 12.0 - 2.0 * float(q @ q)
     val = weyl_scalar_at(m, gauge, q, r_scalar=0.0)
@@ -208,7 +209,7 @@ def test_weyl_scalar_unit_gauge_oracle():
 
     direct = weyl_scalar_at(m, gauge, q, r_scalar=0.0)
 
-    scaled = ScaledMetric(m, rho=lambda p: float(np.exp(-2.0 * log_chi(p))))
+    scaled = ScaledMetric(m, rho=lambda p: np.exp(-2.0 * log_chi(p)))
     riem = riemann_scalar_at(scaled, q, h=5e-3)
     chi0 = float(np.exp(log_chi(q)))
     assert abs(direct - riem / chi0 ** 2) < 5e-5
