@@ -29,20 +29,25 @@ class DegenerateDirection(Exception):
 
 def velocity_field(fields: WaveInputs, em: EMConfig, metric: MetricField,
                    point: np.ndarray, h: float = 1e-3, order: int = 4
-                   ) -> tuple[np.ndarray, float]:
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Normalized trajectory velocity and the squared momentum norm.
 
     v^i = g^{ij} u_j / sqrt(|g^{kl} u_k u_l|); the returned norm is
-    g^{kl} u_k u_l (negative for timelike directions). Raises
-    DegenerateDirection when |norm| < NULL_TOL.
+    g^{kl} u_k u_l (negative for timelike directions). ``point`` has shape
+    (*batch, 10); v has the same shape and the norm the batch shape. A
+    single point raises DegenerateDirection when |norm| < NULL_TOL; in a
+    batch the caller tests the norms, and degenerate rows of v are left
+    unnormalized.
     """
     point = np.asarray(point, dtype=float)
     u = momentum_covector(fields, em, point, h=h, order=order)
-    up = metric.inverse(point) @ u
-    norm2 = float(u @ up)
-    if abs(norm2) < NULL_TOL:
+    up = (metric.inverse(point) @ u[..., None])[..., 0]
+    norm2 = (u[..., None, :] @ up[..., None])[..., 0, 0]
+    degenerate = np.abs(norm2) < NULL_TOL
+    if point.ndim == 1 and degenerate:
         raise DegenerateDirection(f"|u.u| = {abs(norm2):.3e} at s-point")
-    return up / np.sqrt(abs(norm2)), norm2
+    scale = np.sqrt(np.abs(np.where(degenerate, 1.0, norm2)))
+    return up / scale[..., None], norm2
 
 
 @dataclass
@@ -59,53 +64,71 @@ class Trajectory:
         return self.points.shape[0]
 
 
-def _within_chart(q: np.ndarray) -> bool:
+def _within_chart(q: np.ndarray) -> np.ndarray:
+    """Whether each point on the last axis has every boost within the bound."""
     _, theta = split_point(q)
-    return bool(np.all(np.abs(theta[3:]) <= RAPIDITY_MAX))
+    return np.all(np.abs(theta[..., 3:]) <= RAPIDITY_MAX, axis=-1)
 
 
 def integrate_trajectory(fields: WaveInputs, em: EMConfig, metric: MetricField,
                          q0: np.ndarray, ds: float, n_steps: int,
-                         h: float = 1e-3, order: int = 4) -> Trajectory:
+                         h: float = 1e-3, order: int = 4
+                         ) -> Trajectory | list[Trajectory]:
     """Fixed-step fourth-order Runge-Kutta integration of the velocity field.
 
-    Stops early (keeping the samples so far) when the direction degenerates
-    or a boost coordinate leaves the chart domain.
+    ``q0`` is one start point of shape (10,), which gives one Trajectory,
+    or a stack of shape (n_traj, 10), which gives a list of them. All
+    trajectories step together: each RK4 stage is one ``velocity_field``
+    call on the trajectories still running. A trajectory stops early
+    (keeping its samples so far) when its direction degenerates at any of
+    its stages or a boost coordinate leaves the chart domain; the others
+    run on.
     """
-    q = np.asarray(q0, dtype=float).copy()
-    if not _within_chart(q):
+    q = np.array(q0, dtype=float, ndmin=2)
+    if not np.all(_within_chart(q)):
         raise ValueError("initial point outside the rapidity domain")
+    n_traj = q.shape[0]
 
-    def rhs(p):
-        v, _ = velocity_field(fields, em, metric, p, h=h, order=order)
-        return v
+    _, norm2 = velocity_field(fields, em, metric, q, h=h, order=order)
+    degenerate = np.abs(norm2) < NULL_TOL
+    timelike = (norm2 < 0) & ~degenerate
+    truncated = np.where(degenerate, "degenerate", None)
+    samples = np.empty((n_steps + 1,) + q.shape)
+    samples[0] = q
+    n_samples = np.ones(n_traj, dtype=int)
 
-    try:
-        _, norm2 = velocity_field(fields, em, metric, q, h=h, order=order)
-    except DegenerateDirection:
-        return Trajectory(s_values=np.zeros(1), points=q[None, :].copy(),
-                          timelike=False, truncated="degenerate")
-    samples = [q.copy()]
-    truncated = None
-    for _ in range(n_steps):
-        try:
-            k1 = rhs(q)
-            k2 = rhs(q + 0.5 * ds * k1)
-            k3 = rhs(q + 0.5 * ds * k2)
-            k4 = rhs(q + ds * k3)
-        except DegenerateDirection:
-            truncated = "degenerate"
+    running = np.flatnonzero(~degenerate)
+    for step in range(n_steps):
+        base = q[running]
+        ks = []
+        # stages at q, q + ds/2 k1, q + ds/2 k2 and q + ds k3; a trajectory
+        # that degenerates at a stage leaves the batch before the next one
+        for c in (None, 0.5, 0.5, 1.0):
+            if not running.size:
+                break
+            p = base if c is None else base + c * ds * ks[-1]
+            v, norm2 = velocity_field(fields, em, metric, p, h=h, order=order)
+            live = ~(np.abs(norm2) < NULL_TOL)
+            if not live.all():
+                truncated[running[~live]] = "degenerate"
+                running, base, v = running[live], base[live], v[live]
+                ks = [k[live] for k in ks]
+            ks.append(v)
+        if not running.size:
             break
-        q_next = q + (ds / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not _within_chart(q_next):
-            truncated = "rapidity"
-            break
-        q = q_next
-        samples.append(q.copy())
-    pts = np.array(samples)
-    s_values = ds * np.arange(pts.shape[0])
-    return Trajectory(s_values=s_values, points=pts, timelike=norm2 < 0,
-                      truncated=truncated)
+        k1, k2, k3, k4 = ks
+        q_next = base + (ds / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        inside = _within_chart(q_next)
+        truncated[running[~inside]] = "rapidity"
+        running = running[inside]
+        q[running] = q_next[inside]
+        samples[step + 1, running] = q_next[inside]
+        n_samples[running] = step + 2
+
+    out = [Trajectory(s_values=ds * np.arange(n), points=samples[:n, i].copy(),
+                      timelike=bool(timelike[i]), truncated=truncated[i])
+           for i, n in enumerate(n_samples)]
+    return out[0] if np.ndim(q0) == 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -118,25 +141,29 @@ def integrate_bundle(fields: WaveInputs, em: EMConfig, metric: MetricField,
                      n_traj: int = 8, spread: float = 0.05, ds: float = 0.01,
                      n_steps: int = 100, h: float = 1e-3, order: int = 4
                      ) -> list[Trajectory]:
-    """Integrate a bundle of trajectories seeded in a ball around q0."""
-    out = []
-    for k in range(n_traj):
-        offset = spread * rng.uniform(-1.0, 1.0, 10) if k else np.zeros(10)
-        out.append(integrate_trajectory(fields, em, metric, q0 + offset,
-                                        ds=ds, n_steps=n_steps, h=h, order=order))
-    return out
+    """Integrate a bundle of trajectories seeded in a ball around q0.
+
+    The first trajectory starts at q0 itself; all of them are integrated
+    together in one ``integrate_trajectory`` call.
+    """
+    offsets = np.zeros((n_traj, 10))
+    for k in range(1, n_traj):
+        offsets[k] = spread * rng.uniform(-1.0, 1.0, 10)
+    return integrate_trajectory(fields, em, metric, q0 + offsets, ds=ds,
+                                n_steps=n_steps, h=h, order=order)
 
 
 def min_pairwise_distance(bundle: list[Trajectory]) -> float:
-    """Smallest distance between distinct trajectories at shared parameter steps."""
+    """Smallest distance between distinct trajectories at shared parameter steps.
+
+    np.min keeps a NaN distance instead of dropping it; a bundle of one
+    trajectory has no pairs and gives inf.
+    """
     n_common = min(t.n_samples for t in bundle)
-    best = np.inf
-    for i in range(len(bundle)):
-        for j in range(i + 1, len(bundle)):
-            d = np.linalg.norm(bundle[i].points[:n_common]
-                               - bundle[j].points[:n_common], axis=1)
-            best = np.min([best, d.min()])
-    return float(best)
+    points = np.stack([t.points[:n_common] for t in bundle])
+    i, j = np.triu_indices(len(bundle), k=1)
+    d = np.linalg.norm(points[i] - points[j], axis=-1)
+    return float(np.min(d, initial=np.inf))
 
 
 @dataclass
@@ -151,13 +178,14 @@ class TransportReport:
 
 
 def flux_density(fields: WaveInputs, em: EMConfig, metric: MetricField,
-                 point: np.ndarray, h: float = 1e-3, order: int = 4) -> float:
-    """Current magnitude along the flow: |psi|^2 sqrt(g) sqrt(|g^{ij} u_i u_j|)."""
+                 point: np.ndarray, h: float = 1e-3, order: int = 4) -> np.ndarray:
+    """Current magnitude along the flow, |psi|^2 sqrt(g) sqrt(|g^{ij} u_i u_j|),
+    at points on the last axis."""
     point = np.asarray(point, dtype=float)
     u = momentum_covector(fields, em, point, h=h, order=order)
-    norm2 = float(u @ metric.inverse(point) @ u)
+    norm2 = ((u[..., None, :] @ metric.inverse(point)) @ u[..., None])[..., 0, 0]
     return born_density(fields, point) * metric.sqrt_det(point) \
-        * float(np.sqrt(abs(norm2)))
+        * np.sqrt(np.abs(norm2))
 
 
 def transport_check(fields: WaveInputs, em: EMConfig, metric: MetricField,
@@ -167,8 +195,9 @@ def transport_check(fields: WaveInputs, em: EMConfig, metric: MetricField,
 
     Cross-sections are equally spaced parameter steps shared by all
     trajectories; the flux through a section is the bundle average of the
-    current magnitude. Truncated trajectories shorten the shared range and
-    are counted, not failed. Worst cases use np.max, so a NaN divergence or
+    current magnitude. Each section's bundle points are evaluated as one
+    batch. Truncated trajectories shorten the shared range and are
+    counted, not failed. Worst cases use np.max, so a NaN divergence or
     flux propagates instead of being dropped by the builtin max.
     """
     n_common = min(t.n_samples for t in bundle)
@@ -176,20 +205,17 @@ def transport_check(fields: WaveInputs, em: EMConfig, metric: MetricField,
         raise ValueError("bundle has no common parameter range")
     idx = np.unique(np.linspace(0, n_common - 1, n_sections).astype(int))
 
-    fluxes = []
-    max_div = 0.0
+    fluxes, divergences = [], []
     for i in idx:
-        section_points = [t.points[i] for t in bundle]
-        fluxes.append(float(np.mean([
-            flux_density(fields, em, metric, p, h=h, order=order)
-            for p in section_points])))
-        max_div = np.max([max_div, *(
-            abs(divergence_residual(fields, em, metric, p, h=h, order=order))
-            for p in section_points)])
+        section = np.stack([t.points[i] for t in bundle])
+        fluxes.append(float(np.mean(
+            flux_density(fields, em, metric, section, h=h, order=order))))
+        divergences.append(
+            divergence_residual(fields, em, metric, section, h=h, order=order))
 
     drift = np.max([abs(f - fluxes[0]) for f in fluxes]) / abs(fluxes[0])
     return TransportReport(
-        max_divergence=float(max_div),
+        max_divergence=float(np.max(np.abs(divergences))),
         flux_drift=float(drift),
         min_distance=min_pairwise_distance(bundle),
         n_truncated=sum(1 for t in bundle if t.truncated is not None),

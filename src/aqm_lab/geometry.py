@@ -160,26 +160,34 @@ def covariant_divergence_at(metric: MetricField, vector: Callable[[np.ndarray], 
                             potential: Callable[[np.ndarray], np.ndarray] | None = None):
     """Gauge-covariant divergence (1/sqrt g)(d_k - i A_k)(sqrt g V^k) of a vector field.
 
-    ``vector(q)`` returns V^k on the axis after the batch axes of ``q``;
-    trailing axes may hold complex or matrix values, and the result has
-    their shape. ``potential(q)``, when given, is the charge-weighted
-    covector A_k. Uses the density form, which needs no Christoffel symbols.
+    ``point`` has shape (*batch, dim). ``vector(q)`` returns V^k on the axis
+    after the batch axes of ``q``; trailing axes may hold complex or matrix
+    values, and the result has shape (*batch, *value). ``potential(q)``,
+    when given, is the charge-weighted covector A_k. Uses the density form,
+    which needs no Christoffel symbols.
     """
     point = np.asarray(point, dtype=float)
+    nb = point.ndim - 1
 
     def density(q):
         v = np.asarray(vector(q))
         return _lead(metric.sqrt_det(q), v.ndim) * v
 
-    # flux[i, k] = d_i (sqrt g V^k)
+    # flux[..., i, k, ...] = d_i (sqrt g V^k); the value axes follow k, so
+    # the trace is indexed from the front
     flux = derivative_stack(density, point, h=h, order=order)
     total = 0.0
     for k in range(metric.dim):
-        total += flux[k, k]
+        total += flux[(slice(None),) * nb + (k, k)]
     sqrt_g = metric.sqrt_det(point)
     if potential is not None:
-        total -= np.tensordot(1j * potential(point), sqrt_g * vector(point), axes=1)
-    return total / sqrt_g
+        v = np.asarray(vector(point))
+        v = _lead(sqrt_g, v.ndim) * v
+        a = 1j * potential(point)
+        flat = v.reshape(v.shape[:nb + 1] + (-1,))
+        total = total - (a[..., None, :] @ flat)[..., 0, :].reshape(
+            v.shape[:nb] + v.shape[nb + 1:])
+    return total / _lead(sqrt_g, np.ndim(total))
 
 
 def laplace_beltrami(metric: MetricField, f: Callable[[np.ndarray], np.ndarray],

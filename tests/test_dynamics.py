@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from aqm_lab.config_space import RAPIDITY_MAX, TopMetric
+from aqm_lab import dynamics
+from aqm_lab.config_space import RAPIDITY_MAX, TopMetric, sample_point
 from aqm_lab.dynamics import (
     DegenerateDirection,
+    Trajectory,
     integrate_bundle,
     integrate_trajectory,
     min_pairwise_distance,
@@ -12,7 +14,7 @@ from aqm_lab.dynamics import (
 )
 from aqm_lab.fields import LinearField
 from aqm_lab.geometry import WeylGauge
-from aqm_lab.hj import EMConfig, WaveInputs
+from aqm_lab.hj import EMConfig, WaveInputs, draw_wave_inputs
 
 
 def _plane_wave(p_spatial, mass=1.0):
@@ -164,3 +166,192 @@ def test_transport_check_keeps_nan_divergence():
         report = transport_check(fields, EM0, METRIC, bundle, h=1e-300)
     assert np.isnan(report.max_divergence)
     assert report.min_distance > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the batched integrator against the per-trajectory loop
+# ---------------------------------------------------------------------------
+
+
+def integrate_trajectory_reference(fields, em, metric, q0, ds, n_steps,
+                                   h=1e-3, order=4):
+    """One trajectory, one point per RK4 stage: the loop the batched
+    integrator replaces. It calls ``dynamics.velocity_field`` on single
+    points, which raise DegenerateDirection."""
+    def within_chart(q):
+        return bool(np.all(np.abs(q[7:]) <= RAPIDITY_MAX))
+
+    def rhs(p):
+        v, _ = dynamics.velocity_field(fields, em, metric, p, h=h, order=order)
+        return v
+
+    q = np.asarray(q0, dtype=float).copy()
+    assert within_chart(q)
+    try:
+        _, norm2 = dynamics.velocity_field(fields, em, metric, q, h=h,
+                                           order=order)
+    except DegenerateDirection:
+        return Trajectory(s_values=np.zeros(1), points=q[None, :].copy(),
+                          timelike=False, truncated="degenerate")
+    samples = [q.copy()]
+    truncated = None
+    for _ in range(n_steps):
+        try:
+            k1 = rhs(q)
+            k2 = rhs(q + 0.5 * ds * k1)
+            k3 = rhs(q + 0.5 * ds * k2)
+            k4 = rhs(q + ds * k3)
+        except DegenerateDirection:
+            truncated = "degenerate"
+            break
+        q_next = q + (ds / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not within_chart(q_next):
+            truncated = "rapidity"
+            break
+        q = q_next
+        samples.append(q.copy())
+    pts = np.array(samples)
+    return Trajectory(s_values=ds * np.arange(pts.shape[0]), points=pts,
+                      timelike=norm2 < 0, truncated=truncated)
+
+
+def _assert_matches_reference(fields, em, starts, ds, n_steps):
+    batched = integrate_trajectory(fields, em, METRIC, starts, ds=ds,
+                                   n_steps=n_steps)
+    assert isinstance(batched, list) and len(batched) == len(starts)
+    for traj, q0 in zip(batched, starts):
+        ref = integrate_trajectory_reference(fields, em, METRIC, q0, ds=ds,
+                                             n_steps=n_steps)
+        assert traj.n_samples == ref.n_samples
+        assert traj.truncated == ref.truncated
+        assert traj.timelike == ref.timelike
+        np.testing.assert_array_equal(traj.s_values, ref.s_values)
+        np.testing.assert_allclose(traj.points, ref.points, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(ref.points)))
+    return batched
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_batched_bundle_matches_reference_with_em_field(seed):
+    # a random phase on top of -2 x^0 keeps the flow timelike, |u.u| >= 2
+    # along these paths: near a null crossing v = u#/sqrt|u.u| magnifies
+    # roundoff without bound, so no tolerance would pin anything there
+    rng = np.random.default_rng(seed)
+    drawn = draw_wave_inputs(rng)
+    fields = WaveInputs(
+        s_field=lambda q: drawn.s_field(q) - 2.0 * np.asarray(q)[..., 0],
+        gauge=drawn.gauge)
+    em = EMConfig(e_field=rng.uniform(-0.5, 0.5, 3),
+                  h_field=rng.uniform(-0.5, 0.5, 3), kappa=1.5)
+    q0 = sample_point(rng, rot_scale=1.0, boost_bound=1.0)
+    starts = q0 + 0.1 * rng.uniform(-1.0, 1.0, (4, 10))
+    _assert_matches_reference(fields, em, starts, ds=0.02, n_steps=12)
+
+
+def test_batched_bundle_truncates_at_the_wall_per_trajectory():
+    coeffs = np.zeros(10)
+    coeffs[0] = -1.5
+    coeffs[7] = 2.0
+    fields = WaveInputs(s_field=LinearField(coeffs), gauge=WeylGauge.unit())
+    starts = np.zeros((3, 10))
+    starts[:, 7] = [-(RAPIDITY_MAX - 0.5), RAPIDITY_MAX - 0.05, 0.3]
+    bundle = _assert_matches_reference(fields, EM0, starts, ds=0.05,
+                                       n_steps=40)
+    assert bundle[0].truncated == "rapidity" and bundle[0].n_samples < 41
+    assert [t.truncated for t in bundle[1:]] == [None, None]
+    assert [t.n_samples for t in bundle[1:]] == [41, 41]
+
+
+def test_batched_null_bundle_is_degenerate_at_start():
+    starts = np.zeros((3, 10))
+    starts[1:, 4:7] = [[0.2, -0.1, 0.3], [-0.4, 0.1, 0.0]]
+    bundle = _assert_matches_reference(_null_wave(), EM0, starts, ds=0.01,
+                                       n_steps=10)
+    assert all(t.truncated == "degenerate" and t.n_samples == 1
+               for t in bundle)
+
+
+def test_batched_bundle_degenerates_mid_run_per_trajectory(monkeypatch):
+    # the momentum vanishes past x^0 = 0.08, so the trajectory that starts
+    # ahead in time degenerates at some RK4 stage; the others run on
+    momentum = dynamics.momentum_covector
+
+    def vanishing(fields, em, point, h=1e-3, order=4):
+        u = momentum(fields, em, point, h=h, order=order)
+        return np.where((np.asarray(point)[..., 0] > 0.08)[..., None], 0.0, u)
+
+    monkeypatch.setattr(dynamics, "momentum_covector", vanishing)
+    fields = _plane_wave(np.array([0.3, -0.2, 0.1]))
+    starts = np.zeros((3, 10))
+    starts[:, 0] = [0.05, -0.5, -0.6]
+    bundle = _assert_matches_reference(fields, EM0, starts, ds=0.01,
+                                       n_steps=20)
+    assert bundle[0].truncated == "degenerate" and 1 < bundle[0].n_samples < 21
+    assert [t.n_samples for t in bundle[1:]] == [21, 21]
+
+
+def test_bundle_calls_velocity_field_once_per_stage(monkeypatch):
+    calls = []
+    real = dynamics.velocity_field
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "velocity_field", counted)
+    fields = _plane_wave(np.array([0.4, 0.0, 0.2]))
+    n_steps = 6
+    counts = []
+    for n_traj in (2, 8):
+        calls.clear()
+        integrate_bundle(fields, EM0, METRIC, np.zeros(10),
+                         np.random.default_rng(5), n_traj=n_traj,
+                         n_steps=n_steps)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 4 * n_steps + 1
+
+
+def test_transport_check_evaluates_each_section_once(monkeypatch):
+    fields = _plane_wave(np.array([-0.2, 0.5, 0.1]))
+    bundle = integrate_bundle(fields, EM0, METRIC, np.zeros(10),
+                              np.random.default_rng(30), n_traj=4,
+                              ds=0.02, n_steps=20)
+    calls = {"divergence_residual": 0, "flux_density": 0}
+    for name in calls:
+        real = getattr(dynamics, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, name, counted)
+    rep = transport_check(fields, EM0, METRIC, bundle, n_sections=5)
+    assert len(rep.section_flux) == 5
+    assert calls == {"divergence_residual": 5, "flux_density": 5}
+
+
+def _pairwise_loop(bundle):
+    n_common = min(t.n_samples for t in bundle)
+    best = np.inf
+    for i in range(len(bundle)):
+        for j in range(i + 1, len(bundle)):
+            d = np.linalg.norm(bundle[i].points[:n_common]
+                               - bundle[j].points[:n_common], axis=1)
+            best = np.min([best, d.min()])
+    return float(best)
+
+
+def test_min_pairwise_distance_matches_pairwise_loop():
+    rng = np.random.default_rng(31)
+    bundle = [Trajectory(s_values=np.arange(n), points=rng.normal(size=(n, 10)),
+                         timelike=True) for n in (7, 5, 9, 6, 8)]
+    assert min_pairwise_distance(bundle) == _pairwise_loop(bundle)
+
+
+def test_min_pairwise_distance_keeps_nan():
+    rng = np.random.default_rng(32)
+    points = rng.normal(size=(3, 4, 10))
+    points[2, 1, 5] = np.nan
+    bundle = [Trajectory(s_values=np.arange(4), points=p, timelike=True)
+              for p in points]
+    assert np.isnan(min_pairwise_distance(bundle))

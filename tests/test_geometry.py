@@ -84,6 +84,51 @@ def test_covariant_divergence_sphere():
     assert abs(val - 1.0 / np.tan(0.9)) < 1e-8
 
 
+def _vector_real(q):
+    # V^k on the sphere: (sin q0 cos q1, q0 q1^2)
+    return np.stack([np.sin(q[..., 0]) * np.cos(q[..., 1]),
+                     q[..., 0] * q[..., 1] ** 2], axis=-1)
+
+
+def _vector_complex(q):
+    return np.exp(1j * (0.7 * q[..., 0] - 0.4 * q[..., 1]))[..., None] \
+        * _vector_real(q)
+
+
+def _vector_matrix(q):
+    # V^k a 3x3 complex matrix per component: (*batch, 2, 3, 3)
+    mixer = np.array([[1.0, 0.25, 0.0], [-0.5j, 2.0, 0.1], [0.3, 0.0, -1.0]])
+    return _vector_complex(q)[..., :, None, None] * mixer \
+        + np.cos(q[..., 1])[..., None, None, None] * np.eye(3)
+
+
+@pytest.mark.parametrize("vector", [_vector_real, _vector_complex,
+                                    _vector_matrix])
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("gauged", [False, True])
+def test_covariant_divergence_batch_matches_per_point(vector, batch, gauged):
+    # reference: one point and one value entry at a time, so neither the
+    # batch axes nor the value axes take part in the indexing under test
+    m = SphereMetric(radius=1.3)
+    rng = np.random.default_rng(17)
+    points = np.stack([rng.uniform(0.5, 2.5, batch),
+                       rng.uniform(-np.pi, np.pi, batch)], axis=-1)
+    potential = (lambda q: np.stack([0.3 * q[..., 1], np.cos(q[..., 0])],
+                                    axis=-1)) if gauged else None
+    batched = covariant_divergence_at(m, vector, points, potential=potential)
+
+    value_shape = np.shape(vector(points))[len(batch) + 1:]
+    loop = np.empty(batch + value_shape, dtype=complex)
+    for b in np.ndindex(batch):
+        for e in np.ndindex(value_shape):
+            loop[b + e] = covariant_divergence_at(
+                m, lambda q: vector(q)[(Ellipsis,) + e], points[b],
+                potential=potential)
+    assert batched.shape == loop.shape
+    np.testing.assert_allclose(batched, loop, rtol=0,
+                               atol=1e-12 * np.max(np.abs(loop)))
+
+
 def test_group_metric_scalar_curvature():
     theta = np.array([0.3, -0.2, 0.5, 0.1, -0.4, 0.2])
     for a in (1.0, 2.0):
