@@ -12,6 +12,7 @@ equal the flag names without the leading dashes (``n-draws`` may be spelled
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -608,7 +609,34 @@ def resolve_config(command: str, file_cfg: dict, flags: dict) -> dict:
     return cfg
 
 
+# glibc mallopt parameter numbers
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Let freed array memory stay in the process for the next allocation.
+
+    The batched stencils allocate and free arrays of 0.1-10 MB on every
+    call. Under glibc's default thresholds such arrays are mapped and
+    unmapped, or trimmed off the heap, and their pages are faulted in again
+    on the next call: about 1 700 minor page faults per 4-draw
+    verify-curvature run in a process that imported nothing else. Fixing the
+    thresholds at the largest values glibc's own dynamic adjustment reaches
+    keeps the pages for reuse. No-op where the C library has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_memory()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -17,7 +17,6 @@ natural units hbar = c = 1.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 from .geometry import MetricField
 
@@ -54,6 +53,10 @@ def generators() -> np.ndarray:
 
 
 _GEN = generators()
+_GEN_HALVES = _GEN.reshape(2, 3, 4, 4)
+# kappa of ``expm`` per factor: the rotation generators have imaginary
+# spectra, the boost generators real ones
+_KAPPA_PHASES = np.array([1j, 1.0])
 
 
 def basis_decompose(m: np.ndarray) -> np.ndarray:
@@ -108,6 +111,46 @@ def _rodrigues_coefficients(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
                      (sn - t) / (s_far * t)))
 
 
+def _expm1_ratio(kappa: np.ndarray) -> np.ndarray:
+    """phi = expm1(kappa) / kappa elementwise, for real or complex kappa.
+
+    Each element below the cutoff takes the Taylor series, which also covers
+    kappa = 0.
+    """
+    series = np.abs(kappa) < SERIES_CUTOFF
+    # the quotient sees 1 where the series is taken, so nothing divides by 0
+    far = np.where(series, 1.0, kappa)
+    taylor = 1.0 + kappa * (1 / 2 + kappa * (1 / 6 + kappa * (1 / 24 + kappa / 120)))
+    return np.where(series, taylor, np.expm1(far) / far)
+
+
+def expm(m: np.ndarray, kappa: np.ndarray, spin: float) -> np.ndarray:
+    """exp(m) for matrices m on the last two axes whose spectrum lies in
+    kappa * {-spin, 1 - spin, ..., spin}, with m diagonalizable.
+
+    Newton's divided-difference form of the polynomial that interpolates exp
+    on these equispaced nodes x_i = kappa (i - spin), exact on such m:
+
+        exp(m) = e^{-spin kappa} sum_{k=0}^{2 spin} (phi^k / k!)
+                 prod_{i<k} (m - x_i I),    phi = expm1(kappa) / kappa.
+
+    ``kappa`` holds one value per matrix of the batch: i |theta_rot| for a
+    rotation factor, |theta_boost| for a boost factor. ``spin`` is 1 for the
+    4x4 chart, where the sum is Rodrigues' quadratic, and u + v for the irrep
+    (u, v). See Curtright, Fairlie and Zachos, SIGMA 10 (2014) 084, for spin
+    matrix polynomials.
+    """
+    m = np.asarray(m)
+    kappa = np.asarray(kappa)[..., None, None]
+    phi = _expm1_ratio(kappa)
+    term = np.eye(m.shape[-1])
+    out = term
+    for k in range(1, int(round(2 * spin)) + 1):
+        term = (term @ m - (k - 1 - spin) * kappa * term) * (phi / k)
+        out = out + term
+    return np.exp(-spin * kappa) * out
+
+
 def split_point(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split 10-vectors on the last axis into (x, theta)."""
     q = np.asarray(q, dtype=float)
@@ -116,12 +159,30 @@ def split_point(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q[..., :4], q[..., 4:]
 
 
+def factor_exponents(theta: np.ndarray, gens: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents and spectral scales of the two factors of the chart.
+
+    ``gens`` stacks the rotation and the boost generators of a
+    representation as (2, 3, d, d). Returns m[..., h, :, :] =
+    theta_h . gens[h] for the rotation (h = 0) and the boost half (h = 1),
+    as (..., 2, d, d), and kappa = (i |theta_rot|, |theta_boost|) on the
+    last axis, the node spacing of ``expm``.
+    """
+    theta = np.asarray(theta, dtype=float)
+    batch = theta.shape[:-1]
+    halves = theta.reshape(batch + (2, 1, 3))
+    d = gens.shape[-1]
+    m = (halves @ gens.reshape(2, 3, d * d)).reshape(batch + (2, d, d))
+    return m, np.sqrt(np.sum(halves * halves, axis=(-2, -1))) * _KAPPA_PHASES
+
+
 def lorentz_from_angles(theta: np.ndarray) -> np.ndarray:
     """Group element Lambda(theta) in the rotation-then-boost exponential chart."""
-    theta = np.asarray(theta, dtype=float)
-    rot = expm(np.einsum("...a,aij->...ij", theta[..., :3], _GEN[:3]))
-    boost = expm(np.einsum("...a,aij->...ij", theta[..., 3:], _GEN[3:]))
-    return rot @ boost
+    m, kappa = factor_exponents(theta, _GEN_HALVES)
+    # the rotation's complex nodes give real matrices up to roundoff
+    factors = expm(m, kappa, 1).real
+    return factors[..., 0, :, :] @ factors[..., 1, :, :]
 
 
 def frame_coefficients(theta: np.ndarray) -> np.ndarray:

@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.optimize import brentq
 
 from .config_space import MINKOWSKI
 from .hj import EMConfig, conformal_coupling
@@ -101,8 +99,10 @@ def spin_coupling_matrix(rep: Irrep, em: EMConfig, a: float) -> np.ndarray:
 
 def parity_spin_coupling(rep: Irrep, em: EMConfig, a: float) -> np.ndarray:
     """Spin coupling block on the parity-symmetric pair rep + conjugate."""
-    return block_diag(spin_coupling_matrix(rep, em, a),
-                      spin_coupling_matrix(rep.conjugate, em, a))
+    upper = spin_coupling_matrix(rep, em, a)
+    lower = spin_coupling_matrix(rep.conjugate, em, a)
+    zero = np.zeros((upper.shape[0], lower.shape[1]), dtype=complex)
+    return np.block([[upper, zero], [zero.T, lower]])
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +219,9 @@ def dispersion_root(p_spatial: np.ndarray, scale: MassScale) -> float:
     closed-form answer is sqrt(|p|^2 + mass^2). NaN when the operator is not
     finite at the ends of the bracket (the scale over- or underflowed).
     """
+    # the only scipy use in the package; imported here, off the import path
+    from scipy.optimize import brentq
+
     p_spatial = np.asarray(p_spatial, dtype=float)
     em = EMConfig.zero()
 

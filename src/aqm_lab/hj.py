@@ -73,11 +73,14 @@ class EMConfig:
         """Covariant components (A_0, A_1, A_2, A_3) at events x on the last axis."""
         x = np.asarray(x, dtype=float)
         a = np.empty(x.shape)
-        a[..., 0] = x[..., 1:] @ self.e_field
-        # (1/2) H x x written out: np.cross costs more than the rest of the
-        # potential on a single point, and this is the same arithmetic
+        # E.x and (1/2) H x x written out: each point's value is then the
+        # same in any batch (a matrix-vector product over a batch rounds
+        # otherwise than a dot on one point), and np.cross costs more than
+        # the rest of the potential on a single point
+        e1, e2, e3 = self.e_field
         h1, h2, h3 = self.h_field
         x1, x2, x3 = x[..., 1], x[..., 2], x[..., 3]
+        a[..., 0] = e1 * x1 + e2 * x2 + e3 * x3
         a[..., 1] = 0.5 * (h2 * x3 - h3 * x2)
         a[..., 2] = 0.5 * (h3 * x1 - h1 * x3)
         a[..., 3] = 0.5 * (h1 * x2 - h2 * x1)

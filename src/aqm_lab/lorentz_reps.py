@@ -10,12 +10,12 @@ checked numerically between the two.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
-from .config_space import GroupMetric, lorentz_from_angles
+from .config_space import GroupMetric, expm, factor_exponents, lorentz_from_angles
 from .geometry import laplace_beltrami
 
 
@@ -89,15 +89,25 @@ def irrep_generators(rep: Irrep) -> tuple[np.ndarray, np.ndarray]:
 
     J is Hermitian, K anti-Hermitian; they satisfy
     [J_a, J_b] = i eps_abc J_c, [J_a, K_b] = i eps_abc K_c,
-    [K_a, K_b] = -i eps_abc J_c.
+    [K_a, K_b] = -i eps_abc J_c. The arrays are built once per irrep and are
+    read-only.
     """
+    j, k_ = _generator_halves(rep)
+    return j, k_
+
+
+@functools.cache
+def _generator_halves(rep: Irrep) -> np.ndarray:
+    """(J, K) of the irrep stacked as (2, 3, d, d), read-only."""
     a = su2_generators(rep.u)
     b = su2_generators(rep.v)
     du, dv = a.shape[1], b.shape[1]
     eye_u, eye_v = np.eye(du), np.eye(dv)
     j = np.stack([np.kron(a[k], eye_v) + np.kron(eye_u, b[k]) for k in range(3)])
     k_ = np.stack([-1j * (np.kron(a[k], eye_v) - np.kron(eye_u, b[k])) for k in range(3)])
-    return j, k_
+    halves = np.stack([j, k_])
+    halves.flags.writeable = False
+    return halves
 
 
 def commutator_defect(rep: Irrep) -> float:
@@ -122,17 +132,26 @@ def casimir_value(rep: Irrep) -> float:
     return 2.0 * (rep.u * (rep.u + 1) + rep.v * (rep.v + 1))
 
 
+def _factor_exponentials(rep: Irrep, theta: np.ndarray, sign: float) -> np.ndarray:
+    """exp(sign i theta_rot . J) and exp(sign i theta_boost . K), per angle
+    6-vector on the last axis of ``theta``, stacked as (..., 2, d, d).
+
+    On the irrep (u, v), i n.J and i n.K for a unit vector n have the
+    spectra i {-(u+v), ..., u+v} and {-(u+v), ..., u+v}, so both are
+    closed-form polynomials of spin u + v.
+    """
+    m, kappa = factor_exponents(theta, _generator_halves(rep))
+    return expm(sign * 1j * m, kappa, rep.u + rep.v)
+
+
 def d_matrix(rep: Irrep, theta: np.ndarray) -> np.ndarray:
     """Representation matrix D(Lambda(theta)), same chart as the vector rep.
 
     D = exp(-i theta_rot . J) exp(-i theta_boost . K); the correspondence
     with the 4x4 chart generators is J_vec -> -i J, K_vec -> -i K.
     """
-    theta = np.asarray(theta, dtype=float)
-    j, k = irrep_generators(rep)
-    rot = expm(-1j * np.einsum("a,aij->ij", theta[:3], j))
-    boost = expm(-1j * np.einsum("a,aij->ij", theta[3:], k))
-    return rot @ boost
+    factors = _factor_exponentials(rep, theta, -1.0)
+    return factors[..., 0, :, :] @ factors[..., 1, :, :]
 
 
 def d_matrix_inverse(rep: Irrep, theta: np.ndarray) -> np.ndarray:
@@ -142,11 +161,8 @@ def d_matrix_inverse(rep: Irrep, theta: np.ndarray) -> np.ndarray:
     Boosted representation matrices are badly conditioned, so inverting
     through the exponentials is far more accurate than a linear solve.
     """
-    theta = np.asarray(theta, dtype=float)
-    j, k = irrep_generators(rep)
-    boost = expm(1j * np.einsum("...a,aij->...ij", theta[..., 3:], k))
-    rot = expm(1j * np.einsum("...a,aij->...ij", theta[..., :3], j))
-    return boost @ rot
+    factors = _factor_exponentials(rep, theta, 1.0)
+    return factors[..., 1, :, :] @ factors[..., 0, :, :]
 
 
 def factor_swap(rep: Irrep) -> np.ndarray:

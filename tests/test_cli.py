@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -19,14 +20,18 @@ FAST_DIRAC = ["verify-dirac", "--n-draws", "2"]
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_cli(args):
+def child_env():
     # the child imports this checkout as the in-process tests do, with or
     # without PYTHONPATH=src set (pytest's pythonpath reaches only itself)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_cli(args):
     return subprocess.run([sys.executable, "-m", "aqm_lab.cli"] + args,
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=child_env())
 
 
 def env_without_pythonpath():
@@ -434,6 +439,66 @@ def test_fuzzed_config_runs_end_to_end(fuzz_dir, case):
     assert "Traceback" not in err.getvalue()
     if code in (2, 3):
         assert len(err.getvalue().splitlines()) == 1
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is most of the start-up time; only dispersion_root needs it,
+    # and it imports it when called
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, aqm_lab.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("args", [["verify-reps", "--n-draws", "1"],
+                                  ["verify-curvature", "--n-draws", "1"],
+                                  ["spectrum"]])
+def test_verbs_run_without_scipy(args):
+    # with scipy blocked, any import of it on these paths raises
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from aqm_lab.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["payload"]["passed"] is True
+
+
+REUSE_CHILD = """
+import resource, sys
+import numpy as np
+from aqm_lab.cli import main
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+argv = ["verify-curvature", "--n-draws", "4", "--out", sys.argv[1]]
+main(argv)
+start = faults()
+main(argv)
+verb = faults() - start
+np.ones(1 << 21)
+start = faults()
+np.ones(1 << 21)
+print(verb, faults() - start)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the malloc thresholds set are glibc's")
+def test_repeated_run_reuses_freed_memory(tmp_path):
+    # the batched stencils free and reallocate arrays of 0.1-10 MB on every
+    # call; a second run in the same fresh process finds those pages kept.
+    # Under glibc's default thresholds the verb's count depends on what ran
+    # before (about 1 700 per run in a bare process), and a 16 MB array freed
+    # and allocated again is mapped anew, so its pages fault in again
+    proc = subprocess.run([sys.executable, "-c", REUSE_CHILD,
+                           str(tmp_path / "r.json")],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    verb, array = map(int, proc.stdout.split())
+    assert verb < 200 and array < 200
 
 
 def test_subprocess_matches_in_process(tmp_path):

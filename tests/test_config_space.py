@@ -56,6 +56,17 @@ def frame_reference(theta: np.ndarray) -> np.ndarray:
     return c
 
 
+def lorentz_reference(theta: np.ndarray) -> np.ndarray:
+    """The chart element by dense ``expm``, reference of the closed form."""
+    gen = generators()
+    return expm(np.einsum("a,aij->ij", theta[:3], gen[:3])) \
+        @ expm(np.einsum("a,aij->ij", theta[3:], gen[3:]))
+
+
+def _rel_error(value: np.ndarray, ref: np.ndarray) -> float:
+    return float(np.max(np.abs(value - ref)) / np.max(np.abs(ref)))
+
+
 def _frame_rel_error(theta: np.ndarray) -> float:
     ref = frame_reference(theta)
     return float(np.max(np.abs(frame_coefficients(theta) - ref))
@@ -230,6 +241,48 @@ def test_frame_batch_matches_expm_reference_per_row():
     for theta, c in zip(thetas, batch):
         ref = frame_reference(theta)
         assert np.max(np.abs(c - ref)) / np.max(np.abs(ref)) <= 1e-11
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-2, 1e-5, 1e-9])
+def test_lorentz_matches_expm_reference_at_random_points(scale):
+    rng = np.random.default_rng(14)
+    for _ in range(40):
+        theta = scale * sample_point(rng)[4:]
+        assert _rel_error(lorentz_from_angles(theta), lorentz_reference(theta)) <= 1e-12
+
+
+@pytest.mark.parametrize("norm", [0.99 * SERIES_CUTOFF, SERIES_CUTOFF,
+                                  1.01 * SERIES_CUTOFF])
+@pytest.mark.parametrize("block", [slice(0, 3), slice(3, 6)])
+def test_lorentz_matches_expm_reference_at_series_cutoff(norm, block):
+    rng = np.random.default_rng(15)
+    for _ in range(5):
+        direction = rng.normal(size=3)
+        theta = np.zeros(6)
+        theta[block] = norm * direction / np.linalg.norm(direction)
+        assert _rel_error(lorentz_from_angles(theta), lorentz_reference(theta)) <= 1e-12
+
+
+def test_lorentz_at_zero_is_identity():
+    assert np.array_equal(lorentz_from_angles(np.zeros(6)), np.eye(4))
+
+
+def test_lorentz_batch_matches_per_row_calls():
+    rng = np.random.default_rng(16)
+    rows = [np.zeros(6)]
+    for norm in (0.99 * SERIES_CUTOFF, 1.01 * SERIES_CUTOFF):
+        for block in (slice(0, 3), slice(3, 6)):
+            full = sample_point(rng)[4:]
+            direction = rng.normal(size=3)
+            full[block] = norm * direction / np.linalg.norm(direction)
+            rows.append(full)
+    rows += [sample_point(rng)[4:] for _ in range(20)]
+    thetas = np.array(rng.permutation(rows))
+    batch = lorentz_from_angles(thetas)
+    assert batch.shape == (len(rows), 4, 4)
+    for theta, lam in zip(thetas, batch):
+        assert _rel_error(lam, lorentz_from_angles(theta)) <= 1e-12
+        assert _rel_error(lam, lorentz_reference(theta)) <= 1e-12
 
 
 def test_frame_layers_evaluate_without_expm(monkeypatch):

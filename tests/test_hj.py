@@ -71,6 +71,16 @@ def test_potential_spacetime_matches_gradient():
     assert np.allclose(a_val, em.potential_gradient().T @ x, atol=1e-14)
 
 
+def test_potential_spacetime_is_batch_independent():
+    # a point's potential has the same bits alone and in any batch
+    rng = np.random.default_rng(16)
+    em = EMConfig(e_field=rng.normal(size=3), h_field=rng.normal(size=3))
+    x = rng.uniform(-1, 1, (3, 7, 4))
+    batch = em.potential_spacetime(x)
+    for idx in np.ndindex(x.shape[:-1]):
+        assert np.array_equal(batch[idx], em.potential_spacetime(x[idx]))
+
+
 def test_invariant_h2_e2():
     em = EMConfig(e_field=(1.0, 0.0, 0.0), h_field=(0.0, 2.0, 0.0))
     assert em.invariant_h2_e2() == pytest.approx(3.0)

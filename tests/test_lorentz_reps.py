@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 from scipy.spatial.transform import Rotation
 
-from aqm_lab.config_space import generators, lorentz_from_angles
+from aqm_lab.config_space import SERIES_CUTOFF, generators, lorentz_from_angles
 from aqm_lab.lorentz_reps import (
     Irrep,
     angular_laplacian_check,
@@ -211,6 +212,91 @@ def test_d_matrix_inverse_closed_form():
         theta = rng.uniform(-1.5, 1.5, 6)
         prod = d_matrix(rep, theta) @ d_matrix_inverse(rep, theta)
         assert np.max(np.abs(prod - np.eye(rep.dim))) < 1e-12
+
+
+def d_matrix_reference(rep: Irrep, theta: np.ndarray) -> np.ndarray:
+    """D(theta) by dense ``expm``, reference of the closed form."""
+    j, k = irrep_generators(rep)
+    return expm(-1j * np.einsum("a,aij->ij", theta[:3], j)) \
+        @ expm(-1j * np.einsum("a,aij->ij", theta[3:], k))
+
+
+def d_matrix_inverse_reference(rep: Irrep, theta: np.ndarray) -> np.ndarray:
+    j, k = irrep_generators(rep)
+    return expm(1j * np.einsum("a,aij->ij", theta[3:], k)) \
+        @ expm(1j * np.einsum("a,aij->ij", theta[:3], j))
+
+
+def _rel_error(value: np.ndarray, ref: np.ndarray) -> float:
+    return float(np.max(np.abs(value - ref)) / np.max(np.abs(ref)))
+
+
+def _assert_matches_references(rep: Irrep, theta: np.ndarray) -> None:
+    assert _rel_error(d_matrix(rep, theta), d_matrix_reference(rep, theta)) <= 1e-12
+    assert _rel_error(d_matrix_inverse(rep, theta),
+                      d_matrix_inverse_reference(rep, theta)) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-2, 1e-5, 1e-9])
+def test_d_matrix_matches_expm_reference_at_random_points(scale):
+    # the angle range of verify-reps, on every irrep it checks
+    thetas = scale * np.random.default_rng(25).uniform(-1.2, 1.2, (8, 6))
+    for rep in reps_up_to_dim(9):
+        for theta in thetas:
+            _assert_matches_references(rep, theta)
+
+
+@pytest.mark.parametrize("norm", [0.99 * SERIES_CUTOFF, SERIES_CUTOFF,
+                                  1.01 * SERIES_CUTOFF])
+@pytest.mark.parametrize("block", [slice(0, 3), slice(3, 6)])
+def test_d_matrix_matches_expm_reference_at_series_cutoff(norm, block):
+    rng = np.random.default_rng(26)
+    for rep in reps_up_to_dim(9):
+        direction = rng.normal(size=3)
+        theta = np.zeros(6)
+        theta[block] = norm * direction / np.linalg.norm(direction)
+        _assert_matches_references(rep, theta)
+
+
+def test_d_matrix_at_zero_is_identity():
+    for rep in reps_up_to_dim(9):
+        assert np.array_equal(d_matrix(rep, np.zeros(6)), np.eye(rep.dim))
+        assert np.array_equal(d_matrix_inverse(rep, np.zeros(6)), np.eye(rep.dim))
+
+
+def test_d_matrix_batch_matches_per_row_calls():
+    rng = np.random.default_rng(27)
+    rows = [np.zeros(6)]
+    for norm in (0.99 * SERIES_CUTOFF, 1.01 * SERIES_CUTOFF):
+        for block in (slice(0, 3), slice(3, 6)):
+            full = rng.uniform(-1.2, 1.2, 6)
+            direction = rng.normal(size=3)
+            full[block] = norm * direction / np.linalg.norm(direction)
+            rows.append(full)
+    rows += list(rng.uniform(-1.2, 1.2, (10, 6)))
+    thetas = np.array(rng.permutation(rows)).reshape(3, 5, 6)
+    for rep in reps_up_to_dim(9):
+        batch = d_matrix(rep, thetas)
+        batch_inv = d_matrix_inverse(rep, thetas)
+        assert batch.shape == batch_inv.shape == (3, 5, rep.dim, rep.dim)
+        for idx in np.ndindex(3, 5):
+            theta = thetas[idx]
+            assert _rel_error(batch[idx], d_matrix(rep, theta)) <= 1e-12
+            assert _rel_error(batch_inv[idx], d_matrix_inverse(rep, theta)) <= 1e-12
+            _assert_matches_references(rep, theta)
+
+
+def test_irrep_generators_are_built_once_and_read_only():
+    rep = Irrep(1, 0.5)
+    j, k = irrep_generators(rep)
+    j_again, k_again = irrep_generators(Irrep(1, 0.5))
+    assert np.shares_memory(j, j_again) and np.shares_memory(k, k_again)
+    for gen in (j, k):
+        with pytest.raises(ValueError):
+            gen[0, 0, 0] = 0.0
+    # the benchmark's cProfile cross-check reads the code object of every
+    # traced function, so this stays a plain function around the cache
+    assert irrep_generators.__code__.co_name == "irrep_generators"
 
 
 def test_factor_swap_is_permutation():
