@@ -163,13 +163,12 @@ REPS = Kind(str, _rep_labels, "a 'u,v' label or a list of them",
 @dataclass(frozen=True)
 class Param:
     """Flag ``--name`` and config key ``name``; null only if the default is.
-    ``in_file``: a config-file key; ``echo``: in the payload's config echo."""
+    ``echo``: in the payload's config echo."""
 
     name: str
     kind: Kind
     default: object
     help: str
-    in_file: bool = True
     echo: bool = True
 
     @property
@@ -548,8 +547,8 @@ VERBS: dict[str, Verb] = {
     "spectrum": Verb(
         "squared-mass spectrum over irreducible representations",
         _run_spectrum,
-        (SEED, OUT, FORMAT, replace(TOL, in_file=False, echo=False),
-         replace(A, default=None), replace(MASS, default=None), REP)),
+        (*_COMMON, replace(A, default=None), replace(MASS, default=None),
+         REP)),
 }
 
 CHECK_COLUMNS = ["name", "value", "expected", "tolerance", "pass"]
@@ -599,7 +598,7 @@ def resolve_config(command: str, file_cfg: dict, flags: dict) -> dict:
     """Each parameter's flag value (``None``: not given), else its config
     key, else its default; every value given passes its parameter's check."""
     params = VERBS[command].params
-    unknown = set(file_cfg) - {p.name for p in params if p.in_file}
+    unknown = set(file_cfg) - {p.name for p in params}
     if unknown:
         raise ConfigError(
             f"unknown config keys for {command}: {sorted(unknown)}")

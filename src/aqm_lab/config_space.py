@@ -129,11 +129,16 @@ def expm(m: np.ndarray, kappa: np.ndarray, spin: float) -> np.ndarray:
     kappa * {-spin, 1 - spin, ..., spin}, with m diagonalizable.
 
     Newton's divided-difference form of the polynomial that interpolates exp
-    on these equispaced nodes x_i = kappa (i - spin), exact on such m:
+    on these equispaced nodes, exact on such m. The nodes x_i = kappa o_i
+    run from the centre outwards (o = 0, -1, 1, -2, ... or -1/2, 1/2, -3/2,
+    ...), so the first k + 1 are consecutive, with divided difference
+    e^{kappa min_k} phi^k / k!, min_k = min(o_0, ..., o_k):
 
-        exp(m) = e^{-spin kappa} sum_{k=0}^{2 spin} (phi^k / k!)
+        exp(m) = sum_{k=0}^{2 spin} e^{kappa min_k} (phi^k / k!)
                  prod_{i<k} (m - x_i I),    phi = expm1(kappa) / kappa.
 
+    Taken from one end, the terms of a rotation factor grow like
+    (1 + |e^{i theta} - 1|)^k before they cancel, and high spins lose digits.
     ``kappa`` holds one value per matrix of the batch: i |theta_rot| for a
     rotation factor, |theta_boost| for a boost factor. ``spin`` is 1 for the
     4x4 chart, where the sum is Rodrigues' quadratic, and u + v for the irrep
@@ -143,12 +148,16 @@ def expm(m: np.ndarray, kappa: np.ndarray, spin: float) -> np.ndarray:
     m = np.asarray(m)
     kappa = np.asarray(kappa)[..., None, None]
     phi = _expm1_ratio(kappa)
-    term = np.eye(m.shape[-1])
-    out = term
-    for k in range(1, int(round(2 * spin)) + 1):
-        term = (term @ m - (k - 1 - spin) * kappa * term) * (phi / k)
+    phi_down = phi * np.exp(-kappa)
+    nodes = sorted((i - spin for i in range(int(round(2 * spin)) + 1)),
+                   key=lambda o: (abs(o), o))
+    out = term = np.exp(nodes[0] * kappa) * np.eye(m.shape[-1])
+    for k in range(1, len(nodes)):
+        # a negative node past the first lowers min_k by 1: one more e^{-kappa}
+        step = (phi_down if nodes[k] < 0 else phi) / k
+        term = (term @ m - nodes[k - 1] * kappa * term) * step
         out = out + term
-    return np.exp(-spin * kappa) * out
+    return out
 
 
 def split_point(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

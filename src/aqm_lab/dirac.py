@@ -215,13 +215,12 @@ def squared_dirac_matrix(p: np.ndarray, em: EMConfig, mass: float,
 def dispersion_root(p_spatial: np.ndarray, scale: MassScale) -> float:
     """Positive-energy root p^0 of the field-free reduced operator.
 
-    Found by bracketed root finding on the scalar part of the operator; the
-    closed-form answer is sqrt(|p|^2 + mass^2). NaN when the operator is not
-    finite at the ends of the bracket (the scale over- or underflowed).
+    Found by bisection on the sign of the operator's scalar part
+    tr(M)/4 over [0, sqrt(|p|^2 + (2 mass)^2) + 2], until the bracket is
+    at most 1e-14 + 1e-15 p^0 wide; the closed-form answer
+    sqrt(|p|^2 + mass^2) is never used. NaN when the operator is not finite
+    at the ends of the bracket (the scale over- or underflowed).
     """
-    # the only scipy use in the package; imported here, off the import path
-    from scipy.optimize import brentq
-
     p_spatial = np.asarray(p_spatial, dtype=float)
     em = EMConfig.zero()
 
@@ -229,7 +228,15 @@ def dispersion_root(p_spatial: np.ndarray, scale: MassScale) -> float:
         m = top_spinor_matrix(np.array([p0, *p_spatial]), em, scale)
         return float(np.real(np.trace(m)) / 4.0)
 
-    upper = np.sqrt(p_spatial @ p_spatial + (2.0 * scale.mass) ** 2) + 2.0
-    if not np.all(np.isfinite([scalar_part(0.0), scalar_part(upper)])):
+    lo, f_lo = 0.0, scalar_part(0.0)
+    hi = np.sqrt(p_spatial @ p_spatial + (2.0 * scale.mass) ** 2) + 2.0
+    if not np.all(np.isfinite([f_lo, scalar_part(hi)])):
         return float("nan")
-    return float(brentq(scalar_part, 0.0, upper, xtol=1e-14, rtol=1e-15))
+    # lo only moves to points of f_lo's sign, so the root stays bracketed
+    while hi - lo > 1e-14 + 1e-15 * hi:
+        mid = 0.5 * (lo + hi)
+        if np.sign(scalar_part(mid)) == np.sign(f_lo):
+            lo = mid
+        else:
+            hi = mid
+    return float(0.5 * (lo + hi))

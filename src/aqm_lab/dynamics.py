@@ -6,9 +6,9 @@ transport check verifies that the conserved current stays divergence-free
 along the tube, that the flux carried through successive cross-sections
 does not drift, and that trajectories never cross within the probed tube.
 
-Degenerate (null) directions and boost components running past the chart
-bound truncate the affected trajectory; truncation is recorded, never
-raised as a failure.
+Degenerate (null) directions, steps that would cross the null surface, and
+boost components running past the chart bound truncate the affected
+trajectory; truncation is recorded, never raised as a failure.
 """
 
 from __future__ import annotations
@@ -80,9 +80,11 @@ def integrate_trajectory(fields: WaveInputs, em: EMConfig, metric: MetricField,
     or a stack of shape (n_traj, 10), which gives a list of them. All
     trajectories step together: each RK4 stage is one ``velocity_field``
     call on the trajectories still running. A trajectory stops early
-    (keeping its samples so far) when its direction degenerates at any of
-    its stages or a boost coordinate leaves the chart domain; the others
-    run on.
+    (keeping its samples so far) as "degenerate" when u.u at one of its
+    stages is below NULL_TOL in magnitude or has the other sign than at its
+    start, where v = u#/sqrt|u.u| would step through its singularity, and
+    as "rapidity" when a boost coordinate leaves the chart domain; the
+    others run on.
     """
     q = np.array(q0, dtype=float, ndmin=2)
     if not np.all(_within_chart(q)):
@@ -92,6 +94,7 @@ def integrate_trajectory(fields: WaveInputs, em: EMConfig, metric: MetricField,
     _, norm2 = velocity_field(fields, em, metric, q, h=h, order=order)
     degenerate = np.abs(norm2) < NULL_TOL
     timelike = (norm2 < 0) & ~degenerate
+    start_sign = np.sign(norm2)
     truncated = np.where(degenerate, "degenerate", None)
     samples = np.empty((n_steps + 1,) + q.shape)
     samples[0] = q
@@ -102,13 +105,14 @@ def integrate_trajectory(fields: WaveInputs, em: EMConfig, metric: MetricField,
         base = q[running]
         ks = []
         # stages at q, q + ds/2 k1, q + ds/2 k2 and q + ds k3; a trajectory
-        # that degenerates at a stage leaves the batch before the next one
+        # that degenerates at a stage leaves the batch before the next one.
+        # A NaN norm compares false, so it propagates instead
         for c in (None, 0.5, 0.5, 1.0):
             if not running.size:
                 break
             p = base if c is None else base + c * ds * ks[-1]
             v, norm2 = velocity_field(fields, em, metric, p, h=h, order=order)
-            live = ~(np.abs(norm2) < NULL_TOL)
+            live = ~(norm2 * start_sign[running] < NULL_TOL)
             if not live.all():
                 truncated[running[~live]] = "degenerate"
                 running, base, v = running[live], base[live], v[live]
@@ -197,12 +201,12 @@ def transport_check(fields: WaveInputs, em: EMConfig, metric: MetricField,
     trajectories; the flux through a section is the bundle average of the
     current magnitude. Each section's bundle points are evaluated as one
     batch. Truncated trajectories shorten the shared range and are
-    counted, not failed. Worst cases use np.max, so a NaN divergence or
-    flux propagates instead of being dropped by the builtin max.
+    counted, not failed; a trajectory stopped at its start point leaves no
+    range to drift over, and the flux drift is NaN. Worst cases use np.max,
+    so a NaN divergence or flux propagates instead of being dropped by the
+    builtin max.
     """
     n_common = min(t.n_samples for t in bundle)
-    if n_common < 2:
-        raise ValueError("bundle has no common parameter range")
     idx = np.unique(np.linspace(0, n_common - 1, n_sections).astype(int))
 
     fluxes, divergences = [], []
@@ -213,7 +217,8 @@ def transport_check(fields: WaveInputs, em: EMConfig, metric: MetricField,
         divergences.append(
             divergence_residual(fields, em, metric, section, h=h, order=order))
 
-    drift = np.max([abs(f - fluxes[0]) for f in fluxes]) / abs(fluxes[0])
+    drift = np.max([abs(f - fluxes[0]) for f in fluxes]) / abs(fluxes[0]) \
+        if n_common > 1 else np.nan
     return TransportReport(
         max_divergence=float(np.max(np.abs(divergences))),
         flux_drift=float(drift),

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -143,13 +144,15 @@ def test_tol_overrides_every_check(capsys):
 
 def test_config_file_merging(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n_draws": 2, "mass": 2.5}))
-    code = main(["verify-dirac", "--config", str(cfg)])
-    out = capsys.readouterr().out
-    assert code == 0
-    payload = json.loads(out)["payload"]
-    assert payload["config"]["n_draws"] == 2
-    assert payload["config"]["mass"] == 2.5
+    for verb, file_cfg in (("verify-dirac", {"n_draws": 2, "mass": 2.5}),
+                           ("spectrum", {"tol": 1e-3, "mass": 2.5})):
+        cfg.write_text(json.dumps(file_cfg))
+        code = main([verb, "--config", str(cfg)])
+        out = capsys.readouterr().out
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        for key, value in file_cfg.items():
+            assert payload["config"][key] == value
 
 
 def test_flags_override_config_file(tmp_path, capsys):
@@ -354,6 +357,19 @@ def test_nonfinite_values_fail_checks_in_valid_json(argv, capsys):
         assert "trace_max_divergence" in {c["name"] for c in nonfinite}
 
 
+def test_trace_bundle_stopped_at_start_fails_checks(capsys):
+    # with these fields u.u changes sign within the first step of most of
+    # the bundle; those trajectories stop there, and the run is a check
+    # failure, not an internal error
+    code = main(["trace", "--format", "json", "--seed", "2", "--steps", "5",
+                 "--H", "0.6,-0.4,0.8", "--E", "0.4,0.2,-0.6"])
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert code == 1
+    assert 1 in payload["records"][0]["samples_per_trajectory"]
+    drift = {c["name"]: c for c in payload["checks"]}["trace_flux_drift"]
+    assert drift["nonfinite"] and not drift["pass"]
+
+
 # config fuzz: the verb's own keys plus junk keys, with JSON values
 JUNK_KEYS = ["draws", "config", "verbose", "n_draw", "Tol"]
 JSON_VALUES = st.recursive(
@@ -365,7 +381,7 @@ JSON_VALUES = st.recursive(
 
 
 def file_keys(verb):
-    return [p.name for p in VERBS[verb].params if p.in_file]
+    return [p.name for p in VERBS[verb].params]
 
 
 def fuzzed_configs(verbs):
@@ -441,9 +457,25 @@ def test_fuzzed_config_runs_end_to_end(fuzz_dir, case):
         assert len(err.getvalue().splitlines()) == 1
 
 
+def test_package_imports_no_scipy():
+    # numpy is the only runtime dependency; scipy is in the test extra.
+    # Function-level imports count too: ast.walk reaches every node
+    found = []
+    for path in sorted((ROOT / "src" / "aqm_lab").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
 def test_cli_import_loads_no_scipy():
-    # scipy is most of the start-up time; only dispersion_root needs it,
-    # and it imports it when called
+    # importing scipy would be most of the start-up time
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, aqm_lab.cli; "
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
@@ -452,11 +484,17 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("args", [["verify-reps", "--n-draws", "1"],
-                                  ["verify-curvature", "--n-draws", "1"],
-                                  ["spectrum"]])
+@pytest.mark.parametrize("args", [
+    ["verify-reps", "--n-draws", "1"],
+    ["verify-curvature", "--n-draws", "1"],
+    ["spectrum"],
+    ["verify-weyl", "--n-draws", "1"],
+    ["verify-linearization", "--n-draws", "1"],
+    ["verify-dirac", "--n-draws", "1"],
+    ["trace", "--format", "json", "--n-draws", "2", "--steps", "5"],
+])
 def test_verbs_run_without_scipy(args):
-    # with scipy blocked, any import of it on these paths raises
+    # with scipy blocked, any import of it on a verb's path raises
     code = ("import sys; sys.modules['scipy'] = None; "
             "from aqm_lab.cli import main; sys.exit(main(sys.argv[1:]))")
     proc = subprocess.run([sys.executable, "-c", code, *args],

@@ -168,6 +168,20 @@ def test_transport_check_keeps_nan_divergence():
     assert report.min_distance > 0.0
 
 
+def test_bundle_stopped_at_its_start_has_nan_drift():
+    # one trajectory stopped at its start leaves one shared section: no
+    # range to drift over, so the drift is NaN rather than an exception
+    fields = _plane_wave(np.array([0.3, -0.2, 0.4]))
+    q0 = np.zeros(10)
+    stopped = Trajectory(s_values=np.zeros(1), points=q0[None, :],
+                         timelike=True, truncated="degenerate")
+    running = integrate_trajectory(fields, EM0, METRIC, q0 + 0.05, ds=0.02,
+                                   n_steps=5)
+    report = transport_check(fields, EM0, METRIC, [stopped, running])
+    assert np.isnan(report.flux_drift)
+    assert report.n_truncated == 1 and len(report.section_flux) == 1
+
+
 # ---------------------------------------------------------------------------
 # the batched integrator against the per-trajectory loop
 # ---------------------------------------------------------------------------
@@ -177,12 +191,16 @@ def integrate_trajectory_reference(fields, em, metric, q0, ds, n_steps,
                                    h=1e-3, order=4):
     """One trajectory, one point per RK4 stage: the loop the batched
     integrator replaces. It calls ``dynamics.velocity_field`` on single
-    points, which raise DegenerateDirection."""
+    points, which raise DegenerateDirection; a stage whose u.u has the
+    other sign than at the start is degenerate too."""
     def within_chart(q):
         return bool(np.all(np.abs(q[7:]) <= RAPIDITY_MAX))
 
     def rhs(p):
-        v, _ = dynamics.velocity_field(fields, em, metric, p, h=h, order=order)
+        v, stage_norm2 = dynamics.velocity_field(fields, em, metric, p, h=h,
+                                                 order=order)
+        if stage_norm2 * norm2 < 0:
+            raise DegenerateDirection("u.u changed sign")
         return v
 
     q = np.asarray(q0, dtype=float).copy()
@@ -246,6 +264,24 @@ def test_batched_bundle_matches_reference_with_em_field(seed):
     q0 = sample_point(rng, rot_scale=1.0, boost_bound=1.0)
     starts = q0 + 0.1 * rng.uniform(-1.0, 1.0, (4, 10))
     _assert_matches_reference(fields, em, starts, ds=0.02, n_steps=12)
+
+
+def test_trajectories_stop_at_the_null_surface():
+    # u.u changes sign along five of these paths when integrated through
+    # the null surface; each must stop there as degenerate instead
+    rng = np.random.default_rng(0)
+    fields = draw_wave_inputs(rng)
+    em = EMConfig(e_field=[0.2, 0.1, -0.3], h_field=[0.3, -0.2, 0.4])
+    starts = np.array([sample_point(rng, rot_scale=1.5, boost_bound=1.5)
+                       for _ in range(16)])
+    bundle = _assert_matches_reference(fields, em, starts, ds=0.02,
+                                       n_steps=100)
+    degenerate = [i for i, t in enumerate(bundle)
+                  if t.truncated == "degenerate"]
+    assert degenerate == [1, 8, 9, 11, 12]
+    for traj in bundle:
+        _, norm2 = velocity_field(fields, em, METRIC, traj.points)
+        assert np.all(norm2 * norm2[0] > 0)
 
 
 def test_batched_bundle_truncates_at_the_wall_per_trajectory():

@@ -258,6 +258,20 @@ def test_d_matrix_matches_expm_reference_at_series_cutoff(norm, block):
         _assert_matches_references(rep, theta)
 
 
+def test_d_matrix_keeps_digits_on_high_spins():
+    # Newton terms taken from one end of the nodes grow like
+    # (1 + |e^{i theta} - 1|)^k before they cancel: 1.5e-13 on (0,4)
+    thetas = np.random.default_rng(0).uniform(-1.2, 1.2, (50, 6))
+    for rep in reps_up_to_dim(9):
+        if rep.u + rep.v < 3:
+            continue
+        for theta in thetas:
+            assert _rel_error(d_matrix(rep, theta),
+                              d_matrix_reference(rep, theta)) <= 3e-14
+            assert _rel_error(d_matrix_inverse(rep, theta),
+                              d_matrix_inverse_reference(rep, theta)) <= 3e-14
+
+
 def test_d_matrix_at_zero_is_identity():
     for rep in reps_up_to_dim(9):
         assert np.array_equal(d_matrix(rep, np.zeros(6)), np.eye(rep.dim))
