@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import json
 import math
 import os
@@ -554,6 +555,8 @@ VERBS: dict[str, Verb] = {
 CHECK_COLUMNS = ["name", "value", "expected", "tolerance", "pass"]
 
 
+# every flag defaults to None, so one parser serves every ``main`` call
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aqm-lab",

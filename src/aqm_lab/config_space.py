@@ -242,6 +242,9 @@ def killing_vectors(theta: np.ndarray) -> np.ndarray:
 # the top metric
 # ---------------------------------------------------------------------------
 
+# P = diag(1, 1, 1, -1, -1, -1) of the group metric a^2 C^T P C, its own inverse
+_PAIRING_SIGNS = 0.5 * np.diag(GENERATOR_PAIRING)
+
 
 class GroupMetric(MetricField):
     """Invariant metric of the Lorentz group in the chart, on theta alone.
@@ -268,6 +271,8 @@ class TopMetric(MetricField):
 
     Block diagonal: Minkowski diag(-1, 1, 1, 1) on spacetime and the
     ``GroupMetric`` on the group factor. Components depend on theta only.
+    ``inverse`` and ``sqrt_det`` are closed forms of these blocks; the
+    generic ``MetricField`` forms of ``matrix`` are their test reference.
 
     The scalar curvature of this metric is the constant 6/a^2.
     """
@@ -286,6 +291,29 @@ class TopMetric(MetricField):
         g[..., :4, :4] = MINKOWSKI
         g[..., 4:, 4:] = group
         return g
+
+    def inverse(self, q):
+        """blockdiag(eta, a^-2 K P K^T), with K = C^-1 the Killing fields and
+        P = diag(1, 1, 1, -1, -1, -1): one frame and one 6x6 inverse."""
+        _, theta = split_point(q)
+        k = killing_vectors(theta)
+        ginv = np.zeros(theta.shape[:-1] + (10, 10))
+        ginv[..., :4, :4] = MINKOWSKI
+        ginv[..., 4:, 4:] = (k * _PAIRING_SIGNS) @ np.swapaxes(k, -1, -2) \
+            / self.a ** 2
+        return ginv
+
+    def sqrt_det(self, q):
+        """a^6 |det C| = a^6 (sin(r/2) / (r/2))^2 (sinh b / b)^2, with
+        r = |theta_rot| and b = |theta_boost|: no frame is evaluated."""
+        _, theta = split_point(q)
+        r = np.sqrt(np.sum(theta[..., :3] ** 2, axis=-1))
+        b2 = np.sum(theta[..., 3:] ** 2, axis=-1)
+        series = b2 < SERIES_CUTOFF ** 2
+        # the quotient sees 1 where the series is taken, so nothing divides by 0
+        b = np.sqrt(np.where(series, 1.0, b2))
+        sinhc = np.where(series, 1.0 + b2 / 6.0 + b2 * b2 / 120.0, np.sinh(b) / b)
+        return self.a ** 6 * (np.sinc(r / (2.0 * np.pi)) * sinhc) ** 2
 
     def riemann_scalar(self) -> float:
         """Closed-form Riemann scalar 6/a^2 (verified against finite differences)."""

@@ -129,7 +129,8 @@ def christoffel_at(metric: MetricField, point: np.ndarray, h: float = 1e-3,
     point = np.asarray(point, dtype=float)
     dg = derivative_stack(metric.matrix, point, h=h, order=order,
                           skip=metric.constant_dims)  # dg[..., l, i, j] = d_l g_ij
-    ginv = metric.inverse(point)
+    # curvature stays a result of ``matrix`` alone, never of a closed form
+    ginv = MetricField.inverse(metric, point)
     term = np.einsum("...jlk->...ljk", dg) + np.einsum("...klj->...ljk", dg) - dg
     return 0.5 * np.einsum("...il,...ljk->...ijk", ginv, term)
 
@@ -147,7 +148,8 @@ def riemann_scalar_at(metric: MetricField, point: np.ndarray, h: float = 1e-2,
     dgam = derivative_stack(
         lambda q: christoffel_at(metric, q, h=h_inner, order=order),
         point, h=h, order=order, skip=metric.constant_dims)
-    ginv = metric.inverse(point)
+    # curvature stays a result of ``matrix`` alone, never of a closed form
+    ginv = MetricField.inverse(metric, point)
     t1 = np.einsum("iijk->jk", dgam)
     t2 = np.einsum("jiik->jk", dgam)
     t3 = np.einsum("iip,pjk->jk", gam, gam)

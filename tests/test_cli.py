@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aqm_lab.cli import VERBS, ConfigError, main, resolve_config
+from aqm_lab.cli import VERBS, ConfigError, _build_parser, main, resolve_config
 
 FAST_DIRAC = ["verify-dirac", "--n-draws", "2"]
 ROOT = Path(__file__).resolve().parents[1]
@@ -153,6 +153,8 @@ def test_config_file_merging(tmp_path, capsys):
         payload = json.loads(out)["payload"]
         for key, value in file_cfg.items():
             assert payload["config"][key] == value
+    # both runs went through one parser, built once per process
+    assert _build_parser() is _build_parser()
 
 
 def test_flags_override_config_file(tmp_path, capsys):

@@ -19,6 +19,7 @@ from aqm_lab.config_space import (
     sample_point,
 )
 from aqm_lab.fd import central_diff
+from aqm_lab.geometry import MetricField
 
 EPS = np.zeros((3, 3, 3))
 EPS[0, 1, 2] = EPS[1, 2, 0] = EPS[2, 0, 1] = 1.0
@@ -295,10 +296,22 @@ def test_frame_layers_evaluate_without_expm(monkeypatch):
     top = TopMetric(1.3)
     g = top.matrix(q)
     assert np.all(np.isfinite(g))
-    assert np.allclose(top.inverse(q) @ g, np.eye(10), atol=1e-9)
-    assert top.sqrt_det(q) > 0.0
     assert np.all(np.isfinite(GroupMetric(1.3).matrix(q[4:])))
     assert np.all(np.isfinite(killing_vectors(q[4:])))
+
+    # the inverse and sqrt(g) are closed forms: neither assembles the matrix,
+    # and sqrt(g) evaluates no frame
+    def no_call(name):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return fail
+
+    monkeypatch.setattr(TopMetric, "matrix", no_call("TopMetric.matrix"))
+    assert np.allclose(top.inverse(q) @ g, np.eye(10), atol=1e-9)
+    assert top.sqrt_det(q) > 0.0
+    monkeypatch.setattr(config_space, "frame_coefficients",
+                        no_call("frame_coefficients"))
+    assert top.sqrt_det(q) > 0.0
 
 
 def test_frame_identity_at_origin():
@@ -360,6 +373,58 @@ def test_top_metric_signature_constant():
         evals = np.linalg.eigvalsh(m.matrix(q))
         assert int(np.sum(evals > 0)) == 6
         assert int(np.sum(evals < 0)) == 4
+
+
+def _closed_form_rel_errors(top: TopMetric, q: np.ndarray) -> tuple[float, float]:
+    """Relative errors of the closed-form inverse and sqrt(g) against the
+    generic ``MetricField`` forms of ``matrix``: max-abs error over max-abs
+    reference, over the whole batch."""
+    inv, sqrt_g = top.inverse(q), top.sqrt_det(q)
+    assert inv.shape == q.shape[:-1] + (10, 10)
+    assert np.shape(sqrt_g) == q.shape[:-1]
+    return (_rel_error(inv, MetricField.inverse(top, q)),
+            _rel_error(sqrt_g, MetricField.sqrt_det(top, q)))
+
+
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("scale", [1.0, 1e-2, 1e-5, 1e-9])
+def test_top_metric_closed_forms_match_generic_at_random_points(scale, batch):
+    # full sampler range, then angles shrunk onto the series side
+    rng = np.random.default_rng(17)
+    top = TopMetric(1.3)
+    for _ in range(40):
+        q = np.array([sample_point(rng) for _ in range(int(np.prod(batch)))])
+        q[:, 4:] *= scale
+        inv_err, sqrt_err = _closed_form_rel_errors(top, q.reshape(batch + (10,)))
+        assert inv_err <= 1e-13
+        assert sqrt_err <= 1e-13
+
+
+@pytest.mark.parametrize("norm", [0.99 * SERIES_CUTOFF, SERIES_CUTOFF,
+                                  1.01 * SERIES_CUTOFF])
+@pytest.mark.parametrize("block", [slice(4, 7), slice(7, 10)])
+def test_top_metric_closed_forms_match_generic_at_series_cutoff(norm, block):
+    # pure rotations and pure boosts on both sides of the series switch, as
+    # one (2, 3) batch, as its rows and point by point
+    rng = np.random.default_rng(18)
+    top = TopMetric(0.8)
+    q = np.zeros((2, 3, 10))
+    q[..., :4] = rng.uniform(-1.0, 1.0, (2, 3, 4))
+    direction = rng.normal(size=(2, 3, 3))
+    q[..., block] = norm * direction / np.linalg.norm(direction, axis=-1,
+                                                      keepdims=True)
+    for batch in (q, *q, *q.reshape(6, 10)):
+        assert max(_closed_form_rel_errors(top, batch)) <= 1e-13
+
+
+def test_top_metric_closed_forms_at_group_identity():
+    q = np.zeros(10)
+    q[:4] = (0.3, -0.7, 0.1, 0.9)
+    top = TopMetric(2.0)
+    assert max(_closed_form_rel_errors(top, q)) <= 1e-13
+    assert np.array_equal(
+        top.inverse(q), np.diag([-1, 1, 1, 1, 0.25, 0.25, 0.25, -0.25, -0.25, -0.25]))
+    assert top.sqrt_det(q) == 64.0
 
 
 def test_top_metric_closed_form_scalar():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aqm_lab import config_space
 from aqm_lab.config_space import TopMetric, sample_point
 from aqm_lab.fd import central_diff, derivative_stack, stencil
 from aqm_lab.fields import BandLimitedField, draw_field
@@ -258,12 +259,33 @@ def test_curvature_point_evaluates_frames_in_few_calls(monkeypatch):
     assert counts["calls"] <= 5
 
 
-def test_linearization_check_evaluates_fields_in_few_calls(monkeypatch):
-    counts = _count_points(monkeypatch, BandLimitedField, "__call__")
+def _em_linearization_check():
     rng = np.random.default_rng(23)
     fields = draw_wave_inputs(rng)
     q = sample_point(rng, rot_scale=1.5, boost_bound=1.5)
     em = EMConfig(e_field=(0.2, 0.1, -0.3), h_field=(0.3, -0.2, 0.4))
     linearization_check(fields, em, TopMetric(1.0), q, r_scalar=6.0)
+
+
+def test_linearization_check_evaluates_fields_in_few_calls(monkeypatch):
+    counts = _count_points(monkeypatch, BandLimitedField, "__call__")
+    _em_linearization_check()
     assert counts["points"] == 6687
     assert counts["calls"] <= 18
+
+
+def test_linearization_check_evaluates_frames_in_few_calls(monkeypatch):
+    # the closed-form inverse takes one frame per call, sqrt(g) none, and
+    # neither assembles the 10x10 matrix
+    frames = {"calls": 0}
+    frame_coefficients = config_space.frame_coefficients
+
+    def counted(theta):
+        frames["calls"] += 1
+        return frame_coefficients(theta)
+
+    monkeypatch.setattr(config_space, "frame_coefficients", counted)
+    matrices = _count_points(monkeypatch, TopMetric, "matrix")
+    _em_linearization_check()
+    assert frames["calls"] <= 11
+    assert matrices["calls"] == 0

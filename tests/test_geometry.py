@@ -61,6 +61,20 @@ def test_top_scalar_curvature_matches_closed_form():
         assert abs(val - 6.0 / a ** 2) / (6.0 / a ** 2) < 1e-4
 
 
+def test_top_scalar_curvature_reads_the_matrix_alone(monkeypatch):
+    # curvature is a finite-difference result of ``matrix``: the closed-form
+    # inverse and sqrt(g) of the top metric never enter it
+    q = sample_point(np.random.default_rng(11))
+    expected = riemann_scalar_at(TopMetric(1.4), q)
+
+    def fail(self, q):
+        raise AssertionError("closed form used in curvature")
+
+    monkeypatch.setattr(TopMetric, "inverse", fail)
+    monkeypatch.setattr(TopMetric, "sqrt_det", fail)
+    assert riemann_scalar_at(TopMetric(1.4), q) == expected
+
+
 def test_covariant_divergence_flat_linear():
     m = ConstantMetric(np.eye(2))
 
