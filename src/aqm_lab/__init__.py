@@ -65,6 +65,7 @@ from .hj import (
     hj_residual,
     linearization_check,
     momentum_covector,
+    raised_momentum,
     wave_ansatz,
     wave_operator,
 )

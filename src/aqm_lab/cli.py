@@ -104,6 +104,13 @@ def _vector(v) -> tuple[float, float, float]:
     return tuple(_finite(x) for x in v)
 
 
+def _zero_vector(v) -> tuple[float, float, float]:
+    vec = _vector(v)
+    if any(vec):
+        raise ValueError(v)
+    return vec
+
+
 def _of_type(cls):
     def check(v):
         if type(v) is not cls:
@@ -155,6 +162,11 @@ AT_LEAST_TWO = _int_from(2, "an integer >= 2")
 POSITIVE = Kind(float, lambda v: _finite(v, positive=True),
                 "a finite positive number")
 VECTOR = Kind(_numbers, _vector, "three finite numbers", metavar="x,y,z")
+# trace's plane-wave bundle solves the field-free system only, so with a
+# field its transport checks cannot pass
+ZERO_VECTOR = Kind(_numbers, _zero_vector,
+                   "0,0,0 (the trace bundle is a field-free plane wave)",
+                   metavar="0,0,0")
 SWITCH = Kind(None, _of_type(bool), "true or false")
 OUT_PATH = Kind(str, _writable_path, "a writable file path")
 REPS = Kind(str, _rep_labels, "a 'u,v' label or a list of them",
@@ -543,8 +555,9 @@ VERBS: dict[str, Verb] = {
         _run_trace,
         (SEED, TOL, OUT, replace(FORMAT, default="csv"),
          replace(N_DRAWS, kind=AT_LEAST_TWO, default=8), A, STEP, ORDER,
-         KAPPA, replace(H_FIELD, default=_ZERO),
-         replace(E_FIELD, default=_ZERO), DS, STEPS, SECTIONS, SPREAD)),
+         KAPPA, replace(H_FIELD, kind=ZERO_VECTOR, default=_ZERO),
+         replace(E_FIELD, kind=ZERO_VECTOR, default=_ZERO), DS, STEPS,
+         SECTIONS, SPREAD)),
     "spectrum": Verb(
         "squared-mass spectrum over irreducible representations",
         _run_spectrum,

@@ -251,7 +251,9 @@ class GroupMetric(MetricField):
 
     The polarization of (a^2/2) tr(omega omega-raised) over the six chart
     directions, which equals a^2 C^T diag(1, 1, 1, -1, -1, -1) C with C the
-    frame matrix. Its scalar curvature is the constant 6/a^2.
+    frame matrix. Its scalar curvature is the constant 6/a^2. ``inverse``
+    and ``sqrt_det`` are closed forms; the generic ``MetricField`` forms of
+    ``matrix`` are their test reference.
     """
 
     dim = 6
@@ -265,14 +267,34 @@ class GroupMetric(MetricField):
         c = frame_coefficients(theta)
         return self.a ** 2 * np.swapaxes(c, -1, -2) @ (0.5 * GENERATOR_PAIRING) @ c
 
+    def inverse(self, theta):
+        return self.inverse_from_killing(killing_vectors(theta))
+
+    def inverse_from_killing(self, k):
+        """a^-2 K P K^T from the Killing fields K = C^-1 of the angles, with
+        P = diag(1, 1, 1, -1, -1, -1)."""
+        return (k * _PAIRING_SIGNS) @ np.swapaxes(k, -1, -2) / self.a ** 2
+
+    def sqrt_det(self, theta):
+        """a^6 |det C| = a^6 (sin(r/2) / (r/2))^2 (sinh b / b)^2, with
+        r = |theta_rot| and b = |theta_boost|: no frame is evaluated."""
+        theta = np.asarray(theta, dtype=float)
+        r = np.sqrt(np.sum(theta[..., :3] ** 2, axis=-1))
+        b2 = np.sum(theta[..., 3:] ** 2, axis=-1)
+        series = b2 < SERIES_CUTOFF ** 2
+        # the quotient sees 1 where the series is taken, so nothing divides by 0
+        b = np.sqrt(np.where(series, 1.0, b2))
+        sinhc = np.where(series, 1.0 + b2 / 6.0 + b2 * b2 / 120.0, np.sinh(b) / b)
+        return self.a ** 6 * (np.sinc(r / (2.0 * np.pi)) * sinhc) ** 2
+
 
 class TopMetric(MetricField):
     """Metric of the spinning-top configuration space.
 
     Block diagonal: Minkowski diag(-1, 1, 1, 1) on spacetime and the
     ``GroupMetric`` on the group factor. Components depend on theta only.
-    ``inverse`` and ``sqrt_det`` are closed forms of these blocks; the
-    generic ``MetricField`` forms of ``matrix`` are their test reference.
+    ``inverse`` and ``sqrt_det`` compose the group metric's closed forms;
+    the generic ``MetricField`` forms of ``matrix`` are their test reference.
 
     The scalar curvature of this metric is the constant 6/a^2.
     """
@@ -293,27 +315,20 @@ class TopMetric(MetricField):
         return g
 
     def inverse(self, q):
-        """blockdiag(eta, a^-2 K P K^T), with K = C^-1 the Killing fields and
-        P = diag(1, 1, 1, -1, -1, -1): one frame and one 6x6 inverse."""
         _, theta = split_point(q)
-        k = killing_vectors(theta)
-        ginv = np.zeros(theta.shape[:-1] + (10, 10))
+        return self.inverse_from_killing(killing_vectors(theta))
+
+    def inverse_from_killing(self, k):
+        """blockdiag(eta, the group block) from the Killing fields K of the
+        points' angles: no 10x10 matrix is inverted."""
+        ginv = np.zeros(k.shape[:-2] + (10, 10))
         ginv[..., :4, :4] = MINKOWSKI
-        ginv[..., 4:, 4:] = (k * _PAIRING_SIGNS) @ np.swapaxes(k, -1, -2) \
-            / self.a ** 2
+        ginv[..., 4:, 4:] = self.group.inverse_from_killing(k)
         return ginv
 
     def sqrt_det(self, q):
-        """a^6 |det C| = a^6 (sin(r/2) / (r/2))^2 (sinh b / b)^2, with
-        r = |theta_rot| and b = |theta_boost|: no frame is evaluated."""
         _, theta = split_point(q)
-        r = np.sqrt(np.sum(theta[..., :3] ** 2, axis=-1))
-        b2 = np.sum(theta[..., 3:] ** 2, axis=-1)
-        series = b2 < SERIES_CUTOFF ** 2
-        # the quotient sees 1 where the series is taken, so nothing divides by 0
-        b = np.sqrt(np.where(series, 1.0, b2))
-        sinhc = np.where(series, 1.0 + b2 / 6.0 + b2 * b2 / 120.0, np.sinh(b) / b)
-        return self.a ** 6 * (np.sinc(r / (2.0 * np.pi)) * sinhc) ** 2
+        return self.group.sqrt_det(theta)
 
     def riemann_scalar(self) -> float:
         """Closed-form Riemann scalar 6/a^2 (verified against finite differences)."""

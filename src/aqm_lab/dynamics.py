@@ -17,17 +17,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config_space import NULL_TOL, RAPIDITY_MAX, split_point
-from .geometry import MetricField
+from .config_space import NULL_TOL, RAPIDITY_MAX, TopMetric, split_point
 from .hj import EMConfig, WaveInputs, born_density, divergence_residual, \
-    momentum_covector
+    raised_momentum
 
 
 class DegenerateDirection(Exception):
     """Momentum norm fell below the null tolerance."""
 
 
-def velocity_field(fields: WaveInputs, em: EMConfig, metric: MetricField,
+def velocity_field(fields: WaveInputs, em: EMConfig, metric: TopMetric,
                    point: np.ndarray, h: float = 1e-3, order: int = 4
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Normalized trajectory velocity and the squared momentum norm.
@@ -40,8 +39,7 @@ def velocity_field(fields: WaveInputs, em: EMConfig, metric: MetricField,
     unnormalized.
     """
     point = np.asarray(point, dtype=float)
-    u = momentum_covector(fields, em, point, h=h, order=order)
-    up = (metric.inverse(point) @ u[..., None])[..., 0]
+    u, up = raised_momentum(fields, em, metric, point, h, order)
     norm2 = (u[..., None, :] @ up[..., None])[..., 0, 0]
     degenerate = np.abs(norm2) < NULL_TOL
     if point.ndim == 1 and degenerate:
@@ -70,7 +68,7 @@ def _within_chart(q: np.ndarray) -> np.ndarray:
     return np.all(np.abs(theta[..., 3:]) <= RAPIDITY_MAX, axis=-1)
 
 
-def integrate_trajectory(fields: WaveInputs, em: EMConfig, metric: MetricField,
+def integrate_trajectory(fields: WaveInputs, em: EMConfig, metric: TopMetric,
                          q0: np.ndarray, ds: float, n_steps: int,
                          h: float = 1e-3, order: int = 4
                          ) -> Trajectory | list[Trajectory]:
@@ -140,7 +138,7 @@ def integrate_trajectory(fields: WaveInputs, em: EMConfig, metric: MetricField,
 # ---------------------------------------------------------------------------
 
 
-def integrate_bundle(fields: WaveInputs, em: EMConfig, metric: MetricField,
+def integrate_bundle(fields: WaveInputs, em: EMConfig, metric: TopMetric,
                      q0: np.ndarray, rng: np.random.Generator,
                      n_traj: int = 8, spread: float = 0.05, ds: float = 0.01,
                      n_steps: int = 100, h: float = 1e-3, order: int = 4
@@ -181,18 +179,18 @@ class TransportReport:
     section_flux: list[float] = field(default_factory=list)
 
 
-def flux_density(fields: WaveInputs, em: EMConfig, metric: MetricField,
+def flux_density(fields: WaveInputs, em: EMConfig, metric: TopMetric,
                  point: np.ndarray, h: float = 1e-3, order: int = 4) -> np.ndarray:
     """Current magnitude along the flow, |psi|^2 sqrt(g) sqrt(|g^{ij} u_i u_j|),
     at points on the last axis."""
     point = np.asarray(point, dtype=float)
-    u = momentum_covector(fields, em, point, h=h, order=order)
-    norm2 = ((u[..., None, :] @ metric.inverse(point)) @ u[..., None])[..., 0, 0]
+    u, up = raised_momentum(fields, em, metric, point, h, order)
+    norm2 = (u[..., None, :] @ up[..., None])[..., 0, 0]
     return born_density(fields, point) * metric.sqrt_det(point) \
         * np.sqrt(np.abs(norm2))
 
 
-def transport_check(fields: WaveInputs, em: EMConfig, metric: MetricField,
+def transport_check(fields: WaveInputs, em: EMConfig, metric: TopMetric,
                     bundle: list[Trajectory], n_sections: int = 5,
                     h: float = 1e-3, order: int = 4) -> TransportReport:
     """Divergence, flux drift and crossing diagnostics along a bundle.

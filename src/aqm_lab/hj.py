@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config_space import killing_vectors, split_point
+from .config_space import TopMetric, killing_vectors, split_point
 from .fd import derivative_stack
 from .fields import draw_field
 from .geometry import MetricField, WeylGauge, covariant_divergence_at, \
@@ -106,8 +106,18 @@ class EMConfig:
     def potential(self, q: np.ndarray) -> np.ndarray:
         """Full 10-component covariant potential at configuration points."""
         x, theta = split_point(q)
+        return self.potential_from_killing(x, killing_vectors(theta))
+
+    def potential_from_killing(self, x: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """``potential`` at events x whose angles have the Killing fields
+        k = ``killing_vectors(theta)``."""
         return np.concatenate([self.potential_spacetime(x),
-                               extend_potential(self, theta)], axis=-1)
+                               self.extension_from_killing(k)], axis=-1)
+
+    def extension_from_killing(self, k: np.ndarray) -> np.ndarray:
+        """Group-direction components A_alpha = k[alpha, a] c_a, with c the
+        ``generator_charges``, from the Killing fields k of the angles."""
+        return k @ self.generator_charges()
 
 
 def extend_potential(em: EMConfig, theta: np.ndarray) -> np.ndarray:
@@ -118,7 +128,7 @@ def extend_potential(em: EMConfig, theta: np.ndarray) -> np.ndarray:
     A_alpha = xi[alpha, a] * (-(kappa/2) (H, E))_a. At theta = 0 these are
     the charges themselves.
     """
-    return killing_vectors(theta) @ em.generator_charges()
+    return em.extension_from_killing(killing_vectors(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +157,23 @@ def momentum_covector(fields: WaveInputs, em: EMConfig, point: np.ndarray,
     point = np.asarray(point, dtype=float)
     return derivative_stack(fields.s_field, point, h=h, order=order) \
         - em.e_charge * em.potential(point)
+
+
+def raised_momentum(fields: WaveInputs, em: EMConfig, metric: TopMetric,
+                    point: np.ndarray, h: float, order: int
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The momentum u = ``momentum_covector`` and its raise u#^i = g^{ij} u_j,
+    at points on the last axis, as (u, u#).
+
+    The potential and the inverse metric read one evaluation of the Killing
+    fields of the points' angles.
+    """
+    point = np.asarray(point, dtype=float)
+    x, theta = split_point(point)
+    k = killing_vectors(theta)
+    u = derivative_stack(fields.s_field, point, h=h, order=order) \
+        - em.e_charge * em.potential_from_killing(x, k)
+    return u, (metric.inverse_from_killing(k) @ u[..., None])[..., 0]
 
 
 def born_density(fields: WaveInputs, point: np.ndarray) -> np.ndarray:
@@ -190,7 +217,7 @@ def hj_residual(fields: WaveInputs, em: EMConfig, metric: MetricField,
     return float(u @ metric.inverse(point) @ u + xi2 * rw)
 
 
-def divergence_residual(fields: WaveInputs, em: EMConfig, metric: MetricField,
+def divergence_residual(fields: WaveInputs, em: EMConfig, metric: TopMetric,
                         point: np.ndarray, h: float = 1e-3, order: int = 4
                         ) -> np.ndarray:
     """Residual of the transport equation: covariant divergence of the
@@ -199,8 +226,7 @@ def divergence_residual(fields: WaveInputs, em: EMConfig, metric: MetricField,
     point = np.asarray(point, dtype=float)
 
     def current_up(q):
-        u = momentum_covector(fields, em, q, h=h, order=order)
-        up = (metric.inverse(q) @ u[..., None])[..., 0]
+        _, up = raised_momentum(fields, em, metric, q, h, order)
         return born_density(fields, q)[..., None] * up
 
     return covariant_divergence_at(metric, current_up, point, h=h, order=order)
@@ -220,7 +246,7 @@ def wave_operator(psi: Callable[[np.ndarray], np.ndarray], em: EMConfig,
     return complex(-lap + xi2 * r_scalar * psi(point))
 
 
-def linearization_check(fields: WaveInputs, em: EMConfig, metric: MetricField,
+def linearization_check(fields: WaveInputs, em: EMConfig, metric: TopMetric,
                         point: np.ndarray, r_scalar: float,
                         xi2: float | None = None, h: float = 1e-3,
                         order: int = 4) -> tuple[complex, float, float]:

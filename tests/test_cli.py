@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aqm_lab import cli
 from aqm_lab.cli import VERBS, ConfigError, _build_parser, main, resolve_config
 
 FAST_DIRAC = ["verify-dirac", "--n-draws", "2"]
@@ -359,17 +360,28 @@ def test_nonfinite_values_fail_checks_in_valid_json(argv, capsys):
         assert "trace_max_divergence" in {c["name"] for c in nonfinite}
 
 
-def test_trace_bundle_stopped_at_start_fails_checks(capsys):
-    # with these fields u.u changes sign within the first step of most of
-    # the bundle; those trajectories stop there, and the run is a check
-    # failure, not an internal error
-    code = main(["trace", "--format", "json", "--seed", "2", "--steps", "5",
-                 "--H", "0.6,-0.4,0.8", "--E", "0.4,0.2,-0.6"])
-    payload = json.loads(capsys.readouterr().out)["payload"]
-    assert code == 1
-    assert 1 in payload["records"][0]["samples_per_trajectory"]
-    drift = {c["name"]: c for c in payload["checks"]}["trace_flux_drift"]
-    assert drift["nonfinite"] and not drift["pass"]
+@pytest.mark.parametrize("flags, file_cfg", [
+    (["--H", "0.6,-0.4,0.8", "--E", "0.4,0.2,-0.6"], None),
+    ([], {"E": [0.0, 0.0, 1e-9]}),
+], ids=["flags", "config_file"])
+def test_trace_rejects_nonzero_fields(monkeypatch, tmp_path, capsys, flags,
+                                      file_cfg):
+    # the bundle inputs are field-free plane waves: with a field the
+    # transport checks cannot pass, so a field is a configuration error,
+    # reported before any trajectory is integrated
+    def fail(*args, **kwargs):
+        raise AssertionError("integrated a bundle")
+
+    monkeypatch.setattr(cli, "integrate_bundle", fail)
+    if file_cfg is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(file_cfg))
+        flags = flags + ["--config", str(path)]
+    code = main(["trace", "--format", "json", "--seed", "2", *flags])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
 
 
 # config fuzz: the verb's own keys plus junk keys, with JSON values

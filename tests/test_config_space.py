@@ -375,15 +375,16 @@ def test_top_metric_signature_constant():
         assert int(np.sum(evals < 0)) == 4
 
 
-def _closed_form_rel_errors(top: TopMetric, q: np.ndarray) -> tuple[float, float]:
+def _closed_form_rel_errors(metric: MetricField, q: np.ndarray
+                            ) -> tuple[float, float]:
     """Relative errors of the closed-form inverse and sqrt(g) against the
     generic ``MetricField`` forms of ``matrix``: max-abs error over max-abs
     reference, over the whole batch."""
-    inv, sqrt_g = top.inverse(q), top.sqrt_det(q)
-    assert inv.shape == q.shape[:-1] + (10, 10)
+    inv, sqrt_g = metric.inverse(q), metric.sqrt_det(q)
+    assert inv.shape == q.shape[:-1] + (metric.dim, metric.dim)
     assert np.shape(sqrt_g) == q.shape[:-1]
-    return (_rel_error(inv, MetricField.inverse(top, q)),
-            _rel_error(sqrt_g, MetricField.sqrt_det(top, q)))
+    return (_rel_error(inv, MetricField.inverse(metric, q)),
+            _rel_error(sqrt_g, MetricField.sqrt_det(metric, q)))
 
 
 @pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
@@ -425,6 +426,41 @@ def test_top_metric_closed_forms_at_group_identity():
     assert np.array_equal(
         top.inverse(q), np.diag([-1, 1, 1, 1, 0.25, 0.25, 0.25, -0.25, -0.25, -0.25]))
     assert top.sqrt_det(q) == 64.0
+
+
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("scale", [1.0, 1e-2, 1e-5, 1e-9])
+def test_group_metric_closed_forms_match_generic_at_random_points(scale, batch):
+    rng = np.random.default_rng(19)
+    group = GroupMetric(1.3)
+    for _ in range(40):
+        theta = np.array([sample_point(rng)[4:]
+                          for _ in range(int(np.prod(batch)))]) * scale
+        assert max(_closed_form_rel_errors(
+            group, theta.reshape(batch + (6,)))) <= 1e-13
+
+
+@pytest.mark.parametrize("norm", [0.99 * SERIES_CUTOFF, SERIES_CUTOFF,
+                                  1.01 * SERIES_CUTOFF])
+@pytest.mark.parametrize("block", [slice(0, 3), slice(3, 6)])
+def test_group_metric_closed_forms_match_generic_at_series_cutoff(norm, block):
+    rng = np.random.default_rng(20)
+    group = GroupMetric(0.8)
+    theta = np.zeros((2, 3, 6))
+    direction = rng.normal(size=(2, 3, 3))
+    theta[..., block] = norm * direction / np.linalg.norm(
+        direction, axis=-1, keepdims=True)
+    for batch in (theta, *theta, *theta.reshape(6, 6)):
+        assert max(_closed_form_rel_errors(group, batch)) <= 1e-13
+
+
+def test_group_metric_closed_forms_at_group_identity():
+    group = GroupMetric(2.0)
+    theta = np.zeros(6)
+    assert max(_closed_form_rel_errors(group, theta)) <= 1e-13
+    assert np.array_equal(group.inverse(theta),
+                          np.diag([0.25, 0.25, 0.25, -0.25, -0.25, -0.25]))
+    assert group.sqrt_det(theta) == 64.0
 
 
 def test_top_metric_closed_form_scalar():

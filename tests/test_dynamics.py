@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aqm_lab import dynamics
+from aqm_lab import config_space, dynamics, hj
 from aqm_lab.config_space import RAPIDITY_MAX, TopMetric, sample_point
 from aqm_lab.dynamics import (
     DegenerateDirection,
@@ -310,13 +310,14 @@ def test_batched_null_bundle_is_degenerate_at_start():
 def test_batched_bundle_degenerates_mid_run_per_trajectory(monkeypatch):
     # the momentum vanishes past x^0 = 0.08, so the trajectory that starts
     # ahead in time degenerates at some RK4 stage; the others run on
-    momentum = dynamics.momentum_covector
+    raised = dynamics.raised_momentum
 
-    def vanishing(fields, em, point, h=1e-3, order=4):
-        u = momentum(fields, em, point, h=h, order=order)
-        return np.where((np.asarray(point)[..., 0] > 0.08)[..., None], 0.0, u)
+    def vanishing(fields, em, metric, point, h, order):
+        late = (np.asarray(point)[..., 0] > 0.08)[..., None]
+        return tuple(np.where(late, 0.0, w)
+                     for w in raised(fields, em, metric, point, h, order))
 
-    monkeypatch.setattr(dynamics, "momentum_covector", vanishing)
+    monkeypatch.setattr(dynamics, "raised_momentum", vanishing)
     fields = _plane_wave(np.array([0.3, -0.2, 0.1]))
     starts = np.zeros((3, 10))
     starts[:, 0] = [0.05, -0.5, -0.6]
@@ -324,6 +325,31 @@ def test_batched_bundle_degenerates_mid_run_per_trajectory(monkeypatch):
                                        n_steps=20)
     assert bundle[0].truncated == "degenerate" and 1 < bundle[0].n_samples < 21
     assert [t.n_samples for t in bundle[1:]] == [21, 21]
+
+
+def test_velocity_field_evaluates_the_killing_fields_once(monkeypatch):
+    # the potential and the inverse metric share one Killing-field
+    # evaluation, and with it one frame
+    counts = {"killing_vectors": 0, "frame_coefficients": 0}
+
+    def count(name, modules):
+        original = getattr(modules[0], name)
+
+        def counted(theta):
+            counts[name] += 1
+            return original(theta)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
+
+    count("killing_vectors", (config_space, hj))
+    count("frame_coefficients", (config_space,))
+    rng = np.random.default_rng(6)
+    fields = draw_wave_inputs(rng)
+    em = EMConfig(e_field=(0.2, 0.1, -0.3), h_field=(0.3, -0.2, 0.4))
+    q = np.stack([sample_point(rng, 1.5, 1.5) for _ in range(2)])
+    velocity_field(fields, em, METRIC, q)
+    assert counts == {"killing_vectors": 1, "frame_coefficients": 1}
 
 
 def test_bundle_calls_velocity_field_once_per_stage(monkeypatch):

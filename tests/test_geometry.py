@@ -75,6 +75,20 @@ def test_top_scalar_curvature_reads_the_matrix_alone(monkeypatch):
     assert riemann_scalar_at(TopMetric(1.4), q) == expected
 
 
+def test_group_scalar_curvature_reads_the_matrix_alone(monkeypatch):
+    # the group metric's closed-form inverse and sqrt(g) never enter its
+    # curvature either
+    theta = sample_point(np.random.default_rng(12))[4:]
+    expected = riemann_scalar_at(GroupMetric(0.9), theta)
+
+    def fail(self, theta):
+        raise AssertionError("closed form used in curvature")
+
+    for name in ("inverse", "inverse_from_killing", "sqrt_det"):
+        monkeypatch.setattr(GroupMetric, name, fail)
+    assert riemann_scalar_at(GroupMetric(0.9), theta) == expected
+
+
 def test_covariant_divergence_flat_linear():
     m = ConstantMetric(np.eye(2))
 

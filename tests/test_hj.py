@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from aqm_lab.config_space import TopMetric, killing_vectors, sample_point
+from aqm_lab.config_space import SERIES_CUTOFF, TopMetric, killing_vectors, \
+    sample_point
 from aqm_lab.fields import LinearField, draw_field
 from aqm_lab.geometry import WeylGauge
 from aqm_lab.hj import (
@@ -15,6 +16,7 @@ from aqm_lab.hj import (
     hj_residual,
     linearization_check,
     momentum_covector,
+    raised_momentum,
     wave_ansatz,
     wave_operator,
 )
@@ -145,6 +147,31 @@ def test_momentum_covector_gauge_shift():
     u_free = momentum_covector(fields, EMConfig.zero(), q)
     u_em = momentum_covector(fields, em, q)
     assert np.max(np.abs(u_free - u_em - em.e_charge * em.potential(q))) < 1e-12
+
+
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("em", [
+    EMConfig.zero(),
+    EMConfig(e_field=(0.2, 0.1, -0.3), h_field=(0.3, -0.2, 0.4)),
+], ids=["free", "em"])
+def test_raised_momentum_matches_covector_and_inverse(em, batch):
+    # one Killing-field evaluation serves the potential and the inverse, with
+    # the values of the two separate evaluations: at random points, at the
+    # group identity and with both angle halves on the series side
+    rng = np.random.default_rng(24)
+    fields = draw_wave_inputs(rng)
+    metric = TopMetric(1.3)
+    random = np.array([sample_point(rng) for _ in range(int(np.prod(batch)))])
+    identity, series = random.copy(), random.copy()
+    identity[:, 4:] = 0.0
+    series[:, 4:] *= 0.5 * SERIES_CUTOFF / np.abs(series[:, 4:]).sum(
+        axis=-1, keepdims=True)
+    for q in (random, identity, series):
+        q = q.reshape(batch + (10,))
+        u, up = raised_momentum(fields, em, metric, q, 1e-3, 4)
+        u_ref = momentum_covector(fields, em, q, h=1e-3, order=4)
+        up_ref = (metric.inverse(q) @ u_ref[..., None])[..., 0]
+        assert np.array_equal(u, u_ref) and np.array_equal(up, up_ref)
 
 
 def test_linearization_defect_small_free_and_coupled():
