@@ -61,7 +61,6 @@ from .hj import (
     conformal_coupling,
     divergence_residual,
     draw_wave_inputs,
-    extend_potential,
     hj_residual,
     linearization_check,
     momentum_covector,

@@ -307,7 +307,7 @@ def _run_verify_linearization(cfg: dict):
     rng = np.random.default_rng(cfg["seed"])
     metric = TopMetric(cfg["a"])
     r = metric.riemann_scalar()
-    em_zero = EMConfig.zero(kappa=cfg["kappa"])
+    em_zero = EMConfig.zero()
     em_full = EMConfig(e_field=cfg["E"], h_field=cfg["H"], kappa=cfg["kappa"])
 
     free_defects, em_defects, control_defects = [], [], []
@@ -320,7 +320,8 @@ def _run_verify_linearization(cfg: dict):
             defect, hj_res, div_res = linearization_check(
                 fields, em, metric, q, r_scalar=r, h=cfg["h"],
                 order=cfg["order"])
-            bucket.append(abs(defect))
+            # |defect| as the builtin abs, but inf where abs would raise
+            bucket.append(np.hypot(defect.real, defect.imag))
             records.append({
                 "seed": cfg["seed"], "point": list(q), "hj_res": hj_res,
                 "div_res": div_res, "defect_re": defect.real,
@@ -330,7 +331,7 @@ def _run_verify_linearization(cfg: dict):
             control, _, _ = linearization_check(
                 fields, em_zero, metric, q, xi2=0.25, r_scalar=r,
                 h=cfg["h"], order=cfg["order"])
-            control_defects.append(abs(control))
+            control_defects.append(np.hypot(control.real, control.imag))
 
     checks = [
         check_close("linearization_max_defect_free", np.max(free_defects), 0.0,
@@ -356,7 +357,7 @@ def _run_verify_reps(cfg: dict):
 
     casimir_rel = 0.0
     for rep in (Irrep(0, 0.5), Irrep(0.5, 0.5)):
-        expected = -casimir_value(rep) / cfg["a"] ** 2
+        expected = -casimir_value(rep) / np.float64(cfg["a"]) ** 2
         for theta in thetas:
             ratio = angular_laplacian_check(rep, theta, a=cfg["a"],
                                             order=cfg["order"])
@@ -405,7 +406,7 @@ def _run_verify_dirac(cfg: dict):
                                 counterterm=bool(cfg["counterterm"]))
         m19 = squared_dirac_matrix(p, em, scale.mass, x=x)
         gap_expected = 0.0 if cfg["counterterm"] \
-            else (em.e_charge * a) ** 2 * em.invariant_h2_e2()
+            else a ** 2 * em.invariant_h2_e2()
         gap = float(np.max(np.abs(m18 - m19 - gap_expected * np.eye(4))))
         gap_defect = np.maximum(gap_defect, gap)
 

@@ -261,7 +261,7 @@ class GroupMetric(MetricField):
     def __init__(self, a: float = 1.0):
         if a <= 0:
             raise ValueError("internal length scale a must be positive")
-        self.a = float(a)
+        self.a = np.float64(a)  # an extreme power is inf or 0, not an error
 
     def matrix(self, theta):
         c = frame_coefficients(theta)

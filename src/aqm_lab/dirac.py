@@ -79,16 +79,16 @@ def clifford_defect() -> float:
 def spin_coupling_matrix(rep: Irrep, em: EMConfig, a: float) -> np.ndarray:
     """Field-shifted Casimir block of one irrep.
 
-    sum_k [(1/a) J_k - (kappa e a / 2) H_k]^2
-        - sum_k [(1/a) K_k - (kappa e a / 2) E_k]^2.
+    sum_k [(1/a) J_k - (kappa a / 2) H_k]^2
+        - sum_k [(1/a) K_k - (kappa a / 2) E_k]^2.
 
     Field-free it is (casimir / a^2) I; the cross terms carry the magnetic
     and electric moment couplings, the squares add the quadratic invariant
-    (kappa e a / 2)^2 (H^2 - E^2).
+    (kappa a / 2)^2 (H^2 - E^2).
     """
     j, k_ = irrep_generators(rep)
     eye = np.eye(rep.dim)
-    gamma = 0.5 * em.kappa * em.e_charge * a
+    gamma = 0.5 * em.kappa * a
     out = np.zeros((rep.dim, rep.dim), dtype=complex)
     for comp in range(3):
         m = j[comp] / a - gamma * em.h_field[comp] * eye
@@ -166,13 +166,13 @@ def mass_spin_spectrum(reps: list[Irrep], a: float) -> list[dict]:
 def momentum_product_symbol(p: np.ndarray, em: EMConfig, x: np.ndarray) -> np.ndarray:
     """Exact symbol T[mu, nu] of Pi_mu Pi_nu on the plane wave exp(i p.x).
 
-    With Pi_mu = -i d_mu - e A_mu and the potential linear in x,
+    With Pi_mu = -i d_mu - A_mu and the potential linear in x,
     Pi_mu Pi_nu exp(i p.x) = T[mu, nu] exp(i p.x) with
-    T = pi (x) pi + i e dA, pi = p - e A(x). No finite differences involved.
+    T = pi (x) pi + i dA, pi = p - A(x). No finite differences involved.
     """
-    pi = np.asarray(p, dtype=float) - em.e_charge * em.potential_spacetime(x)
+    pi = np.asarray(p, dtype=float) - em.potential_spacetime(x)
     return np.multiply.outer(pi, pi).astype(complex) \
-        + 1j * em.e_charge * em.potential_gradient()
+        + 1j * em.potential_gradient()
 
 
 def top_spinor_matrix(p: np.ndarray, em: EMConfig, scale: MassScale,
@@ -182,7 +182,7 @@ def top_spinor_matrix(p: np.ndarray, em: EMConfig, scale: MassScale,
 
     g^{mu nu} Pi_mu Pi_nu I + (spin coupling block) + 6 xi^2 / a^2 I.
     With ``counterterm`` the curvature term is shifted by
-    -(e a / xi)^2 (H^2 - E^2) xi^2, which removes the quadratic field
+    -(a / xi)^2 (H^2 - E^2) xi^2, which removes the quadratic field
     invariant introduced by the spin coupling squares.
     """
     if x is None:
@@ -193,7 +193,7 @@ def top_spinor_matrix(p: np.ndarray, em: EMConfig, scale: MassScale,
     with np.errstate(**EXTREME_SCALES):
         curvature = 6.0 * XI2 / a ** 2
         if counterterm:
-            curvature -= (em.e_charge * a) ** 2 * em.invariant_h2_e2()
+            curvature -= a ** 2 * em.invariant_h2_e2()
         return scalar * np.eye(4, dtype=complex) \
             + parity_spin_coupling(Irrep(0.0, 0.5), em, a) \
             + curvature * np.eye(4, dtype=complex)

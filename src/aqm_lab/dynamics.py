@@ -39,8 +39,7 @@ def velocity_field(fields: WaveInputs, em: EMConfig, metric: TopMetric,
     unnormalized.
     """
     point = np.asarray(point, dtype=float)
-    u, up = raised_momentum(fields, em, metric, point, h, order)
-    norm2 = (u[..., None, :] @ up[..., None])[..., 0, 0]
+    up, norm2 = raised_momentum(fields, em, metric, point, h, order)
     degenerate = np.abs(norm2) < NULL_TOL
     if point.ndim == 1 and degenerate:
         raise DegenerateDirection(f"|u.u| = {abs(norm2):.3e} at s-point")
@@ -184,8 +183,7 @@ def flux_density(fields: WaveInputs, em: EMConfig, metric: TopMetric,
     """Current magnitude along the flow, |psi|^2 sqrt(g) sqrt(|g^{ij} u_i u_j|),
     at points on the last axis."""
     point = np.asarray(point, dtype=float)
-    u, up = raised_momentum(fields, em, metric, point, h, order)
-    norm2 = (u[..., None, :] @ up[..., None])[..., 0, 0]
+    _, norm2 = raised_momentum(fields, em, metric, point, h, order)
     return born_density(fields, point) * metric.sqrt_det(point) \
         * np.sqrt(np.abs(norm2))
 

@@ -40,7 +40,13 @@ class MetricField:
         raise NotImplementedError
 
     def inverse(self, q: np.ndarray) -> np.ndarray:
-        return np.linalg.inv(self.matrix(q))
+        g = self.matrix(q)
+        try:
+            return np.linalg.inv(g)
+        except np.linalg.LinAlgError:
+            # an exactly singular matrix (a scale underflowed to zero) makes
+            # the batch NaN, which the checks report
+            return np.full(g.shape, np.nan)
 
     def sqrt_det(self, q: np.ndarray) -> np.ndarray:
         return np.sqrt(np.abs(np.linalg.det(self.matrix(q))))

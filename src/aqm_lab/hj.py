@@ -10,7 +10,7 @@ xi^2 = (n-2)/(4(n-1)) and no approximation: the complex residual of the
 wave operator splits into the two real residuals, and the defect of that
 split is zero to stencil accuracy.
 
-Natural units hbar = c = 1; the electric charge stays an explicit knob.
+Natural units hbar = c = 1, and unit charge e = 1.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def conformal_coupling(n: int) -> float:
 
 @dataclass(frozen=True)
 class EMConfig:
-    """Uniform electromagnetic field with its coupling constants.
+    """Uniform electromagnetic field with its group-direction coupling.
 
     ``e_field`` and ``h_field`` are the electric and magnetic 3-vectors. The
     spacetime potential A_0 = E.x, A_k = (1/2)(H x x)_k reproduces the field
@@ -56,7 +56,6 @@ class EMConfig:
 
     e_field: np.ndarray
     h_field: np.ndarray
-    e_charge: float = 1.0
     kappa: float = 2.0
 
     def __post_init__(self):
@@ -66,8 +65,8 @@ class EMConfig:
             raise ValueError("e_field and h_field must be 3-vectors")
 
     @classmethod
-    def zero(cls, kappa: float = 2.0) -> "EMConfig":
-        return cls(np.zeros(3), np.zeros(3), kappa=kappa)
+    def zero(cls) -> "EMConfig":
+        return cls(np.zeros(3), np.zeros(3))
 
     def potential_spacetime(self, x: np.ndarray) -> np.ndarray:
         """Covariant components (A_0, A_1, A_2, A_3) at events x on the last axis."""
@@ -110,25 +109,11 @@ class EMConfig:
 
     def potential_from_killing(self, x: np.ndarray, k: np.ndarray) -> np.ndarray:
         """``potential`` at events x whose angles have the Killing fields
-        k = ``killing_vectors(theta)``."""
+        k = ``killing_vectors(theta)``: the group components pull the
+        constant ``generator_charges`` c back through the frame,
+        A_alpha = k[alpha, a] c_a."""
         return np.concatenate([self.potential_spacetime(x),
-                               self.extension_from_killing(k)], axis=-1)
-
-    def extension_from_killing(self, k: np.ndarray) -> np.ndarray:
-        """Group-direction components A_alpha = k[alpha, a] c_a, with c the
-        ``generator_charges``, from the Killing fields k of the angles."""
-        return k @ self.generator_charges()
-
-
-def extend_potential(em: EMConfig, theta: np.ndarray) -> np.ndarray:
-    """Group-direction components A_alpha of the extended potential.
-
-    The uniform field defines constant charges on the right-invariant frame;
-    pulling them back through the frame gives chart components
-    A_alpha = xi[alpha, a] * (-(kappa/2) (H, E))_a. At theta = 0 these are
-    the charges themselves.
-    """
-    return em.extension_from_killing(killing_vectors(theta))
+                               k @ self.generator_charges()], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -153,17 +138,18 @@ def draw_wave_inputs(rng: np.random.Generator) -> WaveInputs:
 
 def momentum_covector(fields: WaveInputs, em: EMConfig, point: np.ndarray,
                       h: float = 1e-3, order: int = 4) -> np.ndarray:
-    """Gauge-covariant momentum u_j = d_j S - e A_j at points on the last axis."""
+    """Gauge-covariant momentum u_j = d_j S - A_j at points on the last axis."""
     point = np.asarray(point, dtype=float)
     return derivative_stack(fields.s_field, point, h=h, order=order) \
-        - em.e_charge * em.potential(point)
+        - em.potential(point)
 
 
 def raised_momentum(fields: WaveInputs, em: EMConfig, metric: TopMetric,
                     point: np.ndarray, h: float, order: int
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """The momentum u = ``momentum_covector`` and its raise u#^i = g^{ij} u_j,
-    at points on the last axis, as (u, u#).
+    """The raise u#^i = g^{ij} u_j of the momentum u = ``momentum_covector``
+    and its square u.u# = g^{ij} u_i u_j, at points on the last axis, as
+    (u#, u.u#).
 
     The potential and the inverse metric read one evaluation of the Killing
     fields of the points' angles.
@@ -172,8 +158,9 @@ def raised_momentum(fields: WaveInputs, em: EMConfig, metric: TopMetric,
     x, theta = split_point(point)
     k = killing_vectors(theta)
     u = derivative_stack(fields.s_field, point, h=h, order=order) \
-        - em.e_charge * em.potential_from_killing(x, k)
-    return u, (metric.inverse_from_killing(k) @ u[..., None])[..., 0]
+        - em.potential_from_killing(x, k)
+    up = (metric.inverse_from_killing(k) @ u[..., None])[..., 0]
+    return up, (u[..., None, :] @ up[..., None])[..., 0, 0]
 
 
 def born_density(fields: WaveInputs, point: np.ndarray) -> np.ndarray:
@@ -199,22 +186,20 @@ def wave_ansatz(fields: WaveInputs) -> Callable[[np.ndarray], np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def hj_residual(fields: WaveInputs, em: EMConfig, metric: MetricField,
-                point: np.ndarray, r_scalar: float, xi2: float | None = None,
+def hj_residual(fields: WaveInputs, em: EMConfig, metric: TopMetric,
+                point: np.ndarray, r_scalar: float, xi2: float,
                 h: float = 1e-3, order: int = 4) -> float:
     """Residual of the Hamilton-Jacobi equation at a point.
 
-    g^{ij} u_i u_j + xi^2 R_W, which vanishes on solutions. ``r_scalar`` is
-    the Riemann scalar of the metric at the point; ``xi2`` may override the
-    conformal coupling (for control experiments).
+    g^{ij} u_i u_j + xi^2 R_W, which vanishes on solutions at the conformal
+    coupling xi^2. ``r_scalar`` is the Riemann scalar of the metric at the
+    point.
     """
     point = np.asarray(point, dtype=float)
-    if xi2 is None:
-        xi2 = conformal_coupling(metric.dim) ** 2
-    u = momentum_covector(fields, em, point, h=h, order=order)
+    _, norm2 = raised_momentum(fields, em, metric, point, h, order)
     rw = weyl_scalar_at(metric, fields.gauge, point, h=h, order=order,
                         r_scalar=r_scalar)
-    return float(u @ metric.inverse(point) @ u + xi2 * rw)
+    return float(norm2 + xi2 * rw)
 
 
 def divergence_residual(fields: WaveInputs, em: EMConfig, metric: TopMetric,
@@ -226,7 +211,7 @@ def divergence_residual(fields: WaveInputs, em: EMConfig, metric: TopMetric,
     point = np.asarray(point, dtype=float)
 
     def current_up(q):
-        _, up = raised_momentum(fields, em, metric, q, h, order)
+        up, _ = raised_momentum(fields, em, metric, q, h, order)
         return born_density(fields, q)[..., None] * up
 
     return covariant_divergence_at(metric, current_up, point, h=h, order=order)
@@ -237,12 +222,12 @@ def wave_operator(psi: Callable[[np.ndarray], np.ndarray], em: EMConfig,
                   r_scalar: float, h: float = 1e-3, order: int = 4) -> complex:
     """Minimally coupled curvature-potential wave operator applied to psi.
 
-    W psi = -(1/sqrt g)(d_i - i e A_i) [sqrt g g^{ij} (d_j - i e A_j) psi]
+    W psi = -(1/sqrt g)(d_i - i A_i) [sqrt g g^{ij} (d_j - i A_j) psi]
             + xi^2 R psi,
     evaluated at one point by nested central differences.
     """
     lap = laplace_beltrami(metric, psi, point, h=h, order=order,
-                           potential=lambda q: em.e_charge * em.potential(q))
+                           potential=em.potential)
     return complex(-lap + xi2 * r_scalar * psi(point))
 
 

@@ -157,7 +157,7 @@ def test_criterion_squared_dirac():
         x = rng.uniform(-1, 1, 4)
         m18 = top_spinor_matrix(p, em, scale, x=x)
         m19 = squared_dirac_matrix(p, em, scale.mass, x=x)
-        gap = (em.e_charge * scale.a) ** 2 * em.invariant_h2_e2()
+        gap = scale.a ** 2 * em.invariant_h2_e2()
         gap_worst = max(gap_worst, float(np.max(np.abs(
             m18 - m19 - gap * np.eye(4)))))
         m18_ct = top_spinor_matrix(p, em, scale, x=x, counterterm=True)

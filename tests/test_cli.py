@@ -360,6 +360,25 @@ def test_nonfinite_values_fail_checks_in_valid_json(argv, capsys):
         assert "trace_max_divergence" in {c["name"] for c in nonfinite}
 
 
+@pytest.mark.parametrize("a", ["1e-200", "1e200"])
+@pytest.mark.parametrize("argv", [
+    ["verify-curvature", "--n-draws", "1"],
+    ["verify-weyl", "--n-draws", "1"],
+    ["verify-linearization", "--n-draws", "1"],
+    ["verify-reps", "--n-draws", "1"],
+    ["trace", "--format", "json", "--n-draws", "2", "--steps", "5"],
+], ids=lambda argv: argv[0])
+def test_extreme_length_scale_fails_checks_without_internal_error(
+        argv, a, capsys):
+    # a^2 and a^6 over- or underflow and the group metric turns singular;
+    # every verb reports the non-finite values as failed checks
+    assert main(argv + ["--a", a]) == 1
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)["payload"]
+    assert any(c.get("nonfinite") for c in payload["checks"])
+    assert "error:" not in captured.err
+
+
 @pytest.mark.parametrize("flags, file_cfg", [
     (["--H", "0.6,-0.4,0.8", "--E", "0.4,0.2,-0.6"], None),
     ([], {"E": [0.0, 0.0, 1e-9]}),
@@ -389,8 +408,8 @@ JUNK_KEYS = ["draws", "config", "verbose", "n_draw", "Tol"]
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
     | st.text(max_size=6)
-    | st.sampled_from([0, 1, 2, 4, 0.5, 1e-3, "json", "csv", "0,1/2",
-                       "1/2,1/2", [0.1, -0.2, 0.3], ["0,1/2"]]),
+    | st.sampled_from([0, 1, 2, 4, 0.5, 1e-3, 1e-200, 1e200, "json", "csv",
+                       "0,1/2", "1/2,1/2", [0.1, -0.2, 0.3], ["0,1/2"]]),
     lambda inner: st.lists(inner, max_size=4), max_leaves=6)
 
 
@@ -447,14 +466,14 @@ def fuzz_dir(tmp_path_factory):
 
 
 @settings(max_examples=60, deadline=None)
-@given(fuzzed_configs(["verify-dirac", "spectrum"]))
+@given(fuzzed_configs(["verify-dirac", "verify-reps", "spectrum"]))
 def test_fuzzed_config_runs_end_to_end(fuzz_dir, case):
     verb, raw = case
     cfg_path, out = fuzz_dir / "cfg.json", fuzz_dir / "out"
     cfg_path.write_text(json.dumps(raw))
     flags = {"out": str(out)}
     argv = [verb, "--config", str(cfg_path), "--out", str(out)]
-    if verb == "verify-dirac":
+    if verb != "spectrum":
         flags["n_draws"] = 1
         argv += ["--n-draws", "1"]
     try:

@@ -101,7 +101,7 @@ def test_squared_dirac_zero_momentum_golden():
     alp = dirac_alpha_matrices()
     coupling = (np.einsum("a,aij->ij", em.h_field, sig)
                 - 1j * np.einsum("a,aij->ij", em.e_field, alp))
-    expected = m ** 2 * np.eye(4) - em.e_charge * coupling
+    expected = m ** 2 * np.eye(4) - coupling
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
@@ -130,7 +130,7 @@ def test_gap_identity_random_configs():
         x = rng.uniform(-1, 1, 4)
         m18 = top_spinor_matrix(p, em, scale, x=x)
         m19 = squared_dirac_matrix(p, em, scale.mass, x=x)
-        gap = (em.e_charge * scale.a) ** 2 * em.invariant_h2_e2()
+        gap = scale.a ** 2 * em.invariant_h2_e2()
         assert np.max(np.abs(m18 - m19 - gap * np.eye(4))) < 1e-10
 
 

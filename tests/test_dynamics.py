@@ -313,9 +313,9 @@ def test_batched_bundle_degenerates_mid_run_per_trajectory(monkeypatch):
     raised = dynamics.raised_momentum
 
     def vanishing(fields, em, metric, point, h, order):
-        late = (np.asarray(point)[..., 0] > 0.08)[..., None]
-        return tuple(np.where(late, 0.0, w)
-                     for w in raised(fields, em, metric, point, h, order))
+        late = np.asarray(point)[..., 0] > 0.08
+        up, norm2 = raised(fields, em, metric, point, h, order)
+        return np.where(late[..., None], 0.0, up), np.where(late, 0.0, norm2)
 
     monkeypatch.setattr(dynamics, "raised_momentum", vanishing)
     fields = _plane_wave(np.array([0.3, -0.2, 0.1]))

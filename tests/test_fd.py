@@ -277,16 +277,18 @@ def test_linearization_check_evaluates_fields_in_few_calls(monkeypatch):
 def test_linearization_check_evaluates_frames_in_few_calls(monkeypatch):
     # the closed-form inverse takes one frame per call, sqrt(g) none, and
     # neither assembles the 10x10 matrix; the potential and the inverse of
-    # one raised momentum share their frame
-    frames = {"calls": 0}
+    # one raised momentum share their frame, and the Hamilton-Jacobi
+    # residual and the current both take the momentum from it
+    frames = {"calls": 0, "points": 0}
     frame_coefficients = config_space.frame_coefficients
 
     def counted(theta):
         frames["calls"] += 1
+        frames["points"] += int(np.prod(np.shape(theta)[:-1]))
         return frame_coefficients(theta)
 
     monkeypatch.setattr(config_space, "frame_coefficients", counted)
     matrices = _count_points(monkeypatch, TopMetric, "matrix")
     _em_linearization_check()
-    assert frames["calls"] <= 10
+    assert frames["calls"] <= 9 and frames["points"] == 165
     assert matrices["calls"] == 0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aqm_lab import config_space, hj
 from aqm_lab.config_space import SERIES_CUTOFF, TopMetric, killing_vectors, \
     sample_point
 from aqm_lab.fields import LinearField, draw_field
@@ -12,7 +13,6 @@ from aqm_lab.hj import (
     conformal_coupling,
     divergence_residual,
     draw_wave_inputs,
-    extend_potential,
     hj_residual,
     linearization_check,
     momentum_covector,
@@ -95,16 +95,18 @@ def test_generator_charges_layout():
     assert np.allclose(charges[3:], [-1.0, -2.0, -3.0])
 
 
-def test_extend_potential_at_group_identity():
+def test_group_potential_at_group_identity():
     em = EMConfig(e_field=(0.2, -0.1, 0.4), h_field=(0.5, 0.3, -0.2))
-    val = extend_potential(em, np.zeros(6))
+    q = np.concatenate([[0.3, -0.1, 0.2, 0.5], np.zeros(6)])
+    val = em.potential(q)[..., 4:]
     assert np.allclose(val, em.generator_charges(), atol=1e-12)
 
 
-def test_extend_potential_uses_killing_fields():
+def test_group_potential_uses_killing_fields():
     em = EMConfig(e_field=(0.2, -0.1, 0.4), h_field=(0.5, 0.3, -0.2))
     theta = np.array([0.3, -0.5, 0.2, 0.4, 0.1, -0.3])
-    val = extend_potential(em, theta)
+    q = np.concatenate([[0.3, -0.1, 0.2, 0.5], theta])
+    val = em.potential(q)[..., 4:]
     expected = killing_vectors(theta) @ em.generator_charges()
     assert np.allclose(val, expected, atol=1e-12)
 
@@ -146,7 +148,7 @@ def test_momentum_covector_gauge_shift():
     em = EMConfig(e_field=(0.2, 0.1, -0.3), h_field=(0.3, -0.2, 0.4))
     u_free = momentum_covector(fields, EMConfig.zero(), q)
     u_em = momentum_covector(fields, em, q)
-    assert np.max(np.abs(u_free - u_em - em.e_charge * em.potential(q))) < 1e-12
+    assert np.max(np.abs(u_free - u_em - em.potential(q))) < 1e-12
 
 
 @pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
@@ -156,8 +158,9 @@ def test_momentum_covector_gauge_shift():
 ], ids=["free", "em"])
 def test_raised_momentum_matches_covector_and_inverse(em, batch):
     # one Killing-field evaluation serves the potential and the inverse, with
-    # the values of the two separate evaluations: at random points, at the
-    # group identity and with both angle halves on the series side
+    # the values of the two separate evaluations and of u.u# contracted from
+    # them: at random points, at the group identity and with both angle
+    # halves on the series side
     rng = np.random.default_rng(24)
     fields = draw_wave_inputs(rng)
     metric = TopMetric(1.3)
@@ -168,10 +171,32 @@ def test_raised_momentum_matches_covector_and_inverse(em, batch):
         axis=-1, keepdims=True)
     for q in (random, identity, series):
         q = q.reshape(batch + (10,))
-        u, up = raised_momentum(fields, em, metric, q, 1e-3, 4)
+        up, norm2 = raised_momentum(fields, em, metric, q, 1e-3, 4)
         u_ref = momentum_covector(fields, em, q, h=1e-3, order=4)
         up_ref = (metric.inverse(q) @ u_ref[..., None])[..., 0]
-        assert np.array_equal(u, u_ref) and np.array_equal(up, up_ref)
+        norm2_ref = (u_ref[..., None, :] @ up_ref[..., None])[..., 0, 0]
+        assert np.array_equal(up, up_ref) and np.array_equal(norm2, norm2_ref)
+        assert norm2.shape == batch
+
+
+def test_hj_residual_evaluates_the_killing_fields_once(monkeypatch):
+    # the momentum's square reads one Killing-field evaluation for the
+    # potential and the inverse metric; the Weyl scalar is stubbed, as it
+    # evaluates the inverse metric on its own stencil points
+    calls = {"killing_vectors": 0}
+    original = killing_vectors
+
+    def counted(theta):
+        calls["killing_vectors"] += 1
+        return original(theta)
+
+    for module in (config_space, hj):
+        monkeypatch.setattr(module, "killing_vectors", counted)
+    monkeypatch.setattr(hj, "weyl_scalar_at", lambda *args, **kwargs: 0.0)
+    _, metric, fields, q = _setup(21)
+    em = EMConfig(e_field=(0.2, 0.1, -0.3), h_field=(0.3, -0.2, 0.4))
+    hj_residual(fields, em, metric, q, r_scalar=6.0, xi2=2.0 / 9.0)
+    assert calls == {"killing_vectors": 1}
 
 
 def test_linearization_defect_small_free_and_coupled():
@@ -243,6 +268,6 @@ def test_hj_residual_on_shell_value():
     fields = WaveInputs(s_field=LinearField(coeffs), gauge=WeylGauge.unit())
     q = np.zeros(10)
     val = hj_residual(fields, EMConfig.zero(), metric, q,
-                      r_scalar=metric.riemann_scalar())
+                      r_scalar=metric.riemann_scalar(), xi2=2.0 / 9.0)
     expected = -1.0 + (2.0 / 9.0) * 6.0
     assert abs(val - expected) < 1e-9
