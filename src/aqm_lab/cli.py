@@ -34,7 +34,8 @@ from .dynamics import integrate_bundle, transport_check, velocity_field
 from .fields import LinearField, draw_field
 from .geometry import WeylGauge, conformal_transform, riemann_scalar_at, \
     weyl_scalar_at
-from .hj import EMConfig, WaveInputs, draw_wave_inputs, linearization_check
+from .hj import EMConfig, WaveInputs, conformal_coupling, draw_wave_inputs, \
+    linearization_check
 from .lorentz_reps import Irrep, angular_laplacian_check, casimir_value, \
     commutator_defect, conjugation_defect, d_matrix, reps_up_to_dim, \
     vector_intertwiner
@@ -310,16 +311,25 @@ def _run_verify_linearization(cfg: dict):
     em_zero = EMConfig.zero()
     em_full = EMConfig(e_field=cfg["E"], h_field=cfg["H"], kappa=cfg["kappa"])
 
+    # the free check's second coupling is the wrong-coupling control: the
+    # coupling enters only the last step, so both share one stencil pass
+    couplings = np.array([conformal_coupling(metric.dim) ** 2, 0.25])
+
     free_defects, em_defects, control_defects = [], [], []
     records = []
     for i in range(cfg["n_draws"]):
         fields = draw_wave_inputs(rng)
         q = sample_point(rng, rot_scale=1.5, boost_bound=1.5)
-        for em, bucket, tag in ((em_zero, free_defects, False),
-                                (em_full, em_defects, True)):
-            defect, hj_res, div_res = linearization_check(
-                fields, em, metric, q, r_scalar=r, h=cfg["h"],
-                order=cfg["order"])
+        defects, hj_free, div_free = linearization_check(
+            fields, em_zero, metric, q, r_scalar=r, xi2=couplings,
+            h=cfg["h"], order=cfg["order"])
+        if i < 10:
+            control_defects.append(np.hypot(defects[1].real, defects[1].imag))
+        free = (complex(defects[0]), float(hj_free[0]), div_free)
+        full = linearization_check(fields, em_full, metric, q, r_scalar=r,
+                                   h=cfg["h"], order=cfg["order"])
+        for (defect, hj_res, div_res), bucket, tag in (
+                (free, free_defects, False), (full, em_defects, True)):
             # |defect| as the builtin abs, but inf where abs would raise
             bucket.append(np.hypot(defect.real, defect.imag))
             records.append({
@@ -327,11 +337,6 @@ def _run_verify_linearization(cfg: dict):
                 "div_res": div_res, "defect_re": defect.real,
                 "defect_im": defect.imag, "em": tag,
             })
-        if i < 10:
-            control, _, _ = linearization_check(
-                fields, em_zero, metric, q, xi2=0.25, r_scalar=r,
-                h=cfg["h"], order=cfg["order"])
-            control_defects.append(np.hypot(control.real, control.imag))
 
     checks = [
         check_close("linearization_max_defect_free", np.max(free_defects), 0.0,
@@ -459,23 +464,25 @@ def _run_trace(cfg: dict):
                               n_traj=cfg["n_draws"], spread=cfg["spread"],
                               ds=cfg["ds"], n_steps=cfg["steps"],
                               h=cfg["h"], order=cfg["order"])
+    # the start point's velocity norm is checked in both formats, so a
+    # degenerate start (a non-finite norm) fails a CSV run too
+    v0, norm2 = velocity_field(fields, em, metric, q0, h=cfg["h"],
+                               order=cfg["order"])
+    g0 = metric.matrix(q0)
+    norm_check = check_close("trace_velocity_norm_defect",
+                             abs(abs(float(v0 @ g0 @ v0)) - 1.0), 0.0,
+                             _tol(cfg, 1e-10))
     if cfg["format"] == "csv":
-        return [], None, (TRAJECTORY_COLUMNS, trajectory_rows(bundle))
+        return [norm_check], None, (TRAJECTORY_COLUMNS, trajectory_rows(bundle))
 
     rep = transport_check(fields, em, metric, bundle,
                           n_sections=cfg["sections"], h=cfg["h"],
                           order=cfg["order"])
-    v0, norm2 = velocity_field(fields, em, metric, q0, h=cfg["h"],
-                               order=cfg["order"])
-    g0 = metric.matrix(q0)
-    norm_defect = abs(abs(float(v0 @ g0 @ v0)) - 1.0)
-
     checks = [
         check_close("trace_max_divergence", rep.max_divergence, 0.0,
                     _tol(cfg, 1e-6)),
         check_close("trace_flux_drift", rep.flux_drift, 0.0, _tol(cfg, 1e-6)),
-        check_close("trace_velocity_norm_defect", norm_defect, 0.0,
-                    _tol(cfg, 1e-10)),
+        norm_check,
         check_at_least("trace_min_pairwise_distance", rep.min_distance, 1e-6),
     ]
     records = [{

@@ -379,6 +379,21 @@ def test_extreme_length_scale_fails_checks_without_internal_error(
     assert "error:" not in captured.err
 
 
+@pytest.mark.parametrize("a", ["1e-200", "1e200"])
+def test_trace_csv_fails_where_json_fails(a, tmp_path):
+    # the start point's velocity norm is non-finite at these scales: both
+    # formats exit 1, and the CSV rows are still the two trajectories'
+    # samples (at 1e-200 each stops at its start point)
+    argv = ["trace", "--n-draws", "2", "--steps", "5", "--a", a]
+    out = tmp_path / "traj.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert main(argv + ["--format", "json", "--out",
+                        str(tmp_path / "report.json")]) == 1
+    lines = out.read_text().strip().splitlines()
+    assert lines[0].startswith("s,x0,x1,x2,x3,th1")
+    assert sum(float(row.split(",")[0]) == 0.0 for row in lines[1:]) == 2
+
+
 @pytest.mark.parametrize("flags, file_cfg", [
     (["--H", "0.6,-0.4,0.8", "--E", "0.4,0.2,-0.6"], None),
     ([], {"E": [0.0, 0.0, 1e-9]}),

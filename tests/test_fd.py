@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aqm_lab import config_space
+from aqm_lab import cli, config_space, hj
 from aqm_lab.config_space import TopMetric, sample_point
 from aqm_lab.fd import central_diff, derivative_stack, stencil
 from aqm_lab.fields import BandLimitedField, draw_field
@@ -251,6 +251,21 @@ def _count_points(monkeypatch, cls, attr):
     return counts
 
 
+def _count_frames(monkeypatch):
+    """Wrap ``config_space.frame_coefficients`` to count its calls and the
+    angles they carry."""
+    counts = {"calls": 0, "points": 0}
+    frame_coefficients = config_space.frame_coefficients
+
+    def counted(theta):
+        counts["calls"] += 1
+        counts["points"] += int(np.prod(np.shape(theta)[:-1]))
+        return frame_coefficients(theta)
+
+    monkeypatch.setattr(config_space, "frame_coefficients", counted)
+    return counts
+
+
 def test_curvature_point_evaluates_frames_in_few_calls(monkeypatch):
     counts = _count_points(monkeypatch, TopMetric, "matrix")
     q = sample_point(np.random.default_rng(22))
@@ -279,16 +294,34 @@ def test_linearization_check_evaluates_frames_in_few_calls(monkeypatch):
     # neither assembles the 10x10 matrix; the potential and the inverse of
     # one raised momentum share their frame, and the Hamilton-Jacobi
     # residual and the current both take the momentum from it
-    frames = {"calls": 0, "points": 0}
-    frame_coefficients = config_space.frame_coefficients
-
-    def counted(theta):
-        frames["calls"] += 1
-        frames["points"] += int(np.prod(np.shape(theta)[:-1]))
-        return frame_coefficients(theta)
-
-    monkeypatch.setattr(config_space, "frame_coefficients", counted)
+    frames = _count_frames(monkeypatch)
     matrices = _count_points(monkeypatch, TopMetric, "matrix")
     _em_linearization_check()
     assert frames["calls"] <= 9 and frames["points"] == 165
     assert matrices["calls"] == 0
+
+
+def test_verify_linearization_draw_evaluates_two_checks(monkeypatch, tmp_path):
+    # the wrong-coupling control rides on the free check's stencil pass, so
+    # a draw with a control costs two checks (free and field-on), not three:
+    # 2 x 6 687 field points and 2 x 165 frame points (three checks: 20 061
+    # field points in 54 calls, 495 frame points in 27)
+    fields = _count_points(monkeypatch, BandLimitedField, "__call__")
+    frames = _count_frames(monkeypatch)
+    # each traced layer on the verb's path is reached
+    reached = {}
+    for module, name in ((cli, "linearization_check"), (hj, "wave_operator"),
+                         (hj, "hj_residual"), (hj, "divergence_residual"),
+                         (hj, "weyl_scalar_at")):
+        def counted(*args, _f=getattr(module, name), _name=name, **kwargs):
+            reached[_name] = reached.get(_name, 0) + 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    assert cli.main(["verify-linearization", "--n-draws", "1",
+                     "--out", str(tmp_path / "report.json")]) == 0
+    assert fields == {"calls": 36, "points": 13374}
+    assert frames == {"calls": 18, "points": 330}
+    assert reached == {"linearization_check": 2, "wave_operator": 2,
+                       "hj_residual": 2, "divergence_residual": 2,
+                       "weyl_scalar_at": 2}

@@ -217,6 +217,30 @@ def test_linearization_control_detects_wrong_coupling():
     assert abs(defect) > 1e-2
 
 
+@pytest.mark.parametrize("seed", [24, 25, 26])
+@pytest.mark.parametrize("em", [
+    EMConfig.zero(),
+    EMConfig(e_field=(0.2, 0.1, -0.3), h_field=(0.3, -0.2, 0.4)),
+], ids=["free", "field"])
+def test_linearization_coupling_array_matches_scalar_calls(seed, em):
+    # the stencils do not depend on the coupling, so one call with an array
+    # of couplings must give, bitwise, what one call per coupling gives
+    _, metric, fields, q = _setup(seed)
+    r = metric.riemann_scalar()
+    couplings = (conformal_coupling(10) ** 2, 0.25, 0.0)
+    defects, hj_res, div_res = linearization_check(fields, em, metric, q,
+                                                   r_scalar=r, xi2=couplings)
+    assert defects.shape == hj_res.shape == (3,)
+    for k, xi2 in enumerate(couplings):
+        defect, hj_k, div_k = linearization_check(fields, em, metric, q,
+                                                  r_scalar=r, xi2=xi2)
+        assert np.array_equal(defects[k], defect)
+        assert np.array_equal(hj_res[k], hj_k) and div_res == div_k
+    # the default coupling is the conformal one
+    assert linearization_check(fields, em, metric, q, r_scalar=r) \
+        == (complex(defects[0]), float(hj_res[0]), div_res)
+
+
 def test_linearization_insensitive_to_curvature_route():
     # the closed-form scalar and an unrelated value must give the same
     # defect: the curvature enters both sides and cancels
