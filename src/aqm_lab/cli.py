@@ -226,7 +226,26 @@ DS = Param("ds", POSITIVE, 0.01, "integration step")
 STEPS = Param("steps", N_DRAWS.kind, 200, "steps per trajectory")
 SECTIONS = Param("sections", AT_LEAST_TWO, 5,
                  "number of flux cross-sections")
-SPREAD = Param("spread", POSITIVE, 0.05, "radius of the bundle seed ball")
+# trace's plane-wave start draws its spatial momentum, its rotation angles
+# and its boosts in +-START_RANGE, and the seed ball moves each boost by up
+# to the spread: a ball wider than SPREAD_MAX can leave the rapidity domain
+START_RANGE = 0.8
+SPREAD_MAX = RAPIDITY_MAX - START_RANGE
+
+
+def _spread(v) -> float:
+    spread = _finite(v, positive=True)
+    if spread > SPREAD_MAX:
+        raise ValueError(v)
+    return spread
+
+
+SPREAD = Param("spread", Kind(float, _spread,
+                              f"a finite positive number at most "
+                              f"{SPREAD_MAX:g} (the rapidity bound "
+                              f"{RAPIDITY_MAX:g} less the start point's "
+                              f"boost range {START_RANGE:g})"),
+               0.05, "radius of the bundle seed ball")
 REP = Param("rep", REPS, None, "representation label, repeatable (default: "
                                "all with dimension at most 9)")
 
@@ -442,7 +461,7 @@ def _run_verify_dirac(cfg: dict):
 
 def _plane_wave_bundle_inputs(cfg: dict, rng: np.random.Generator):
     """Timelike plane-wave data: exact solution family of the linear system."""
-    p_spatial = rng.uniform(-0.8, 0.8, 3)
+    p_spatial = rng.uniform(-START_RANGE, START_RANGE, 3)
     mu = rng.uniform(0.5, 1.5)
     p0 = -float(np.sqrt(p_spatial @ p_spatial + mu ** 2))
     coeffs = np.zeros(10)
@@ -450,8 +469,8 @@ def _plane_wave_bundle_inputs(cfg: dict, rng: np.random.Generator):
     coeffs[1:4] = p_spatial
     fields = WaveInputs(s_field=LinearField(coeffs), gauge=WeylGauge.unit())
     q0 = np.concatenate([rng.uniform(-0.5, 0.5, 4),
-                         rng.uniform(-0.8, 0.8, 3),
-                         rng.uniform(-0.8, 0.8, 3)])
+                         rng.uniform(-START_RANGE, START_RANGE, 3),
+                         rng.uniform(-START_RANGE, START_RANGE, 3)])
     return fields, q0
 
 

@@ -78,6 +78,15 @@ def ad_matrix(m: np.ndarray) -> np.ndarray:
 # one contraction of the angles against this table
 _AD_HALVES = np.stack([ad_matrix(t) for t in _GEN]).reshape(2, 3, 36)
 _EYE6 = np.eye(6)
+# W = ad_R on the rotation block and V, the rotation <- boost block of ad_B,
+# per unit angle of each half: the 3x3 blocks of the closed-form Killing
+# fields
+_AD_BLOCKS = np.stack([_AD_HALVES[0].reshape(3, 6, 6)[:, :3, :3],
+                       _AD_HALVES[1].reshape(3, 6, 6)[:, :3, 3:]]
+                      ).reshape(2, 3, 9)
+_EYE3 = np.eye(3)
+# (theta * theta) @ _HALF_SUMS = (|theta_rot|^2, |theta_boost|^2)
+_HALF_SUMS = np.repeat(np.eye(2), 3, axis=0)
 # sign of s in ``_rodrigues_coefficients`` for each half: -|theta_rot|^2
 # for the rotation, +|theta_boost|^2 for the boost
 _HALF_SIGNS = np.array([-1.0, 1.0])
@@ -234,8 +243,79 @@ def killing_vectors(theta: np.ndarray) -> np.ndarray:
     the inverse of the frame matrix. At theta = 0 this is the identity. The
     fields close under Lie brackets with the negated structure constants,
     the standard sign for right-invariant fields.
+
+    The inverse is closed-form: no frame is built and no matrix inverted.
+    In the (J, K) basis ad_R keeps the split and ad_B swaps it, so the frame
+    is block upper triangular, C = [[A, e2_b E V], [0, E (I + e3_b M)]].
+    Here W is ad_R on so(3) (the cross-product matrix of theta_rot), V the
+    J <- K block of ad_B, M = (ad_B^2)_KK = -V^2 = b^2 I - beta beta^T,
+    E = exp(W), A = Phi1(W), and e2_b, e3_b are the boost's coefficients of
+    ``_rodrigues_coefficients``. With r = |theta_rot|, b = |theta_boost|:
+
+    - A^-1 is the Bernoulli function x / (e^x - 1) at x = W, which on
+      so(3) is I - W/2 + f W^2 with f = (1 - (r/2) cot(r/2)) / r^2
+      (Iserles, Munthe-Kaas, Norsett and Zanna, "Lie-group methods", Acta
+      Numerica 2000); x e^x / (e^x - 1) is the same function at -x, so
+      A^-1 E = I + W/2 + f W^2 = A^-1 + W;
+    - (I + e3_b M)^-1 = I + c V^2, c = e3_b / (1 + e3_b b^2)
+      = (1 - b / sinh b) / b^2, because M^2 = b^2 M;
+    - V M = b^2 V, so the corner -e2_b A^-1 E V (I + e3_b M)^-1 E^T is
+      -t (A^-1 + W) V E^T, t = e2_b / (1 + e3_b b^2) = tanh(b/2) / b.
+
+    K = [[A^-1, -t (A^-1 + W) V E^T], [0, (I + c V^2) E^T]], with
+    E^T = I - e1 W + e2 W^2 by Rodrigues. Each element below the cutoff
+    takes the Taylor series of f, e1, e2, t and c.
     """
-    return np.linalg.inv(frame_coefficients(theta))
+    theta = np.asarray(theta, dtype=float)
+    batch = theta.shape[:-1]
+    flat = theta.reshape(-1, 6)
+    n = len(flat)
+    wv = (flat.reshape(n, 2, 1, 3) @ _AD_BLOCKS).reshape(n, 2, 3, 3)
+    w, v = wv[:, 0], wv[:, 1]
+    sq = (flat * flat) @ _HALF_SUMS  # r^2, b^2
+    # held off zero, so nothing divides by 0; an element below the cutoff
+    # takes its series afterwards
+    r, b = np.maximum(np.sqrt(sq), SERIES_CUTOFF).T
+    half = 0.5 * r
+    cos_half = np.cos(half)
+    sinc_half = np.sin(half) / half
+    # rows A^-1, -t (A^-1 + W) and E^T, over the powers I, W and W^2; with
+    # e1 = sinc(r/2) cos(r/2), e2 = sinc(r/2)^2 / 2, (r/2) cot(r/2) =
+    # cos(r/2) / sinc(r/2): trig functions for the rotation only
+    coef = np.empty((n, 3, 3))
+    coef[:, :, 0] = 1.0
+    coef[:, 0, 1] = -0.5
+    coef[:, 0, 2] = (1.0 - cos_half / sinc_half) / (r * r)
+    coef[:, 2, 1] = -sinc_half * cos_half
+    coef[:, 2, 2] = 0.5 * sinc_half * sinc_half
+    # hyperbolic functions for the boost only
+    t = np.tanh(0.5 * b) / b
+    c = (1.0 - b / np.sinh(b)) / (b * b)
+    small = sq < SERIES_CUTOFF ** 2
+    if small.any():
+        rot, boost = small.T
+        s = sq[rot, 0]
+        coef[rot, 0, 2] = 1.0 / 12.0 + s / 720.0 + s * s / 30240.0
+        coef[rot, 2, 1] = -(1.0 - s / 6.0 + s * s / 120.0)
+        coef[rot, 2, 2] = 0.5 - s / 24.0 + s * s / 720.0
+        s = sq[boost, 1]
+        t[boost] = 0.5 - s / 24.0 + s * s / 240.0
+        c[boost] = 1.0 / 6.0 - 7.0 * s / 360.0 + 31.0 * s * s / 15120.0
+    coef[:, 1] = coef[:, 0]
+    coef[:, 1, 1] = 0.5
+    coef[:, 1] *= -t[:, None]
+    powers = np.empty((n, 3, 3, 3))
+    powers[:, 0] = _EYE3
+    powers[:, 1] = w
+    np.matmul(w, w, out=powers[:, 2])
+    poly = (coef @ powers.reshape(n, 3, 9)).reshape(n, 3, 3, 3)
+    e_t = poly[:, 2]
+    v_e_t = v @ e_t
+    k = np.zeros((n, 6, 6))
+    k[:, :3, :3] = poly[:, 0]
+    np.matmul(poly[:, 1], v_e_t, out=k[:, :3, 3:])
+    k[:, 3:, 3:] = e_t + c[:, None, None] * (v @ v_e_t)
+    return k.reshape(batch + (6, 6))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aqm_lab import cli
@@ -418,6 +418,39 @@ def test_trace_rejects_nonzero_fields(monkeypatch, tmp_path, capsys, flags,
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("flags, file_cfg", [
+    (["--spread", "3"], None),
+    ([], {"spread": 2.2000001}),
+    (["--spread", "1e200"], {"spread": 0.05}),
+], ids=["flag", "config_file", "flag_over_file"])
+def test_trace_rejects_a_seed_ball_leaving_the_rapidity_domain(
+        monkeypatch, tmp_path, capsys, flags, file_cfg):
+    # the start point's boosts reach START_RANGE, so a seed ball wider than
+    # RAPIDITY_MAX - START_RANGE can start a trajectory outside the chart:
+    # a configuration error, reported before any trajectory is integrated
+    def fail(*args, **kwargs):
+        raise AssertionError("integrated a bundle")
+
+    monkeypatch.setattr(cli, "integrate_bundle", fail)
+    if file_cfg is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(file_cfg))
+        flags = flags + ["--config", str(path)]
+    code = main(["trace", "--n-draws", "8", "--steps", "2", "--seed", "0",
+                 *flags])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: --spread must be ")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_trace_runs_at_the_widest_seed_ball(seed, tmp_path):
+    # at the bound every trajectory starts inside the rapidity domain
+    assert main(["trace", "--n-draws", "8", "--steps", "2", "--spread", "2.2",
+                 "--seed", str(seed), "--out", str(tmp_path / "t.csv")]) == 0
+
+
 # config fuzz: the verb's own keys plus junk keys, with JSON values
 JUNK_KEYS = ["draws", "config", "verbose", "n_draw", "Tol"]
 JSON_VALUES = st.recursive(
@@ -480,17 +513,25 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(max_examples=60, deadline=None)
-@given(fuzzed_configs(["verify-dirac", "verify-reps", "spectrum"]))
+# flags win over the file, so these keep every fuzzed run short; trace
+# needs two trajectories, and its section count is an array length
+FUZZ_FLAGS = {"verify-dirac": {"n_draws": 1}, "verify-reps": {"n_draws": 1},
+              "spectrum": {}, "trace": {"n_draws": 2, "steps": 2,
+                                        "sections": 2}}
+
+
+@settings(max_examples=80, deadline=None)
+@given(fuzzed_configs(sorted(FUZZ_FLAGS)))
+# a seed ball this wide starts trajectories outside the rapidity domain
+@example(("trace", {"spread": 1e200}))
 def test_fuzzed_config_runs_end_to_end(fuzz_dir, case):
     verb, raw = case
     cfg_path, out = fuzz_dir / "cfg.json", fuzz_dir / "out"
     cfg_path.write_text(json.dumps(raw))
-    flags = {"out": str(out)}
+    flags = {"out": str(out), **FUZZ_FLAGS[verb]}
     argv = [verb, "--config", str(cfg_path), "--out", str(out)]
-    if verb != "spectrum":
-        flags["n_draws"] = 1
-        argv += ["--n-draws", "1"]
+    for name, value in FUZZ_FLAGS[verb].items():
+        argv += ["--" + name.replace("_", "-"), str(value)]
     try:
         resolve_config(verb, raw, flags)
         allowed = {0, 1}

@@ -322,6 +322,77 @@ def test_killing_identity_at_origin():
     assert np.max(np.abs(killing_vectors(np.zeros(6)) - np.eye(6))) < 1e-12
 
 
+def _killing_rel_error(theta: np.ndarray) -> float:
+    """Largest relative deviation of the closed-form Killing fields from
+    the inverse of the frame, over the points of a batch."""
+    ref = np.linalg.inv(frame_coefficients(theta))
+    err = np.max(np.abs(killing_vectors(theta) - ref), axis=(-2, -1))
+    return float(np.max(err / np.max(np.abs(ref), axis=(-2, -1))))
+
+
+def _pure_angles(rng, norm: float, block: slice, count: int = 5) -> np.ndarray:
+    """``count`` angle vectors with only ``block`` set, of length ``norm``."""
+    direction = rng.normal(size=(count, 3))
+    theta = np.zeros((count, 6))
+    theta[:, block] = norm * direction / np.linalg.norm(direction, axis=1,
+                                                        keepdims=True)
+    return theta
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-2, 1e-5, 1e-9])
+def test_killing_closed_form_matches_frame_inverse(scale):
+    rng = np.random.default_rng(31)
+    thetas = np.stack([scale * sample_point(rng)[4:] for _ in range(40)])
+    assert _killing_rel_error(thetas) <= 1e-13
+
+
+@pytest.mark.parametrize("norm", [0.99 * SERIES_CUTOFF, SERIES_CUTOFF,
+                                  1.01 * SERIES_CUTOFF])
+@pytest.mark.parametrize("block", [slice(0, 3), slice(3, 6)])
+def test_killing_closed_form_at_series_cutoff(norm, block):
+    # pure rotations and pure boosts on both sides of the series switch
+    theta = _pure_angles(np.random.default_rng(32), norm, block)
+    assert _killing_rel_error(theta) <= 1e-13
+
+
+@pytest.mark.parametrize("norm", [np.pi - 1e-3, np.pi, np.pi + 1e-3,
+                                  np.pi * np.sqrt(3.0)])
+def test_killing_closed_form_near_pi(norm):
+    # sin(r) / r vanishes at |theta_rot| = pi, and the sampler's rotation
+    # angles reach pi sqrt(3): neither may cost digits
+    rng = np.random.default_rng(33)
+    theta = _pure_angles(rng, norm, slice(0, 3))
+    theta[:, 3:] = rng.uniform(-RAPIDITY_MAX, RAPIDITY_MAX, (len(theta), 3))
+    assert _killing_rel_error(theta) <= 1e-13
+
+
+def test_killing_closed_form_is_exact_at_zero():
+    assert np.array_equal(killing_vectors(np.zeros(6)), np.eye(6))
+
+
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+def test_killing_closed_form_keeps_batch_shape(batch):
+    theta = np.random.default_rng(34).uniform(-1.2, 1.2, batch + (6,))
+    k = killing_vectors(theta)
+    assert k.shape == batch + (6, 6)
+    assert _killing_rel_error(theta) <= 1e-13
+    # each point of the batch as its own call
+    for index in np.ndindex(*batch):
+        assert np.max(np.abs(k[index] - killing_vectors(theta[index]))) \
+            <= 1e-15
+
+
+def test_killing_vectors_build_no_frame_and_invert_nothing(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("called by killing_vectors")
+
+    theta = np.random.default_rng(35).uniform(-1.2, 1.2, (4, 6))
+    expected = np.linalg.inv(frame_coefficients(theta))
+    monkeypatch.setattr(config_space, "frame_coefficients", fail)
+    monkeypatch.setattr(np.linalg, "inv", fail)
+    assert np.max(np.abs(killing_vectors(theta) - expected)) <= 1e-13
+
+
 def test_killing_brackets_close_with_minus_f():
     rng = np.random.default_rng(5)
     theta = np.concatenate([rng.uniform(-0.8, 0.8, 3),

@@ -329,7 +329,7 @@ def test_batched_bundle_degenerates_mid_run_per_trajectory(monkeypatch):
 
 def test_velocity_field_evaluates_the_killing_fields_once(monkeypatch):
     # the potential and the inverse metric share one Killing-field
-    # evaluation, and with it one frame
+    # evaluation, which is closed-form and builds no frame
     counts = {"killing_vectors": 0, "frame_coefficients": 0}
 
     def count(name, modules):
@@ -349,7 +349,7 @@ def test_velocity_field_evaluates_the_killing_fields_once(monkeypatch):
     em = EMConfig(e_field=(0.2, 0.1, -0.3), h_field=(0.3, -0.2, 0.4))
     q = np.stack([sample_point(rng, 1.5, 1.5) for _ in range(2)])
     velocity_field(fields, em, METRIC, q)
-    assert counts == {"killing_vectors": 1, "frame_coefficients": 1}
+    assert counts == {"killing_vectors": 1, "frame_coefficients": 0}
 
 
 def test_bundle_calls_velocity_field_once_per_stage(monkeypatch):

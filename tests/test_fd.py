@@ -251,19 +251,25 @@ def _count_points(monkeypatch, cls, attr):
     return counts
 
 
-def _count_frames(monkeypatch):
-    """Wrap ``config_space.frame_coefficients`` to count its calls and the
-    angles they carry."""
+def _count_angles(monkeypatch, name, modules=(config_space,)):
+    """Wrap the function ``name`` of ``config_space``, where each of
+    ``modules`` binds it, to count its calls and the angles they carry."""
     counts = {"calls": 0, "points": 0}
-    frame_coefficients = config_space.frame_coefficients
+    original = getattr(config_space, name)
 
     def counted(theta):
         counts["calls"] += 1
         counts["points"] += int(np.prod(np.shape(theta)[:-1]))
-        return frame_coefficients(theta)
+        return original(theta)
 
-    monkeypatch.setattr(config_space, "frame_coefficients", counted)
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
     return counts
+
+
+def _count_frames_and_killing(monkeypatch):
+    return (_count_angles(monkeypatch, "frame_coefficients"),
+            _count_angles(monkeypatch, "killing_vectors", (config_space, hj)))
 
 
 def test_curvature_point_evaluates_frames_in_few_calls(monkeypatch):
@@ -290,24 +296,27 @@ def test_linearization_check_evaluates_fields_in_few_calls(monkeypatch):
 
 
 def test_linearization_check_evaluates_frames_in_few_calls(monkeypatch):
-    # the closed-form inverse takes one frame per call, sqrt(g) none, and
+    # the closed-form inverse takes the Killing fields, sqrt(g) none, and
     # neither assembles the 10x10 matrix; the potential and the inverse of
-    # one raised momentum share their frame, and the Hamilton-Jacobi
-    # residual and the current both take the momentum from it
-    frames = _count_frames(monkeypatch)
+    # one raised momentum share their Killing fields, and the
+    # Hamilton-Jacobi residual and the current both take the momentum from
+    # them; the Killing fields are closed-form and build no frame
+    frames, killing = _count_frames_and_killing(monkeypatch)
     matrices = _count_points(monkeypatch, TopMetric, "matrix")
     _em_linearization_check()
-    assert frames["calls"] <= 9 and frames["points"] == 165
+    assert frames == {"calls": 0, "points": 0}
+    assert killing == {"calls": 9, "points": 165}
     assert matrices["calls"] == 0
 
 
 def test_verify_linearization_draw_evaluates_two_checks(monkeypatch, tmp_path):
     # the wrong-coupling control rides on the free check's stencil pass, so
     # a draw with a control costs two checks (free and field-on), not three:
-    # 2 x 6 687 field points and 2 x 165 frame points (three checks: 20 061
-    # field points in 54 calls, 495 frame points in 27)
+    # 2 x 6 687 field points and 2 x 165 Killing-field points (three checks:
+    # 20 061 field points in 54 calls, 495 Killing-field points in 27); the
+    # Killing fields build no frame
     fields = _count_points(monkeypatch, BandLimitedField, "__call__")
-    frames = _count_frames(monkeypatch)
+    frames, killing = _count_frames_and_killing(monkeypatch)
     # each traced layer on the verb's path is reached
     reached = {}
     for module, name in ((cli, "linearization_check"), (hj, "wave_operator"),
@@ -321,7 +330,8 @@ def test_verify_linearization_draw_evaluates_two_checks(monkeypatch, tmp_path):
     assert cli.main(["verify-linearization", "--n-draws", "1",
                      "--out", str(tmp_path / "report.json")]) == 0
     assert fields == {"calls": 36, "points": 13374}
-    assert frames == {"calls": 18, "points": 330}
+    assert frames == {"calls": 0, "points": 0}
+    assert killing == {"calls": 18, "points": 330}
     assert reached == {"linearization_check": 2, "wave_operator": 2,
                        "hj_residual": 2, "divergence_residual": 2,
                        "weyl_scalar_at": 2}
