@@ -203,7 +203,8 @@ def transport_check(fields: WaveInputs, em: EMConfig, metric: TopMetric,
     builtin max.
     """
     n_common = min(t.n_samples for t in bundle)
-    idx = np.unique(np.linspace(0, n_common - 1, n_sections).astype(int))
+    n = min(n_sections, n_common)  # more samples give the same index set
+    idx = np.unique(np.linspace(0, n_common - 1, n).astype(int))
 
     fluxes, divergences = [], []
     for i in idx:

@@ -26,10 +26,6 @@ class BandLimitedField:
     poly: np.ndarray      # (m, 2, dim)
     degree: np.ndarray    # (m,) ints in 0..2
 
-    @property
-    def dim(self) -> int:
-        return self.wavevec.shape[1]
-
     def __call__(self, q: np.ndarray) -> np.ndarray:
         """Values at points on the last axis of ``q``, shape ``q.shape[:-1]``."""
         q = np.asarray(q, dtype=float)
@@ -49,10 +45,6 @@ class LinearField:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs.size
 
     def __call__(self, q: np.ndarray) -> np.ndarray:
         return np.asarray(q, dtype=float) @ self.coeffs

@@ -52,49 +52,6 @@ class MetricField:
         return np.sqrt(np.abs(np.linalg.det(self.matrix(q))))
 
 
-class ConstantMetric(MetricField):
-    """Metric with the same components everywhere (flat fixture)."""
-
-    def __init__(self, matrix: np.ndarray):
-        m = np.asarray(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("metric matrix must be square")
-        self._m = m
-        self._inv = np.linalg.inv(m)
-        self._sd = np.sqrt(np.abs(np.linalg.det(m)))
-        self.dim = m.shape[0]
-        self.constant_dims = frozenset(range(self.dim))
-
-    def matrix(self, q):
-        return np.broadcast_to(self._m, np.shape(q)[:-1] + self._m.shape)
-
-    def inverse(self, q):
-        return np.broadcast_to(self._inv, np.shape(q)[:-1] + self._inv.shape)
-
-    def sqrt_det(self, q):
-        return np.broadcast_to(self._sd, np.shape(q)[:-1])
-
-
-class SphereMetric(MetricField):
-    """Round 2-sphere of radius r in polar coordinates q = (colatitude, azimuth)."""
-
-    dim = 2
-    constant_dims = frozenset({1})
-
-    def __init__(self, radius: float = 1.0):
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        self.radius = float(radius)
-
-    def matrix(self, q):
-        r2 = self.radius ** 2
-        q = np.asarray(q, dtype=float)
-        g = np.zeros(q.shape[:-1] + (2, 2))
-        g[..., 0, 0] = r2
-        g[..., 1, 1] = r2 * np.sin(q[..., 0]) ** 2
-        return g
-
-
 class ScaledMetric(MetricField):
     """Pointwise conformal scaling rho(q) * g_ij(q) of a base metric."""
 

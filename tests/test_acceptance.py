@@ -6,9 +6,11 @@ not a fix, it is a regression.
 """
 
 import json
+import sys
 import time
 
 import numpy as np
+import pytest
 
 from aqm_lab.cli import main
 from aqm_lab.config_space import RAPIDITY_MAX, TopMetric, sample_point
@@ -51,7 +53,7 @@ def test_criterion_curvature():
         for _ in range(50):
             q = sample_point(rng, boost_bound=RAPIDITY_MAX)
             r = riemann_scalar_at(metric, q)
-            worst = max(worst, abs(r - expected) / expected)
+            worst = np.maximum(worst, abs(r - expected) / expected)
     wall = time.perf_counter() - start
     ok = worst < 1e-3 and wall < 120.0
     _criterion("curvature 6/a^2 (3 scales x 50 points)", ok,
@@ -69,7 +71,8 @@ def test_criterion_weyl_forms():
         q = sample_point(rng, rot_scale=1.5, boost_bound=1.5)
         v1 = weyl_scalar_at(metric, gauge, q, form="phi", r_scalar=r)
         v2 = weyl_scalar_at(metric, gauge, q, form="chi", r_scalar=r)
-        worst = max(worst, abs(v1 - v2) / max(abs(v1), abs(v2), 1.0))
+        worst = np.maximum(worst, abs(v1 - v2)
+                           / np.max([abs(v1), abs(v2), 1.0]))
     wall = time.perf_counter() - start
     ok = worst < 1e-6 and wall < 60.0
     _criterion("weyl scalar two evaluation forms (100 draws)", ok,
@@ -90,12 +93,12 @@ def test_criterion_linearization():
         for em in (EMConfig.zero(), em_full):
             defect, _, _ = linearization_check(fields, em, metric, q,
                                                r_scalar=r)
-            worst = max(worst, abs(defect))
+            worst = np.maximum(worst, abs(defect))
         if i < 10:
             control, _, _ = linearization_check(fields, EMConfig.zero(),
                                                 metric, q, xi2=0.25,
                                                 r_scalar=r)
-            control_min = min(control_min, abs(control))
+            control_min = np.minimum(control_min, abs(control))
     wall = time.perf_counter() - start
     ok = worst < 1e-6 and control_min > 1e-2 and wall < 300.0
     _criterion("exact linearization (100 draws, free and coupled)", ok,
@@ -120,13 +123,14 @@ def test_criterion_representations():
             for b in range(3):
                 tj = 1j * np.einsum("c,cij->ij", eps[a, b], j)
                 tk = 1j * np.einsum("c,cij->ij", eps[a, b], k)
-                comm_worst = max(
+                comm_worst = np.max([
                     comm_worst,
-                    float(np.max(np.abs(j[a] @ j[b] - j[b] @ j[a] - tj))),
-                    float(np.max(np.abs(j[a] @ k[b] - k[b] @ j[a] - tk))),
-                    float(np.max(np.abs(k[a] @ k[b] - k[b] @ k[a] + tj))))
+                    np.max(np.abs(j[a] @ j[b] - j[b] @ j[a] - tj)),
+                    np.max(np.abs(j[a] @ k[b] - k[b] @ j[a] - tk)),
+                    np.max(np.abs(k[a] @ k[b] - k[b] @ k[a] + tj))])
         for theta in thetas:
-            conj_worst = max(conj_worst, conjugation_defect(rep, theta))
+            conj_worst = np.maximum(conj_worst,
+                                    conjugation_defect(rep, theta))
 
     casimir_worst = 0.0
     for rep in (Irrep(0, 0.5), Irrep(0.5, 0.5)):
@@ -134,7 +138,7 @@ def test_criterion_representations():
         for theta in thetas:
             ratio = angular_laplacian_check(rep, theta, a=1.0)
             dev = float(np.max(np.abs(ratio - expected * np.eye(rep.dim))))
-            casimir_worst = max(casimir_worst, dev / abs(expected))
+            casimir_worst = np.maximum(casimir_worst, dev / abs(expected))
     wall = time.perf_counter() - start
     ok = (comm_worst < 1e-12 and conj_worst < 1e-10
           and casimir_worst < 1e-3 and wall < 120.0)
@@ -158,10 +162,10 @@ def test_criterion_squared_dirac():
         m18 = top_spinor_matrix(p, em, scale, x=x)
         m19 = squared_dirac_matrix(p, em, scale.mass, x=x)
         gap = scale.a ** 2 * em.invariant_h2_e2()
-        gap_worst = max(gap_worst, float(np.max(np.abs(
-            m18 - m19 - gap * np.eye(4)))))
+        gap_worst = np.maximum(gap_worst, np.max(np.abs(
+            m18 - m19 - gap * np.eye(4))))
         m18_ct = top_spinor_matrix(p, em, scale, x=x, counterterm=True)
-        ct_worst = max(ct_worst, float(np.max(np.abs(m18_ct - m19))))
+        ct_worst = np.maximum(ct_worst, np.max(np.abs(m18_ct - m19)))
 
     p_spatial = rng.uniform(-1, 1, 3)
     root = dispersion_root(p_spatial, scale)
@@ -228,6 +232,54 @@ def test_criterion_transport():
                f"normalization defect {norm_defect:.3e} (tol 1e-10), max "
                f"divergence {rep.max_divergence:.3e} (tol 1e-6), step-halving "
                f"ratio {ratio:.1f} (floor 12), {wall:.1f}s (budget 120s)")
+
+
+NAN = float("nan")
+_top_spinor_matrix = top_spinor_matrix
+
+
+def _nan_generators(rep):
+    nan = np.full((3, rep.dim, rep.dim), NAN)
+    return nan, nan
+
+
+def _nan_defect(in_control):
+    # the control is the call that passes xi2; the other defect passes
+    def stub(*args, xi2=None, **kwargs):
+        control = xi2 is not None
+        defect = NAN if control == in_control else float(control)
+        return defect, None, None
+    return stub
+
+
+def _nan_top_spinor(with_counterterm):
+    def stub(*args, counterterm=False, **kwargs):
+        if counterterm == with_counterterm:
+            return np.full((4, 4), NAN)
+        return _top_spinor_matrix(*args, counterterm=counterterm, **kwargs)
+    return stub
+
+
+# one NaN per worst-case reduction; each criterion must fail on it, as the
+# builtins max(0.0, nan) = 0.0 and min(inf, nan) = inf would let it pass
+@pytest.mark.parametrize("criterion, name, stub", [
+    ("curvature", "riemann_scalar_at", lambda *a, **k: NAN),
+    ("weyl_forms", "weyl_scalar_at", lambda *a, **k: NAN),
+    ("linearization", "linearization_check", _nan_defect(False)),
+    ("linearization", "linearization_check", _nan_defect(True)),
+    ("representations", "irrep_generators", _nan_generators),
+    ("representations", "conjugation_defect", lambda *a, **k: NAN),
+    ("representations", "angular_laplacian_check",
+     lambda rep, *a, **k: np.full((rep.dim, rep.dim), NAN)),
+    ("squared_dirac", "top_spinor_matrix", _nan_top_spinor(False)),
+    ("squared_dirac", "top_spinor_matrix", _nan_top_spinor(True)),
+], ids=["curvature", "weyl_forms", "free_defect", "control_defect",
+        "commutators", "conjugation", "casimir", "gap", "counterterm"])
+def test_criteria_fail_on_nan(monkeypatch, criterion, name, stub):
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, name, stub)
+    with pytest.raises(AssertionError, match="nan"):
+        getattr(module, f"test_criterion_{criterion}")()
 
 
 def test_criterion_determinism(tmp_path):

@@ -514,16 +514,17 @@ def fuzz_dir(tmp_path_factory):
 
 
 # flags win over the file, so these keep every fuzzed run short; trace
-# needs two trajectories, and its section count is an array length
+# needs two trajectories
 FUZZ_FLAGS = {"verify-dirac": {"n_draws": 1}, "verify-reps": {"n_draws": 1},
-              "spectrum": {}, "trace": {"n_draws": 2, "steps": 2,
-                                        "sections": 2}}
+              "spectrum": {}, "trace": {"n_draws": 2, "steps": 2}}
 
 
 @settings(max_examples=80, deadline=None)
 @given(fuzzed_configs(sorted(FUZZ_FLAGS)))
 # a seed ball this wide starts trajectories outside the rapidity domain
 @example(("trace", {"spread": 1e200}))
+# more sections than the three shared steps sample no more of the range
+@example(("trace", {"format": "json", "sections": 10**21}))
 def test_fuzzed_config_runs_end_to_end(fuzz_dir, case):
     verb, raw = case
     cfg_path, out = fuzz_dir / "cfg.json", fuzz_dir / "out"
@@ -571,6 +572,19 @@ def test_cli_import_loads_no_scipy():
         capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_package_import_loads_only_its_init():
+    # the modules are the package's public surface; the package itself
+    # exports only its version and imports none of them
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, aqm_lab; print(sorted(m for m in "
+         "sys.modules if m.split('.')[0] in ('aqm_lab', 'numpy'))); "
+         "print(sorted(n for n in vars(aqm_lab) if not n.startswith('_')), "
+         "aqm_lab.__version__)"],
+        capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["['aqm_lab']", "[] 0.1.0"]
 
 
 @pytest.mark.parametrize("args", [

@@ -168,6 +168,21 @@ def test_transport_check_keeps_nan_divergence():
     assert report.min_distance > 0.0
 
 
+def test_transport_check_caps_sections_at_the_shared_steps():
+    # a bundle of 4 shared samples has at most 4 distinct sections, and a
+    # section count far above that must not size an array by it
+    fields = _plane_wave(np.array([-0.2, 0.5, 0.1]))
+    bundle = integrate_bundle(fields, EM0, METRIC, np.zeros(10),
+                              np.random.default_rng(30), n_traj=2,
+                              ds=0.02, n_steps=3)
+    n_common = min(t.n_samples for t in bundle)
+    assert n_common == 4
+    capped = transport_check(fields, EM0, METRIC, bundle, n_sections=n_common)
+    for n_sections in (n_common + 1, 1000, 10**21):
+        assert transport_check(fields, EM0, METRIC, bundle,
+                               n_sections=n_sections) == capped
+
+
 def test_bundle_stopped_at_its_start_has_nan_drift():
     # one trajectory stopped at its start leaves one shared section: no
     # range to drift over, so the drift is NaN rather than an exception

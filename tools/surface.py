@@ -1,0 +1,65 @@
+"""Size of the package's surface: source lines and knobs.
+
+Prints the non-blank lines of every module under ``src/aqm_lab`` and their
+total, then the knob count: the defaulted parameters of every function and
+method (lambdas excluded), plus the field defaults of dataclasses, in every
+module except ``cli``, ``report`` and ``__init__``. Class attributes of
+classes that are not dataclasses (``MetricField.dim``) are not knobs.
+
+    python tools/surface.py [SRC_DIR]
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+DEFAULT_SRC = Path(__file__).resolve().parents[1] / "src" / "aqm_lab"
+NO_KNOBS = frozenset({"cli", "report", "__init__"})
+
+
+def non_blank_lines(path: Path) -> int:
+    return sum(1 for line in path.read_text().splitlines() if line.strip())
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        name = target.attr if isinstance(target, ast.Attribute) else \
+            getattr(target, "id", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def knobs(source: str) -> int:
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            count += len(node.args.defaults)
+            count += sum(1 for d in node.args.kw_defaults if d is not None)
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            count += sum(1 for stmt in node.body
+                         if isinstance(stmt, ast.AnnAssign)
+                         and stmt.value is not None)
+    return count
+
+
+def main(argv: list[str]) -> int:
+    src = Path(argv[0]) if argv else DEFAULT_SRC
+    modules = sorted(src.glob("*.py"))
+    total_lines = total_knobs = 0
+    for path in modules:
+        lines = non_blank_lines(path)
+        total_lines += lines
+        print(f"{path.stem:<14}{lines:>6}")
+        if path.stem not in NO_KNOBS:
+            total_knobs += knobs(path.read_text())
+    print(f"{'total':<14}{total_lines:>6}")
+    print(f"{'knobs':<14}{total_knobs:>6}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
