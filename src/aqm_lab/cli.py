@@ -376,8 +376,8 @@ def _run_verify_reps(cfg: dict):
               for _ in range(cfg["n_draws"])]
 
     comm_defect = np.max([commutator_defect(rep) for rep in reps])
-    conj_defect = np.max([conjugation_defect(rep, theta)
-                          for rep in reps for theta in thetas])
+    conj_defect = np.max([conjugation_defect(rep, np.stack(thetas))
+                          for rep in reps])
 
     casimir_rel = 0.0
     for rep in (Irrep(0, 0.5), Irrep(0.5, 0.5)):

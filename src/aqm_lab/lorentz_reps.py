@@ -110,20 +110,30 @@ def _generator_halves(rep: Irrep) -> np.ndarray:
     return halves
 
 
+# Levi-Civita symbol eps[a, b, c]
+_EPS = np.zeros((3, 3, 3))
+_EPS[0, 1, 2] = _EPS[1, 2, 0] = _EPS[2, 0, 1] = 1.0
+_EPS[0, 2, 1] = _EPS[2, 1, 0] = _EPS[1, 0, 2] = -1.0
+
+
 def commutator_defect(rep: Irrep) -> float:
-    """Largest entry of the residuals of the three commutation relations of (J, K)."""
-    eps = np.zeros((3, 3, 3))
-    eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1.0
-    eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1.0
+    """Largest entry of the residuals of the three commutation relations of (J, K).
+
+    The 9 (a, b) pairs of [J, J], [J, K] and [K, K] come from one stacked
+    product of the six generators, and their targets i eps_abc J_c and
+    i eps_abc K_c from one contraction with the Levi-Civita symbol.
+    """
     j, k = irrep_generators(rep)
-    residuals = []
-    for a in range(3):
-        for b in range(3):
-            target_j = 1j * np.einsum("c,cij->ij", eps[a, b], j)
-            target_k = 1j * np.einsum("c,cij->ij", eps[a, b], k)
-            residuals += [j[a] @ j[b] - j[b] @ j[a] - target_j,
-                          j[a] @ k[b] - k[b] @ j[a] - target_k,
-                          k[a] @ k[b] - k[b] @ k[a] + target_j]
+    gens = np.concatenate([j, k])
+    d = gens.shape[-1]
+    prods = gens[:, None] @ gens[None, :]
+    # comm[h, a, g, b] = [G_ha, G_gb], with G_0 = J and G_1 = K
+    comm = (prods - prods.swapaxes(0, 1)).reshape(2, 3, 2, 3, d, d)
+    target_j, target_k = 1j * np.einsum("abc,hcij->habij", _EPS,
+                                        gens.reshape(2, 3, d, d))
+    residuals = np.stack([comm[0, :, 0] - target_j,
+                          comm[0, :, 1] - target_k,
+                          comm[1, :, 1] + target_j])
     return float(np.max(np.abs(residuals)))
 
 
@@ -144,14 +154,23 @@ def _factor_exponentials(rep: Irrep, theta: np.ndarray, sign: float) -> np.ndarr
     return expm(sign * 1j * m, kappa, rep.u + rep.v)
 
 
+def _chart_product(factors: np.ndarray, *, inverse: bool) -> np.ndarray:
+    """The chart's rotation-then-boost product of the factors on axis -3.
+
+    From the factors (exp(-i theta_rot . J), exp(-i theta_boost . K)) it is
+    D = R B; from their inverses it is D^-1 = B^-1 R^-1.
+    """
+    rot, boost = factors[..., 0, :, :], factors[..., 1, :, :]
+    return boost @ rot if inverse else rot @ boost
+
+
 def d_matrix(rep: Irrep, theta: np.ndarray) -> np.ndarray:
     """Representation matrix D(Lambda(theta)), same chart as the vector rep.
 
     D = exp(-i theta_rot . J) exp(-i theta_boost . K); the correspondence
     with the 4x4 chart generators is J_vec -> -i J, K_vec -> -i K.
     """
-    factors = _factor_exponentials(rep, theta, -1.0)
-    return factors[..., 0, :, :] @ factors[..., 1, :, :]
+    return _chart_product(_factor_exponentials(rep, theta, -1.0), inverse=False)
 
 
 def d_matrix_inverse(rep: Irrep, theta: np.ndarray) -> np.ndarray:
@@ -161,8 +180,7 @@ def d_matrix_inverse(rep: Irrep, theta: np.ndarray) -> np.ndarray:
     Boosted representation matrices are badly conditioned, so inverting
     through the exponentials is far more accurate than a linear solve.
     """
-    factors = _factor_exponentials(rep, theta, 1.0)
-    return factors[..., 1, :, :] @ factors[..., 0, :, :]
+    return _chart_product(_factor_exponentials(rep, theta, 1.0), inverse=True)
 
 
 def factor_swap(rep: Irrep) -> np.ndarray:
@@ -180,19 +198,30 @@ def factor_swap(rep: Irrep) -> np.ndarray:
     return p
 
 
-def conjugation_defect(rep: Irrep, theta: np.ndarray) -> float:
-    """Residual of the conjugation relation between (u, v) and (v, u).
+def conjugation_defect(rep: Irrep, theta: np.ndarray) -> np.ndarray:
+    """Residual of the conjugation relation between (u, v) and (v, u), one
+    per angle 6-vector on the last axis of ``theta``.
 
     The adjoint of D in rep (u, v) equals the inverse of D in rep (v, u)
     after the canonical reordering of the two spin factors:
     D_(u,v)(theta)^dagger = P^T D_(v,u)(theta)^{-1} P. When u or v is zero
     the permutation is the identity and the relation is the bare
-    adjoint-inverse statement.
+    adjoint-inverse statement. Both sides share kappa and the spin u + v,
+    so their four factors come from one ``expm`` call. A row with a
+    non-finite angle gives NaN in that row only.
     """
-    d_uv = d_matrix(rep, theta)
-    d_vu_inv = d_matrix_inverse(rep.conjugate, theta)
+    m_uv, kappa = factor_exponents(theta, _generator_halves(rep))
+    m_vu, _ = factor_exponents(theta, _generator_halves(rep.conjugate))
+    exponents = np.stack([-1j * m_uv, 1j * m_vu], axis=-4)
+    # kappa takes the exponents' batch shape: at spin 0 expm returns
+    # exp(0) I on kappa's shape alone
+    kappa = np.broadcast_to(kappa[..., None, :], exponents.shape[:-2])
+    factors = expm(exponents, kappa, rep.u + rep.v)
+    d_uv = _chart_product(factors[..., 0, :, :, :], inverse=False)
+    d_vu_inv = _chart_product(factors[..., 1, :, :, :], inverse=True)
     p = factor_swap(rep)
-    return float(np.max(np.abs(d_uv.conj().T - p.T @ d_vu_inv @ p)))
+    return np.max(np.abs(d_uv.conj().swapaxes(-1, -2) - p.T @ d_vu_inv @ p),
+                  axis=(-2, -1))
 
 
 def vector_intertwiner() -> tuple[np.ndarray, float]:
@@ -203,19 +232,15 @@ def vector_intertwiner() -> tuple[np.ndarray, float]:
     intertwiner, normalized to unit largest entry, and the smallest singular
     value of the stacked system (zero for a genuine equivalence).
     """
-    thetas = [
-        np.array([0.7, -0.3, 0.2, 0.4, 0.1, -0.5]),
-        np.array([-0.2, 0.5, -0.6, 0.1, -0.3, 0.2]),
-        np.array([0.1, 0.2, 0.9, -0.2, 0.6, 0.3]),
-    ]
-    rep = Irrep(0.5, 0.5)
+    thetas = np.array([
+        [0.7, -0.3, 0.2, 0.4, 0.1, -0.5],
+        [-0.2, 0.5, -0.6, 0.1, -0.3, 0.2],
+        [0.1, 0.2, 0.9, -0.2, 0.6, 0.3],
+    ])
     eye = np.eye(4)
-    blocks = []
-    for theta in thetas:
-        d = d_matrix(rep, theta)
-        lam = lorentz_from_angles(theta)
-        blocks.append(np.kron(d, eye) - np.kron(eye, lam.T))
-    system = np.vstack(blocks)
+    system = np.vstack([np.kron(d, eye) - np.kron(eye, lam.T) for d, lam in
+                        zip(d_matrix(Irrep(0.5, 0.5), thetas),
+                            lorentz_from_angles(thetas))])
     _, s, vh = np.linalg.svd(system)
     # right singular vectors are the conjugated rows of vh
     x = vh[-1].conj().reshape(4, 4)

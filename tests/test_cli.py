@@ -315,6 +315,25 @@ def test_spectrum_extreme_scales_give_null_records(argv, null_m2, capsys):
     assert count["value"] == (len(payload["records"]) if null_m2 else 0)
 
 
+def test_nan_conjugation_draw_fails_verify_reps(monkeypatch, capsys):
+    # verify-reps hands every draw to conjugation_defect in one stack; a NaN
+    # in one draw's row must fail its check, neither pass nor exit 3
+    conjugation_defect = cli.conjugation_defect
+
+    def nan_in_second_draw(rep, thetas):
+        defect = conjugation_defect(rep, thetas).copy()
+        defect[1] = np.nan
+        return defect
+
+    monkeypatch.setattr(cli, "conjugation_defect", nan_in_second_draw)
+    assert main(["verify-reps", "--n-draws", "3", "--seed", "5"]) == 1
+    checks = {c["name"]: c for c in
+              json.loads(capsys.readouterr().out)["payload"]["checks"]}
+    conj = checks.pop("reps_conjugation_max_defect")
+    assert conj["nonfinite"] and not conj["pass"]
+    assert all(c["pass"] for c in checks.values())
+
+
 def test_tol_cannot_forgive_nonfinite_spectrum(capsys):
     assert main(["spectrum", "--a", "1e-300", "--tol", "23"]) == 1
     payload = json.loads(capsys.readouterr().out)["payload"]

@@ -130,20 +130,38 @@ def test_irrep_generator_hermiticity():
         assert np.max(np.abs(k[a] + k[a].conj().T)) < 1e-14
 
 
+EPS = np.zeros((3, 3, 3))
+EPS[0, 1, 2] = EPS[1, 2, 0] = EPS[2, 0, 1] = 1.0
+EPS[0, 2, 1] = EPS[2, 1, 0] = EPS[1, 0, 2] = -1.0
+
+
+def commutator_residuals_reference(rep: Irrep) -> list[np.ndarray]:
+    """The 27 commutator residuals, one (a, b) pair and relation at a time:
+    the reference of the stacked ``commutator_defect``."""
+    j, k = irrep_generators(rep)
+    residuals = []
+    for a in range(3):
+        for b in range(3):
+            tj = 1j * np.einsum("c,cij->ij", EPS[a, b], j)
+            tk = 1j * np.einsum("c,cij->ij", EPS[a, b], k)
+            residuals += [j[a] @ j[b] - j[b] @ j[a] - tj,
+                          j[a] @ k[b] - k[b] @ j[a] - tk,
+                          k[a] @ k[b] - k[b] @ k[a] + tj]
+    return residuals
+
+
 def test_commutators_all_small_reps():
-    eps = np.zeros((3, 3, 3))
-    eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1.0
-    eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1.0
     for rep in reps_up_to_dim(9):
-        j, k = irrep_generators(rep)
-        for a in range(3):
-            for b in range(3):
-                tj = 1j * np.einsum("c,cij->ij", eps[a, b], j)
-                tk = 1j * np.einsum("c,cij->ij", eps[a, b], k)
-                assert np.max(np.abs(j[a] @ j[b] - j[b] @ j[a] - tj)) < 1e-12
-                assert np.max(np.abs(j[a] @ k[b] - k[b] @ j[a] - tk)) < 1e-12
-                assert np.max(np.abs(k[a] @ k[b] - k[b] @ k[a] + tj)) < 1e-12
+        for residual in commutator_residuals_reference(rep):
+            assert np.max(np.abs(residual)) < 1e-12
         assert commutator_defect(rep) < 1e-12
+
+
+@pytest.mark.parametrize("rep", reps_up_to_dim(9) + [Irrep(1.5, 1.5), Irrep(2, 1)],
+                         ids=Irrep.label)
+def test_commutator_defect_equals_per_pair_loop(rep):
+    reference = np.max(np.abs(commutator_residuals_reference(rep)))
+    assert commutator_defect(rep) == reference
 
 
 def test_casimir_is_scalar_matrix():
@@ -328,6 +346,42 @@ def test_conjugation_relation_across_reps():
             assert conjugation_defect(rep, theta) < 1e-10
 
 
+def conjugation_defect_reference(rep: Irrep, theta: np.ndarray) -> float:
+    """The conjugation residual at one angle 6-vector from d_matrix and
+    d_matrix_inverse of the conjugate irrep: the reference of the one-expm
+    ``conjugation_defect``."""
+    d_uv = d_matrix(rep, theta)
+    d_vu_inv = d_matrix_inverse(rep.conjugate, theta)
+    p = factor_swap(rep)
+    return float(np.max(np.abs(d_uv.conj().T - p.T @ d_vu_inv @ p)))
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3)], ids=str)
+@pytest.mark.parametrize("scale", [1.0, 1e-9, 0.0])
+def test_conjugation_defect_equals_per_angle_reference(scale, shape):
+    # scale 1e-9 puts both factors below SERIES_CUTOFF; 0 is theta = 0
+    thetas = scale * np.random.default_rng(28).uniform(-1.2, 1.2, shape + (6,))
+    reps = reps_up_to_dim(9)
+    assert {Irrep(0, 0), Irrep(0, 0.5), Irrep(0.5, 0)} <= set(reps)
+    for rep in reps:
+        defect = conjugation_defect(rep, thetas)
+        assert np.shape(defect) == shape
+        for idx in np.ndindex(shape):
+            assert defect[idx] == conjugation_defect_reference(rep, thetas[idx])
+
+
+def test_conjugation_defect_is_nan_in_non_finite_rows_only():
+    thetas = np.random.default_rng(29).uniform(-1.2, 1.2, (5, 6))
+    thetas[1, 4] = np.nan
+    thetas[3, 0] = np.inf
+    for rep in reps_up_to_dim(9):
+        with np.errstate(all="ignore"):
+            defect = conjugation_defect(rep, thetas)
+        assert np.isnan(defect[[1, 3]]).all()
+        for row in (0, 2, 4):
+            assert defect[row] == conjugation_defect_reference(rep, thetas[row])
+
+
 # ---------------------------------------------------------------------------
 # vector equivalence
 # ---------------------------------------------------------------------------
@@ -337,6 +391,22 @@ def test_vector_intertwiner_nullspace():
     x, sigma_min = vector_intertwiner()
     assert sigma_min < 1e-12
     assert np.max(np.abs(x)) == pytest.approx(1.0)
+
+
+def test_vector_intertwiner_equals_three_single_angle_calls():
+    thetas = [np.array([0.7, -0.3, 0.2, 0.4, 0.1, -0.5]),
+              np.array([-0.2, 0.5, -0.6, 0.1, -0.3, 0.2]),
+              np.array([0.1, 0.2, 0.9, -0.2, 0.6, 0.3])]
+    eye = np.eye(4)
+    system = np.vstack([np.kron(d_matrix(Irrep(0.5, 0.5), theta), eye)
+                        - np.kron(eye, lorentz_from_angles(theta).T)
+                        for theta in thetas])
+    _, s, vh = np.linalg.svd(system)
+    x_ref = vh[-1].conj().reshape(4, 4)
+    x_ref = x_ref / x_ref.flat[np.argmax(np.abs(x_ref))]
+    x, sigma_min = vector_intertwiner()
+    assert np.array_equal(x, x_ref)
+    assert sigma_min == s[-1]
 
 
 def test_vector_intertwiner_fresh_group_elements():

@@ -1,0 +1,33 @@
+import hashlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from aqm_lab.cli import main
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def test_payload_digests_lists_one_run_per_seed_and_draw_count(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(TOOLS / "payload_digests.py"), "verify-reps",
+         "--seeds", "3,5-6", "--n-draws", "1", "2"],
+        capture_output=True, text=True, check=True)
+    lines = proc.stdout.splitlines()
+    assert [line.split()[1:3] for line in lines] == [
+        [f"seed={s}", f"n_draws={n}"] for n in (1, 2) for s in (3, 5, 6)]
+    out = tmp_path / "report.json"
+    assert main(["verify-reps", "--n-draws", "2", "--seed", "5",
+                 "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())["payload"]
+    expected = hashlib.sha256(json.dumps(payload, sort_keys=True).encode())
+    assert lines[4] == f"verify-reps seed=5 n_draws=2 exit=0 {expected.hexdigest()}"
+
+
+def test_payload_digests_reports_a_config_error_without_digest():
+    proc = subprocess.run(
+        [sys.executable, str(TOOLS / "payload_digests.py"), "verify-reps",
+         "--seeds", "0", "--n-draws", "0"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout == "verify-reps seed=0 n_draws=0 exit=2 -\n"

@@ -1,0 +1,80 @@
+"""Payload digests of a verb over a range of seeds.
+
+Runs ``aqm_lab.cli.main`` in this process once per (seed, n_draws) and
+prints one line per run: the verb, the seed, the draw count, the exit code
+and the sha256 of the payload, taken over ``json.dumps(payload,
+sort_keys=True)`` as the benchmark does. A CSV report has no payload, so its
+digest is over the whole file; a run that writes nothing reads ``-``.
+Options the tool does not know go to the verb unchanged. Diffing the output
+of two checkouts is a byte-identity check of their payloads:
+
+    python tools/payload_digests.py verify-reps --seeds 0-29 --n-draws 1 5
+    python tools/payload_digests.py trace --seeds 0,4 --format json
+    python tools/payload_digests.py verify-reps --seeds 0-29 --src OTHER/src
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+DEFAULT_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def parse_seeds(spec: str) -> list[int]:
+    """Seeds from a comma-separated list of integers and ranges ``a-b``."""
+    seeds = []
+    for part in spec.split(","):
+        first, _, last = part.partition("-")
+        seeds.extend(range(int(first), int(last or first) + 1))
+    return seeds
+
+
+def digest(path: Path) -> str:
+    text = path.read_bytes()
+    if not text:
+        return "-"
+    try:
+        text = json.dumps(json.loads(text)["payload"], sort_keys=True).encode()
+    except (ValueError, KeyError, TypeError):
+        pass
+    return hashlib.sha256(text).hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("verb")
+    parser.add_argument("--seeds", type=parse_seeds, required=True,
+                        help="e.g. 0-29 or 0,4,10-12")
+    parser.add_argument("--n-draws", type=int, nargs="+", default=[None],
+                        help="one run per value; the verb's default if omitted")
+    parser.add_argument("--src", type=Path, default=DEFAULT_SRC,
+                        help="the src directory of the checkout to run")
+    args, verb_args = parser.parse_known_args(argv)
+    # one BLAS thread, as in the benchmark; this must precede the numpy import
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(name, "1")
+    sys.path.insert(0, str(args.src.resolve()))
+    from aqm_lab.cli import main as cli_main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report"
+        for n_draws in args.n_draws:
+            draws = [] if n_draws is None else ["--n-draws", str(n_draws)]
+            for seed in args.seeds:
+                out.write_bytes(b"")
+                code = cli_main([args.verb, *draws, *verb_args,
+                                 "--seed", str(seed), "--out", str(out)])
+                print(f"{args.verb} seed={seed} "
+                      f"n_draws={'default' if n_draws is None else n_draws} "
+                      f"exit={code} {digest(out)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
