@@ -26,6 +26,8 @@ RAPIDITY_MAX = 3.0
 NULL_TOL = 1e-10
 
 MINKOWSKI = np.diag([-1.0, 1.0, 1.0, 1.0])
+# eta = diag(-1, 1, 1, 1) on the spacetime slots of a 10-vector, 0 on the group
+_SPACETIME_SIGNS = np.concatenate([np.diag(MINKOWSKI), np.zeros(6)])
 
 # pairing <T_a, T_b> = tr(T_a^T G T_b G) of the generator basis, diagonal;
 # contracting both index pairs of an algebra element against itself with the
@@ -395,16 +397,22 @@ class TopMetric(MetricField):
         return g
 
     def inverse(self, q):
+        """blockdiag(eta, the group block): no 10x10 matrix is inverted."""
         _, theta = split_point(q)
-        return self.inverse_from_killing(killing_vectors(theta))
-
-    def inverse_from_killing(self, k):
-        """blockdiag(eta, the group block) from the Killing fields K of the
-        points' angles: no 10x10 matrix is inverted."""
-        ginv = np.zeros(k.shape[:-2] + (10, 10))
+        ginv = np.zeros(theta.shape[:-1] + (10, 10))
         ginv[..., :4, :4] = MINKOWSKI
-        ginv[..., 4:, 4:] = self.group.inverse_from_killing(k)
+        ginv[..., 4:, 4:] = self.group.inverse(theta)
         return ginv
+
+    def raise_from_killing(self, k, u):
+        """The raise g^{ij} u_j of covectors u on the last axis, by blocks,
+        from the Killing fields K of the points' angles: eta u on spacetime,
+        elementwise, and the group block a^-2 K P K^T times the group
+        components. No 10x10 inverse is built."""
+        up = u * _SPACETIME_SIGNS  # the group slots are written next
+        np.matmul(self.group.inverse_from_killing(k), u[..., 4:, None],
+                  out=up[..., 4:, None])
+        return up
 
     def sqrt_det(self, q):
         _, theta = split_point(q)

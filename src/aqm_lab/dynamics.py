@@ -76,19 +76,21 @@ def integrate_trajectory(fields: WaveInputs, em: EMConfig, metric: TopMetric,
     ``q0`` is one start point of shape (10,), which gives one Trajectory,
     or a stack of shape (n_traj, 10), which gives a list of them. All
     trajectories step together: each RK4 stage is one ``velocity_field``
-    call on the trajectories still running. A trajectory stops early
-    (keeping its samples so far) as "degenerate" when u.u at one of its
-    stages is below NULL_TOL in magnitude or has the other sign than at its
-    start, where v = u#/sqrt|u.u| would step through its singularity, and
-    as "rapidity" when a boost coordinate leaves the chart domain; the
-    others run on.
+    call on the trajectories still running. The evaluation at the start
+    points, which classifies them, is also the first stage of step 0 when
+    none is degenerate there, so n_steps steps make 4 n_steps calls. A
+    trajectory stops early (keeping its samples so far) as "degenerate"
+    when u.u at one of its stages is below NULL_TOL in magnitude or has the
+    other sign than at its start, where v = u#/sqrt|u.u| would step through
+    its singularity, and as "rapidity" when a boost coordinate leaves the
+    chart domain; the others run on.
     """
     q = np.array(q0, dtype=float, ndmin=2)
     if not np.all(_within_chart(q)):
         raise ValueError("initial point outside the rapidity domain")
     n_traj = q.shape[0]
 
-    _, norm2 = velocity_field(fields, em, metric, q, h=h, order=order)
+    v, norm2 = velocity_field(fields, em, metric, q, h=h, order=order)
     degenerate = np.abs(norm2) < NULL_TOL
     timelike = (norm2 < 0) & ~degenerate
     start_sign = np.sign(norm2)
@@ -98,6 +100,9 @@ def integrate_trajectory(fields: WaveInputs, em: EMConfig, metric: TopMetric,
     n_samples = np.ones(n_traj, dtype=int)
 
     running = np.flatnonzero(~degenerate)
+    # step 0's first stage is the start's evaluation when every trajectory
+    # runs: the same points in the same batch
+    start = (v, norm2) if running.size == n_traj else None
     for step in range(n_steps):
         base = q[running]
         ks = []
@@ -107,8 +112,12 @@ def integrate_trajectory(fields: WaveInputs, em: EMConfig, metric: TopMetric,
         for c in (None, 0.5, 0.5, 1.0):
             if not running.size:
                 break
-            p = base if c is None else base + c * ds * ks[-1]
-            v, norm2 = velocity_field(fields, em, metric, p, h=h, order=order)
+            if start is not None:
+                (v, norm2), start = start, None
+            else:
+                p = base if c is None else base + c * ds * ks[-1]
+                v, norm2 = velocity_field(fields, em, metric, p, h=h,
+                                          order=order)
             live = ~(norm2 * start_sign[running] < NULL_TOL)
             if not live.all():
                 truncated[running[~live]] = "degenerate"

@@ -13,6 +13,7 @@ one call, so a nested derivative costs one call per nesting level.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Iterable
 
 import numpy as np
@@ -32,6 +33,21 @@ def stencil(order: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
         raise ValueError(f"unsupported stencil order {order}; choose from {sorted(_STENCILS)}")
 
 
+@functools.lru_cache(maxsize=32)
+def _step_table(order: int, h: float, dim: int, axes: tuple[int, ...]
+                ) -> np.ndarray:
+    """Read-only steps[k, a] = offsets[k] h e_{axes[a]}, (n_offsets, n_axes, dim).
+
+    Built once per (order, h, dim, axes): a verb differentiates with a few
+    step sizes over a few axis sets, so the cache stays small.
+    """
+    offsets, _ = stencil(order)
+    steps = np.zeros((len(offsets), len(axes), dim))
+    steps[:, range(len(axes)), axes] = (np.array(offsets) * h)[:, None]
+    steps.flags.writeable = False
+    return steps
+
+
 def derivative_stack(f: Callable[[np.ndarray], np.ndarray], point: np.ndarray,
                      h: float = 1e-3, order: int = 4,
                      skip: Iterable[int] = ()) -> np.ndarray:
@@ -43,7 +59,8 @@ def derivative_stack(f: Callable[[np.ndarray], np.ndarray], point: np.ndarray,
     an array of shape (n_offsets, *batch, n_axes, dim). Axes listed in
     ``skip`` are known to leave ``f`` unchanged and get an exact zero block
     without any function evaluations; ``f`` is evaluated at ``point`` only
-    when every axis is skipped, to learn the block's shape.
+    when every axis is skipped, to learn the block's shape. The table of
+    stencil steps comes from a small cache keyed by (order, h, dim, axes).
     """
     point = np.asarray(point, dtype=float)
     batch, dim = point.shape[:-1], point.shape[-1]
@@ -54,11 +71,10 @@ def derivative_stack(f: Callable[[np.ndarray], np.ndarray], point: np.ndarray,
         dtype = complex if np.iscomplexobj(value) else float
         return np.zeros(batch + (dim,) + value.shape[len(batch):], dtype)
 
-    offsets, weights = stencil(order)
-    steps = np.zeros((len(offsets), len(axes), dim))
-    steps[:, range(len(axes)), axes] = (np.array(offsets) * h)[:, None]
+    _, weights = stencil(order)
+    steps = _step_table(order, h, dim, tuple(axes))
     points = point[..., None, :] + steps.reshape(
-        (len(offsets),) + (1,) * len(batch) + (len(axes), dim))
+        steps.shape[:1] + (1,) * len(batch) + steps.shape[1:])
     values = np.asarray(f(points))  # values[k]: all points at offset k
     partials = sum(w * v for w, v in zip(weights, values)) / h
     if len(axes) == dim:

@@ -44,6 +44,11 @@ def conformal_coupling(n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class EMConfig:
     """Uniform electromagnetic field with its group-direction coupling.
@@ -52,6 +57,10 @@ class EMConfig:
     spacetime potential A_0 = E.x, A_k = (1/2)(H x x)_k reproduces the field
     strength F_{0k} = -E_k, F_{kl} = eps_{klm} H_m. ``kappa`` scales the
     group-direction extension of the potential.
+
+    The field is stated once, in the constant Jacobian dA of the spacetime
+    potential; dA and the group charges are built once, at construction, and
+    like the two field vectors (copies of the arguments) they are read-only.
     """
 
     e_field: np.ndarray
@@ -59,48 +68,50 @@ class EMConfig:
     kappa: float = 2.0
 
     def __post_init__(self):
-        object.__setattr__(self, "e_field", np.asarray(self.e_field, dtype=float))
-        object.__setattr__(self, "h_field", np.asarray(self.h_field, dtype=float))
-        if self.e_field.shape != (3,) or self.h_field.shape != (3,):
+        e = _read_only(np.array(self.e_field, dtype=float))
+        h = _read_only(np.array(self.h_field, dtype=float))
+        if e.shape != (3,) or h.shape != (3,):
             raise ValueError("e_field and h_field must be 3-vectors")
+        da = np.zeros((4, 4))
+        da[1:, 0] = e
+        for i, j, m in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+            da[i, j] = 0.5 * h[m - 1]
+            da[j, i] = -0.5 * h[m - 1]
+        object.__setattr__(self, "e_field", e)
+        object.__setattr__(self, "h_field", h)
+        object.__setattr__(self, "_da", _read_only(da))
+        object.__setattr__(self, "_charges", _read_only(
+            -0.5 * self.kappa * np.concatenate([h, e])))
 
     @classmethod
     def zero(cls) -> "EMConfig":
         return cls(np.zeros(3), np.zeros(3))
 
     def potential_spacetime(self, x: np.ndarray) -> np.ndarray:
-        """Covariant components (A_0, A_1, A_2, A_3) at events x on the last axis."""
+        """Covariant components (A_0, A_1, A_2, A_3) at events x on the last axis.
+
+        A_nu = sum_mu x^mu dA[mu, nu], summed in row order by an elementwise
+        product, not a matrix product: each point's value is then the same
+        in any batch, and bitwise that of E.x and (1/2) H x x written out
+        (halving is exact, and the zero entries add exact zeros). The time
+        row of dA is zero and is not read.
+        """
         x = np.asarray(x, dtype=float)
-        a = np.empty(x.shape)
-        # E.x and (1/2) H x x written out: each point's value is then the
-        # same in any batch (a matrix-vector product over a batch rounds
-        # otherwise than a dot on one point), and np.cross costs more than
-        # the rest of the potential on a single point
-        e1, e2, e3 = self.e_field
-        h1, h2, h3 = self.h_field
-        x1, x2, x3 = x[..., 1], x[..., 2], x[..., 3]
-        a[..., 0] = e1 * x1 + e2 * x2 + e3 * x3
-        a[..., 1] = 0.5 * (h2 * x3 - h3 * x2)
-        a[..., 2] = 0.5 * (h3 * x1 - h1 * x3)
-        a[..., 3] = 0.5 * (h1 * x2 - h2 * x1)
-        return a
+        return (x[..., 1:, None] * self._da[1:]).sum(axis=-2)
 
     def invariant_h2_e2(self) -> float:
         """The scalar invariant (1/2) F_{mu nu} F^{mu nu} = H^2 - E^2."""
         return float(self.h_field @ self.h_field - self.e_field @ self.e_field)
 
     def potential_gradient(self) -> np.ndarray:
-        """Constant Jacobian dA[mu, nu] = d_mu A_nu of the spacetime potential."""
-        da = np.zeros((4, 4))
-        da[1:, 0] = self.e_field
-        for i, j, m in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-            da[i, j] = 0.5 * self.h_field[m - 1]
-            da[j, i] = -0.5 * self.h_field[m - 1]
-        return da
+        """Constant Jacobian dA[mu, nu] = d_mu A_nu of the spacetime potential
+        (read-only)."""
+        return self._da
 
     def generator_charges(self) -> np.ndarray:
-        """Constant algebra-frame components -(kappa/2) (H1, H2, H3, E1, E2, E3)."""
-        return -0.5 * self.kappa * np.concatenate([self.h_field, self.e_field])
+        """Constant algebra-frame components -(kappa/2) (H1, H2, H3, E1, E2, E3)
+        (read-only)."""
+        return self._charges
 
     def potential(self, q: np.ndarray) -> np.ndarray:
         """Full 10-component covariant potential at configuration points."""
@@ -152,14 +163,17 @@ def raised_momentum(fields: WaveInputs, em: EMConfig, metric: TopMetric,
     (u#, u.u#).
 
     The potential and the inverse metric read one evaluation of the Killing
-    fields of the points' angles.
+    fields of the points' angles. The raise goes by blocks
+    (``TopMetric.raise_from_killing``): eta u on spacetime and the group
+    inverse on the group components, bitwise equal to
+    ``metric.inverse(point) @ u`` without building the 10x10 inverse.
     """
     point = np.asarray(point, dtype=float)
     x, theta = split_point(point)
     k = killing_vectors(theta)
     u = derivative_stack(fields.s_field, point, h=h, order=order) \
         - em.potential_from_killing(x, k)
-    up = (metric.inverse_from_killing(k) @ u[..., None])[..., 0]
+    up = metric.raise_from_killing(k, u)
     return up, (u[..., None, :] @ up[..., None])[..., 0, 0]
 
 

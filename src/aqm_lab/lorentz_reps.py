@@ -183,18 +183,21 @@ def d_matrix_inverse(rep: Irrep, theta: np.ndarray) -> np.ndarray:
     return _chart_product(_factor_exponentials(rep, theta, 1.0), inverse=True)
 
 
+@functools.cache
 def factor_swap(rep: Irrep) -> np.ndarray:
     """Permutation from the (u, v) index order to the (v, u) index order.
 
     P[j * du + i, i * dv + j] = 1 for i < du, j < dv, where du = 2u+1 and
-    dv = 2v+1. It intertwines the conjugation relation below.
+    dv = 2v+1. It intertwines the conjugation relation below. Built once
+    per irrep; the array is read-only.
     """
     du = int(round(2 * rep.u + 1))
     dv = int(round(2 * rep.v + 1))
+    cols = np.arange(du * dv)
+    i, j = np.divmod(cols, dv)  # column i * dv + j
     p = np.zeros((du * dv, du * dv))
-    for i in range(du):
-        for j in range(dv):
-            p[j * du + i, i * dv + j] = 1.0
+    p[j * du + i, cols] = 1.0
+    p.flags.writeable = False
     return p
 
 

@@ -342,6 +342,32 @@ def test_batched_bundle_degenerates_mid_run_per_trajectory(monkeypatch):
     assert [t.n_samples for t in bundle[1:]] == [21, 21]
 
 
+def test_bundle_with_a_degenerate_start_matches_reference(monkeypatch):
+    # the trajectory that starts past x^0 = 0.08 is degenerate at its start,
+    # so step 0 runs on the other two alone and evaluates its first stage
+    # anew: one call more than 4 per step
+    raised = dynamics.raised_momentum
+    calls = []
+
+    def vanishing(fields, em, metric, point, h, order):
+        calls.append(np.shape(point))
+        late = np.asarray(point)[..., 0] > 0.08
+        up, norm2 = raised(fields, em, metric, point, h, order)
+        return np.where(late[..., None], 0.0, up), np.where(late, 0.0, norm2)
+
+    monkeypatch.setattr(dynamics, "raised_momentum", vanishing)
+    fields = _plane_wave(np.array([0.3, -0.2, 0.1]))
+    starts = np.zeros((3, 10))
+    starts[:, 0] = [0.1, -0.5, -0.6]
+    n_steps = 5
+    bundle = integrate_trajectory(fields, EM0, METRIC, starts, ds=0.01,
+                                  n_steps=n_steps)
+    assert len(calls) == 4 * n_steps + 1
+    assert calls[:2] == [(3, 10), (2, 10)]
+    assert bundle[0].truncated == "degenerate" and bundle[0].n_samples == 1
+    _assert_matches_reference(fields, EM0, starts, ds=0.01, n_steps=n_steps)
+
+
 def test_velocity_field_evaluates_the_killing_fields_once(monkeypatch):
     # the potential and the inverse metric share one Killing-field
     # evaluation, which is closed-form and builds no frame
@@ -385,7 +411,8 @@ def test_bundle_calls_velocity_field_once_per_stage(monkeypatch):
                          np.random.default_rng(5), n_traj=n_traj,
                          n_steps=n_steps)
         counts.append(len(calls))
-    assert counts[0] == counts[1] <= 4 * n_steps + 1
+    # the start evaluation is the first stage of step 0
+    assert counts == [4 * n_steps, 4 * n_steps]
 
 
 def test_transport_check_evaluates_each_section_once(monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aqm_lab import cli, config_space, hj
+from aqm_lab import cli, config_space, fd, hj
 from aqm_lab.config_space import TopMetric, sample_point
 from aqm_lab.fd import central_diff, derivative_stack, stencil
 from aqm_lab.fields import BandLimitedField, draw_field
@@ -230,6 +230,45 @@ def test_derivative_stack_calls_f_once():
         derivative_stack(counted, point, skip=skip)
         assert len(calls) == 1
     assert calls == [(3, 6)]
+
+
+def step_table_reference(order, h, dim, axes):
+    """steps[k, a] = offsets[k] h e_{axes[a]}, entry by entry: the table that
+    ``derivative_stack`` built on every call before it came from a cache."""
+    offsets, _ = stencil(order)
+    steps = np.zeros((len(offsets), len(axes), dim))
+    for k, off in enumerate(offsets):
+        for a, axis in enumerate(axes):
+            steps[k, a, axis] = off * h
+    return steps
+
+
+@pytest.mark.parametrize("skip", [(), (0, 3)])
+@pytest.mark.parametrize("h", [1e-3, 2.5e-2])
+@pytest.mark.parametrize("order", [2, 4])
+def test_cached_step_table_matches_uncached_build(order, h, skip):
+    # a cold and a warm cache hand f the same stencil points, bitwise equal
+    # to the point plus the table built entry by entry
+    seen = []
+
+    def recorded(q):
+        seen.append(q.copy())
+        return np.sin(q).sum(axis=-1)
+
+    point = np.random.default_rng(22).uniform(-1.0, 1.0, (3, 5))
+    axes = tuple(i for i in range(5) if i not in skip)
+    fd._step_table.cache_clear()
+    cold = derivative_stack(recorded, point, h=h, order=order, skip=skip)
+    warm = derivative_stack(recorded, point, h=h, order=order, skip=skip)
+    assert fd._step_table.cache_info().hits >= 1
+    ref = step_table_reference(order, h, 5, axes)
+    table = fd._step_table(order, h, 5, axes)
+    assert np.array_equal(table, ref)
+    expected = point[:, None, :] + ref[:, None]
+    assert np.array_equal(seen[0], expected) and np.array_equal(seen[1], expected)
+    assert np.array_equal(cold, warm)
+    with pytest.raises(ValueError):
+        table[0, 0, axes[0]] = 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -65,12 +65,32 @@ def test_field_strength_from_potential_gradient():
     assert np.max(np.abs((da - da.T) - field_strength(em))) < 1e-14
 
 
+def potential_spacetime_reference(em: EMConfig, x: np.ndarray) -> np.ndarray:
+    """A_0 = E.x and A_k = (1/2)(H x x)_k written out component by component:
+    the reference of ``potential_spacetime``, which reads the field from dA."""
+    x = np.asarray(x, dtype=float)
+    a = np.empty(x.shape)
+    e1, e2, e3 = em.e_field
+    h1, h2, h3 = em.h_field
+    x1, x2, x3 = x[..., 1], x[..., 2], x[..., 3]
+    a[..., 0] = e1 * x1 + e2 * x2 + e3 * x3
+    a[..., 1] = 0.5 * (h2 * x3 - h3 * x2)
+    a[..., 2] = 0.5 * (h3 * x1 - h1 * x3)
+    a[..., 3] = 0.5 * (h1 * x2 - h2 * x1)
+    return a
+
+
 def test_potential_spacetime_matches_gradient():
-    em = EMConfig(e_field=(0.3, -0.2, 0.5), h_field=(0.1, 0.4, -0.6))
+    # the potential read from dA has the bits of the written-out form, at
+    # coordinates of both signs and magnitudes from 1e-3 to 1e3
     rng = np.random.default_rng(15)
-    x = rng.uniform(-1, 1, 4)
-    a_val = em.potential_spacetime(x)
-    assert np.allclose(a_val, em.potential_gradient().T @ x, atol=1e-14)
+    for shape in ((), (5,), (3, 7)):
+        for _ in range(20):
+            em = EMConfig(e_field=rng.normal(size=3),
+                          h_field=rng.normal(size=3), kappa=rng.normal())
+            x = rng.uniform(-1, 1, shape + (4,)) * 10.0 ** rng.integers(-3, 4)
+            assert np.array_equal(em.potential_spacetime(x),
+                                  potential_spacetime_reference(em, x))
 
 
 def test_potential_spacetime_is_batch_independent():
@@ -86,6 +106,19 @@ def test_potential_spacetime_is_batch_independent():
 def test_invariant_h2_e2():
     em = EMConfig(e_field=(1.0, 0.0, 0.0), h_field=(0.0, 2.0, 0.0))
     assert em.invariant_h2_e2() == pytest.approx(3.0)
+
+
+def test_em_constants_are_built_once_and_read_only():
+    e, h = np.array([0.3, -0.2, 0.5]), np.array([0.1, 0.4, -0.6])
+    em = EMConfig(e_field=e, h_field=h, kappa=1.5)
+    e[0] = h[0] = 7.0  # the config holds copies of its arguments
+    assert em.e_field[0] == 0.3 and em.h_field[0] == 0.1
+    assert em.potential_gradient() is em.potential_gradient()
+    assert em.generator_charges() is em.generator_charges()
+    for const in (em.e_field, em.h_field, em.potential_gradient(),
+                  em.generator_charges()):
+        with pytest.raises(ValueError):
+            const[0] = 0.0
 
 
 def test_generator_charges_layout():
@@ -151,25 +184,29 @@ def test_momentum_covector_gauge_shift():
     assert np.max(np.abs(u_free - u_em - em.potential(q))) < 1e-12
 
 
-@pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("batch", [(), (3,), (2, 5)])
 @pytest.mark.parametrize("em", [
     EMConfig.zero(),
     EMConfig(e_field=(0.2, 0.1, -0.3), h_field=(0.3, -0.2, 0.4)),
-], ids=["free", "em"])
+    EMConfig(*np.random.default_rng(25).normal(size=(2, 3)), kappa=-0.7),
+], ids=["free", "em", "random-em"])
 def test_raised_momentum_matches_covector_and_inverse(em, batch):
-    # one Killing-field evaluation serves the potential and the inverse, with
-    # the values of the two separate evaluations and of u.u# contracted from
-    # them: at random points, at the group identity and with both angle
-    # halves on the series side
+    # one Killing-field evaluation serves the potential and the inverse, and
+    # the raise by blocks has the bits of the full 10x10 inverse times u,
+    # with u.u# contracted from them: at random points, at the group
+    # identity, and with both angle halves just below and just above the
+    # series cutoff
     rng = np.random.default_rng(24)
     fields = draw_wave_inputs(rng)
     metric = TopMetric(1.3)
     random = np.array([sample_point(rng) for _ in range(int(np.prod(batch)))])
-    identity, series = random.copy(), random.copy()
+    halves = random[:, 4:].reshape(-1, 2, 3)
+    unit = (halves / np.linalg.norm(halves, axis=-1, keepdims=True)).reshape(-1, 6)
+    identity, below, above = random.copy(), random.copy(), random.copy()
     identity[:, 4:] = 0.0
-    series[:, 4:] *= 0.5 * SERIES_CUTOFF / np.abs(series[:, 4:]).sum(
-        axis=-1, keepdims=True)
-    for q in (random, identity, series):
+    below[:, 4:] = 0.99 * SERIES_CUTOFF * unit
+    above[:, 4:] = 1.01 * SERIES_CUTOFF * unit
+    for q in (random, identity, below, above):
         q = q.reshape(batch + (10,))
         up, norm2 = raised_momentum(fields, em, metric, q, 1e-3, 4)
         u_ref = momentum_covector(fields, em, q, h=1e-3, order=4)

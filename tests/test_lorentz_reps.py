@@ -338,6 +338,27 @@ def test_factor_swap_is_permutation():
         assert np.all((p == 0) | (p == 1))
 
 
+def factor_swap_reference(rep: Irrep) -> np.ndarray:
+    """P[j * du + i, i * dv + j] = 1 by a double loop over the two spin
+    factors: the reference of the cached, index-arithmetic ``factor_swap``."""
+    du = int(round(2 * rep.u + 1))
+    dv = int(round(2 * rep.v + 1))
+    p = np.zeros((du * dv, du * dv))
+    for i in range(du):
+        for j in range(dv):
+            p[j * du + i, i * dv + j] = 1.0
+    return p
+
+
+def test_factor_swap_matches_double_loop_and_is_cached_read_only():
+    for rep in reps_up_to_dim(12) + [Irrep(1.5, 1.5), Irrep(2, 1)]:
+        p = factor_swap(rep)
+        assert np.array_equal(p, factor_swap_reference(rep)), rep.label()
+        assert factor_swap(rep) is p
+        with pytest.raises(ValueError):
+            p[0, 0] = 2.0
+
+
 def test_conjugation_relation_across_reps():
     rng = np.random.default_rng(23)
     thetas = [rng.uniform(-1.0, 1.0, 6) for _ in range(3)]

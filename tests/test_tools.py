@@ -4,7 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from aqm_lab.cli import main
+from aqm_lab.cli import VERBS, main
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -31,3 +31,24 @@ def test_payload_digests_reports_a_config_error_without_digest():
          "--seeds", "0", "--n-draws", "0"],
         capture_output=True, text=True, check=True)
     assert proc.stdout == "verify-reps seed=0 n_draws=0 exit=2 -\n"
+
+
+def test_payload_digests_all_runs_every_verb_and_both_trace_formats(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(TOOLS / "payload_digests.py"), "all",
+         "--seeds", "2", "--n-draws", "2"],
+        capture_output=True, text=True, check=True)
+    labels = [line.split()[0] for line in proc.stdout.splitlines()]
+    assert labels == [label for name in VERBS for label in (
+        ("trace/csv", "trace/json") if name == "trace" else (name,))]
+    runs = dict(line.split(" ", 1) for line in proc.stdout.splitlines())
+    # --n-draws goes only to the verbs that take it
+    assert runs["spectrum"].startswith("seed=2 n_draws=default exit=0 ")
+    out = tmp_path / "report.json"
+    assert main(["trace", "--format", "json", "--n-draws", "2", "--seed", "2",
+                 "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())["payload"]
+    expected = hashlib.sha256(json.dumps(payload, sort_keys=True).encode())
+    assert runs["trace/json"] == f"seed=2 n_draws=2 exit=0 {expected.hexdigest()}"
+    assert runs["trace/csv"].startswith("seed=2 n_draws=2 exit=0 ")
+    assert runs["trace/csv"] != runs["trace/json"]

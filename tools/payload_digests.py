@@ -5,12 +5,16 @@ prints one line per run: the verb, the seed, the draw count, the exit code
 and the sha256 of the payload, taken over ``json.dumps(payload,
 sort_keys=True)`` as the benchmark does. A CSV report has no payload, so its
 digest is over the whole file; a run that writes nothing reads ``-``.
-Options the tool does not know go to the verb unchanged. Diffing the output
-of two checkouts is a byte-identity check of their payloads:
+Options the tool does not know go to the verb unchanged. The verb ``all``
+runs every verb of ``aqm_lab.cli.VERBS`` in turn, ``trace`` once per
+format (labelled ``trace/csv`` and ``trace/json``); there ``--n-draws``
+goes only to the verbs that take it. Diffing the output of two checkouts is
+a byte-identity check of their payloads:
 
     python tools/payload_digests.py verify-reps --seeds 0-29 --n-draws 1 5
     python tools/payload_digests.py trace --seeds 0,4 --format json
     python tools/payload_digests.py verify-reps --seeds 0-29 --src OTHER/src
+    python tools/payload_digests.py all --seeds 0-3
 """
 
 from __future__ import annotations
@@ -60,19 +64,31 @@ def main(argv: list[str]) -> int:
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(name, "1")
     sys.path.insert(0, str(args.src.resolve()))
-    from aqm_lab.cli import main as cli_main
+    from aqm_lab.cli import VERBS, main as cli_main
+
+    if args.verb != "all":
+        runs = [(args.verb, [args.verb], True)]
+    else:
+        runs = []
+        for name, verb in VERBS.items():
+            takes_draws = any(p.name == "n_draws" for p in verb.params)
+            formats = ("csv", "json") if name == "trace" else (None,)
+            runs.extend((f"{name}/{fmt}" if fmt else name,
+                         [name, "--format", fmt] if fmt else [name],
+                         takes_draws) for fmt in formats)
 
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report"
-        for n_draws in args.n_draws:
-            draws = [] if n_draws is None else ["--n-draws", str(n_draws)]
-            for seed in args.seeds:
-                out.write_bytes(b"")
-                code = cli_main([args.verb, *draws, *verb_args,
-                                 "--seed", str(seed), "--out", str(out)])
-                print(f"{args.verb} seed={seed} "
-                      f"n_draws={'default' if n_draws is None else n_draws} "
-                      f"exit={code} {digest(out)}", flush=True)
+        for label, verb, takes_draws in runs:
+            for n_draws in args.n_draws if takes_draws else [None]:
+                draws = [] if n_draws is None else ["--n-draws", str(n_draws)]
+                for seed in args.seeds:
+                    out.write_bytes(b"")
+                    code = cli_main([*verb, *draws, *verb_args,
+                                     "--seed", str(seed), "--out", str(out)])
+                    print(f"{label} seed={seed} "
+                          f"n_draws={'default' if n_draws is None else n_draws} "
+                          f"exit={code} {digest(out)}", flush=True)
     return 0
 
 
