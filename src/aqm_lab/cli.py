@@ -6,7 +6,9 @@ defined) and exits 0 when all checks pass, 1 when any check fails, 2 on
 configuration errors and 3 on internal errors. Flags override the optional
 JSON config file, which in turn overrides built-in defaults; config keys
 equal the flag names without the leading dashes (``n-draws`` may be spelled
-``n_draws``). Flags, config keys, defaults and checks come from one table.
+``n_draws``). Flags, config keys, defaults and checks come from one table,
+``VERBS``: ``main`` seeds the generator, and builds every check record from
+the values a verb's runner returns and the verb's ``Check`` rows.
 """
 
 from __future__ import annotations
@@ -105,13 +107,6 @@ def _vector(v) -> tuple[float, float, float]:
     return tuple(_finite(x) for x in v)
 
 
-def _zero_vector(v) -> tuple[float, float, float]:
-    vec = _vector(v)
-    if any(vec):
-        raise ValueError(v)
-    return vec
-
-
 def _of_type(cls):
     def check(v):
         if type(v) is not cls:
@@ -163,11 +158,6 @@ AT_LEAST_TWO = _int_from(2, "an integer >= 2")
 POSITIVE = Kind(float, lambda v: _finite(v, positive=True),
                 "a finite positive number")
 VECTOR = Kind(_numbers, _vector, "three finite numbers", metavar="x,y,z")
-# trace's plane-wave bundle solves the field-free system only, so with a
-# field its transport checks cannot pass
-ZERO_VECTOR = Kind(_numbers, _zero_vector,
-                   "0,0,0 (the trace bundle is a field-free plane wave)",
-                   metavar="0,0,0")
 SWITCH = Kind(None, _of_type(bool), "true or false")
 OUT_PATH = Kind(str, _writable_path, "a writable file path")
 REPS = Kind(str, _rep_labels, "a 'u,v' label or a list of them",
@@ -203,8 +193,8 @@ SEED = Param("seed", _int_from(0, "a non-negative integer"), 0,
              "random seed driving every draw of the run")
 N_DRAWS = Param("n_draws", _int_from(1, "a positive integer"), 10,
                 "number of random draws (points, fields or configs)")
-TOL = Param("tol", POSITIVE, None,
-            "override the tolerance of every check in this verb")
+TOL = Param("tol", POSITIVE, None, "override the tolerance of every "
+            "residual check in this verb (not floors or counts)")
 # the output path is plumbing, not an input of the computation; keeping it
 # out of the payload preserves byte-identity across --out choices
 OUT = Param("out", OUT_PATH, None, "output path (default stdout)",
@@ -250,43 +240,29 @@ REP = Param("rep", REPS, None, "representation label, repeatable (default: "
                                "all with dimension at most 9)")
 
 
-def _tol(cfg: dict, default: float) -> float:
-    return cfg["tol"] if cfg.get("tol") is not None else default
-
-
 # ---------------------------------------------------------------------------
-# verb runners: each returns (checks, records, csv table or None)
-# (worst cases use np.max / np.maximum: a NaN residual propagates, where
-# the builtin max can drop it and pass the check)
+# verb runners: each takes (cfg, rng) and returns (values, records, csv table
+# or None); values maps a check name to its per-draw values or to one number
 # ---------------------------------------------------------------------------
 
 
-def _run_verify_curvature(cfg: dict):
-    rng = np.random.default_rng(cfg["seed"])
+def _run_verify_curvature(cfg: dict, rng: np.random.Generator):
     metric = TopMetric(cfg["a"])
     expected = metric.riemann_scalar()
-    rel_errors = []
-    records = []
+    rel_errors, records = [], []
     for _ in range(cfg["n_draws"]):
         q = sample_point(rng, boost_bound=RAPIDITY_MAX)
         r = riemann_scalar_at(metric, q, h=cfg["h"], order=cfg["order"])
         rel = abs(r - expected) / abs(expected)
         rel_errors.append(rel)
         records.append({"point": list(q), "r_scalar": r, "rel_error": rel})
-    checks = [
-        check_close("curvature_max_rel_error", np.max(rel_errors), 0.0,
-                    _tol(cfg, 1e-3)),
-        check_close("curvature_mean_rel_error",
-                    float(np.mean(rel_errors)), 0.0, _tol(cfg, 1e-4)),
-    ]
-    return checks, records, None
+    return {"curvature_max_rel_error": rel_errors,
+            "curvature_mean_rel_error": rel_errors}, records, None
 
 
-def _run_verify_weyl(cfg: dict):
-    rng = np.random.default_rng(cfg["seed"])
+def _run_verify_weyl(cfg: dict, rng: np.random.Generator):
     metric = TopMetric(cfg["a"])
-    diffs = []
-    records = []
+    diffs, records = [], []
     for _ in range(cfg["n_draws"]):
         gauge = WeylGauge.from_log(draw_field(rng, 10))
         q = sample_point(rng, rot_scale=1.5, boost_bound=1.5)
@@ -314,17 +290,11 @@ def _run_verify_weyl(cfg: dict):
         rho0 = float(np.exp(log_rho(q)))
         weight_errs.append(abs(rho0 * moved - base) / max(abs(base), 1.0))
 
-    checks = [
-        check_close("weyl_forms_max_rel_diff", np.max(diffs), 0.0,
-                    _tol(cfg, 1e-6)),
-        check_close("weyl_conformal_weight_max_rel", np.max(weight_errs), 0.0,
-                    _tol(cfg, 1e-5)),
-    ]
-    return checks, records, None
+    return {"weyl_forms_max_rel_diff": diffs,
+            "weyl_conformal_weight_max_rel": weight_errs}, records, None
 
 
-def _run_verify_linearization(cfg: dict):
-    rng = np.random.default_rng(cfg["seed"])
+def _run_verify_linearization(cfg: dict, rng: np.random.Generator):
     metric = TopMetric(cfg["a"])
     r = metric.riemann_scalar()
     em_zero = EMConfig.zero()
@@ -334,8 +304,7 @@ def _run_verify_linearization(cfg: dict):
     # coupling enters only the last step, so both share one stencil pass
     couplings = np.array([conformal_coupling(metric.dim) ** 2, 0.25])
 
-    free_defects, em_defects, control_defects = [], [], []
-    records = []
+    free_defects, em_defects, control_defects, records = [], [], [], []
     for i in range(cfg["n_draws"]):
         fields = draw_wave_inputs(rng)
         q = sample_point(rng, rot_scale=1.5, boost_bound=1.5)
@@ -357,66 +326,42 @@ def _run_verify_linearization(cfg: dict):
                 "defect_im": defect.imag, "em": tag,
             })
 
-    checks = [
-        check_close("linearization_max_defect_free", np.max(free_defects), 0.0,
-                    _tol(cfg, 1e-6)),
-        check_close("linearization_max_defect_em", np.max(em_defects), 0.0,
-                    _tol(cfg, 1e-6)),
-        check_at_least("linearization_control_min_defect",
-                       np.min(control_defects), 1e-2),
-    ]
-    return checks, records, None
+    return {"linearization_max_defect_free": free_defects,
+            "linearization_max_defect_em": em_defects,
+            "linearization_control_min_defect": control_defects}, records, None
 
 
-def _run_verify_reps(cfg: dict):
-    rng = np.random.default_rng(cfg["seed"])
+def _run_verify_reps(cfg: dict, rng: np.random.Generator):
     reps = reps_up_to_dim(9)
-    thetas = [np.concatenate([rng.uniform(-1.2, 1.2, 3),
-                              rng.uniform(-1.2, 1.2, 3)])
-              for _ in range(cfg["n_draws"])]
+    thetas = rng.uniform(-1.2, 1.2, (cfg["n_draws"], 6))
 
-    comm_defect = np.max([commutator_defect(rep) for rep in reps])
-    conj_defect = np.max([conjugation_defect(rep, np.stack(thetas))
-                          for rep in reps])
-
-    casimir_rel = 0.0
+    casimir_rel = []
     for rep in (Irrep(0, 0.5), Irrep(0.5, 0.5)):
         expected = -casimir_value(rep) / np.float64(cfg["a"]) ** 2
-        for theta in thetas:
-            ratio = angular_laplacian_check(rep, theta, a=cfg["a"],
-                                            order=cfg["order"])
-            dev = float(np.max(np.abs(ratio - expected * np.eye(rep.dim))))
-            casimir_rel = np.maximum(casimir_rel, dev / abs(expected))
+        ratio = angular_laplacian_check(rep, thetas, a=cfg["a"],
+                                        order=cfg["order"])
+        dev = np.max(np.abs(ratio - expected * np.eye(rep.dim)), axis=(-2, -1))
+        casimir_rel.append(dev / abs(expected))
 
     x, sigma_min = vector_intertwiner()
     fresh = np.array([0.5, 0.1, -0.4, 0.3, -0.2, 0.6])
-    resid = float(np.max(np.abs(
-        d_matrix(Irrep(0.5, 0.5), fresh) @ x - x @ lorentz_from_angles(fresh))))
+    resid = np.abs(d_matrix(Irrep(0.5, 0.5), fresh) @ x
+                   - x @ lorentz_from_angles(fresh))
 
-    checks = [
-        check_close("reps_commutator_max_defect", comm_defect, 0.0,
-                    _tol(cfg, 1e-12)),
-        check_close("reps_conjugation_max_defect", conj_defect, 0.0,
-                    _tol(cfg, 1e-10)),
-        check_close("reps_laplacian_casimir_max_rel", casimir_rel, 0.0,
-                    _tol(cfg, 1e-3)),
-        check_close("reps_intertwiner_nullspace_sigma", sigma_min, 0.0,
-                    _tol(cfg, 1e-10)),
-        check_close("reps_intertwiner_fresh_residual", resid, 0.0,
-                    _tol(cfg, 1e-8)),
-    ]
-    records = [{"reps_checked": [r.label() for r in reps]}]
-    return checks, records, None
+    values = {
+        "reps_commutator_max_defect": [commutator_defect(rep) for rep in reps],
+        "reps_conjugation_max_defect": [conjugation_defect(rep, thetas)
+                                        for rep in reps],
+        "reps_laplacian_casimir_max_rel": casimir_rel,
+        "reps_intertwiner_nullspace_sigma": sigma_min,
+        "reps_intertwiner_fresh_residual": resid,
+    }
+    return values, [{"reps_checked": [r.label() for r in reps]}], None
 
 
-def _run_verify_dirac(cfg: dict):
-    rng = np.random.default_rng(cfg["seed"])
+def _run_verify_dirac(cfg: dict, rng: np.random.Generator):
     scale = MassScale(cfg["mass"])
-    a = scale.a
-
-    gap_defect = 0.0
-    ct_defect = 0.0
-    records = []
+    gaps, counterterms, records = [], [], []
     for _ in range(cfg["n_draws"]):
         h_field = np.array(cfg["H"]) if cfg["H"] is not None \
             else rng.uniform(-1.0, 1.0, 3)
@@ -430,13 +375,13 @@ def _run_verify_dirac(cfg: dict):
                                 counterterm=bool(cfg["counterterm"]))
         m19 = squared_dirac_matrix(p, em, scale.mass, x=x)
         gap_expected = 0.0 if cfg["counterterm"] \
-            else a ** 2 * em.invariant_h2_e2()
+            else scale.a ** 2 * em.invariant_h2_e2()
         gap = float(np.max(np.abs(m18 - m19 - gap_expected * np.eye(4))))
-        gap_defect = np.maximum(gap_defect, gap)
+        gaps.append(gap)
 
         m18_ct = top_spinor_matrix(p, em, scale, x=x, counterterm=True)
         ct = float(np.max(np.abs(m18_ct - m19)))
-        ct_defect = np.maximum(ct_defect, ct)
+        counterterms.append(ct)
         records.append({"H": list(h_field), "E": list(e_field),
                         "p": list(p), "gap_defect": gap,
                         "counterterm_defect": ct})
@@ -444,22 +389,18 @@ def _run_verify_dirac(cfg: dict):
     p_spatial = rng.uniform(-1.0, 1.0, 3)
     root = dispersion_root(p_spatial, scale)
     root_exact = float(np.sqrt(p_spatial @ p_spatial + scale.mass ** 2))
-    disp_rel = abs(root - root_exact) / root_exact
 
-    checks = [
-        check_close("dirac_clifford_max_defect", clifford_defect(), 0.0,
-                    _tol(cfg, 1e-12)),
-        check_close("dirac_gap_max_defect", gap_defect, 0.0, _tol(cfg, 1e-10)),
-        check_close("dirac_counterterm_max_defect", ct_defect, 0.0,
-                    _tol(cfg, 1e-12)),
-        check_close("dirac_dispersion_rel_error", disp_rel, 0.0, _tol(cfg, 1e-8)),
-        check_close("dirac_mass_closure_defect", mass_closure_defect(), 0.0,
-                    _tol(cfg, 1e-14)),
-    ]
-    return checks, records, None
+    values = {
+        "dirac_clifford_max_defect": clifford_defect(),
+        "dirac_gap_max_defect": gaps,
+        "dirac_counterterm_max_defect": counterterms,
+        "dirac_dispersion_rel_error": abs(root - root_exact) / root_exact,
+        "dirac_mass_closure_defect": mass_closure_defect(),
+    }
+    return values, records, None
 
 
-def _plane_wave_bundle_inputs(cfg: dict, rng: np.random.Generator):
+def _plane_wave_bundle_inputs(rng: np.random.Generator):
     """Timelike plane-wave data: exact solution family of the linear system."""
     p_spatial = rng.uniform(-START_RANGE, START_RANGE, 3)
     mu = rng.uniform(0.5, 1.5)
@@ -474,11 +415,11 @@ def _plane_wave_bundle_inputs(cfg: dict, rng: np.random.Generator):
     return fields, q0
 
 
-def _run_trace(cfg: dict):
-    rng = np.random.default_rng(cfg["seed"])
+def _run_trace(cfg: dict, rng: np.random.Generator):
+    # the plane-wave bundle solves the field-free system only
     metric = TopMetric(cfg["a"])
-    em = EMConfig(e_field=cfg["E"], h_field=cfg["H"], kappa=cfg["kappa"])
-    fields, q0 = _plane_wave_bundle_inputs(cfg, rng)
+    em = EMConfig.zero()
+    fields, q0 = _plane_wave_bundle_inputs(rng)
     bundle = integrate_bundle(fields, em, metric, q0, rng,
                               n_traj=cfg["n_draws"], spread=cfg["spread"],
                               ds=cfg["ds"], n_steps=cfg["steps"],
@@ -488,32 +429,26 @@ def _run_trace(cfg: dict):
     v0, norm2 = velocity_field(fields, em, metric, q0, h=cfg["h"],
                                order=cfg["order"])
     g0 = metric.matrix(q0)
-    norm_check = check_close("trace_velocity_norm_defect",
-                             abs(abs(float(v0 @ g0 @ v0)) - 1.0), 0.0,
-                             _tol(cfg, 1e-10))
+    values = {"trace_velocity_norm_defect": abs(abs(float(v0 @ g0 @ v0)) - 1.0)}
     if cfg["format"] == "csv":
-        return [norm_check], None, (TRAJECTORY_COLUMNS, trajectory_rows(bundle))
+        return values, None, (TRAJECTORY_COLUMNS, trajectory_rows(bundle))
 
     rep = transport_check(fields, em, metric, bundle,
                           n_sections=cfg["sections"], h=cfg["h"],
                           order=cfg["order"])
-    checks = [
-        check_close("trace_max_divergence", rep.max_divergence, 0.0,
-                    _tol(cfg, 1e-6)),
-        check_close("trace_flux_drift", rep.flux_drift, 0.0, _tol(cfg, 1e-6)),
-        norm_check,
-        check_at_least("trace_min_pairwise_distance", rep.min_distance, 1e-6),
-    ]
+    values.update(trace_max_divergence=rep.max_divergence,
+                  trace_flux_drift=rep.flux_drift,
+                  trace_min_pairwise_distance=rep.min_distance)
     records = [{
         "n_truncated": rep.n_truncated,
         "section_flux": rep.section_flux,
         "timelike": bool(norm2 < 0),
         "samples_per_trajectory": [t.n_samples for t in bundle],
     }]
-    return checks, records, None
+    return values, records, None
 
 
-def _run_spectrum(cfg: dict):
+def _run_spectrum(cfg: dict, rng: np.random.Generator):
     if cfg["rep"] is not None:
         labels = cfg["rep"] if isinstance(cfg["rep"], list) else [cfg["rep"]]
         reps = [_parse_rep(lbl) for lbl in labels]
@@ -527,14 +462,10 @@ def _run_spectrum(cfg: dict):
         a = 1.0
     records = mass_spin_spectrum(reps, a)
     n_nonfinite = sum(not math.isfinite(r["m2"]) for r in records)
-    checks = [
-        check_close("spectrum_mass_closure_defect", mass_closure_defect(),
-                    0.0, _tol(cfg, 1e-14)),
-        # a count, not a residual: --tol does not reach it
-        check_close("spectrum_nonfinite_m2_count", n_nonfinite, 0.0, 0.0),
-    ]
+    values = {"spectrum_mass_closure_defect": mass_closure_defect(),
+              "spectrum_nonfinite_m2_count": n_nonfinite}
     rows = [[r["u"], r["v"], r["casimir"], r["m2"]] for r in records]
-    return checks, records, (SPECTRUM_COLUMNS, rows)
+    return values, records, (SPECTRUM_COLUMNS, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -543,53 +474,106 @@ def _run_spectrum(cfg: dict):
 
 
 @dataclass(frozen=True)
+class Check:
+    """One named check of a verb. ``reduce``, a numpy reduction (so a NaN
+    propagates), takes the runner's per-draw values or one number to the
+    checked value, which passes within ``tol`` of zero or, as a ``floor``,
+    at ``tol`` or above. ``--tol`` replaces every nonzero ``tol`` that is
+    not a floor: floors and counts (``tol`` 0) are not residuals."""
+
+    name: str
+    tol: float
+    reduce: Callable = np.max
+    floor: bool = False
+
+    def record(self, values, tol: float | None):
+        value = self.reduce(values)
+        if self.floor:
+            return check_at_least(self.name, value, self.tol)
+        reach = tol is not None and self.tol != 0.0
+        return check_close(self.name, value, 0.0, tol if reach else self.tol)
+
+
+@dataclass(frozen=True)
 class Verb:
+    """``run(cfg, rng) -> (values, records, csv table or None)``, its
+    ``params``, and its ``checks``: one record per check that ``run`` gave
+    a value for (trace's CSV format computes only the norm check)."""
+
     help: str
-    run: Callable[[dict], tuple]
+    run: Callable[[dict, np.random.Generator], tuple]
     params: tuple[Param, ...]
+    checks: tuple[Check, ...]
+
+    def check(self, values: dict, tol: float | None) -> list:
+        unknown = set(values) - {c.name for c in self.checks}
+        if unknown:
+            raise RuntimeError(f"no check row for {sorted(unknown)}")
+        return [c.record(values[c.name], tol) for c in self.checks
+                if c.name in values]
 
 
-_ZERO = (0.0, 0.0, 0.0)
 _COMMON = (SEED, TOL, OUT, FORMAT)
 
 VERBS: dict[str, Verb] = {
     "verify-curvature": Verb(
         "scalar curvature of the top metric against 6/a^2",
         _run_verify_curvature, (*_COMMON, replace(N_DRAWS, default=50), A,
-                                replace(STEP, default=1e-2), ORDER)),
+                                replace(STEP, default=1e-2), ORDER),
+        (Check("curvature_max_rel_error", 1e-3),
+         Check("curvature_mean_rel_error", 1e-4, np.mean))),
     "verify-weyl": Verb(
         "agreement of the two Weyl scalar forms and the conformal weight",
         _run_verify_weyl,
-        (*_COMMON, replace(N_DRAWS, default=100), A, STEP, ORDER)),
+        (*_COMMON, replace(N_DRAWS, default=100), A, STEP, ORDER),
+        (Check("weyl_forms_max_rel_diff", 1e-6),
+         Check("weyl_conformal_weight_max_rel", 1e-5))),
     "verify-linearization": Verb(
         "exact equivalence of the nonlinear pair with the linear wave equation",
         _run_verify_linearization,
         (*_COMMON, replace(N_DRAWS, default=100), A, STEP, ORDER, KAPPA,
          replace(H_FIELD, default=(0.3, -0.2, 0.4)),
-         replace(E_FIELD, default=(0.2, 0.1, -0.3)))),
+         replace(E_FIELD, default=(0.2, 0.1, -0.3))),
+        (Check("linearization_max_defect_free", 1e-6),
+         Check("linearization_max_defect_em", 1e-6),
+         Check("linearization_control_min_defect", 1e-2, np.min, floor=True))),
     "verify-reps": Verb(
         "commutators, conjugation, Casimir eigenvalues and the vector "
         "equivalence",
-        _run_verify_reps, (*_COMMON, replace(N_DRAWS, default=5), A, ORDER)),
+        _run_verify_reps, (*_COMMON, replace(N_DRAWS, default=5), A, ORDER),
+        (Check("reps_commutator_max_defect", 1e-12),
+         Check("reps_conjugation_max_defect", 1e-10),
+         Check("reps_laplacian_casimir_max_rel", 1e-3),
+         Check("reps_intertwiner_nullspace_sigma", 1e-10),
+         Check("reps_intertwiner_fresh_residual", 1e-8))),
     "verify-dirac": Verb(
         "reduced operator against the squared Dirac operator, dispersion "
         "and mass closure",
         _run_verify_dirac,
-        (*_COMMON, N_DRAWS, MASS, KAPPA, H_FIELD, E_FIELD, COUNTERTERM)),
+        (*_COMMON, N_DRAWS, MASS, KAPPA, H_FIELD, E_FIELD, COUNTERTERM),
+        (Check("dirac_clifford_max_defect", 1e-12),
+         Check("dirac_gap_max_defect", 1e-10),
+         Check("dirac_counterterm_max_defect", 1e-12),
+         Check("dirac_dispersion_rel_error", 1e-8),
+         Check("dirac_mass_closure_defect", 1e-14))),
     "trace": Verb(
         "integrate a plane-wave trajectory bundle and report transport "
         "diagnostics",
         _run_trace,
         (SEED, TOL, OUT, replace(FORMAT, default="csv"),
-         replace(N_DRAWS, kind=AT_LEAST_TWO, default=8), A, STEP, ORDER,
-         KAPPA, replace(H_FIELD, kind=ZERO_VECTOR, default=_ZERO),
-         replace(E_FIELD, kind=ZERO_VECTOR, default=_ZERO), DS, STEPS,
-         SECTIONS, SPREAD)),
+         replace(N_DRAWS, kind=AT_LEAST_TWO, default=8), A, STEP, ORDER, DS,
+         STEPS, SECTIONS, SPREAD),
+        (Check("trace_max_divergence", 1e-6),
+         Check("trace_flux_drift", 1e-6),
+         Check("trace_velocity_norm_defect", 1e-10),
+         Check("trace_min_pairwise_distance", 1e-6, np.min, floor=True))),
     "spectrum": Verb(
         "squared-mass spectrum over irreducible representations",
         _run_spectrum,
         (*_COMMON, replace(A, default=None), replace(MASS, default=None),
-         REP)),
+         REP),
+        (Check("spectrum_mass_closure_defect", 1e-14),
+         Check("spectrum_nonfinite_m2_count", 0.0))),
 }
 
 CHECK_COLUMNS = ["name", "value", "expected", "tolerance", "pass"]
@@ -693,13 +677,14 @@ def main(argv: list[str] | None = None) -> int:
         # extreme scales or steps make values non-finite; the checks report
         # them, so numpy does not warn
         with np.errstate(**EXTREME_SCALES):
-            checks, records, table = verb.run(cfg)
+            values, records, table = verb.run(
+                cfg, np.random.default_rng(cfg["seed"]))
+            checks = verb.check(values, cfg["tol"])
         if cfg["format"] == "csv":
             if table is None:
-                table = (CHECK_COLUMNS,
-                         [[c.name, c.value, c.expected, c.tolerance,
-                           int(c.passed)]
-                          for c in sorted(checks, key=lambda c: c.name)])
+                table = (CHECK_COLUMNS, [
+                    [c.name, c.value, c.expected, c.tolerance, int(c.passed)]
+                    for c in sorted(checks, key=lambda c: c.name)])
             write_csv(*table, out=cfg["out"])
         else:
             echo = {p.name: cfg[p.name] for p in verb.params if p.echo}

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import venv
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -128,19 +129,44 @@ def test_tight_tolerance_fails_checks(capsys):
     assert code == 1
 
 
-def test_tol_overrides_every_check(capsys):
-    for argv in (FAST_DIRAC, ["spectrum"]):
-        code = main(argv + ["--tol", "1e-3"])
-        out = capsys.readouterr().out
-        report = json.loads(out)
-        assert code == 0
-        assert all(c["tolerance"] == 1e-3
-                   for c in report["payload"]["checks"]
-                   if c["name"] != "spectrum_nonfinite_m2_count")
-    main(["spectrum", "--tol", "1e-300"])
-    checks = json.loads(capsys.readouterr().out)["payload"]["checks"]
-    # the non-finite count is not a residual: its tolerance stays 0
-    assert [c["tolerance"] for c in checks] == [1e-300, 0.0]
+# a short run of every verb; trace in JSON, the format that computes every
+# check
+SHORT_RUNS = {
+    "verify-curvature": ["--n-draws", "1"],
+    "verify-weyl": ["--n-draws", "1"],
+    "verify-linearization": ["--n-draws", "1"],
+    "verify-reps": ["--n-draws", "1"],
+    "verify-dirac": ["--n-draws", "2"],
+    "trace": ["--format", "json", "--n-draws", "2", "--steps", "5"],
+    "spectrum": [],
+}
+
+
+def test_check_rows_are_the_checks_every_verb_reports(monkeypatch, capsys):
+    assert set(SHORT_RUNS) == set(VERBS)
+    for name, verb in VERBS.items():
+        argv = [name, *SHORT_RUNS[name], "--tol", "1e-3"]
+        assert main(argv) == 0, name
+        checks = {c["name"]: c for c in
+                  json.loads(capsys.readouterr().out)["payload"]["checks"]}
+        assert set(checks) == {row.name for row in verb.checks}, name
+        # --tol reaches exactly the nonzero tolerances that are not floors;
+        # a floor is the expected value, with tolerance 0
+        for row in verb.checks:
+            got = checks[row.name]
+            if row.floor:
+                assert (got["expected"], got["tolerance"]) == (row.tol, 0.0)
+            else:
+                assert got["tolerance"] == (1e-3 if row.tol else 0.0), row
+
+        # a value with no row is an internal error, not a dropped check
+        def stray(cfg, rng, run=verb.run):
+            values, records, table = run(cfg, rng)
+            return {**values, "unlisted_check": 0.0}, records, table
+
+        monkeypatch.setitem(VERBS, name, replace(verb, run=stray))
+        assert main(argv) == 3, name
+        assert_one_line_error(capsys, "error: internal: RuntimeError: ")
 
 
 def test_config_file_merging(tmp_path, capsys):
@@ -413,15 +439,18 @@ def test_trace_csv_fails_where_json_fails(a, tmp_path):
     assert sum(float(row.split(",")[0]) == 0.0 for row in lines[1:]) == 2
 
 
-@pytest.mark.parametrize("flags, file_cfg", [
-    (["--H", "0.6,-0.4,0.8", "--E", "0.4,0.2,-0.6"], None),
-    ([], {"E": [0.0, 0.0, 1e-9]}),
+@pytest.mark.parametrize("flags, file_cfg, error", [
+    (["--H", "0.6,-0.4,0.8", "--E", "0.4,0.2,-0.6", "--kappa", "5"], None,
+     "aqm-lab: error: unrecognized arguments: --H 0.6,-0.4,0.8 "
+     "--E 0.4,0.2,-0.6 --kappa 5"),
+    ([], {"E": [0.0, 0.0, 1e-9], "kappa": 2.0},
+     "error: unknown config keys for trace: ['E', 'kappa']"),
 ], ids=["flags", "config_file"])
 def test_trace_rejects_nonzero_fields(monkeypatch, tmp_path, capsys, flags,
-                                      file_cfg):
-    # the bundle inputs are field-free plane waves: with a field the
-    # transport checks cannot pass, so a field is a configuration error,
-    # reported before any trajectory is integrated
+                                      file_cfg, error):
+    # the bundle inputs are field-free plane waves, so trace takes no field:
+    # a field flag or config key is unknown, a configuration error reported
+    # before any trajectory is integrated
     def fail(*args, **kwargs):
         raise AssertionError("integrated a bundle")
 
@@ -433,8 +462,7 @@ def test_trace_rejects_nonzero_fields(monkeypatch, tmp_path, capsys, flags,
     code = main(["trace", "--format", "json", "--seed", "2", *flags])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert len(captured.err.splitlines()) == 1
+    assert captured.err.splitlines()[-1] == error
 
 
 @pytest.mark.parametrize("flags, file_cfg", [

@@ -476,3 +476,16 @@ def test_angular_laplacian_separates_reps():
     v1 = angular_laplacian_check(Irrep(0, 0.5), theta)[0, 0]
     v2 = angular_laplacian_check(Irrep(0.5, 0.5), theta)[0, 0]
     assert abs(v1 - v2) > 1.0
+
+
+@pytest.mark.parametrize("n_angles", [1, 2, 5])
+@pytest.mark.parametrize("seed", [3, 41, 907])
+def test_angular_laplacian_batch_equals_per_angle_calls(seed, n_angles):
+    # verify-reps hands every draw to one call per irrep
+    thetas = np.random.default_rng(seed).uniform(-1.2, 1.2, (n_angles, 6))
+    for rep in (Irrep(0, 0.5), Irrep(0.5, 0.5)):
+        batch = angular_laplacian_check(rep, thetas, a=1.5)
+        assert batch.shape == (n_angles, rep.dim, rep.dim)
+        for theta, ratio in zip(thetas, batch):
+            single = angular_laplacian_check(rep, theta, a=1.5)
+            assert np.array_equal(ratio, single)

@@ -6,7 +6,8 @@ from pathlib import Path
 
 from aqm_lab.cli import VERBS, main
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+ROOT = Path(__file__).resolve().parents[1]
+TOOLS = ROOT / "tools"
 
 
 def test_payload_digests_lists_one_run_per_seed_and_draw_count(tmp_path):
@@ -52,3 +53,14 @@ def test_payload_digests_all_runs_every_verb_and_both_trace_formats(tmp_path):
     assert runs["trace/json"] == f"seed=2 n_draws=2 exit=0 {expected.hexdigest()}"
     assert runs["trace/csv"].startswith("seed=2 n_draws=2 exit=0 ")
     assert runs["trace/csv"] != runs["trace/json"]
+
+
+def test_surface_counts_lines_knobs_and_cli_flags():
+    proc = subprocess.run([sys.executable, str(TOOLS / "surface.py")],
+                          capture_output=True, text=True, check=True)
+    rows = dict(line.split() for line in proc.stdout.splitlines())
+    modules = [p.stem for p in (ROOT / "src" / "aqm_lab").glob("*.py")]
+    assert list(rows) == sorted(modules) + ["total", "knobs", "flags"]
+    assert int(rows["total"]) == sum(int(rows[m]) for m in modules)
+    assert int(rows["knobs"]) > 0
+    assert int(rows["flags"]) == sum(len(v.params) for v in VERBS.values())

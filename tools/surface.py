@@ -1,10 +1,13 @@
-"""Size of the package's surface: source lines and knobs.
+"""Size of the package's surface: source lines, knobs and CLI flags.
 
 Prints the non-blank lines of every module under ``src/aqm_lab`` and their
 total, then the knob count: the defaulted parameters of every function and
 method (lambdas excluded), plus the field defaults of dataclasses, in every
 module except ``cli``, ``report`` and ``__init__``. Class attributes of
-classes that are not dataclasses (``MetricField.dim``) are not knobs.
+classes that are not dataclasses (``MetricField.dim``) are not knobs. The
+CLI's surface is its flags instead: last comes the number of parameters of
+every verb in ``cli.VERBS``, summed over the verbs (each verb's
+``--config`` not counted). That imports the package from SRC_DIR.
 
     python tools/surface.py [SRC_DIR]
 """
@@ -12,6 +15,7 @@ classes that are not dataclasses (``MetricField.dim``) are not knobs.
 from __future__ import annotations
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -46,6 +50,12 @@ def knobs(source: str) -> int:
     return count
 
 
+def cli_flags(src: Path) -> int:
+    sys.path.insert(0, str(src.resolve().parent))
+    verbs = importlib.import_module(f"{src.name}.cli").VERBS
+    return sum(len(verb.params) for verb in verbs.values())
+
+
 def main(argv: list[str]) -> int:
     src = Path(argv[0]) if argv else DEFAULT_SRC
     modules = sorted(src.glob("*.py"))
@@ -58,6 +68,7 @@ def main(argv: list[str]) -> int:
             total_knobs += knobs(path.read_text())
     print(f"{'total':<14}{total_lines:>6}")
     print(f"{'knobs':<14}{total_knobs:>6}")
+    print(f"{'flags':<14}{cli_flags(src):>6}")
     return 0
 
 
