@@ -32,7 +32,7 @@ from .config_space import RAPIDITY_MAX, TopMetric, lorentz_from_angles, \
 from .dirac import EXTREME_SCALES, MassScale, clifford_defect, \
     dispersion_root, mass_closure_defect, mass_spin_spectrum, \
     squared_dirac_matrix, top_spinor_matrix
-from .dynamics import integrate_bundle, transport_check, velocity_field
+from .dynamics import integrate_trajectory, transport_check
 from .fields import LinearField, draw_field
 from .geometry import WeylGauge, conformal_transform, riemann_scalar_at, \
     weyl_scalar_at
@@ -52,6 +52,14 @@ EXIT_INTERNAL_ERROR = 3
 
 class ConfigError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """A flag the parser rejects is a configuration error like any other:
+    one ``error: ...`` line, without the usage. Subparsers inherit this."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +408,11 @@ def _run_verify_dirac(cfg: dict, rng: np.random.Generator):
     return values, records, None
 
 
-def _plane_wave_bundle_inputs(rng: np.random.Generator):
-    """Timelike plane-wave data: exact solution family of the linear system."""
+def _plane_wave_bundle_inputs(rng: np.random.Generator, n_traj: int,
+                              spread: float):
+    """Timelike plane-wave data, an exact solution family of the linear
+    system, and the bundle's starts: the drawn start point q0 first, then
+    n_traj - 1 points seeded in a ball of radius ``spread`` around it."""
     p_spatial = rng.uniform(-START_RANGE, START_RANGE, 3)
     mu = rng.uniform(0.5, 1.5)
     p0 = -float(np.sqrt(p_spatial @ p_spatial + mu ** 2))
@@ -412,26 +423,28 @@ def _plane_wave_bundle_inputs(rng: np.random.Generator):
     q0 = np.concatenate([rng.uniform(-0.5, 0.5, 4),
                          rng.uniform(-START_RANGE, START_RANGE, 3),
                          rng.uniform(-START_RANGE, START_RANGE, 3)])
-    return fields, q0
+    ball = spread * rng.uniform(-1.0, 1.0, (n_traj - 1, 10))
+    return fields, np.vstack([q0, q0 + ball])
 
 
 def _run_trace(cfg: dict, rng: np.random.Generator):
     # the plane-wave bundle solves the field-free system only
     metric = TopMetric(cfg["a"])
     em = EMConfig.zero()
-    fields, q0 = _plane_wave_bundle_inputs(rng)
-    bundle = integrate_bundle(fields, em, metric, q0, rng,
-                              n_traj=cfg["n_draws"], spread=cfg["spread"],
-                              ds=cfg["ds"], n_steps=cfg["steps"],
-                              h=cfg["h"], order=cfg["order"])
-    # the start point's velocity norm is checked in both formats, so a
-    # degenerate start (a non-finite norm) fails a CSV run too
-    v0, norm2 = velocity_field(fields, em, metric, q0, h=cfg["h"],
-                               order=cfg["order"])
-    g0 = metric.matrix(q0)
+    fields, starts = _plane_wave_bundle_inputs(rng, cfg["n_draws"],
+                                               cfg["spread"])
+    bundle = integrate_trajectory(fields, em, metric, starts, ds=cfg["ds"],
+                                  n_steps=cfg["steps"], h=cfg["h"],
+                                  order=cfg["order"])
+    # the start point's velocity norm, row 0 of the start evaluation, is
+    # checked in both formats, so a degenerate start (a non-finite norm)
+    # fails a CSV run too
+    v0 = bundle.start_velocity[0]
+    g0 = metric.matrix(starts[0])
     values = {"trace_velocity_norm_defect": abs(abs(float(v0 @ g0 @ v0)) - 1.0)}
     if cfg["format"] == "csv":
-        return values, None, (TRAJECTORY_COLUMNS, trajectory_rows(bundle))
+        return values, None, (TRAJECTORY_COLUMNS,
+                              trajectory_rows(bundle, cfg["ds"]))
 
     rep = transport_check(fields, em, metric, bundle,
                           n_sections=cfg["sections"], h=cfg["h"],
@@ -442,8 +455,8 @@ def _run_trace(cfg: dict, rng: np.random.Generator):
     records = [{
         "n_truncated": rep.n_truncated,
         "section_flux": rep.section_flux,
-        "timelike": bool(norm2 < 0),
-        "samples_per_trajectory": [t.n_samples for t in bundle],
+        "timelike": bool(bundle.timelike[0]),
+        "samples_per_trajectory": bundle.n_samples,
     }]
     return values, records, None
 
@@ -582,7 +595,7 @@ CHECK_COLUMNS = ["name", "value", "expected", "tolerance", "pass"]
 # every flag defaults to None, so one parser serves every ``main`` call
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aqm-lab",
         description="Numerical verification of the conformal top construction: "
                     "curvature, Weyl scalar forms, exact linearization, "
@@ -663,14 +676,9 @@ def _keep_freed_memory() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     _keep_freed_memory()
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-
-    verb = VERBS[args.command]
-    try:
+        args = _build_parser().parse_args(argv)
+        verb = VERBS[args.command]
         cfg = resolve_config(args.command, _read_config(args.config),
                              vars(args))
         start = time.perf_counter()
@@ -691,6 +699,8 @@ def main(argv: list[str] | None = None) -> int:
             report = build_report(args.command, echo, checks, records,
                                   wall_time_s=time.perf_counter() - start)
             dump_report(report, out=cfg["out"])
+    except SystemExit as exc:  # --help and --version
+        return int(exc.code or 0)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -22,10 +22,6 @@ from .hj import EMConfig, WaveInputs, born_density, divergence_residual, \
     raised_momentum
 
 
-class DegenerateDirection(Exception):
-    """Momentum norm fell below the null tolerance."""
-
-
 def velocity_field(fields: WaveInputs, em: EMConfig, metric: TopMetric,
                    point: np.ndarray, h: float = 1e-3, order: int = 4
                    ) -> tuple[np.ndarray, np.ndarray]:
@@ -33,32 +29,37 @@ def velocity_field(fields: WaveInputs, em: EMConfig, metric: TopMetric,
 
     v^i = g^{ij} u_j / sqrt(|g^{kl} u_k u_l|); the returned norm is
     g^{kl} u_k u_l (negative for timelike directions). ``point`` has shape
-    (*batch, 10); v has the same shape and the norm the batch shape. A
-    single point raises DegenerateDirection when |norm| < NULL_TOL; in a
-    batch the caller tests the norms, and degenerate rows of v are left
+    (*batch, 10); v has the same shape and the norm the batch shape. The
+    caller tests the norms: where |norm| < NULL_TOL, v is left
     unnormalized.
     """
     point = np.asarray(point, dtype=float)
     up, norm2 = raised_momentum(fields, em, metric, point, h, order)
-    degenerate = np.abs(norm2) < NULL_TOL
-    if point.ndim == 1 and degenerate:
-        raise DegenerateDirection(f"|u.u| = {abs(norm2):.3e} at s-point")
-    scale = np.sqrt(np.abs(np.where(degenerate, 1.0, norm2)))
+    scale = np.sqrt(np.abs(np.where(np.abs(norm2) < NULL_TOL, 1.0, norm2)))
     return up / scale[..., None], norm2
 
 
-@dataclass
-class Trajectory:
-    """Integrated curve: parameter values, sample points, and bookkeeping."""
+@dataclass(frozen=True)
+class Bundle:
+    """Trajectories integrated together, as the integrator fills them.
 
-    s_values: np.ndarray
-    points: np.ndarray            # (n_samples, 10)
-    timelike: bool
-    truncated: str | None = None  # None, "degenerate" or "rapidity"
+    ``points[k, i]`` is trajectory i after k steps, for k below
+    ``n_samples[i]``; later rows of a trajectory that stopped early are
+    NaN. ``truncated[i]`` is None, "degenerate" or "rapidity". The start
+    evaluation ``velocity_field(points[0])`` is kept as ``start_velocity``
+    and ``start_norm2``.
+    """
+
+    points: np.ndarray          # (n_steps + 1, n_traj, 10)
+    n_samples: np.ndarray       # (n_traj,) int
+    truncated: np.ndarray       # (n_traj,) object
+    start_velocity: np.ndarray  # (n_traj, 10)
+    start_norm2: np.ndarray     # (n_traj,)
 
     @property
-    def n_samples(self) -> int:
-        return self.points.shape[0]
+    def timelike(self) -> np.ndarray:
+        """Whether each start is timelike and not degenerate."""
+        return self.start_norm2 <= -NULL_TOL
 
 
 def _within_chart(q: np.ndarray) -> np.ndarray:
@@ -68,13 +69,11 @@ def _within_chart(q: np.ndarray) -> np.ndarray:
 
 
 def integrate_trajectory(fields: WaveInputs, em: EMConfig, metric: TopMetric,
-                         q0: np.ndarray, ds: float, n_steps: int,
-                         h: float = 1e-3, order: int = 4
-                         ) -> Trajectory | list[Trajectory]:
+                         starts: np.ndarray, ds: float, n_steps: int,
+                         h: float = 1e-3, order: int = 4) -> Bundle:
     """Fixed-step fourth-order Runge-Kutta integration of the velocity field.
 
-    ``q0`` is one start point of shape (10,), which gives one Trajectory,
-    or a stack of shape (n_traj, 10), which gives a list of them. All
+    ``starts`` is a stack of start points, shape (n_traj, 10). All
     trajectories step together: each RK4 stage is one ``velocity_field``
     call on the trajectories still running. The evaluation at the start
     points, which classifies them, is also the first stage of step 0 when
@@ -85,26 +84,31 @@ def integrate_trajectory(fields: WaveInputs, em: EMConfig, metric: TopMetric,
     its singularity, and as "rapidity" when a boost coordinate leaves the
     chart domain; the others run on.
     """
-    q = np.array(q0, dtype=float, ndmin=2)
-    if not np.all(_within_chart(q)):
+    starts = np.asarray(starts, dtype=float)
+    if starts.ndim != 2:
+        raise ValueError("starts must be a stack of shape (n_traj, 10)")
+    if not np.all(_within_chart(starts)):
         raise ValueError("initial point outside the rapidity domain")
-    n_traj = q.shape[0]
+    n_traj = starts.shape[0]
+    samples = np.full((n_steps + 1,) + starts.shape, np.nan)
+    samples[0] = starts
+    n_samples = np.full(n_traj, n_steps + 1)
+    truncated = np.full(n_traj, None, dtype=object)
 
-    v, norm2 = velocity_field(fields, em, metric, q, h=h, order=order)
-    degenerate = np.abs(norm2) < NULL_TOL
-    timelike = (norm2 < 0) & ~degenerate
-    start_sign = np.sign(norm2)
-    truncated = np.where(degenerate, "degenerate", None)
-    samples = np.empty((n_steps + 1,) + q.shape)
-    samples[0] = q
-    n_samples = np.ones(n_traj, dtype=int)
+    def stop(rows, reason, step):
+        truncated[rows] = reason
+        n_samples[rows] = step + 1
 
+    v0, norm2_0 = velocity_field(fields, em, metric, starts, h=h, order=order)
+    degenerate = np.abs(norm2_0) < NULL_TOL
+    stop(degenerate, "degenerate", 0)
+    start_sign = np.sign(norm2_0)
     running = np.flatnonzero(~degenerate)
     # step 0's first stage is the start's evaluation when every trajectory
     # runs: the same points in the same batch
-    start = (v, norm2) if running.size == n_traj else None
+    start = (v0, norm2_0) if running.size == n_traj else None
     for step in range(n_steps):
-        base = q[running]
+        base = samples[step, running]
         ks = []
         # stages at q, q + ds/2 k1, q + ds/2 k2 and q + ds k3; a trajectory
         # that degenerates at a stage leaves the batch before the next one.
@@ -120,7 +124,7 @@ def integrate_trajectory(fields: WaveInputs, em: EMConfig, metric: TopMetric,
                                           order=order)
             live = ~(norm2 * start_sign[running] < NULL_TOL)
             if not live.all():
-                truncated[running[~live]] = "degenerate"
+                stop(running[~live], "degenerate", step)
                 running, base, v = running[live], base[live], v[live]
                 ks = [k[live] for k in ks]
             ks.append(v)
@@ -129,50 +133,23 @@ def integrate_trajectory(fields: WaveInputs, em: EMConfig, metric: TopMetric,
         k1, k2, k3, k4 = ks
         q_next = base + (ds / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         inside = _within_chart(q_next)
-        truncated[running[~inside]] = "rapidity"
+        stop(running[~inside], "rapidity", step)
         running = running[inside]
-        q[running] = q_next[inside]
         samples[step + 1, running] = q_next[inside]
-        n_samples[running] = step + 2
 
-    out = [Trajectory(s_values=ds * np.arange(n), points=samples[:n, i].copy(),
-                      timelike=bool(timelike[i]), truncated=truncated[i])
-           for i, n in enumerate(n_samples)]
-    return out[0] if np.ndim(q0) == 1 else out
+    return Bundle(points=samples, n_samples=n_samples, truncated=truncated,
+                  start_velocity=v0, start_norm2=norm2_0)
 
 
-# ---------------------------------------------------------------------------
-# bundles
-# ---------------------------------------------------------------------------
-
-
-def integrate_bundle(fields: WaveInputs, em: EMConfig, metric: TopMetric,
-                     q0: np.ndarray, rng: np.random.Generator,
-                     n_traj: int = 8, spread: float = 0.05, ds: float = 0.01,
-                     n_steps: int = 100, h: float = 1e-3, order: int = 4
-                     ) -> list[Trajectory]:
-    """Integrate a bundle of trajectories seeded in a ball around q0.
-
-    The first trajectory starts at q0 itself; all of them are integrated
-    together in one ``integrate_trajectory`` call.
-    """
-    offsets = np.zeros((n_traj, 10))
-    for k in range(1, n_traj):
-        offsets[k] = spread * rng.uniform(-1.0, 1.0, 10)
-    return integrate_trajectory(fields, em, metric, q0 + offsets, ds=ds,
-                                n_steps=n_steps, h=h, order=order)
-
-
-def min_pairwise_distance(bundle: list[Trajectory]) -> float:
+def min_pairwise_distance(bundle: Bundle) -> float:
     """Smallest distance between distinct trajectories at shared parameter steps.
 
     np.min keeps a NaN distance instead of dropping it; a bundle of one
     trajectory has no pairs and gives inf.
     """
-    n_common = min(t.n_samples for t in bundle)
-    points = np.stack([t.points[:n_common] for t in bundle])
-    i, j = np.triu_indices(len(bundle), k=1)
-    d = np.linalg.norm(points[i] - points[j], axis=-1)
+    points = bundle.points[:np.min(bundle.n_samples)]
+    i, j = np.triu_indices(points.shape[1], k=1)
+    d = np.linalg.norm(points[:, i] - points[:, j], axis=-1)
     return float(np.min(d, initial=np.inf))
 
 
@@ -198,7 +175,7 @@ def flux_density(fields: WaveInputs, em: EMConfig, metric: TopMetric,
 
 
 def transport_check(fields: WaveInputs, em: EMConfig, metric: TopMetric,
-                    bundle: list[Trajectory], n_sections: int = 5,
+                    bundle: Bundle, n_sections: int = 5,
                     h: float = 1e-3, order: int = 4) -> TransportReport:
     """Divergence, flux drift and crossing diagnostics along a bundle.
 
@@ -211,13 +188,13 @@ def transport_check(fields: WaveInputs, em: EMConfig, metric: TopMetric,
     so a NaN divergence or flux propagates instead of being dropped by the
     builtin max.
     """
-    n_common = min(t.n_samples for t in bundle)
+    n_common = int(np.min(bundle.n_samples))
     n = min(n_sections, n_common)  # more samples give the same index set
     idx = np.unique(np.linspace(0, n_common - 1, n).astype(int))
 
     fluxes, divergences = [], []
     for i in idx:
-        section = np.stack([t.points[i] for t in bundle])
+        section = bundle.points[i]
         fluxes.append(float(np.mean(
             flux_density(fields, em, metric, section, h=h, order=order))))
         divergences.append(
@@ -229,6 +206,6 @@ def transport_check(fields: WaveInputs, em: EMConfig, metric: TopMetric,
         max_divergence=float(np.max(np.abs(divergences))),
         flux_drift=float(drift),
         min_distance=min_pairwise_distance(bundle),
-        n_truncated=sum(1 for t in bundle if t.truncated is not None),
+        n_truncated=sum(t is not None for t in bundle.truncated),
         section_flux=fluxes,
     )

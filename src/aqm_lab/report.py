@@ -124,17 +124,18 @@ TRAJECTORY_COLUMNS = ["s", "x0", "x1", "x2", "x3",
 SPECTRUM_COLUMNS = ["u", "v", "casimir", "m2"]
 
 
-def trajectory_rows(bundle) -> list[list]:
-    """Flatten a bundle into trajectory CSV rows.
+def trajectory_rows(bundle, ds: float) -> list[list]:
+    """Flatten a ``dynamics.Bundle`` integrated at step ``ds`` into
+    trajectory CSV rows.
 
     Trajectories are concatenated; each restarts the parameter column at
     zero, which delimits them without extra columns.
     """
     rows = []
-    for traj in bundle:
-        flag = 1 if traj.timelike else 0
-        for s, q in zip(traj.s_values, traj.points):
-            rows.append([float(s), *[float(c) for c in q], flag])
+    for i, n in enumerate(bundle.n_samples):
+        flag = int(bundle.timelike[i])
+        rows.extend([ds * k, *map(float, bundle.points[k, i]), flag]
+                    for k in range(n))
     return rows
 
 

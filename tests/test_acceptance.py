@@ -21,8 +21,8 @@ from aqm_lab.dirac import (
     squared_dirac_matrix,
     top_spinor_matrix,
 )
-from aqm_lab.dynamics import integrate_bundle, integrate_trajectory, \
-    transport_check, velocity_field
+from aqm_lab.dynamics import integrate_trajectory, transport_check, \
+    velocity_field
 from aqm_lab.fields import LinearField, draw_field
 from aqm_lab.geometry import WeylGauge, riemann_scalar_at, weyl_scalar_at
 from aqm_lab.hj import EMConfig, WaveInputs, draw_wave_inputs, \
@@ -202,12 +202,15 @@ def test_criterion_transport():
     g0 = metric.matrix(q0)
     norm_defect = abs(abs(float(v0 @ g0 @ v0)) - 1.0)
 
-    traj = integrate_trajectory(fields, em, metric, q0, ds=0.01, n_steps=1000)
-    straight = float(np.max(np.abs(traj.points[-1] - (q0 + 10.0 * v0))))
+    traj = integrate_trajectory(fields, em, metric, q0[None], ds=0.01,
+                                n_steps=1000)
+    straight = float(np.max(np.abs(traj.points[..., 0, :][-1]
+                                   - (q0 + 10.0 * v0))))
 
     rng = np.random.default_rng(107)
-    bundle = integrate_bundle(fields, em, metric, q0, rng, n_traj=4,
-                              spread=0.05, ds=0.02, n_steps=100)
+    starts = np.vstack([q0, q0 + 0.05 * rng.uniform(-1.0, 1.0, (3, 10))])
+    bundle = integrate_trajectory(fields, em, metric, starts, ds=0.02,
+                                  n_steps=100)
     rep = transport_check(fields, em, metric, bundle, n_sections=5)
 
     curved = np.zeros(10)
@@ -218,8 +221,8 @@ def test_criterion_transport():
     c0[5] = 0.4
 
     def endpoint(ds, steps):
-        return integrate_trajectory(cfields, em, metric, c0, ds=ds,
-                                    n_steps=steps).points[-1]
+        return integrate_trajectory(cfields, em, metric, c0[None], ds=ds,
+                                    n_steps=steps).points[..., 0, :][-1]
 
     ref = endpoint(0.025, 32)
     ratio = (np.max(np.abs(endpoint(0.2, 4) - ref))

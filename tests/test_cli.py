@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aqm_lab import cli
+from aqm_lab import cli, dynamics
 from aqm_lab.cli import VERBS, ConfigError, _build_parser, main, resolve_config
 
 FAST_DIRAC = ["verify-dirac", "--n-draws", "2"]
@@ -87,6 +87,30 @@ def test_missing_verb_exits_two():
 
 def test_unknown_verb_exits_two():
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (["trace", "--kappa", "2"], "error: unrecognized arguments: --kappa 2"),
+    (["verify-curvature", "--order", "3"],
+     "error: argument --order: invalid choice: "),
+    ([], "error: the following arguments are required: command"),
+], ids=["unknown_flag", "bad_choice", "missing_verb"])
+def test_rejected_flag_is_one_error_line(capsys, argv, prefix):
+    # a flag the parser rejects is reported like every configuration
+    # error: one line on stderr, no usage, nothing on stdout
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(prefix), captured.err
+
+
+def test_help_and_version_exit_zero(capsys):
+    assert main(["--version"]) == 0
+    assert main(["trace", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("0.1.0\nusage: aqm-lab trace")
+    assert captured.err == ""
 
 
 def test_dirac_passes_and_reports(capsys):
@@ -441,7 +465,7 @@ def test_trace_csv_fails_where_json_fails(a, tmp_path):
 
 @pytest.mark.parametrize("flags, file_cfg, error", [
     (["--H", "0.6,-0.4,0.8", "--E", "0.4,0.2,-0.6", "--kappa", "5"], None,
-     "aqm-lab: error: unrecognized arguments: --H 0.6,-0.4,0.8 "
+     "error: unrecognized arguments: --H 0.6,-0.4,0.8 "
      "--E 0.4,0.2,-0.6 --kappa 5"),
     ([], {"E": [0.0, 0.0, 1e-9], "kappa": 2.0},
      "error: unknown config keys for trace: ['E', 'kappa']"),
@@ -454,7 +478,7 @@ def test_trace_rejects_nonzero_fields(monkeypatch, tmp_path, capsys, flags,
     def fail(*args, **kwargs):
         raise AssertionError("integrated a bundle")
 
-    monkeypatch.setattr(cli, "integrate_bundle", fail)
+    monkeypatch.setattr(cli, "integrate_trajectory", fail)
     if file_cfg is not None:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(file_cfg))
@@ -478,7 +502,7 @@ def test_trace_rejects_a_seed_ball_leaving_the_rapidity_domain(
     def fail(*args, **kwargs):
         raise AssertionError("integrated a bundle")
 
-    monkeypatch.setattr(cli, "integrate_bundle", fail)
+    monkeypatch.setattr(cli, "integrate_trajectory", fail)
     if file_cfg is not None:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(file_cfg))
@@ -489,6 +513,43 @@ def test_trace_rejects_a_seed_ball_leaving_the_rapidity_domain(
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: --spread must be ")
     assert len(captured.err.splitlines()) == 1
+
+
+def test_trace_bundle_has_unperturbed_leader():
+    # the first start is the drawn start point itself, bitwise (a bundle
+    # of one is the start point alone); the others lie in the seed ball
+    # around it, drawn row by row after it from the same stream
+    _, starts = cli._plane_wave_bundle_inputs(np.random.default_rng(28), 5,
+                                              0.05)
+    rng = np.random.default_rng(28)
+    q0 = cli._plane_wave_bundle_inputs(rng, 1, 0.05)[1][0]
+    assert starts.shape == (5, 10)
+    assert np.array_equal(starts[0], q0)
+    assert np.all(np.abs(starts[1:] - q0) <= 0.05)
+    rows = [q0 + 0.05 * rng.uniform(-1.0, 1.0, 10) for _ in range(4)]
+    assert np.array_equal(starts[1:], rows)
+
+
+def test_trace_evaluates_the_velocity_four_times_per_step(monkeypatch,
+                                                         capsys):
+    # the start point's norm check reads row 0 of the integrator's start
+    # evaluation, which is also step 0's first stage: 4 calls per step
+    real = dynamics.velocity_field
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (cli, dynamics):
+        for name, bound in list(vars(module).items()):
+            if bound is real:
+                monkeypatch.setattr(module, name, counted)
+    steps = 7
+    assert main(["trace", "--format", "json", "--n-draws", "3", "--steps",
+                 str(steps), "--seed", "4"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 4 * steps
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from aqm_lab import config_space, dynamics, hj
-from aqm_lab.config_space import RAPIDITY_MAX, TopMetric, sample_point
+from aqm_lab import cli, config_space, dynamics, hj
+from aqm_lab.config_space import NULL_TOL, RAPIDITY_MAX, TopMetric, \
+    sample_point
 from aqm_lab.dynamics import (
-    DegenerateDirection,
-    Trajectory,
-    integrate_bundle,
+    Bundle,
     integrate_trajectory,
     min_pairwise_distance,
     transport_check,
@@ -35,6 +34,22 @@ METRIC = TopMetric(1.0)
 EM0 = EMConfig.zero()
 
 
+def _ball(q0, rng, n_traj, spread=0.05):
+    """Starts seeded around q0 as ``trace`` seeds them: q0 itself first."""
+    return np.vstack([q0, q0 + spread * rng.uniform(-1.0, 1.0,
+                                                     (n_traj - 1, 10))])
+
+
+def _bundle(points, n_samples, truncated=None):
+    """A Bundle of given points (n_samples, n_traj, 10) and timelike starts."""
+    n_traj = points.shape[1]
+    return Bundle(points=points, n_samples=np.asarray(n_samples),
+                  truncated=np.array(truncated or [None] * n_traj,
+                                     dtype=object),
+                  start_velocity=np.zeros((n_traj, 10)),
+                  start_norm2=-np.ones(n_traj))
+
+
 def test_velocity_unit_normalized():
     fields = _plane_wave(np.array([0.3, -0.2, 0.4]))
     q = np.zeros(10)
@@ -44,10 +59,33 @@ def test_velocity_unit_normalized():
     assert abs(abs(v @ g @ v) - 1.0) < 1e-10
 
 
-def test_velocity_null_direction_raises():
+def test_velocity_null_direction_is_left_unnormalized():
     fields = _null_wave()
-    with pytest.raises(DegenerateDirection):
-        velocity_field(fields, EM0, METRIC, np.zeros(10))
+    q = np.zeros(10)
+    v, norm2 = velocity_field(fields, EM0, METRIC, q)
+    assert abs(norm2) < NULL_TOL
+    up, _ = hj.raised_momentum(fields, EM0, METRIC, q, 1e-3, 4)
+    np.testing.assert_array_equal(v, up)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_velocity_field_row_zero_has_the_bits_of_one_point(seed):
+    # trace reads its start point's norm check from row 0 of the start
+    # evaluation: a point has the same bits alone and in a batch, for the
+    # plane-wave family trace draws and for drawn fields under an EM field
+    plane, starts = cli._plane_wave_bundle_inputs(
+        np.random.default_rng(seed), 8, 0.05)
+    rng = np.random.default_rng(1000 + seed)
+    drawn = draw_wave_inputs(rng)
+    em_on = EMConfig(e_field=rng.uniform(-0.5, 0.5, 3),
+                     h_field=rng.uniform(-0.5, 0.5, 3), kappa=1.5)
+    points = np.array([sample_point(rng, rot_scale=1.5, boost_bound=1.5)
+                       for _ in range(8)])
+    for fields, em, pts in ((plane, EM0, starts), (drawn, em_on, points)):
+        v, norm2 = velocity_field(fields, em, METRIC, pts[0])
+        for n in (2, 8):
+            vb, norm2b = velocity_field(fields, em, METRIC, pts[:n])
+            assert np.array_equal(vb[0], v) and norm2b[0] == norm2
 
 
 def test_plane_wave_trajectory_is_straight():
@@ -55,29 +93,33 @@ def test_plane_wave_trajectory_is_straight():
     q0 = np.zeros(10)
     q0[4:7] = [0.2, -0.1, 0.3]
     v0, _ = velocity_field(fields, EM0, METRIC, q0)
-    traj = integrate_trajectory(fields, EM0, METRIC, q0, ds=0.01, n_steps=1000)
-    assert traj.truncated is None
-    assert traj.n_samples == 1001
+    traj = integrate_trajectory(fields, EM0, METRIC, q0[None], ds=0.01,
+                                n_steps=1000)
+    assert traj.truncated.tolist() == [None]
+    assert traj.n_samples.tolist() == [1001]
     expected_end = q0 + 10.0 * v0
-    assert np.max(np.abs(traj.points[-1] - expected_end)) < 1e-8
-    assert traj.timelike
+    assert np.max(np.abs(traj.points[-1, 0] - expected_end)) < 1e-8
+    assert traj.timelike.tolist() == [True]
 
 
 def test_trajectory_reversibility():
     fields = _plane_wave(np.array([0.2, 0.6, -0.1]))
     q0 = np.zeros(10)
-    fwd = integrate_trajectory(fields, EM0, METRIC, q0, ds=0.02, n_steps=200)
+    fwd = integrate_trajectory(fields, EM0, METRIC, q0[None], ds=0.02,
+                               n_steps=200)
     end = fwd.points[-1]
-    back = integrate_trajectory(fields, EM0, METRIC, end, ds=-0.02, n_steps=200)
-    assert np.max(np.abs(back.points[-1] - q0)) < 1e-7
+    back = integrate_trajectory(fields, EM0, METRIC, end, ds=-0.02,
+                                n_steps=200)
+    assert np.max(np.abs(back.points[-1, 0] - q0)) < 1e-7
 
 
 def test_degenerate_start_truncates_immediately():
     fields = _null_wave()
-    traj = integrate_trajectory(fields, EM0, METRIC, np.zeros(10),
+    traj = integrate_trajectory(fields, EM0, METRIC, np.zeros((1, 10)),
                                 ds=0.01, n_steps=50)
-    assert traj.truncated == "degenerate"
-    assert traj.n_samples == 1
+    assert traj.truncated.tolist() == ["degenerate"]
+    assert traj.n_samples.tolist() == [1]
+    assert np.all(np.isnan(traj.points[1:]))
 
 
 def test_rapidity_wall_truncates():
@@ -88,10 +130,12 @@ def test_rapidity_wall_truncates():
     fields = WaveInputs(s_field=LinearField(coeffs), gauge=WeylGauge.unit())
     q0 = np.zeros(10)
     q0[7] = RAPIDITY_MAX - 0.05
-    traj = integrate_trajectory(fields, EM0, METRIC, q0, ds=0.05, n_steps=400)
-    assert traj.truncated == "rapidity"
-    assert traj.n_samples < 401
-    assert np.max(np.abs(traj.points[-1][7:])) <= RAPIDITY_MAX
+    traj = integrate_trajectory(fields, EM0, METRIC, q0[None], ds=0.05,
+                                n_steps=400)
+    n = traj.n_samples[0]
+    assert traj.truncated.tolist() == ["rapidity"]
+    assert n < 401
+    assert np.max(np.abs(traj.points[n - 1, 0, 7:])) <= RAPIDITY_MAX
 
 
 def test_initial_point_outside_chart_rejected():
@@ -99,7 +143,12 @@ def test_initial_point_outside_chart_rejected():
     q0 = np.zeros(10)
     q0[8] = RAPIDITY_MAX + 0.5
     with pytest.raises(ValueError):
-        integrate_trajectory(fields, EM0, METRIC, q0, ds=0.01, n_steps=10)
+        integrate_trajectory(fields, EM0, METRIC, q0[None], ds=0.01,
+                             n_steps=10)
+    # a single point is not a stack of starts
+    with pytest.raises(ValueError):
+        integrate_trajectory(fields, EM0, METRIC, np.zeros(10), ds=0.01,
+                             n_steps=10)
 
 
 def test_rk4_step_halving_convergence():
@@ -113,8 +162,8 @@ def test_rk4_step_halving_convergence():
     q0[5] = 0.4
 
     def endpoint(ds, steps):
-        return integrate_trajectory(fields, EM0, METRIC, q0, ds=ds,
-                                    n_steps=steps).points[-1]
+        return integrate_trajectory(fields, EM0, METRIC, q0[None], ds=ds,
+                                    n_steps=steps).points[-1, 0]
 
     ref = endpoint(0.025, 32)
     err_coarse = np.max(np.abs(endpoint(0.2, 4) - ref))
@@ -122,31 +171,21 @@ def test_rk4_step_halving_convergence():
     assert err_coarse / err_fine > 12.0  # fourth-order: expect about 16
 
 
-def test_bundle_has_unperturbed_leader():
-    fields = _plane_wave(np.array([0.4, 0.0, 0.2]))
-    q0 = np.zeros(10)
-    rng = np.random.default_rng(28)
-    bundle = integrate_bundle(fields, EM0, METRIC, q0, rng, n_traj=5,
-                              spread=0.05, ds=0.01, n_steps=20)
-    assert len(bundle) == 5
-    assert np.max(np.abs(bundle[0].points[0] - q0)) == 0.0
-    for traj in bundle[1:]:
-        assert np.max(np.abs(traj.points[0] - q0)) <= 0.05 + 1e-12
-
-
 def test_min_pairwise_distance_positive_for_distinct_seeds():
     fields = _plane_wave(np.array([0.4, 0.0, 0.2]))
     rng = np.random.default_rng(29)
-    bundle = integrate_bundle(fields, EM0, METRIC, np.zeros(10), rng,
-                              n_traj=4, spread=0.1, ds=0.01, n_steps=30)
+    bundle = integrate_trajectory(fields, EM0, METRIC,
+                                  _ball(np.zeros(10), rng, 4, spread=0.1),
+                                  ds=0.01, n_steps=30)
     assert min_pairwise_distance(bundle) > 1e-4
 
 
 def test_transport_report_plane_wave():
     fields = _plane_wave(np.array([-0.2, 0.5, 0.1]))
     rng = np.random.default_rng(30)
-    bundle = integrate_bundle(fields, EM0, METRIC, np.zeros(10), rng,
-                              n_traj=4, spread=0.05, ds=0.02, n_steps=100)
+    bundle = integrate_trajectory(fields, EM0, METRIC,
+                                  _ball(np.zeros(10), rng, 4),
+                                  ds=0.02, n_steps=100)
     rep = transport_check(fields, EM0, METRIC, bundle, n_sections=5)
     assert rep.max_divergence < 1e-6
     assert rep.flux_drift < 1e-10
@@ -160,8 +199,9 @@ def test_transport_check_keeps_nan_divergence():
     # divergence is NaN; the worst case must stay NaN, not max(0.0, nan) = 0.0
     fields = _plane_wave(np.array([0.3, -0.2, 0.4]))
     q0 = np.array([0.1, -0.2, 0.3, 0.25, 0.2, -0.1, 0.3, 0.1, 0.2, -0.3])
-    bundle = integrate_bundle(fields, EM0, METRIC, q0, np.random.default_rng(0),
-                              n_traj=2, n_steps=5)
+    bundle = integrate_trajectory(fields, EM0, METRIC,
+                                  _ball(q0, np.random.default_rng(0), 2),
+                                  ds=0.01, n_steps=5)
     with np.errstate(all="ignore"):
         report = transport_check(fields, EM0, METRIC, bundle, h=1e-300)
     assert np.isnan(report.max_divergence)
@@ -172,10 +212,10 @@ def test_transport_check_caps_sections_at_the_shared_steps():
     # a bundle of 4 shared samples has at most 4 distinct sections, and a
     # section count far above that must not size an array by it
     fields = _plane_wave(np.array([-0.2, 0.5, 0.1]))
-    bundle = integrate_bundle(fields, EM0, METRIC, np.zeros(10),
-                              np.random.default_rng(30), n_traj=2,
-                              ds=0.02, n_steps=3)
-    n_common = min(t.n_samples for t in bundle)
+    bundle = integrate_trajectory(
+        fields, EM0, METRIC, _ball(np.zeros(10), np.random.default_rng(30), 2),
+        ds=0.02, n_steps=3)
+    n_common = int(np.min(bundle.n_samples))
     assert n_common == 4
     capped = transport_check(fields, EM0, METRIC, bundle, n_sections=n_common)
     for n_sections in (n_common + 1, 1000, 10**21):
@@ -188,11 +228,13 @@ def test_bundle_stopped_at_its_start_has_nan_drift():
     # range to drift over, so the drift is NaN rather than an exception
     fields = _plane_wave(np.array([0.3, -0.2, 0.4]))
     q0 = np.zeros(10)
-    stopped = Trajectory(s_values=np.zeros(1), points=q0[None, :],
-                         timelike=True, truncated="degenerate")
-    running = integrate_trajectory(fields, EM0, METRIC, q0 + 0.05, ds=0.02,
-                                   n_steps=5)
-    report = transport_check(fields, EM0, METRIC, [stopped, running])
+    running = integrate_trajectory(fields, EM0, METRIC, (q0 + 0.05)[None],
+                                   ds=0.02, n_steps=5)
+    points = np.full((6, 2, 10), np.nan)
+    points[0, 0] = q0
+    points[:, 1] = running.points[:, 0]
+    bundle = _bundle(points, [1, 6], ["degenerate", None])
+    report = transport_check(fields, EM0, METRIC, bundle)
     assert np.isnan(report.flux_drift)
     assert report.n_truncated == 1 and len(report.section_flux) == 1
 
@@ -205,27 +247,29 @@ def test_bundle_stopped_at_its_start_has_nan_drift():
 def integrate_trajectory_reference(fields, em, metric, q0, ds, n_steps,
                                    h=1e-3, order=4):
     """One trajectory, one point per RK4 stage: the loop the batched
-    integrator replaces. It calls ``dynamics.velocity_field`` on single
-    points, which raise DegenerateDirection; a stage whose u.u has the
-    other sign than at the start is degenerate too."""
+    integrator replaces, as (points, truncated, timelike). It calls
+    ``dynamics.velocity_field`` on single points; a stage is degenerate
+    when its |u.u| is below NULL_TOL or its u.u has the other sign than at
+    the start."""
+    class Degenerate(Exception):
+        pass
+
     def within_chart(q):
         return bool(np.all(np.abs(q[7:]) <= RAPIDITY_MAX))
 
     def rhs(p):
         v, stage_norm2 = dynamics.velocity_field(fields, em, metric, p, h=h,
                                                  order=order)
-        if stage_norm2 * norm2 < 0:
-            raise DegenerateDirection("u.u changed sign")
+        if abs(stage_norm2) < NULL_TOL or stage_norm2 * norm2 < 0:
+            raise Degenerate
         return v
 
     q = np.asarray(q0, dtype=float).copy()
     assert within_chart(q)
-    try:
-        _, norm2 = dynamics.velocity_field(fields, em, metric, q, h=h,
-                                           order=order)
-    except DegenerateDirection:
-        return Trajectory(s_values=np.zeros(1), points=q[None, :].copy(),
-                          timelike=False, truncated="degenerate")
+    _, norm2 = dynamics.velocity_field(fields, em, metric, q, h=h,
+                                       order=order)
+    if abs(norm2) < NULL_TOL:
+        return q[None, :].copy(), "degenerate", False
     samples = [q.copy()]
     truncated = None
     for _ in range(n_steps):
@@ -234,7 +278,7 @@ def integrate_trajectory_reference(fields, em, metric, q0, ds, n_steps,
             k2 = rhs(q + 0.5 * ds * k1)
             k3 = rhs(q + 0.5 * ds * k2)
             k4 = rhs(q + ds * k3)
-        except DegenerateDirection:
+        except Degenerate:
             truncated = "degenerate"
             break
         q_next = q + (ds / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
@@ -243,24 +287,26 @@ def integrate_trajectory_reference(fields, em, metric, q0, ds, n_steps,
             break
         q = q_next
         samples.append(q.copy())
-    pts = np.array(samples)
-    return Trajectory(s_values=ds * np.arange(pts.shape[0]), points=pts,
-                      timelike=norm2 < 0, truncated=truncated)
+    return np.array(samples), truncated, norm2 < 0
 
 
 def _assert_matches_reference(fields, em, starts, ds, n_steps):
     batched = integrate_trajectory(fields, em, METRIC, starts, ds=ds,
                                    n_steps=n_steps)
-    assert isinstance(batched, list) and len(batched) == len(starts)
-    for traj, q0 in zip(batched, starts):
-        ref = integrate_trajectory_reference(fields, em, METRIC, q0, ds=ds,
-                                             n_steps=n_steps)
-        assert traj.n_samples == ref.n_samples
-        assert traj.truncated == ref.truncated
-        assert traj.timelike == ref.timelike
-        np.testing.assert_array_equal(traj.s_values, ref.s_values)
-        np.testing.assert_allclose(traj.points, ref.points, rtol=1e-12,
-                                   atol=1e-12 * np.max(np.abs(ref.points)))
+    assert isinstance(batched, Bundle)
+    assert batched.points.shape == (n_steps + 1, len(starts), 10)
+    for i, q0 in enumerate(starts):
+        ref_points, ref_truncated, ref_timelike = \
+            integrate_trajectory_reference(fields, em, METRIC, q0, ds=ds,
+                                           n_steps=n_steps)
+        n = batched.n_samples[i]
+        assert n == len(ref_points)
+        assert batched.truncated[i] == ref_truncated
+        assert batched.timelike[i] == ref_timelike
+        np.testing.assert_allclose(batched.points[:n, i], ref_points,
+                                   rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(ref_points)))
+        assert np.all(np.isnan(batched.points[n:, i]))
     return batched
 
 
@@ -291,11 +337,10 @@ def test_trajectories_stop_at_the_null_surface():
                        for _ in range(16)])
     bundle = _assert_matches_reference(fields, em, starts, ds=0.02,
                                        n_steps=100)
-    degenerate = [i for i, t in enumerate(bundle)
-                  if t.truncated == "degenerate"]
-    assert degenerate == [1, 8, 9, 11, 12]
-    for traj in bundle:
-        _, norm2 = velocity_field(fields, em, METRIC, traj.points)
+    degenerate = np.flatnonzero(bundle.truncated == "degenerate")
+    assert degenerate.tolist() == [1, 8, 9, 11, 12]
+    for i, n in enumerate(bundle.n_samples):
+        _, norm2 = velocity_field(fields, em, METRIC, bundle.points[:n, i])
         assert np.all(norm2 * norm2[0] > 0)
 
 
@@ -308,9 +353,9 @@ def test_batched_bundle_truncates_at_the_wall_per_trajectory():
     starts[:, 7] = [-(RAPIDITY_MAX - 0.5), RAPIDITY_MAX - 0.05, 0.3]
     bundle = _assert_matches_reference(fields, EM0, starts, ds=0.05,
                                        n_steps=40)
-    assert bundle[0].truncated == "rapidity" and bundle[0].n_samples < 41
-    assert [t.truncated for t in bundle[1:]] == [None, None]
-    assert [t.n_samples for t in bundle[1:]] == [41, 41]
+    assert bundle.truncated[0] == "rapidity" and bundle.n_samples[0] < 41
+    assert bundle.truncated[1:].tolist() == [None, None]
+    assert bundle.n_samples[1:].tolist() == [41, 41]
 
 
 def test_batched_null_bundle_is_degenerate_at_start():
@@ -318,8 +363,8 @@ def test_batched_null_bundle_is_degenerate_at_start():
     starts[1:, 4:7] = [[0.2, -0.1, 0.3], [-0.4, 0.1, 0.0]]
     bundle = _assert_matches_reference(_null_wave(), EM0, starts, ds=0.01,
                                        n_steps=10)
-    assert all(t.truncated == "degenerate" and t.n_samples == 1
-               for t in bundle)
+    assert bundle.truncated.tolist() == ["degenerate"] * 3
+    assert bundle.n_samples.tolist() == [1] * 3
 
 
 def test_batched_bundle_degenerates_mid_run_per_trajectory(monkeypatch):
@@ -338,8 +383,9 @@ def test_batched_bundle_degenerates_mid_run_per_trajectory(monkeypatch):
     starts[:, 0] = [0.05, -0.5, -0.6]
     bundle = _assert_matches_reference(fields, EM0, starts, ds=0.01,
                                        n_steps=20)
-    assert bundle[0].truncated == "degenerate" and 1 < bundle[0].n_samples < 21
-    assert [t.n_samples for t in bundle[1:]] == [21, 21]
+    assert bundle.truncated[0] == "degenerate" \
+        and 1 < bundle.n_samples[0] < 21
+    assert bundle.n_samples[1:].tolist() == [21, 21]
 
 
 def test_bundle_with_a_degenerate_start_matches_reference(monkeypatch):
@@ -364,7 +410,7 @@ def test_bundle_with_a_degenerate_start_matches_reference(monkeypatch):
                                   n_steps=n_steps)
     assert len(calls) == 4 * n_steps + 1
     assert calls[:2] == [(3, 10), (2, 10)]
-    assert bundle[0].truncated == "degenerate" and bundle[0].n_samples == 1
+    assert bundle.truncated[0] == "degenerate" and bundle.n_samples[0] == 1
     _assert_matches_reference(fields, EM0, starts, ds=0.01, n_steps=n_steps)
 
 
@@ -407,9 +453,10 @@ def test_bundle_calls_velocity_field_once_per_stage(monkeypatch):
     counts = []
     for n_traj in (2, 8):
         calls.clear()
-        integrate_bundle(fields, EM0, METRIC, np.zeros(10),
-                         np.random.default_rng(5), n_traj=n_traj,
-                         n_steps=n_steps)
+        integrate_trajectory(fields, EM0, METRIC,
+                             _ball(np.zeros(10), np.random.default_rng(5),
+                                   n_traj),
+                             ds=0.01, n_steps=n_steps)
         counts.append(len(calls))
     # the start evaluation is the first stage of step 0
     assert counts == [4 * n_steps, 4 * n_steps]
@@ -417,9 +464,9 @@ def test_bundle_calls_velocity_field_once_per_stage(monkeypatch):
 
 def test_transport_check_evaluates_each_section_once(monkeypatch):
     fields = _plane_wave(np.array([-0.2, 0.5, 0.1]))
-    bundle = integrate_bundle(fields, EM0, METRIC, np.zeros(10),
-                              np.random.default_rng(30), n_traj=4,
-                              ds=0.02, n_steps=20)
+    bundle = integrate_trajectory(
+        fields, EM0, METRIC, _ball(np.zeros(10), np.random.default_rng(30), 4),
+        ds=0.02, n_steps=20)
     calls = {"divergence_residual": 0, "flux_density": 0}
     for name in calls:
         real = getattr(dynamics, name)
@@ -434,28 +481,31 @@ def test_transport_check_evaluates_each_section_once(monkeypatch):
     assert calls == {"divergence_residual": 5, "flux_density": 5}
 
 
-def _pairwise_loop(bundle):
-    n_common = min(t.n_samples for t in bundle)
+def _pairwise_loop(trajectories):
+    n_common = min(len(t) for t in trajectories)
     best = np.inf
-    for i in range(len(bundle)):
-        for j in range(i + 1, len(bundle)):
-            d = np.linalg.norm(bundle[i].points[:n_common]
-                               - bundle[j].points[:n_common], axis=1)
+    for i in range(len(trajectories)):
+        for j in range(i + 1, len(trajectories)):
+            d = np.linalg.norm(trajectories[i][:n_common]
+                               - trajectories[j][:n_common], axis=1)
             best = np.min([best, d.min()])
     return float(best)
 
 
 def test_min_pairwise_distance_matches_pairwise_loop():
+    # ragged trajectories; each one's rows past its samples are NaN
     rng = np.random.default_rng(31)
-    bundle = [Trajectory(s_values=np.arange(n), points=rng.normal(size=(n, 10)),
-                         timelike=True) for n in (7, 5, 9, 6, 8)]
-    assert min_pairwise_distance(bundle) == _pairwise_loop(bundle)
+    trajectories = [rng.normal(size=(n, 10)) for n in (7, 5, 9, 6, 8)]
+    points = np.full((9, 5, 10), np.nan)
+    for i, t in enumerate(trajectories):
+        points[:len(t), i] = t
+    bundle = _bundle(points, [len(t) for t in trajectories])
+    assert min_pairwise_distance(bundle) == _pairwise_loop(trajectories)
 
 
 def test_min_pairwise_distance_keeps_nan():
     rng = np.random.default_rng(32)
     points = rng.normal(size=(3, 4, 10))
     points[2, 1, 5] = np.nan
-    bundle = [Trajectory(s_values=np.arange(4), points=p, timelike=True)
-              for p in points]
+    bundle = _bundle(points.swapaxes(0, 1), [4, 4, 4])
     assert np.isnan(min_pairwise_distance(bundle))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aqm_lab.config_space import TopMetric
-from aqm_lab.dynamics import integrate_bundle
+from aqm_lab.dynamics import integrate_trajectory
 from aqm_lab.fields import LinearField
 from aqm_lab.geometry import WeylGauge
 from aqm_lab.hj import EMConfig, WaveInputs
@@ -124,14 +124,16 @@ def test_trajectory_rows_layout():
     coeffs = np.zeros(10)
     coeffs[0] = -1.0
     fields = WaveInputs(s_field=LinearField(coeffs), gauge=WeylGauge.unit())
-    bundle = integrate_bundle(fields, EMConfig.zero(), TopMetric(1.0),
-                              np.zeros(10), np.random.default_rng(0),
-                              n_traj=2, spread=0.01, ds=0.1, n_steps=3)
-    rows = trajectory_rows(bundle)
+    starts = np.vstack([np.zeros(10), 0.01 * np.random.default_rng(0)
+                        .uniform(-1.0, 1.0, (1, 10))])
+    bundle = integrate_trajectory(fields, EMConfig.zero(), TopMetric(1.0),
+                                  starts, ds=0.1, n_steps=3)
+    rows = trajectory_rows(bundle, 0.1)
     assert len(rows) == 8  # two trajectories, four samples each
     assert len(rows[0]) == len(TRAJECTORY_COLUMNS)
     assert rows[0][0] == 0.0
     assert rows[4][0] == 0.0  # parameter resets mark the next trajectory
+    assert [r[0] for r in rows[:4]] == [0.0, 0.1, 0.2, 0.1 * 3]
     assert all(r[-1] in (0, 1) for r in rows)
 
 
