@@ -153,7 +153,7 @@ def _parse_rep(text: str) -> Irrep:
 
 def _rep_labels(v):
     labels = [v] if isinstance(v, str) else v
-    if not isinstance(labels, list) \
+    if not isinstance(labels, list) or not labels \
             or not all(isinstance(s, str) for s in labels):
         raise TypeError(v)
     for label in labels:

@@ -22,8 +22,6 @@ from .geometry import MetricField
 
 # componentwise bound on boost parameters accepted by samplers and integrators
 RAPIDITY_MAX = 3.0
-# below this, |g_ij u^i u^j| counts as degenerate (null direction)
-NULL_TOL = 1e-10
 
 MINKOWSKI = np.diag([-1.0, 1.0, 1.0, 1.0])
 # eta = diag(-1, 1, 1, 1) on the spacetime slots of a 10-vector, 0 on the group

@@ -13,13 +13,16 @@ trajectory; truncation is recorded, never raised as a failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config_space import NULL_TOL, RAPIDITY_MAX, TopMetric, split_point
+from .config_space import RAPIDITY_MAX, TopMetric, split_point
 from .hj import EMConfig, WaveInputs, born_density, divergence_residual, \
     raised_momentum
+
+# below this, |g^ij u_i u_j| counts as degenerate (null direction)
+NULL_TOL = 1e-10
 
 
 def velocity_field(fields: WaveInputs, em: EMConfig, metric: TopMetric,
@@ -73,72 +76,60 @@ def integrate_trajectory(fields: WaveInputs, em: EMConfig, metric: TopMetric,
                          h: float = 1e-3, order: int = 4) -> Bundle:
     """Fixed-step fourth-order Runge-Kutta integration of the velocity field.
 
-    ``starts`` is a stack of start points, shape (n_traj, 10). All
-    trajectories step together: each RK4 stage is one ``velocity_field``
-    call on the trajectories still running. The evaluation at the start
-    points, which classifies them, is also the first stage of step 0 when
-    none is degenerate there, so n_steps steps make 4 n_steps calls. A
-    trajectory stops early (keeping its samples so far) as "degenerate"
-    when u.u at one of its stages is below NULL_TOL in magnitude or has the
-    other sign than at its start, where v = u#/sqrt|u.u| would step through
-    its singularity, and as "rapidity" when a boost coordinate leaves the
-    chart domain; the others run on.
+    ``starts`` is a stack of start points, shape (n_traj, 10); n_steps >= 1.
+    Each RK4 stage is one ``velocity_field`` call on every trajectory, step
+    0's first stage being the start evaluation: at most 4 n_steps calls,
+    none after every trajectory has stopped. A trajectory stops (keeping
+    its samples) as "degenerate" when u.u at one of its stages is below
+    NULL_TOL in magnitude or has the other sign than at its start, where
+    v = u#/sqrt|u.u| would step through its singularity, and as "rapidity"
+    when a boost leaves the chart domain. It is then held at its last
+    sample, its slope 0, while the others run on.
     """
     starts = np.asarray(starts, dtype=float)
-    if starts.ndim != 2:
-        raise ValueError("starts must be a stack of shape (n_traj, 10)")
+    if starts.ndim != 2 or not len(starts) or n_steps < 1:
+        raise ValueError("need a stack of starts (n_traj, 10), n_steps >= 1")
     if not np.all(_within_chart(starts)):
         raise ValueError("initial point outside the rapidity domain")
-    n_traj = starts.shape[0]
     samples = np.full((n_steps + 1,) + starts.shape, np.nan)
-    samples[0] = starts
-    n_samples = np.full(n_traj, n_steps + 1)
-    truncated = np.full(n_traj, None, dtype=object)
+    samples[0] = q = starts
+    n_samples = np.full(len(starts), n_steps + 1)
+    truncated = np.full(len(starts), None, dtype=object)
+    running = np.ones(len(starts), dtype=bool)
+    start = None
 
     def stop(rows, reason, step):
         truncated[rows] = reason
         n_samples[rows] = step + 1
+        running[rows] = False
 
-    v0, norm2_0 = velocity_field(fields, em, metric, starts, h=h, order=order)
-    degenerate = np.abs(norm2_0) < NULL_TOL
-    stop(degenerate, "degenerate", 0)
-    start_sign = np.sign(norm2_0)
-    running = np.flatnonzero(~degenerate)
-    # step 0's first stage is the start's evaluation when every trajectory
-    # runs: the same points in the same batch
-    start = (v0, norm2_0) if running.size == n_traj else None
     for step in range(n_steps):
-        base = samples[step, running]
         ks = []
-        # stages at q, q + ds/2 k1, q + ds/2 k2 and q + ds k3; a trajectory
-        # that degenerates at a stage leaves the batch before the next one.
-        # A NaN norm compares false, so it propagates instead
+        # stages at q, q + ds/2 k1, q + ds/2 k2 and q + ds k3. A NaN norm
+        # compares false, so it propagates instead of stopping its row
         for c in (None, 0.5, 0.5, 1.0):
-            if not running.size:
-                break
-            if start is not None:
-                (v, norm2), start = start, None
-            else:
-                p = base if c is None else base + c * ds * ks[-1]
-                v, norm2 = velocity_field(fields, em, metric, p, h=h,
-                                          order=order)
-            live = ~(norm2 * start_sign[running] < NULL_TOL)
-            if not live.all():
-                stop(running[~live], "degenerate", step)
-                running, base, v = running[live], base[live], v[live]
-                ks = [k[live] for k in ks]
-            ks.append(v)
-        if not running.size:
+            p = q if c is None else q + c * ds * ks[-1]
+            v, norm2 = velocity_field(fields, em, metric, p, h=h, order=order)
+            if start is None:
+                start, start_sign = (v, norm2), np.sign(norm2)
+            halt = running & (norm2 * start_sign < NULL_TOL)
+            if halt.any():
+                stop(halt, "degenerate", step)
+                if not running.any():
+                    break
+            ks.append(np.where(running[:, None], v, 0.0))
+        else:  # some trajectory runs on through all four stages
+            q_next = q + (ds / 6.0) * (ks[0] + 2 * ks[1] + 2 * ks[2] + ks[3])
+            outside = running & ~_within_chart(q_next)
+            if outside.any():
+                stop(outside, "rapidity", step)
+            q = np.where(running[:, None], q_next, q)
+            samples[step + 1, running] = q[running]
+        if not running.any():
             break
-        k1, k2, k3, k4 = ks
-        q_next = base + (ds / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        inside = _within_chart(q_next)
-        stop(running[~inside], "rapidity", step)
-        running = running[inside]
-        samples[step + 1, running] = q_next[inside]
 
     return Bundle(points=samples, n_samples=n_samples, truncated=truncated,
-                  start_velocity=v0, start_norm2=norm2_0)
+                  start_velocity=start[0], start_norm2=start[1])
 
 
 def min_pairwise_distance(bundle: Bundle) -> float:
@@ -161,7 +152,7 @@ class TransportReport:
     flux_drift: float
     min_distance: float
     n_truncated: int
-    section_flux: list[float] = field(default_factory=list)
+    section_flux: list[float]
 
 
 def flux_density(fields: WaveInputs, em: EMConfig, metric: TopMetric,
@@ -181,31 +172,27 @@ def transport_check(fields: WaveInputs, em: EMConfig, metric: TopMetric,
 
     Cross-sections are equally spaced parameter steps shared by all
     trajectories; the flux through a section is the bundle average of the
-    current magnitude. Each section's bundle points are evaluated as one
-    batch. Truncated trajectories shorten the shared range and are
-    counted, not failed; a trajectory stopped at its start point leaves no
-    range to drift over, and the flux drift is NaN. Worst cases use np.max,
-    so a NaN divergence or flux propagates instead of being dropped by the
-    builtin max.
+    current magnitude. All sections go in one call, as one batch of shape
+    (n_sections, n_traj, 10). Truncated trajectories shorten the shared
+    range and are counted, not failed; a trajectory stopped at its start
+    point leaves no range to drift over, and the flux drift is NaN. Worst
+    cases use np.max, so a NaN divergence or flux propagates instead of
+    being dropped by the builtin max.
     """
     n_common = int(np.min(bundle.n_samples))
     n = min(n_sections, n_common)  # more samples give the same index set
     idx = np.unique(np.linspace(0, n_common - 1, n).astype(int))
-
-    fluxes, divergences = [], []
-    for i in idx:
-        section = bundle.points[i]
-        fluxes.append(float(np.mean(
-            flux_density(fields, em, metric, section, h=h, order=order))))
-        divergences.append(
-            divergence_residual(fields, em, metric, section, h=h, order=order))
-
-    drift = np.max([abs(f - fluxes[0]) for f in fluxes]) / abs(fluxes[0]) \
+    sections = bundle.points[idx]
+    fluxes = np.mean(flux_density(fields, em, metric, sections, h=h,
+                                  order=order), axis=-1)
+    divergences = divergence_residual(fields, em, metric, sections, h=h,
+                                      order=order)
+    drift = np.max(np.abs(fluxes - fluxes[0])) / abs(fluxes[0]) \
         if n_common > 1 else np.nan
     return TransportReport(
         max_divergence=float(np.max(np.abs(divergences))),
         flux_drift=float(drift),
         min_distance=min_pairwise_distance(bundle),
         n_truncated=sum(t is not None for t in bundle.truncated),
-        section_flux=fluxes,
+        section_flux=fluxes.tolist(),
     )

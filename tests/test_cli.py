@@ -240,6 +240,11 @@ def test_malformed_config_is_error(tmp_path, capsys):
     cfg.write_text(json.dumps({"n_draws": 1}))
     assert main(["trace", "--config", str(cfg)]) == 2
     assert_one_line_error(capsys, "error: --n-draws ")
+    # an empty list of labels would select no representation, a vacuous pass
+    cfg.write_text(json.dumps({"rep": []}))
+    assert main(["spectrum", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == \
+        "error: --rep must be a 'u,v' label or a list of them; got []\n"
     # an output path that cannot be written is rejected before the run,
     # from a flag or a config file, and no file is created
     missing = tmp_path / "missing" / "x.json"

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from aqm_lab import cli, config_space, dynamics, hj
-from aqm_lab.config_space import NULL_TOL, RAPIDITY_MAX, TopMetric, \
-    sample_point
+from aqm_lab.config_space import RAPIDITY_MAX, TopMetric, sample_point
 from aqm_lab.dynamics import (
+    NULL_TOL,
     Bundle,
     integrate_trajectory,
     min_pairwise_distance,
@@ -149,6 +149,14 @@ def test_initial_point_outside_chart_rejected():
     with pytest.raises(ValueError):
         integrate_trajectory(fields, EM0, METRIC, np.zeros(10), ds=0.01,
                              n_steps=10)
+    # nor is an empty stack, and step 0's first stage is the start
+    # evaluation, so there is at least one step
+    with pytest.raises(ValueError):
+        integrate_trajectory(fields, EM0, METRIC, np.zeros((0, 10)), ds=0.01,
+                             n_steps=10)
+    with pytest.raises(ValueError):
+        integrate_trajectory(fields, EM0, METRIC, np.zeros((2, 10)), ds=0.01,
+                             n_steps=0)
 
 
 def test_rk4_step_halving_convergence():
@@ -358,13 +366,25 @@ def test_batched_bundle_truncates_at_the_wall_per_trajectory():
     assert bundle.n_samples[1:].tolist() == [41, 41]
 
 
-def test_batched_null_bundle_is_degenerate_at_start():
+def test_batched_null_bundle_is_degenerate_at_start(monkeypatch):
     starts = np.zeros((3, 10))
     starts[1:, 4:7] = [[0.2, -0.1, 0.3], [-0.4, 0.1, 0.0]]
     bundle = _assert_matches_reference(_null_wave(), EM0, starts, ds=0.01,
                                        n_steps=10)
     assert bundle.truncated.tolist() == ["degenerate"] * 3
     assert bundle.n_samples.tolist() == [1] * 3
+    # the start evaluation stops every row, so it is the only call
+    calls = []
+    real = dynamics.velocity_field
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "velocity_field", counted)
+    integrate_trajectory(_null_wave(), EM0, METRIC, starts, ds=0.01,
+                         n_steps=10)
+    assert len(calls) == 1
 
 
 def test_batched_bundle_degenerates_mid_run_per_trajectory(monkeypatch):
@@ -388,10 +408,38 @@ def test_batched_bundle_degenerates_mid_run_per_trajectory(monkeypatch):
     assert bundle.n_samples[1:].tolist() == [21, 21]
 
 
+def test_a_stopped_neighbour_leaves_the_others_bitwise_unchanged(monkeypatch):
+    # a stopped trajectory is held in the batch at its last sample, so the
+    # rows that run on see the same batch size and the same bits whether
+    # their neighbour stops mid-run (x^0 = 0.05) or runs on (x^0 = -0.7)
+    raised = dynamics.raised_momentum
+
+    def vanishing(fields, em, metric, point, h, order):
+        late = np.asarray(point)[..., 0] > 0.08
+        up, norm2 = raised(fields, em, metric, point, h, order)
+        return np.where(late[..., None], 0.0, up), np.where(late, 0.0, norm2)
+
+    monkeypatch.setattr(dynamics, "raised_momentum", vanishing)
+    fields = _plane_wave(np.array([0.3, -0.2, 0.1]))
+    bundles = []
+    for first in (0.05, -0.7):
+        starts = _ball(np.zeros(10), np.random.default_rng(12), 3)
+        starts[:, 0] = [first, -0.5, -0.6]
+        bundles.append(integrate_trajectory(fields, EM0, METRIC, starts,
+                                            ds=0.01, n_steps=20))
+    stopped, running = bundles
+    assert stopped.truncated[0] == "degenerate" \
+        and 1 < stopped.n_samples[0] < 21
+    assert running.truncated.tolist() == [None] * 3
+    assert stopped.n_samples[1:].tolist() == [21, 21]
+    assert np.array_equal(stopped.points[:, 1:], running.points[:, 1:])
+    assert np.array_equal(stopped.start_norm2[1:], running.start_norm2[1:])
+
+
 def test_bundle_with_a_degenerate_start_matches_reference(monkeypatch):
-    # the trajectory that starts past x^0 = 0.08 is degenerate at its start,
-    # so step 0 runs on the other two alone and evaluates its first stage
-    # anew: one call more than 4 per step
+    # the trajectory that starts past x^0 = 0.08 is degenerate at its start
+    # and is held there; every stage is one call on all three rows, the
+    # start evaluation being step 0's first stage
     raised = dynamics.raised_momentum
     calls = []
 
@@ -408,8 +456,7 @@ def test_bundle_with_a_degenerate_start_matches_reference(monkeypatch):
     n_steps = 5
     bundle = integrate_trajectory(fields, EM0, METRIC, starts, ds=0.01,
                                   n_steps=n_steps)
-    assert len(calls) == 4 * n_steps + 1
-    assert calls[:2] == [(3, 10), (2, 10)]
+    assert calls == [(3, 10)] * (4 * n_steps)
     assert bundle.truncated[0] == "degenerate" and bundle.n_samples[0] == 1
     _assert_matches_reference(fields, EM0, starts, ds=0.01, n_steps=n_steps)
 
@@ -463,22 +510,40 @@ def test_bundle_calls_velocity_field_once_per_stage(monkeypatch):
 
 
 def test_transport_check_evaluates_each_section_once(monkeypatch):
-    fields = _plane_wave(np.array([-0.2, 0.5, 0.1]))
-    bundle = integrate_trajectory(
-        fields, EM0, METRIC, _ball(np.zeros(10), np.random.default_rng(30), 4),
-        ds=0.02, n_steps=20)
-    calls = {"divergence_residual": 0, "flux_density": 0}
-    for name in calls:
-        real = getattr(dynamics, name)
-
-        def counted(*args, _real=real, _name=name, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
+    # all sections go in one flux_density and one divergence_residual call;
+    # each section's values have the bits of a call on that section alone
+    real = {name: getattr(dynamics, name)
+            for name in ("divergence_residual", "flux_density")}
+    calls = {name: [] for name in real}
+    for name in real:
+        def counted(*args, _name=name, **kwargs):
+            out = real[_name](*args, **kwargs)
+            calls[_name].append(out)
+            return out
 
         monkeypatch.setattr(dynamics, name, counted)
-    rep = transport_check(fields, EM0, METRIC, bundle, n_sections=5)
-    assert len(rep.section_flux) == 5
-    assert calls == {"divergence_residual": 5, "flux_density": 5}
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        fields = draw_wave_inputs(rng)
+        em = EMConfig(e_field=rng.uniform(-0.5, 0.5, 3),
+                      h_field=rng.uniform(-0.5, 0.5, 3), kappa=1.5)
+        points = np.array([[sample_point(rng, rot_scale=1.0, boost_bound=1.0)
+                            for _ in range(4)] for _ in range(5)])
+        for out in calls.values():
+            out.clear()
+        rep = transport_check(fields, em, METRIC, _bundle(points, [5] * 4),
+                              n_sections=5)
+        assert {name: len(out) for name, out in calls.items()} \
+            == {"divergence_residual": 1, "flux_density": 1}
+        (divergences,) = calls["divergence_residual"]
+        assert divergences.shape == (5, 4)
+        for i, section in enumerate(points):
+            flux = np.mean(real["flux_density"](fields, em, METRIC, section))
+            assert rep.section_flux[i] == float(flux)
+            np.testing.assert_array_equal(
+                divergences[i],
+                real["divergence_residual"](fields, em, METRIC, section))
+        assert rep.max_divergence == np.max(np.abs(divergences))
 
 
 def _pairwise_loop(trajectories):
