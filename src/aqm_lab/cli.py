@@ -305,33 +305,32 @@ def _run_verify_weyl(cfg: dict, rng: np.random.Generator):
 def _run_verify_linearization(cfg: dict, rng: np.random.Generator):
     metric = TopMetric(cfg["a"])
     r = metric.riemann_scalar()
-    em_zero = EMConfig.zero()
-    em_full = EMConfig(e_field=cfg["E"], h_field=cfg["H"], kappa=cfg["kappa"])
-
-    # the free check's second coupling is the wrong-coupling control: the
-    # coupling enters only the last step, so both share one stencil pass
+    # the free and the field-on check (rows) share one stencil pass, and so
+    # do the conformal coupling and the wrong-coupling control (columns):
+    # neither the potential nor the coupling enters the fields' stencils
+    ems = (EMConfig.zero(),
+           EMConfig(e_field=cfg["E"], h_field=cfg["H"], kappa=cfg["kappa"]))
     couplings = np.array([conformal_coupling(metric.dim) ** 2, 0.25])
 
     free_defects, em_defects, control_defects, records = [], [], [], []
     for i in range(cfg["n_draws"]):
         fields = draw_wave_inputs(rng)
         q = sample_point(rng, rot_scale=1.5, boost_bound=1.5)
-        defects, hj_free, div_free = linearization_check(
-            fields, em_zero, metric, q, r_scalar=r, xi2=couplings,
+        defects, hj_res, div_res = linearization_check(
+            fields, ems, metric, q, r_scalar=r, xi2=couplings,
             h=cfg["h"], order=cfg["order"])
         if i < 10:
-            control_defects.append(np.hypot(defects[1].real, defects[1].imag))
-        free = (complex(defects[0]), float(hj_free[0]), div_free)
-        full = linearization_check(fields, em_full, metric, q, r_scalar=r,
-                                   h=cfg["h"], order=cfg["order"])
-        for (defect, hj_res, div_res), bucket, tag in (
-                (free, free_defects, False), (full, em_defects, True)):
+            control = defects[0, 1]
+            control_defects.append(np.hypot(control.real, control.imag))
+        for row, bucket in enumerate((free_defects, em_defects)):
+            defect = complex(defects[row, 0])
             # |defect| as the builtin abs, but inf where abs would raise
             bucket.append(np.hypot(defect.real, defect.imag))
             records.append({
-                "seed": cfg["seed"], "point": list(q), "hj_res": hj_res,
-                "div_res": div_res, "defect_re": defect.real,
-                "defect_im": defect.imag, "em": tag,
+                "seed": cfg["seed"], "point": list(q),
+                "hj_res": float(hj_res[row, 0]),
+                "div_res": float(div_res[row]), "defect_re": defect.real,
+                "defect_im": defect.imag, "em": bool(row),
             })
 
     return {"linearization_max_defect_free": free_defects,
@@ -436,22 +435,21 @@ def _run_trace(cfg: dict, rng: np.random.Generator):
     bundle = integrate_trajectory(fields, em, metric, starts, ds=cfg["ds"],
                                   n_steps=cfg["steps"], h=cfg["h"],
                                   order=cfg["order"])
-    # the start point's velocity norm, row 0 of the start evaluation, is
-    # checked in both formats, so a degenerate start (a non-finite norm)
-    # fails a CSV run too
+    # the start point's velocity norm is row 0 of the start evaluation; both
+    # formats compute every check, so a CSV run fails where a JSON run does
+    # (a degenerate start, a bundle that never left its start points)
     v0 = bundle.start_velocity[0]
     g0 = metric.matrix(starts[0])
-    values = {"trace_velocity_norm_defect": abs(abs(float(v0 @ g0 @ v0)) - 1.0)}
-    if cfg["format"] == "csv":
-        return values, None, (TRAJECTORY_COLUMNS,
-                              trajectory_rows(bundle, cfg["ds"]))
-
     rep = transport_check(fields, em, metric, bundle,
                           n_sections=cfg["sections"], h=cfg["h"],
                           order=cfg["order"])
-    values.update(trace_max_divergence=rep.max_divergence,
-                  trace_flux_drift=rep.flux_drift,
-                  trace_min_pairwise_distance=rep.min_distance)
+    values = {"trace_velocity_norm_defect": abs(abs(float(v0 @ g0 @ v0)) - 1.0),
+              "trace_max_divergence": rep.max_divergence,
+              "trace_flux_drift": rep.flux_drift,
+              "trace_min_pairwise_distance": rep.min_distance}
+    if cfg["format"] == "csv":
+        return values, None, (TRAJECTORY_COLUMNS,
+                              trajectory_rows(bundle, cfg["ds"]))
     records = [{
         "n_truncated": rep.n_truncated,
         "section_flux": rep.section_flux,
@@ -510,8 +508,8 @@ class Check:
 @dataclass(frozen=True)
 class Verb:
     """``run(cfg, rng) -> (values, records, csv table or None)``, its
-    ``params``, and its ``checks``: one record per check that ``run`` gave
-    a value for (trace's CSV format computes only the norm check)."""
+    ``params``, and its ``checks``: ``run`` gives a value for every check,
+    in every format, and each check makes one record."""
 
     help: str
     run: Callable[[dict, np.random.Generator], tuple]
@@ -519,11 +517,11 @@ class Verb:
     checks: tuple[Check, ...]
 
     def check(self, values: dict, tol: float | None) -> list:
-        unknown = set(values) - {c.name for c in self.checks}
-        if unknown:
-            raise RuntimeError(f"no check row for {sorted(unknown)}")
-        return [c.record(values[c.name], tol) for c in self.checks
-                if c.name in values]
+        names = {c.name for c in self.checks}
+        if set(values) != names:
+            raise RuntimeError(f"values for {sorted(values)}, "
+                               f"check rows {sorted(names)}")
+        return [c.record(values[c.name], tol) for c in self.checks]
 
 
 _COMMON = (SEED, TOL, OUT, FORMAT)

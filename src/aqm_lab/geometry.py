@@ -77,6 +77,11 @@ def _lead(a, ndim: int) -> np.ndarray:
     return a.reshape(a.shape + (1,) * (ndim - a.ndim))
 
 
+def _unit_axes(a: np.ndarray, at: int, n: int) -> np.ndarray:
+    """``a`` with ``n`` unit axes inserted before axis ``at``."""
+    return a.reshape(a.shape[:at] + (1,) * n + a.shape[at:])
+
+
 # ---------------------------------------------------------------------------
 # curvature
 # ---------------------------------------------------------------------------
@@ -128,8 +133,10 @@ def covariant_divergence_at(metric: MetricField, vector: Callable[[np.ndarray], 
     ``point`` has shape (*batch, dim). ``vector(q)`` returns V^k on the axis
     after the batch axes of ``q``; trailing axes may hold complex or matrix
     values, and the result has shape (*batch, *value). ``potential(q)``,
-    when given, is the charge-weighted covector A_k. Uses the density form,
-    which needs no Christoffel symbols.
+    when given, is the charge-weighted covector A_k, shape (*batch, dim),
+    or one covector per channel, (*batch, dim, *channels): then the value
+    axes of V begin with the channel axes, and each channel's A meets its
+    own V. Uses the density form, which needs no Christoffel symbols.
     """
     point = np.asarray(point, dtype=float)
     nb = point.ndim - 1
@@ -149,9 +156,15 @@ def covariant_divergence_at(metric: MetricField, vector: Callable[[np.ndarray], 
         v = np.asarray(vector(point))
         v = _lead(sqrt_g, v.ndim) * v
         a = 1j * potential(point)
-        flat = v.reshape(v.shape[:nb + 1] + (-1,))
+        nc = a.ndim - nb - 1
+        # the channels join the batch axes, so each contraction is the
+        # product of one channel's covector with its own V; contiguous
+        # operands keep BLAS on its unit-stride kernels
+        a = np.ascontiguousarray(np.moveaxis(a, nb, -1))
+        v = np.ascontiguousarray(np.moveaxis(v, nb, nb + nc))
+        flat = v.reshape(v.shape[:nb + nc + 1] + (-1,))
         total = total - (a[..., None, :] @ flat)[..., 0, :].reshape(
-            v.shape[:nb] + v.shape[nb + 1:])
+            v.shape[:nb + nc] + v.shape[nb + nc + 1:])
     return total / _lead(sqrt_g, np.ndim(total))
 
 
@@ -163,18 +176,28 @@ def laplace_beltrami(metric: MetricField, f: Callable[[np.ndarray], np.ndarray],
 
     D = d - i A with the charge-weighted covector ``potential`` (zero when
     omitted). ``f`` may be real, complex or matrix valued. ``h`` steps the
-    outer divergence, ``h_inner`` (default h) the inner gradient.
+    outer divergence, ``h_inner`` (default h) the inner gradient. A
+    potential with channel axes after k, (*batch, dim, *channels), gives
+    one Laplacian per channel, shape (*batch, *channels, *value), from one
+    evaluation of ``f`` per stencil level.
     """
     h_inner = h if h_inner is None else h_inner
 
     def grad_up(q):
         df = derivative_stack(f, q, h=h_inner, order=order)  # (*batch, dim, *value)
-        batch = q.shape[:-1]
+        nb, nc = q.ndim - 1, 0
         if potential is not None:
-            df = df - 1j * (_lead(potential(q), df.ndim)
-                            * np.expand_dims(f(q), len(batch)))
-        flat = df.reshape(df.shape[:len(batch) + 1] + (-1,))
-        return (metric.inverse(q) @ flat).reshape(df.shape)
+            a = np.asarray(potential(q))  # (*batch, dim, *channels)
+            nc = a.ndim - nb - 1
+            # D_j f per channel: (*batch, dim, *channels, *value)
+            df = _unit_axes(df, nb + 1, nc) - 1j * (
+                _lead(a, df.ndim + nc) * _unit_axes(f(q), nb, 1 + nc))
+        # the channels join the batch axes of the raise, so each channel is
+        # the inverse times an operand of the shape it has without channels
+        df = np.ascontiguousarray(np.moveaxis(df, nb, nb + nc))
+        flat = df.reshape(df.shape[:nb + nc + 1] + (-1,))
+        raised = _unit_axes(metric.inverse(q), nb, nc) @ flat
+        return np.moveaxis(raised.reshape(df.shape), nb + nc, nb)
 
     return covariant_divergence_at(metric, grad_up, point, h=h, order=order,
                                    potential=potential)

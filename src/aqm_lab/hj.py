@@ -127,6 +127,46 @@ class EMConfig:
                                k @ self.generator_charges()], axis=-1)
 
 
+# One config, or a tuple of them stacked the way the couplings are: a tuple
+# adds an axis of one entry per config after the batch axes, and the fields,
+# the Killing fields and the Weyl scalar are evaluated once for all of them.
+# A lone config runs as the stack of one and drops that axis at the end.
+EMConfigs = EMConfig | tuple[EMConfig, ...]
+
+
+def _stack(em: EMConfigs) -> tuple[EMConfig, ...]:
+    """A lone config as the stack of one, a tuple as it is (which must not
+    be empty)."""
+    if isinstance(em, EMConfig):
+        return (em,)
+    if not em:
+        raise ValueError("the tuple of EM configurations is empty")
+    return tuple(em)
+
+
+def _stacked_potential(ems: tuple[EMConfig, ...], x: np.ndarray,
+                       k: np.ndarray) -> np.ndarray:
+    """``potential_from_killing`` of each config from the same Killing
+    fields, as (*batch, n_em, 10)."""
+    return np.stack([e.potential_from_killing(x, k) for e in ems], axis=-2)
+
+
+def _trail(values, n: int) -> np.ndarray:
+    """``values`` with ``n`` unit axes appended: the config and coupling
+    axes that a per-point or per-config value lacks."""
+    values = np.asarray(values)
+    return values.reshape(values.shape + (1,) * n)
+
+
+def _unstack(values: np.ndarray, em: EMConfigs, n_xi2: int, kind: type):
+    """A stacked result as the caller's ``em`` asks for it: a lone config
+    drops the config axis (the one before the ``n_xi2`` coupling axes), and
+    a 0-d result becomes a Python ``kind``."""
+    if isinstance(em, EMConfig):
+        values = values[(..., 0) + (slice(None),) * n_xi2]
+    return kind(values) if np.ndim(values) == 0 else values
+
+
 # ---------------------------------------------------------------------------
 # wave data
 # ---------------------------------------------------------------------------
@@ -155,7 +195,7 @@ def momentum_covector(fields: WaveInputs, em: EMConfig, point: np.ndarray,
         - em.potential(point)
 
 
-def raised_momentum(fields: WaveInputs, em: EMConfig, metric: TopMetric,
+def raised_momentum(fields: WaveInputs, em: EMConfigs, metric: TopMetric,
                     point: np.ndarray, h: float, order: int
                     ) -> tuple[np.ndarray, np.ndarray]:
     """The raise u#^i = g^{ij} u_j of the momentum u = ``momentum_covector``
@@ -167,12 +207,20 @@ def raised_momentum(fields: WaveInputs, em: EMConfig, metric: TopMetric,
     (``TopMetric.raise_from_killing``): eta u on spacetime and the group
     inverse on the group components, bitwise equal to
     ``metric.inverse(point) @ u`` without building the 10x10 inverse.
+
+    A tuple of configs gives u# as (*batch, n_em, 10) and u.u# as
+    (*batch, n_em), each config's entry bitwise that of its own call: the
+    gradient of S and the Killing fields are evaluated once for all.
     """
     point = np.asarray(point, dtype=float)
     x, theta = split_point(point)
     k = killing_vectors(theta)
-    u = derivative_stack(fields.s_field, point, h=h, order=order) \
-        - em.potential_from_killing(x, k)
+    u = derivative_stack(fields.s_field, point, h=h, order=order)
+    if isinstance(em, EMConfig):  # the one-config shortcut of the RK4 stages
+        u = u - em.potential_from_killing(x, k)
+    else:
+        u = u[..., None, :] - _stacked_potential(_stack(em), x, k)
+        k = k[..., None, :, :]
     up = metric.raise_from_killing(k, u)
     return up, (u[..., None, :] @ up[..., None])[..., 0, 0]
 
@@ -200,58 +248,79 @@ def wave_ansatz(fields: WaveInputs) -> Callable[[np.ndarray], np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def hj_residual(fields: WaveInputs, em: EMConfig, metric: TopMetric,
+def hj_residual(fields: WaveInputs, em: EMConfigs, metric: TopMetric,
                 point: np.ndarray, r_scalar: float, xi2: float | np.ndarray,
                 h: float = 1e-3, order: int = 4) -> float | np.ndarray:
     """Residual of the Hamilton-Jacobi equation at a point.
 
     g^{ij} u_i u_j + xi^2 R_W, which vanishes on solutions at the conformal
     coupling xi^2. ``r_scalar`` is the Riemann scalar of the metric at the
-    point. A 1-D array of couplings ``xi2`` gives an array of residuals, one
-    per coupling, from one evaluation of u.u# and R_W.
+    point. A 1-D array of couplings ``xi2`` adds an axis of residuals, one
+    per coupling, from one evaluation of u.u# and R_W. A tuple of configs
+    adds an axis of configs before it, (n_em,) or (n_em, n_xi2); R_W does
+    not read the potential and is evaluated once for all of them.
     """
     point = np.asarray(point, dtype=float)
-    _, norm2 = raised_momentum(fields, em, metric, point, h, order)
+    _, norm2 = raised_momentum(fields, _stack(em), metric, point, h, order)
     rw = weyl_scalar_at(metric, fields.gauge, point, h=h, order=order,
                         r_scalar=r_scalar)
-    res = norm2 + np.asarray(xi2, dtype=float) * rw
-    return float(res) if np.ndim(res) == 0 else res
+    xi2 = np.asarray(xi2, dtype=float)
+    res = _trail(norm2, xi2.ndim) + xi2 * _trail(rw, 1 + xi2.ndim)
+    return _unstack(res, em, xi2.ndim, float)
 
 
-def divergence_residual(fields: WaveInputs, em: EMConfig, metric: TopMetric,
+def divergence_residual(fields: WaveInputs, em: EMConfigs, metric: TopMetric,
                         point: np.ndarray, h: float = 1e-3, order: int = 4
                         ) -> np.ndarray:
     """Residual of the transport equation: covariant divergence of the
     density-weighted momentum current chi^(-(n-2)) g^{ij} u_j, at points on
-    the last axis."""
+    the last axis. A tuple of configs gives (*batch, n_em) from one stencil
+    pass: the configs ride as value axes of the current."""
     point = np.asarray(point, dtype=float)
 
     def current_up(q):
         up, _ = raised_momentum(fields, em, metric, q, h, order)
-        return born_density(fields, q)[..., None] * up
+        # the components right after the batch axes, a stack's configs
+        # after them
+        up = np.moveaxis(up, -1, q.ndim - 1)
+        return _trail(born_density(fields, q), up.ndim - q.ndim + 1) * up
 
     return covariant_divergence_at(metric, current_up, point, h=h, order=order)
 
 
-def wave_operator(psi: Callable[[np.ndarray], np.ndarray], em: EMConfig,
+def wave_operator(psi: Callable[[np.ndarray], np.ndarray], em: EMConfigs,
                   metric: MetricField, point: np.ndarray,
+                  psi0: complex | np.ndarray,
                   xi2: float | np.ndarray, r_scalar: float, h: float = 1e-3,
                   order: int = 4) -> complex | np.ndarray:
     """Minimally coupled curvature-potential wave operator applied to psi.
 
     W psi = -(1/sqrt g)(d_i - i A_i) [sqrt g g^{ij} (d_j - i A_j) psi]
             + xi^2 R psi,
-    evaluated at one point by nested central differences. A 1-D array of
-    couplings ``xi2`` gives an array of values, one per coupling, from one
-    evaluation of the Laplacian.
+    evaluated at points on the last axis by nested central differences;
+    ``psi0`` is psi(point), which the callers already hold. A 1-D array of
+    couplings ``xi2`` adds an axis of values, one per coupling, from one
+    evaluation of the Laplacian. A tuple of configs adds an axis of configs
+    before it, (*batch, n_em) or (*batch, n_em, n_xi2), from one evaluation
+    of psi per stencil level.
     """
+    ems = _stack(em)
+
+    def potential(q):
+        # every config's covector from one evaluation of the Killing
+        # fields, the configs on the channel axis after k
+        x, theta = split_point(q)
+        return np.swapaxes(
+            _stacked_potential(ems, x, killing_vectors(theta)), -1, -2)
+
     lap = laplace_beltrami(metric, psi, point, h=h, order=order,
-                           potential=em.potential)
-    w = -lap + np.asarray(xi2, dtype=float) * r_scalar * psi(point)
-    return complex(w) if np.ndim(w) == 0 else w
+                           potential=potential)
+    xi2 = np.asarray(xi2, dtype=float)
+    w = -_trail(lap, xi2.ndim) + xi2 * r_scalar * _trail(psi0, 1 + xi2.ndim)
+    return _unstack(w, em, xi2.ndim, complex)
 
 
-def linearization_check(fields: WaveInputs, em: EMConfig, metric: TopMetric,
+def linearization_check(fields: WaveInputs, em: EMConfigs, metric: TopMetric,
                         point: np.ndarray, r_scalar: float,
                         xi2: float | np.ndarray | None = None, h: float = 1e-3,
                         order: int = 4
@@ -273,18 +342,29 @@ def linearization_check(fields: WaveInputs, em: EMConfig, metric: TopMetric,
     A 1-D array of couplings ``xi2`` gives the defect and hj_res as arrays,
     one element per coupling, each bitwise equal to the call with that one
     coupling: the stencils do not depend on the coupling and run once.
+
+    A tuple of electromagnetic configs stacks them the same way: defect and
+    hj_res get a leading axis of configs, (n_em,) or (n_em, n_xi2), and
+    div_res is (n_em,). Each field is evaluated once per stencil level, the
+    Killing fields once per point set and R_W once, whatever the number of
+    configs, and each entry is bitwise that of the call with its one config.
     """
     point = np.asarray(point, dtype=float)
     n = metric.dim
     if xi2 is None:
         xi2 = conformal_coupling(n) ** 2
+    nx = np.ndim(xi2)
 
+    ems = _stack(em)
     psi = wave_ansatz(fields)
-    w = wave_operator(psi, em, metric, point, xi2=xi2, r_scalar=r_scalar,
-                      h=h, order=order)
-    hj = hj_residual(fields, em, metric, point, r_scalar, xi2=xi2,
+    psi0 = psi(point)
+    w = wave_operator(psi, ems, metric, point, psi0, xi2=xi2,
+                      r_scalar=r_scalar, h=h, order=order)
+    hj = hj_residual(fields, ems, metric, point, r_scalar, xi2=xi2,
                      h=h, order=order)
-    div = divergence_residual(fields, em, metric, point, h=h, order=order)
-    chi_pow = float(np.exp((n - 2) * fields.gauge.log_chi(point)))
-    defect = w / psi(point) - hj + 1j * chi_pow * div
-    return (complex(defect) if np.ndim(defect) == 0 else defect), hj, float(div)
+    div = divergence_residual(fields, ems, metric, point, h=h, order=order)
+    chi_pow = np.exp((n - 2) * fields.gauge.log_chi(point))
+    defect = w / _trail(psi0, 1 + nx) - hj \
+        + 1j * _trail(chi_pow, 1 + nx) * _trail(div, nx)
+    return (_unstack(defect, em, nx, complex), _unstack(hj, em, nx, float),
+            _unstack(div, em, 0, float))

@@ -453,12 +453,16 @@ def test_extreme_length_scale_fails_checks_without_internal_error(
     assert "error:" not in captured.err
 
 
-@pytest.mark.parametrize("a", ["1e-200", "1e200"])
-def test_trace_csv_fails_where_json_fails(a, tmp_path):
-    # the start point's velocity norm is non-finite at these scales: both
-    # formats exit 1, and the CSV rows are still the two trajectories'
-    # samples (at 1e-200 each stops at its start point)
-    argv = ["trace", "--n-draws", "2", "--steps", "5", "--a", a]
+@pytest.mark.parametrize("flags", [["--a", "1e-200"], ["--a", "1e200"],
+                                   ["--ds", "1e300"]],
+                         ids=["1e-200", "1e200", "ds-1e300"])
+def test_trace_csv_fails_where_json_fails(flags, tmp_path):
+    # the start point's velocity norm is non-finite at these scales; a step
+    # of 1e300 stops every trajectory at its start point, which JSON fails
+    # as a non-finite flux drift and CSV as no step taken: both formats
+    # exit 1, and the CSV rows are still the two trajectories' samples (at
+    # 1e-200 and 1e300 each stops at its start point)
+    argv = ["trace", "--n-draws", "2", "--steps", "5", *flags]
     out = tmp_path / "traj.csv"
     assert main(argv + ["--out", str(out)]) == 1
     assert main(argv + ["--format", "json", "--out",

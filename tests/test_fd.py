@@ -328,10 +328,12 @@ def _em_linearization_check():
 
 
 def test_linearization_check_evaluates_fields_in_few_calls(monkeypatch):
+    # psi at the point is evaluated once, for the wave operator and the
+    # division by psi alike (before: 6 687 points in 18 calls)
     counts = _count_points(monkeypatch, BandLimitedField, "__call__")
     _em_linearization_check()
-    assert counts["points"] == 6687
-    assert counts["calls"] <= 18
+    assert counts["points"] == 6685
+    assert counts["calls"] <= 16
 
 
 def test_linearization_check_evaluates_frames_in_few_calls(monkeypatch):
@@ -349,11 +351,14 @@ def test_linearization_check_evaluates_frames_in_few_calls(monkeypatch):
 
 
 def test_verify_linearization_draw_evaluates_two_checks(monkeypatch, tmp_path):
-    # the wrong-coupling control rides on the free check's stencil pass, so
-    # a draw with a control costs two checks (free and field-on), not three:
-    # 2 x 6 687 field points and 2 x 165 Killing-field points (three checks:
-    # 20 061 field points in 54 calls, 495 Killing-field points in 27); the
-    # Killing fields build no frame
+    # the free and the field-on check are one call with a tuple of two EM
+    # configs, and the wrong-coupling control rides on it as a second
+    # coupling, so a draw costs the field and Killing-field evaluations of
+    # one check: 6 685 field points in 16 calls and 165 Killing-field points
+    # in 9 calls, and one evaluation of each traced layer, R_W included
+    # (two checks: 13 374 field points in 36 calls, 330 Killing-field points
+    # in 18; three: 20 061 in 54 and 495 in 27); the Killing fields build no
+    # frame
     fields = _count_points(monkeypatch, BandLimitedField, "__call__")
     frames, killing = _count_frames_and_killing(monkeypatch)
     # each traced layer on the verb's path is reached
@@ -368,9 +373,9 @@ def test_verify_linearization_draw_evaluates_two_checks(monkeypatch, tmp_path):
         monkeypatch.setattr(module, name, counted)
     assert cli.main(["verify-linearization", "--n-draws", "1",
                      "--out", str(tmp_path / "report.json")]) == 0
-    assert fields == {"calls": 36, "points": 13374}
+    assert fields == {"calls": 16, "points": 6685}
     assert frames == {"calls": 0, "points": 0}
-    assert killing == {"calls": 18, "points": 330}
-    assert reached == {"linearization_check": 2, "wave_operator": 2,
-                       "hj_residual": 2, "divergence_residual": 2,
-                       "weyl_scalar_at": 2}
+    assert killing == {"calls": 9, "points": 165}
+    assert reached == {"linearization_check": 1, "wave_operator": 1,
+                       "hj_residual": 1, "divergence_residual": 1,
+                       "weyl_scalar_at": 1}

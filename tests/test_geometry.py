@@ -240,6 +240,33 @@ def test_laplace_beltrami_gauged_plane_wave():
     assert abs(val - expected) < 1e-8
 
 
+def _covector(c):
+    return lambda q: np.stack([c * q[..., 1], np.cos(c * q[..., 0])], axis=-1)
+
+
+@pytest.mark.parametrize("f", [
+    lambda q: np.exp(1j * np.sin(q[..., 0]) * q[..., 1]),
+    lambda q: np.exp(1j * q[..., 0])[..., None, None]
+    * np.array([[1.0, 0.5j], [-0.2, 2.0]]) + np.cos(q[..., 1])[..., None, None],
+], ids=["scalar", "matrix"])
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_laplace_beltrami_channels_match_one_call_per_channel(f, batch):
+    # a potential with a channel axis after k gives each channel's own
+    # gauge-covariant Laplacian, bitwise, from one stencil pass over f
+    m = SphereMetric(radius=1.3)
+    rng = np.random.default_rng(18)
+    points = np.stack([rng.uniform(0.5, 2.5, batch),
+                       rng.uniform(-np.pi, np.pi, batch)], axis=-1)
+    covectors = [_covector(c) for c in (0.3, -0.7, 1.1)]
+    lap = laplace_beltrami(m, f, points, potential=lambda q: np.stack(
+        [a(q) for a in covectors], axis=-1))
+    value_shape = np.shape(f(points))[len(batch):]
+    assert lap.shape == batch + (3,) + value_shape
+    for c, a in enumerate(covectors):
+        assert np.array_equal(lap[(slice(None),) * len(batch) + (c,)],
+                              laplace_beltrami(m, f, points, potential=a))
+
+
 def test_laplace_beltrami_matrix_valued():
     # Delta (q_a q_b) = 2 delta_ab on flat R^3
     m = ConstantMetric(np.eye(3))

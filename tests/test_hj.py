@@ -5,7 +5,7 @@ from aqm_lab import config_space, hj
 from aqm_lab.config_space import SERIES_CUTOFF, TopMetric, killing_vectors, \
     sample_point
 from aqm_lab.fields import LinearField, draw_field
-from aqm_lab.geometry import WeylGauge
+from aqm_lab.geometry import WeylGauge, laplace_beltrami, weyl_scalar_at
 from aqm_lab.hj import (
     EMConfig,
     WaveInputs,
@@ -218,8 +218,9 @@ def test_raised_momentum_matches_covector_and_inverse(em, batch):
 
 def test_hj_residual_evaluates_the_killing_fields_once(monkeypatch):
     # the momentum's square reads one Killing-field evaluation for the
-    # potential and the inverse metric; the Weyl scalar is stubbed, as it
-    # evaluates the inverse metric on its own stencil points
+    # potential and the inverse metric, for one config or a tuple of them;
+    # the Weyl scalar is stubbed, as it evaluates the inverse metric on its
+    # own stencil points
     calls = {"killing_vectors": 0}
     original = killing_vectors
 
@@ -232,8 +233,10 @@ def test_hj_residual_evaluates_the_killing_fields_once(monkeypatch):
     monkeypatch.setattr(hj, "weyl_scalar_at", lambda *args, **kwargs: 0.0)
     _, metric, fields, q = _setup(21)
     em = EMConfig(e_field=(0.2, 0.1, -0.3), h_field=(0.3, -0.2, 0.4))
-    hj_residual(fields, em, metric, q, r_scalar=6.0, xi2=2.0 / 9.0)
-    assert calls == {"killing_vectors": 1}
+    for configs in (em, (em, EMConfig.zero(), em)):
+        calls["killing_vectors"] = 0
+        hj_residual(fields, configs, metric, q, r_scalar=6.0, xi2=2.0 / 9.0)
+        assert calls == {"killing_vectors": 1}
 
 
 def test_linearization_defect_small_free_and_coupled():
@@ -278,6 +281,88 @@ def test_linearization_coupling_array_matches_scalar_calls(seed, em):
         == (complex(defects[0]), float(hj_res[0]), div_res)
 
 
+def _em_stack(rng):
+    return (EMConfig.zero(),
+            EMConfig(*rng.normal(size=(2, 3))),
+            EMConfig(*rng.normal(size=(2, 3)), kappa=rng.normal()))
+
+
+@pytest.mark.parametrize("seed", [31, 32, 33])
+@pytest.mark.parametrize("xi2", [2.0 / 9.0, (2.0 / 9.0, 0.25)],
+                         ids=["scalar", "array"])
+def test_stacked_configs_match_one_call_per_config(seed, xi2):
+    # a tuple of configs shares the fields' stencils, the Killing fields and
+    # R_W; each config's entry must be, bitwise, its own call's value, and a
+    # lone config, which runs as the stack of one, must give bitwise what the
+    # primitives give without a config axis
+    rng, metric, fields, q = _setup(seed)
+    ems = _em_stack(rng)
+    r = metric.riemann_scalar()
+    couplings = np.shape(xi2)
+    # three points and three configs: a mix-up of the point and config axes
+    # would broadcast without an error (R_W, and so hj_residual, takes one
+    # point)
+    batch = q + 0.01 * rng.uniform(-1.0, 1.0, (3, 10))
+    psi = wave_ansatz(fields)
+    rw = weyl_scalar_at(metric, fields.gauge, q, h=1e-3, order=4, r_scalar=r)
+
+    defects, hj_res, div_res = linearization_check(fields, ems, metric, q,
+                                                   r_scalar=r, xi2=xi2)
+    assert defects.shape == hj_res.shape == (3,) + couplings
+    assert div_res.shape == (3,)
+    hj_stack = hj_residual(fields, ems, metric, q, r, xi2)
+    w_stack = wave_operator(psi, ems, metric, q, psi(q), xi2=xi2, r_scalar=r)
+    assert hj_stack.shape == w_stack.shape == (3,) + couplings
+    w_batch = wave_operator(psi, ems, metric, batch, psi(batch), xi2=xi2,
+                            r_scalar=r)
+    assert w_batch.shape == (3, 3) + couplings
+    div_stack = divergence_residual(fields, ems, metric, batch)
+    up_stack, norm2_stack = raised_momentum(fields, ems, metric, batch,
+                                            1e-3, 4)
+    assert div_stack.shape == norm2_stack.shape == (3, 3)
+    assert up_stack.shape == (3, 3, 10)
+    for k, em in enumerate(ems):
+        defect, hj_k, div_k = linearization_check(fields, em, metric, q,
+                                                  r_scalar=r, xi2=xi2)
+        assert np.array_equal(defects[k], defect)
+        assert np.array_equal(hj_res[k], hj_k) and div_res[k] == div_k
+        hj_one = hj_residual(fields, em, metric, q, r, xi2)
+        assert np.array_equal(hj_stack[k], hj_one)
+        norm2 = raised_momentum(fields, em, metric, q, 1e-3, 4)[1]
+        assert np.array_equal(hj_one, norm2 + np.asarray(xi2) * rw)
+        w_one = wave_operator(psi, em, metric, q, psi(q), xi2=xi2, r_scalar=r)
+        assert np.array_equal(w_stack[k], w_one)
+        lap = laplace_beltrami(metric, psi, q, potential=em.potential)
+        assert np.array_equal(w_one, -lap + np.asarray(xi2) * r * psi(q))
+        # a batch of points rounds the fields' sums its own way, so the
+        # batch is held to its point calls within 1e-12, not bitwise
+        for b, p in enumerate(batch):
+            np.testing.assert_allclose(w_batch[b, k], wave_operator(
+                psi, em, metric, p, psi(p), xi2=xi2, r_scalar=r),
+                rtol=0.0, atol=1e-12)
+        assert np.array_equal(div_stack[:, k],
+                              divergence_residual(fields, em, metric, batch))
+        up, norm2 = raised_momentum(fields, em, metric, batch, 1e-3, 4)
+        assert np.array_equal(up_stack[:, k], up)
+        assert np.array_equal(norm2_stack[:, k], norm2)
+
+
+def test_empty_config_tuple_is_rejected():
+    _, metric, fields, q = _setup(34)
+    r = metric.riemann_scalar()
+    calls = (
+        lambda: linearization_check(fields, (), metric, q, r_scalar=r),
+        lambda: hj_residual(fields, (), metric, q, r, 2.0 / 9.0),
+        lambda: divergence_residual(fields, (), metric, q),
+        lambda: wave_operator(wave_ansatz(fields), (), metric, q, 1.0,
+                              xi2=2.0 / 9.0, r_scalar=r),
+        lambda: raised_momentum(fields, (), metric, q, 1e-3, 4),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="empty"):
+            call()
+
+
 def test_linearization_insensitive_to_curvature_route():
     # the closed-form scalar and an unrelated value must give the same
     # defect: the curvature enters both sides and cancels
@@ -302,7 +387,7 @@ def test_wave_operator_acts_on_plane_wave():
     em = EMConfig.zero()
     psi = wave_ansatz(fields)
     xi2 = conformal_coupling(10) ** 2
-    w = wave_operator(psi, em, metric, q, xi2=xi2,
+    w = wave_operator(psi, em, metric, q, psi(q), xi2=xi2,
                       r_scalar=metric.riemann_scalar())
     u = momentum_covector(fields, em, q)
     ginv = metric.inverse(q)

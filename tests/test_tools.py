@@ -26,6 +26,29 @@ def test_payload_digests_lists_one_run_per_seed_and_draw_count(tmp_path):
     assert lines[4] == f"verify-reps seed=5 n_draws=2 exit=0 {expected.hexdigest()}"
 
 
+def test_payload_digests_values_follow_the_digest(tmp_path):
+    # each check's name=value from the JSON payload, the value in repr,
+    # after the digest; a CSV report has none
+    proc = subprocess.run(
+        [sys.executable, str(TOOLS / "payload_digests.py"), "verify-reps",
+         "--seeds", "5", "--n-draws", "2", "--values"],
+        capture_output=True, text=True, check=True)
+    out = tmp_path / "report.json"
+    assert main(["verify-reps", "--n-draws", "2", "--seed", "5",
+                 "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())["payload"]
+    expected = hashlib.sha256(json.dumps(payload, sort_keys=True).encode())
+    values = [f"{c['name']}={c['value']!r}" for c in payload["checks"]]
+    assert len(values) == len(VERBS["verify-reps"].checks)
+    assert proc.stdout.split() == ["verify-reps", "seed=5", "n_draws=2",
+                                   "exit=0", expected.hexdigest(), *values]
+    proc = subprocess.run(
+        [sys.executable, str(TOOLS / "payload_digests.py"), "trace",
+         "--seeds", "0", "--n-draws", "2", "--steps", "3", "--values"],
+        capture_output=True, text=True, check=True)
+    assert len(proc.stdout.split()) == 5
+
+
 def test_payload_digests_reports_a_config_error_without_digest():
     proc = subprocess.run(
         [sys.executable, str(TOOLS / "payload_digests.py"), "verify-reps",

@@ -9,12 +9,15 @@ Options the tool does not know go to the verb unchanged. The verb ``all``
 runs every verb of ``aqm_lab.cli.VERBS`` in turn, ``trace`` once per
 format (labelled ``trace/csv`` and ``trace/json``); there ``--n-draws``
 goes only to the verbs that take it. Diffing the output of two checkouts is
-a byte-identity check of their payloads:
+a byte-identity check of their payloads. ``--values`` appends every check's
+``name=value`` from the JSON payload, the value in repr (a CSV report has
+none), so that where the bits move the diff shows by how much:
 
     python tools/payload_digests.py verify-reps --seeds 0-29 --n-draws 1 5
     python tools/payload_digests.py trace --seeds 0,4 --format json
     python tools/payload_digests.py verify-reps --seeds 0-29 --src OTHER/src
     python tools/payload_digests.py all --seeds 0-3
+    python tools/payload_digests.py verify-linearization --seeds 0-9 --values
 """
 
 from __future__ import annotations
@@ -50,6 +53,16 @@ def digest(path: Path) -> str:
     return hashlib.sha256(text).hexdigest()
 
 
+def check_values(path: Path) -> list[str]:
+    """``name=value`` of each check in a JSON payload, the value in repr;
+    none for any other report."""
+    try:
+        checks = json.loads(path.read_bytes())["payload"]["checks"]
+    except (ValueError, KeyError, TypeError):
+        return []
+    return [f"{c['name']}={c['value']!r}" for c in checks]
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("verb")
@@ -59,6 +72,8 @@ def main(argv: list[str]) -> int:
                         help="one run per value; the verb's default if omitted")
     parser.add_argument("--src", type=Path, default=DEFAULT_SRC,
                         help="the src directory of the checkout to run")
+    parser.add_argument("--values", action="store_true",
+                        help="append each check's name=value after the digest")
     args, verb_args = parser.parse_known_args(argv)
     # one BLAS thread, as in the benchmark; this must precede the numpy import
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -86,9 +101,11 @@ def main(argv: list[str]) -> int:
                     out.write_bytes(b"")
                     code = cli_main([*verb, *draws, *verb_args,
                                      "--seed", str(seed), "--out", str(out)])
-                    print(f"{label} seed={seed} "
-                          f"n_draws={'default' if n_draws is None else n_draws} "
-                          f"exit={code} {digest(out)}", flush=True)
+                    values = check_values(out) if args.values else []
+                    print(" ".join([
+                        f"{label} seed={seed}",
+                        f"n_draws={'default' if n_draws is None else n_draws}",
+                        f"exit={code}", digest(out), *values]), flush=True)
     return 0
 
 
