@@ -87,3 +87,21 @@ def test_surface_counts_lines_knobs_and_cli_flags():
     assert int(rows["total"]) == sum(int(rows[m]) for m in modules)
     assert int(rows["knobs"]) > 0
     assert int(rows["flags"]) == sum(len(v.params) for v in VERBS.values())
+
+
+def test_payload_digests_all_runs_trace_at_two_draws_at_least(tmp_path):
+    # a bundle needs two trajectories: at one draw, trace runs at two and
+    # says so, while the other verbs run at the one draw asked for
+    proc = subprocess.run(
+        [sys.executable, str(TOOLS / "payload_digests.py"), "all",
+         "--seeds", "1", "--n-draws", "1"],
+        capture_output=True, text=True, check=True)
+    runs = dict(line.split(" ", 1) for line in proc.stdout.splitlines())
+    assert runs["trace/csv"].startswith("seed=1 n_draws=2 exit=0 ")
+    assert runs["verify-reps"].startswith("seed=1 n_draws=1 exit=0 ")
+    out = tmp_path / "report.json"
+    assert main(["trace", "--format", "json", "--n-draws", "2", "--seed", "1",
+                 "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())["payload"]
+    expected = hashlib.sha256(json.dumps(payload, sort_keys=True).encode())
+    assert runs["trace/json"] == f"seed=1 n_draws=2 exit=0 {expected.hexdigest()}"

@@ -8,10 +8,12 @@ digest is over the whole file; a run that writes nothing reads ``-``.
 Options the tool does not know go to the verb unchanged. The verb ``all``
 runs every verb of ``aqm_lab.cli.VERBS`` in turn, ``trace`` once per
 format (labelled ``trace/csv`` and ``trace/json``); there ``--n-draws``
-goes only to the verbs that take it. Diffing the output of two checkouts is
-a byte-identity check of their payloads. ``--values`` appends every check's
-``name=value`` from the JSON payload, the value in repr (a CSV report has
-none), so that where the bits move the diff shows by how much:
+goes only to the verbs that take it, and ``trace``, whose bundle needs two
+trajectories, runs at two draws or more (the line shows the count it ran).
+Diffing the output of two checkouts is a byte-identity check of their
+payloads. ``--values`` appends every check's ``name=value`` from the JSON
+payload, the value in repr (a CSV report has none), so that where the bits
+move the diff shows by how much:
 
     python tools/payload_digests.py verify-reps --seeds 0-29 --n-draws 1 5
     python tools/payload_digests.py trace --seeds 0,4 --format json
@@ -28,9 +30,12 @@ import json
 import os
 import sys
 import tempfile
+from collections.abc import Iterator
 from pathlib import Path
 
 DEFAULT_SRC = Path(__file__).resolve().parents[1] / "src"
+# the fewest draws of a verb whose n_draws has a floor above one
+MIN_DRAWS = {"trace": 2}
 
 
 def parse_seeds(spec: str) -> list[int]:
@@ -53,14 +58,50 @@ def digest(path: Path) -> str:
     return hashlib.sha256(text).hexdigest()
 
 
-def check_values(path: Path) -> list[str]:
-    """``name=value`` of each check in a JSON payload, the value in repr;
-    none for any other report."""
+def checks(path: Path) -> list[dict]:
+    """The check records of a JSON payload; none for any other report."""
     try:
-        checks = json.loads(path.read_bytes())["payload"]["checks"]
+        return json.loads(path.read_bytes())["payload"]["checks"]
     except (ValueError, KeyError, TypeError):
         return []
-    return [f"{c['name']}={c['value']!r}" for c in checks]
+
+
+def runs(verb: str, seeds: list[int], n_draws: list[int | None],
+         verb_args: list[str], src: Path = DEFAULT_SRC) -> Iterator[dict]:
+    """Run ``verb`` (every verb for ``all``) once per draw count and seed,
+    and yield one record per run: label, seed, the draw count it ran (None
+    for the verb's default), exit code, digest and check records."""
+    # one BLAS thread, as in the benchmark; this must precede the numpy import
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(name, "1")
+    sys.path.insert(0, str(src.resolve()))
+    from aqm_lab.cli import VERBS, main as cli_main
+
+    if verb != "all":
+        table = [(verb, [verb], n_draws)]
+    else:
+        table = []
+        for name, spec in VERBS.items():
+            takes_draws = any(p.name == "n_draws" for p in spec.params)
+            counts = [n if n is None else max(n, MIN_DRAWS.get(name, 1))
+                      for n in n_draws] if takes_draws else [None]
+            formats = ("csv", "json") if name == "trace" else (None,)
+            table.extend((f"{name}/{fmt}" if fmt else name,
+                          [name, "--format", fmt] if fmt else [name],
+                          counts) for fmt in formats)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report"
+        for label, argv, counts in table:
+            for n in counts:
+                draws = [] if n is None else ["--n-draws", str(n)]
+                for seed in seeds:
+                    out.write_bytes(b"")
+                    code = cli_main([*argv, *draws, *verb_args,
+                                     "--seed", str(seed), "--out", str(out)])
+                    yield {"label": label, "seed": seed, "n_draws": n,
+                           "exit": code, "sha256": digest(out),
+                           "checks": checks(out)}
 
 
 def main(argv: list[str]) -> int:
@@ -75,37 +116,14 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--values", action="store_true",
                         help="append each check's name=value after the digest")
     args, verb_args = parser.parse_known_args(argv)
-    # one BLAS thread, as in the benchmark; this must precede the numpy import
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(name, "1")
-    sys.path.insert(0, str(args.src.resolve()))
-    from aqm_lab.cli import VERBS, main as cli_main
-
-    if args.verb != "all":
-        runs = [(args.verb, [args.verb], True)]
-    else:
-        runs = []
-        for name, verb in VERBS.items():
-            takes_draws = any(p.name == "n_draws" for p in verb.params)
-            formats = ("csv", "json") if name == "trace" else (None,)
-            runs.extend((f"{name}/{fmt}" if fmt else name,
-                         [name, "--format", fmt] if fmt else [name],
-                         takes_draws) for fmt in formats)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "report"
-        for label, verb, takes_draws in runs:
-            for n_draws in args.n_draws if takes_draws else [None]:
-                draws = [] if n_draws is None else ["--n-draws", str(n_draws)]
-                for seed in args.seeds:
-                    out.write_bytes(b"")
-                    code = cli_main([*verb, *draws, *verb_args,
-                                     "--seed", str(seed), "--out", str(out)])
-                    values = check_values(out) if args.values else []
-                    print(" ".join([
-                        f"{label} seed={seed}",
-                        f"n_draws={'default' if n_draws is None else n_draws}",
-                        f"exit={code}", digest(out), *values]), flush=True)
+    for run in runs(args.verb, args.seeds, args.n_draws, verb_args, args.src):
+        n = run["n_draws"]
+        values = [f"{c['name']}={c['value']!r}" for c in run["checks"]] \
+            if args.values else []
+        print(" ".join([
+            f"{run['label']} seed={run['seed']}",
+            f"n_draws={'default' if n is None else n}",
+            f"exit={run['exit']}", run["sha256"], *values]), flush=True)
     return 0
 
 
