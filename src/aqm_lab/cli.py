@@ -34,8 +34,7 @@ from .dirac import EXTREME_SCALES, MassScale, clifford_defect, \
     squared_dirac_matrix, top_spinor_matrix
 from .dynamics import integrate_trajectory, transport_check
 from .fields import LinearField, draw_field
-from .geometry import WeylGauge, conformal_transform, riemann_scalar_at, \
-    weyl_scalar_at
+from .geometry import conformal_transform, riemann_scalar_at, weyl_scalar_at
 from .hj import EMConfig, WaveInputs, conformal_coupling, draw_wave_inputs, \
     linearization_check
 from .lorentz_reps import Irrep, angular_laplacian_check, casimir_value, \
@@ -270,15 +269,15 @@ def _run_verify_curvature(cfg: dict, rng: np.random.Generator):
 
 def _run_verify_weyl(cfg: dict, rng: np.random.Generator):
     metric = TopMetric(cfg["a"])
+    r = metric.riemann_scalar()
     diffs, records = [], []
     for _ in range(cfg["n_draws"]):
-        gauge = WeylGauge.from_log(draw_field(rng, 10))
+        log_chi = draw_field(rng, 10)
         q = sample_point(rng, rot_scale=1.5, boost_bound=1.5)
-        r = metric.riemann_scalar()
-        line1 = weyl_scalar_at(metric, gauge, q, h=cfg["h"], order=cfg["order"],
-                               form="phi", r_scalar=r)
-        line2 = weyl_scalar_at(metric, gauge, q, h=cfg["h"], order=cfg["order"],
-                               form="chi", r_scalar=r)
+        line1 = weyl_scalar_at(metric, log_chi, q, h=cfg["h"],
+                               order=cfg["order"], form="phi", r_scalar=r)
+        line2 = weyl_scalar_at(metric, log_chi, q, h=cfg["h"],
+                               order=cfg["order"], form="chi", r_scalar=r)
         rel = abs(line1 - line2) / max(abs(line1), abs(line2), 1.0)
         diffs.append(rel)
         records.append({"point": list(q), "phi_form": line1, "chi_form": line2,
@@ -287,13 +286,13 @@ def _run_verify_weyl(cfg: dict, rng: np.random.Generator):
     # conformal weight: rho * R_W(rho g, chi sqrt(rho)) = R_W(g, chi)
     weight_errs = []
     for _ in range(2):
-        gauge = WeylGauge.from_log(draw_field(rng, 10))
+        log_chi = draw_field(rng, 10)
         log_rho = draw_field(rng, 10, amp_scale=0.5)
         q = sample_point(rng, rot_scale=1.0, boost_bound=1.0)
-        base = weyl_scalar_at(metric, gauge, q, h=cfg["h"], order=cfg["order"],
-                              r_scalar=metric.riemann_scalar())
-        new_metric, new_gauge = conformal_transform(metric, gauge, log_rho)
-        moved = weyl_scalar_at(new_metric, new_gauge, q, h=cfg["h"],
+        base = weyl_scalar_at(metric, log_chi, q, h=cfg["h"],
+                              order=cfg["order"], r_scalar=r)
+        new_metric, new_log_chi = conformal_transform(metric, log_chi, log_rho)
+        moved = weyl_scalar_at(new_metric, new_log_chi, q, h=cfg["h"],
                                order=cfg["order"])
         rho0 = float(np.exp(log_rho(q)))
         weight_errs.append(abs(rho0 * moved - base) / max(abs(base), 1.0))
@@ -418,7 +417,8 @@ def _plane_wave_bundle_inputs(rng: np.random.Generator, n_traj: int,
     coeffs = np.zeros(10)
     coeffs[0] = p0
     coeffs[1:4] = p_spatial
-    fields = WaveInputs(s_field=LinearField(coeffs), gauge=WeylGauge.unit())
+    # the unit gauge: a zero log chi
+    fields = WaveInputs(LinearField(coeffs), LinearField(np.zeros(10)))
     q0 = np.concatenate([rng.uniform(-0.5, 0.5, 4),
                          rng.uniform(-START_RANGE, START_RANGE, 3),
                          rng.uniform(-START_RANGE, START_RANGE, 3)])

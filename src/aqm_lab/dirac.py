@@ -189,7 +189,8 @@ def top_spinor_matrix(p: np.ndarray, em: EMConfig, scale: MassScale,
         x = np.zeros(4)
     a = scale.a
     t = momentum_product_symbol(p, em, x)
-    scalar = np.einsum("mn,mn->", np.linalg.inv(MINKOWSKI), t)
+    # the Minkowski metric is its own inverse
+    scalar = np.einsum("mn,mn->", MINKOWSKI, t)
     with np.errstate(**EXTREME_SCALES):
         curvature = 6.0 * XI2 / a ** 2
         if counterterm:

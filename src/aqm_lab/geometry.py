@@ -2,17 +2,17 @@
 
 A metric is any object exposing the ``MetricField`` interface. Curvature
 quantities are assembled from nested central differences of the metric
-components; a Weyl structure adds a positive gauge field chi(q) whose
-logarithmic gradient is the Weyl covector, and the Weyl scalar curvature is
-provided in two algebraically equivalent but independently coded forms so
-their agreement is a meaningful check. One gauge-covariant Laplace-Beltrami
-operator serves the Weyl scalar, the wave operator and the Casimir check.
+components. A Weyl structure adds a positive gauge field chi(q), given as
+the callable log chi: its gradient is the Weyl covector, and the Weyl
+scalar curvature is provided in two algebraically equivalent but
+independently coded forms so their agreement is a meaningful check. One
+gauge-covariant Laplace-Beltrami operator serves the Weyl scalar, the wave
+operator and the Casimir check.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -208,40 +208,17 @@ def laplace_beltrami(metric: MetricField, f: Callable[[np.ndarray], np.ndarray],
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeylGauge:
-    """Positive gauge field chi(q) of a Weyl-integrable structure.
-
-    Keeping log(chi) as a first-class callable avoids a lossy exp/log round
-    trip when the gauge is built from a log-space field.
-    """
-
-    chi: Callable[[np.ndarray], np.ndarray]
-    log_chi: Callable[[np.ndarray], np.ndarray]
-
-    @classmethod
-    def from_log(cls, log_chi: Callable[[np.ndarray], np.ndarray]) -> "WeylGauge":
-        return cls(chi=lambda q: np.exp(log_chi(q)), log_chi=log_chi)
-
-    @classmethod
-    def unit(cls) -> "WeylGauge":
-        return cls(chi=lambda q: np.ones(np.shape(q)[:-1]),
-                   log_chi=lambda q: np.zeros(np.shape(q)[:-1]))
-
-    def covector(self, q: np.ndarray, h: float = 1e-3, order: int = 4) -> np.ndarray:
-        """Weyl covector phi_i = d_i log chi at a point."""
-        return derivative_stack(self.log_chi, q, h=h, order=order)
-
-
-def weyl_scalar_at(metric: MetricField, gauge: WeylGauge, point: np.ndarray,
-                   h: float = 1e-3, order: int = 4, form: str = "phi",
-                   r_scalar: float | None = None) -> float:
-    """Weyl scalar curvature of (metric, gauge) at one point.
+def weyl_scalar_at(metric: MetricField,
+                   log_chi: Callable[[np.ndarray], np.ndarray],
+                   point: np.ndarray, h: float = 1e-3, order: int = 4,
+                   form: str = "phi", r_scalar: float | None = None) -> float:
+    """Weyl scalar curvature of the metric and the gauge chi = exp(log_chi)
+    at one point.
 
     Two independently coded forms of the same scalar:
 
     * ``form="phi"``:  R + 2(n-1) div(phi#) - (n-1)(n-2) phi.phi,
-      with phi_i = d_i log chi raised by the inverse metric.
+      with the Weyl covector phi_i = d_i log chi raised by the inverse metric.
     * ``form="chi"``:  R + 2(n-1) (lap chi)/chi - n(n-1) |grad chi|^2/chi^2.
 
     with n = ``metric.dim``. ``r_scalar`` short-circuits the Riemann scalar
@@ -253,25 +230,30 @@ def weyl_scalar_at(metric: MetricField, gauge: WeylGauge, point: np.ndarray,
         if r_scalar is None else float(r_scalar)
 
     if form == "phi":
-        div_phi = laplace_beltrami(metric, gauge.log_chi, point, h=h, order=order)
-        phi = gauge.covector(point, h=h, order=order)
+        div_phi = laplace_beltrami(metric, log_chi, point, h=h, order=order)
+        phi = derivative_stack(log_chi, point, h=h, order=order)
         phi_sq = float(phi @ metric.inverse(point) @ phi)
         return r + 2.0 * (n - 1) * div_phi - (n - 1) * (n - 2) * phi_sq
 
     if form == "chi":
-        chi0 = gauge.chi(point)
-        lap_chi = laplace_beltrami(metric, gauge.chi, point, h=h, order=order)
-        dchi = derivative_stack(gauge.chi, point, h=h, order=order)
+        def chi(q):
+            return np.exp(log_chi(q))
+
+        chi0 = chi(point)
+        lap_chi = laplace_beltrami(metric, chi, point, h=h, order=order)
+        dchi = derivative_stack(chi, point, h=h, order=order)
         grad_sq = float(dchi @ metric.inverse(point) @ dchi)
         return r + 2.0 * (n - 1) * lap_chi / chi0 - n * (n - 1) * grad_sq / chi0 ** 2
 
     raise ValueError(f"unknown form {form!r}; use 'phi' or 'chi'")
 
 
-def conformal_transform(metric: MetricField, gauge: WeylGauge,
+def conformal_transform(metric: MetricField,
+                        log_chi: Callable[[np.ndarray], np.ndarray],
                         log_rho: Callable[[np.ndarray], np.ndarray]
-                        ) -> tuple[ScaledMetric, WeylGauge]:
-    """Conformal gauge change (g, chi) -> (rho g, chi sqrt(rho)), rho = exp(log_rho).
+                        ) -> tuple[ScaledMetric, Callable[[np.ndarray], np.ndarray]]:
+    """Conformal gauge change (g, chi) -> (rho g, chi sqrt(rho)) with
+    rho = exp(log_rho), returned as (rho g, log chi + (1/2) log rho).
 
     This is the unique gauge shift under which the Weyl scalar transforms
     with weight -1 (rho * R_W(transformed) = R_W(original)) and under which
@@ -281,10 +263,7 @@ def conformal_transform(metric: MetricField, gauge: WeylGauge,
     def rho(q):
         return np.exp(log_rho(q))
 
-    chi = gauge.chi
-    log_chi = gauge.log_chi
-    new_gauge = WeylGauge(
-        chi=lambda q: chi(q) * np.sqrt(rho(q)),
-        log_chi=lambda q: log_chi(q) + 0.5 * log_rho(q),
-    )
-    return ScaledMetric(metric, rho), new_gauge
+    def new_log_chi(q):
+        return log_chi(q) + 0.5 * log_rho(q)
+
+    return ScaledMetric(metric, rho), new_log_chi

@@ -1,6 +1,7 @@
 """Weyl-gauge Hamilton-Jacobi system on the top configuration space.
 
-The classical data are a phase field S(q) and a Weyl gauge chi(q); the
+The classical data are a phase field S(q) and the log of a Weyl gauge
+chi(q), the one form in which the ansatz and the Weyl covector read it; the
 electromagnetic data are uniform electric and magnetic fields extended to
 the group directions through the right-invariant frame. The module checks
 that the nonlinear pair (Hamilton-Jacobi equation, transport equation) is
@@ -23,7 +24,7 @@ import numpy as np
 from .config_space import TopMetric, killing_vectors, split_point
 from .fd import derivative_stack
 from .fields import draw_field
-from .geometry import MetricField, WeylGauge, covariant_divergence_at, \
+from .geometry import MetricField, covariant_divergence_at, \
     laplace_beltrami, weyl_scalar_at
 
 
@@ -130,7 +131,8 @@ class EMConfig:
 # One config, or a tuple of them stacked the way the couplings are: a tuple
 # adds an axis of one entry per config after the batch axes, and the fields,
 # the Killing fields and the Weyl scalar are evaluated once for all of them.
-# A lone config runs as the stack of one and drops that axis at the end.
+# ``linearization_check`` runs a lone config as the stack of one and drops
+# that axis at the end; the stages between take the stack.
 EMConfigs = EMConfig | tuple[EMConfig, ...]
 
 
@@ -151,22 +153,6 @@ def _stacked_potential(ems: tuple[EMConfig, ...], x: np.ndarray,
     return np.stack([e.potential_from_killing(x, k) for e in ems], axis=-2)
 
 
-def _trail(values, n: int) -> np.ndarray:
-    """``values`` with ``n`` unit axes appended: the config and coupling
-    axes that a per-point or per-config value lacks."""
-    values = np.asarray(values)
-    return values.reshape(values.shape + (1,) * n)
-
-
-def _unstack(values: np.ndarray, em: EMConfigs, n_xi2: int, kind: type):
-    """A stacked result as the caller's ``em`` asks for it: a lone config
-    drops the config axis (the one before the ``n_xi2`` coupling axes), and
-    a 0-d result becomes a Python ``kind``."""
-    if isinstance(em, EMConfig):
-        values = values[(..., 0) + (slice(None),) * n_xi2]
-    return kind(values) if np.ndim(values) == 0 else values
-
-
 # ---------------------------------------------------------------------------
 # wave data
 # ---------------------------------------------------------------------------
@@ -174,17 +160,18 @@ def _unstack(values: np.ndarray, em: EMConfigs, n_xi2: int, kind: type):
 
 @dataclass(frozen=True)
 class WaveInputs:
-    """Classical data of the system: phase field S(q) and Weyl gauge chi(q)."""
+    """Classical data of the system: phase field S(q) and the log of the
+    Weyl gauge, log chi(q); the unit gauge chi = 1 is a zero log chi."""
 
     s_field: Callable[[np.ndarray], np.ndarray]
-    gauge: WeylGauge
+    log_chi: Callable[[np.ndarray], np.ndarray]
 
 
 def draw_wave_inputs(rng: np.random.Generator) -> WaveInputs:
     """Random band-limited phase and log-gauge fields on the 10-dim space."""
     s_field = draw_field(rng, 10)
     log_chi = draw_field(rng, 10)
-    return WaveInputs(s_field=s_field, gauge=WeylGauge.from_log(log_chi))
+    return WaveInputs(s_field=s_field, log_chi=log_chi)
 
 
 def momentum_covector(fields: WaveInputs, em: EMConfig, point: np.ndarray,
@@ -229,12 +216,12 @@ def born_density(fields: WaveInputs, point: np.ndarray) -> np.ndarray:
     """Scalar density |psi|^2 = chi^(-(n-2)) carried by the linearizing map,
     with n the length of the last axis of ``point``."""
     point = np.asarray(point, dtype=float)
-    return np.exp(-(point.shape[-1] - 2) * fields.gauge.log_chi(point))
+    return np.exp(-(point.shape[-1] - 2) * fields.log_chi(point))
 
 
 def wave_ansatz(fields: WaveInputs) -> Callable[[np.ndarray], np.ndarray]:
     """The linearizing map psi(q) = chi^(-(n-2)/2) exp(i S), n = dim q."""
-    s_field, log_chi = fields.s_field, fields.gauge.log_chi
+    s_field, log_chi = fields.s_field, fields.log_chi
 
     def psi(q: np.ndarray) -> np.ndarray:
         q = np.asarray(q, dtype=float)
@@ -248,25 +235,21 @@ def wave_ansatz(fields: WaveInputs) -> Callable[[np.ndarray], np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def hj_residual(fields: WaveInputs, em: EMConfigs, metric: TopMetric,
-                point: np.ndarray, r_scalar: float, xi2: float | np.ndarray,
-                h: float = 1e-3, order: int = 4) -> float | np.ndarray:
-    """Residual of the Hamilton-Jacobi equation at a point.
+def hj_residual(fields: WaveInputs, ems: tuple[EMConfig, ...],
+                metric: TopMetric, point: np.ndarray, r_scalar: float,
+                xi2: np.ndarray, h: float, order: int) -> np.ndarray:
+    """Residual of the Hamilton-Jacobi equation at a point, per config and
+    coupling, as (n_em, n_xi2).
 
     g^{ij} u_i u_j + xi^2 R_W, which vanishes on solutions at the conformal
     coupling xi^2. ``r_scalar`` is the Riemann scalar of the metric at the
-    point. A 1-D array of couplings ``xi2`` adds an axis of residuals, one
-    per coupling, from one evaluation of u.u# and R_W. A tuple of configs
-    adds an axis of configs before it, (n_em,) or (n_em, n_xi2); R_W does
-    not read the potential and is evaluated once for all of them.
+    point. u.u# is evaluated once per config and R_W, which reads neither
+    the potential nor the coupling, once for all.
     """
-    point = np.asarray(point, dtype=float)
-    _, norm2 = raised_momentum(fields, _stack(em), metric, point, h, order)
-    rw = weyl_scalar_at(metric, fields.gauge, point, h=h, order=order,
+    _, norm2 = raised_momentum(fields, ems, metric, point, h, order)
+    rw = weyl_scalar_at(metric, fields.log_chi, point, h=h, order=order,
                         r_scalar=r_scalar)
-    xi2 = np.asarray(xi2, dtype=float)
-    res = _trail(norm2, xi2.ndim) + xi2 * _trail(rw, 1 + xi2.ndim)
-    return _unstack(res, em, xi2.ndim, float)
+    return norm2[:, None] + xi2 * rw
 
 
 def divergence_residual(fields: WaveInputs, em: EMConfigs, metric: TopMetric,
@@ -283,29 +266,25 @@ def divergence_residual(fields: WaveInputs, em: EMConfigs, metric: TopMetric,
         # the components right after the batch axes, a stack's configs
         # after them
         up = np.moveaxis(up, -1, q.ndim - 1)
-        return _trail(born_density(fields, q), up.ndim - q.ndim + 1) * up
+        rho = born_density(fields, q)
+        return rho.reshape(rho.shape + (1,) * (up.ndim - rho.ndim)) * up
 
     return covariant_divergence_at(metric, current_up, point, h=h, order=order)
 
 
-def wave_operator(psi: Callable[[np.ndarray], np.ndarray], em: EMConfigs,
-                  metric: MetricField, point: np.ndarray,
-                  psi0: complex | np.ndarray,
-                  xi2: float | np.ndarray, r_scalar: float, h: float = 1e-3,
-                  order: int = 4) -> complex | np.ndarray:
+def wave_operator(psi: Callable[[np.ndarray], np.ndarray],
+                  ems: tuple[EMConfig, ...], metric: MetricField,
+                  point: np.ndarray, psi0: np.ndarray, xi2: np.ndarray,
+                  r_scalar: float, h: float, order: int) -> np.ndarray:
     """Minimally coupled curvature-potential wave operator applied to psi.
 
     W psi = -(1/sqrt g)(d_i - i A_i) [sqrt g g^{ij} (d_j - i A_j) psi]
             + xi^2 R psi,
     evaluated at points on the last axis by nested central differences;
-    ``psi0`` is psi(point), which the callers already hold. A 1-D array of
-    couplings ``xi2`` adds an axis of values, one per coupling, from one
-    evaluation of the Laplacian. A tuple of configs adds an axis of configs
-    before it, (*batch, n_em) or (*batch, n_em, n_xi2), from one evaluation
-    of psi per stencil level.
+    ``psi0`` is psi(point), which the caller already holds. The result is
+    (*batch, n_em, n_xi2), one value per config and coupling, from one
+    evaluation of psi per stencil level.
     """
-    ems = _stack(em)
-
     def potential(q):
         # every config's covector from one evaluation of the Killing
         # fields, the configs on the channel axis after k
@@ -315,9 +294,7 @@ def wave_operator(psi: Callable[[np.ndarray], np.ndarray], em: EMConfigs,
 
     lap = laplace_beltrami(metric, psi, point, h=h, order=order,
                            potential=potential)
-    xi2 = np.asarray(xi2, dtype=float)
-    w = -_trail(lap, xi2.ndim) + xi2 * r_scalar * _trail(psi0, 1 + xi2.ndim)
-    return _unstack(w, em, xi2.ndim, complex)
+    return -lap[..., None] + xi2 * r_scalar * psi0[..., None, None]
 
 
 def linearization_check(fields: WaveInputs, em: EMConfigs, metric: TopMetric,
@@ -348,23 +325,28 @@ def linearization_check(fields: WaveInputs, em: EMConfigs, metric: TopMetric,
     div_res is (n_em,). Each field is evaluated once per stencil level, the
     Killing fields once per point set and R_W once, whatever the number of
     configs, and each entry is bitwise that of the call with its one config.
+    This is the one entry that takes a lone config or a scalar coupling: it
+    runs them as stacks of one and drops those axes from its results.
     """
     point = np.asarray(point, dtype=float)
     n = metric.dim
     if xi2 is None:
         xi2 = conformal_coupling(n) ** 2
-    nx = np.ndim(xi2)
-
     ems = _stack(em)
+    couplings = np.atleast_1d(np.asarray(xi2, dtype=float))
+
     psi = wave_ansatz(fields)
     psi0 = psi(point)
-    w = wave_operator(psi, ems, metric, point, psi0, xi2=xi2,
-                      r_scalar=r_scalar, h=h, order=order)
-    hj = hj_residual(fields, ems, metric, point, r_scalar, xi2=xi2,
-                     h=h, order=order)
+    w = wave_operator(psi, ems, metric, point, psi0, couplings, r_scalar,
+                      h, order)
+    hj = hj_residual(fields, ems, metric, point, r_scalar, couplings, h, order)
     div = divergence_residual(fields, ems, metric, point, h=h, order=order)
-    chi_pow = np.exp((n - 2) * fields.gauge.log_chi(point))
-    defect = w / _trail(psi0, 1 + nx) - hj \
-        + 1j * _trail(chi_pow, 1 + nx) * _trail(div, nx)
-    return (_unstack(defect, em, nx, complex), _unstack(hj, em, nx, float),
-            _unstack(div, em, 0, float))
+    chi_pow = np.exp((n - 2) * fields.log_chi(point))
+    defect = w / psi0 - hj + 1j * chi_pow * div[:, None]
+    if np.ndim(xi2) == 0:
+        defect, hj = defect[:, 0], hj[:, 0]
+    if isinstance(em, EMConfig):
+        defect, hj, div = defect[0], hj[0], float(div[0])
+    if np.ndim(defect) == 0:
+        return complex(defect), float(hj), div
+    return defect, hj, div

@@ -24,7 +24,7 @@ from aqm_lab.dirac import (
 from aqm_lab.dynamics import integrate_trajectory, transport_check, \
     velocity_field
 from aqm_lab.fields import LinearField, draw_field
-from aqm_lab.geometry import WeylGauge, riemann_scalar_at, weyl_scalar_at
+from aqm_lab.geometry import riemann_scalar_at, weyl_scalar_at
 from aqm_lab.hj import EMConfig, WaveInputs, draw_wave_inputs, \
     linearization_check
 from aqm_lab.lorentz_reps import (
@@ -67,10 +67,10 @@ def test_criterion_weyl_forms():
     r = metric.riemann_scalar()
     worst = 0.0
     for _ in range(100):
-        gauge = WeylGauge.from_log(draw_field(rng, 10))
+        log_chi = draw_field(rng, 10)
         q = sample_point(rng, rot_scale=1.5, boost_bound=1.5)
-        v1 = weyl_scalar_at(metric, gauge, q, form="phi", r_scalar=r)
-        v2 = weyl_scalar_at(metric, gauge, q, form="chi", r_scalar=r)
+        v1 = weyl_scalar_at(metric, log_chi, q, form="phi", r_scalar=r)
+        v2 = weyl_scalar_at(metric, log_chi, q, form="chi", r_scalar=r)
         worst = np.maximum(worst, abs(v1 - v2)
                            / np.max([abs(v1), abs(v2), 1.0]))
     wall = time.perf_counter() - start
@@ -194,7 +194,8 @@ def test_criterion_transport():
     coeffs = np.zeros(10)
     coeffs[0] = -np.sqrt(1.0 + 0.35)
     coeffs[1:4] = [0.5, -0.1, 0.3]
-    fields = WaveInputs(s_field=LinearField(coeffs), gauge=WeylGauge.unit())
+    fields = WaveInputs(s_field=LinearField(coeffs),
+                        log_chi=LinearField(np.zeros(10)))
     q0 = np.zeros(10)
     q0[4:7] = [0.2, -0.3, 0.1]
 
@@ -216,7 +217,8 @@ def test_criterion_transport():
     curved = np.zeros(10)
     curved[0] = -1.4
     curved[4] = 0.5
-    cfields = WaveInputs(s_field=LinearField(curved), gauge=WeylGauge.unit())
+    cfields = WaveInputs(s_field=LinearField(curved),
+                         log_chi=LinearField(np.zeros(10)))
     c0 = np.zeros(10)
     c0[5] = 0.4
 

@@ -12,7 +12,6 @@ from aqm_lab.dynamics import (
     velocity_field,
 )
 from aqm_lab.fields import LinearField
-from aqm_lab.geometry import WeylGauge
 from aqm_lab.hj import EMConfig, WaveInputs, draw_wave_inputs
 
 
@@ -20,14 +19,16 @@ def _plane_wave(p_spatial, mass=1.0):
     coeffs = np.zeros(10)
     coeffs[0] = -np.sqrt(np.dot(p_spatial, p_spatial) + mass ** 2)
     coeffs[1:4] = p_spatial
-    return WaveInputs(s_field=LinearField(coeffs), gauge=WeylGauge.unit())
+    return WaveInputs(s_field=LinearField(coeffs),
+                      log_chi=LinearField(np.zeros(10)))
 
 
 def _null_wave():
     coeffs = np.zeros(10)
     coeffs[0] = -1.0
     coeffs[1] = 1.0
-    return WaveInputs(s_field=LinearField(coeffs), gauge=WeylGauge.unit())
+    return WaveInputs(s_field=LinearField(coeffs),
+                      log_chi=LinearField(np.zeros(10)))
 
 
 METRIC = TopMetric(1.0)
@@ -127,7 +128,8 @@ def test_rapidity_wall_truncates():
     coeffs = np.zeros(10)
     coeffs[0] = -1.5
     coeffs[7] = 2.0
-    fields = WaveInputs(s_field=LinearField(coeffs), gauge=WeylGauge.unit())
+    fields = WaveInputs(s_field=LinearField(coeffs),
+                        log_chi=LinearField(np.zeros(10)))
     q0 = np.zeros(10)
     q0[7] = RAPIDITY_MAX - 0.05
     traj = integrate_trajectory(fields, EM0, METRIC, q0[None], ds=0.05,
@@ -165,7 +167,8 @@ def test_rk4_step_halving_convergence():
     coeffs = np.zeros(10)
     coeffs[0] = -1.4
     coeffs[4] = 0.5
-    fields = WaveInputs(s_field=LinearField(coeffs), gauge=WeylGauge.unit())
+    fields = WaveInputs(s_field=LinearField(coeffs),
+                        log_chi=LinearField(np.zeros(10)))
     q0 = np.zeros(10)
     q0[5] = 0.4
 
@@ -327,7 +330,7 @@ def test_batched_bundle_matches_reference_with_em_field(seed):
     drawn = draw_wave_inputs(rng)
     fields = WaveInputs(
         s_field=lambda q: drawn.s_field(q) - 2.0 * np.asarray(q)[..., 0],
-        gauge=drawn.gauge)
+        log_chi=drawn.log_chi)
     em = EMConfig(e_field=rng.uniform(-0.5, 0.5, 3),
                   h_field=rng.uniform(-0.5, 0.5, 3), kappa=1.5)
     q0 = sample_point(rng, rot_scale=1.0, boost_bound=1.0)
@@ -356,7 +359,8 @@ def test_batched_bundle_truncates_at_the_wall_per_trajectory():
     coeffs = np.zeros(10)
     coeffs[0] = -1.5
     coeffs[7] = 2.0
-    fields = WaveInputs(s_field=LinearField(coeffs), gauge=WeylGauge.unit())
+    fields = WaveInputs(s_field=LinearField(coeffs),
+                        log_chi=LinearField(np.zeros(10)))
     starts = np.zeros((3, 10))
     starts[:, 7] = [-(RAPIDITY_MAX - 0.5), RAPIDITY_MAX - 0.05, 0.3]
     bundle = _assert_matches_reference(fields, EM0, starts, ds=0.05,

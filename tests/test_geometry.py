@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from aqm_lab.config_space import GroupMetric, TopMetric, sample_point
-from aqm_lab.fd import derivative_stack
-from aqm_lab.fields import draw_field
+from aqm_lab.fields import LinearField, draw_field
 from aqm_lab.geometry import (
     MetricField,
     ScaledMetric,
-    WeylGauge,
     christoffel_at,
     conformal_transform,
     covariant_divergence_at,
@@ -281,31 +279,26 @@ def test_laplace_beltrami_matrix_valued():
 # ---------------------------------------------------------------------------
 
 
-def test_gauge_covector_is_log_gradient():
-    log_chi = draw_field(np.random.default_rng(11), dim=3)
-    gauge = WeylGauge.from_log(log_chi)
-    q = np.array([0.2, 0.5, -0.4])
-    expected = derivative_stack(log_chi, q, h=1e-4, order=4)
-    assert np.max(np.abs(gauge.covector(q) - expected)) < 1e-9
-
-
 def test_unit_gauge():
-    gauge = WeylGauge.unit()
-    q = np.array([1.0, 2.0])
-    assert gauge.chi(q) == 1.0
-    assert gauge.log_chi(q) == 0.0
-    assert np.max(np.abs(gauge.covector(q))) < 1e-12
+    # a zero log chi is the unit gauge chi = 1: both forms of the Weyl
+    # scalar reduce to the Riemann scalar
+    rng = np.random.default_rng(11)
+    m = TopMetric(1.0)
+    q = sample_point(rng)
+    for form in ("phi", "chi"):
+        val = weyl_scalar_at(m, LinearField(np.zeros(10)), q, form=form,
+                             r_scalar=6.0)
+        assert abs(val - 6.0) < 1e-12
 
 
 def test_weyl_scalar_flat_constant_slope():
     # chi = exp(c.x) on flat R^3: R_W = -(n-1)(n-2) |c|^2
     c = np.array([0.3, -0.1, 0.2])
     m = ConstantMetric(np.eye(3))
-    gauge = WeylGauge.from_log(lambda q: q @ c)
     q = np.array([0.5, 0.4, -0.2])
     expected = -2.0 * float(c @ c)
     for form in ("phi", "chi"):
-        val = weyl_scalar_at(m, gauge, q, form=form, r_scalar=0.0)
+        val = weyl_scalar_at(m, LinearField(c), q, form=form, r_scalar=0.0)
         assert abs(val - expected) < 1e-8
 
 
@@ -313,36 +306,40 @@ def test_weyl_scalar_flat_quadratic_log():
     # log chi = |x|^2 / 2 on flat R^3: phi_k = x_k,
     # R_W = 2(n-1) div(phi) - (n-1)(n-2) |x|^2 = 12 - 2 |x|^2
     m = ConstantMetric(np.eye(3))
-    gauge = WeylGauge.from_log(lambda q: 0.5 * np.sum(q * q, axis=-1))
     q = np.array([0.6, -0.3, 0.1])
     expected = 12.0 - 2.0 * float(q @ q)
-    val = weyl_scalar_at(m, gauge, q, r_scalar=0.0)
+    val = weyl_scalar_at(m, lambda p: 0.5 * np.sum(p * p, axis=-1), q,
+                         r_scalar=0.0)
     assert abs(val - expected) < 1e-7
 
 
 def test_weyl_forms_agree_on_top():
     rng = np.random.default_rng(12)
     m = TopMetric(1.0)
-    gauge = WeylGauge.from_log(draw_field(rng, 10))
+    log_chi = draw_field(rng, 10)
     q = sample_point(rng, rot_scale=1.5, boost_bound=1.5)
     r = m.riemann_scalar()
-    v1 = weyl_scalar_at(m, gauge, q, form="phi", r_scalar=r)
-    v2 = weyl_scalar_at(m, gauge, q, form="chi", r_scalar=r)
+    v1 = weyl_scalar_at(m, log_chi, q, form="phi", r_scalar=r)
+    v2 = weyl_scalar_at(m, log_chi, q, form="chi", r_scalar=r)
     assert abs(v1 - v2) / max(abs(v1), 1.0) < 1e-6
 
 
 def test_weyl_scalar_conformal_weight():
-    # rho R_W(rho g, chi sqrt(rho)) = R_W(g, chi)
+    # rho R_W(rho g, chi sqrt(rho)) = R_W(g, chi), and the chi form of the
+    # moved scalar, which reads exp of the moved log chi, agrees with its
+    # phi form
     rng = np.random.default_rng(13)
     m = TopMetric(1.0)
-    gauge = WeylGauge.from_log(draw_field(rng, 10))
+    log_chi = draw_field(rng, 10)
     log_rho = draw_field(rng, 10, amp_scale=0.4)
     q = sample_point(rng, rot_scale=1.0, boost_bound=1.0)
-    base = weyl_scalar_at(m, gauge, q, r_scalar=m.riemann_scalar())
-    new_m, new_gauge = conformal_transform(m, gauge, log_rho)
-    moved = weyl_scalar_at(new_m, new_gauge, q)
+    base = weyl_scalar_at(m, log_chi, q, r_scalar=m.riemann_scalar())
+    new_m, new_log_chi = conformal_transform(m, log_chi, log_rho)
+    moved = weyl_scalar_at(new_m, new_log_chi, q)
     rho0 = float(np.exp(log_rho(q)))
     assert abs(rho0 * moved - base) / max(abs(base), 1.0) < 1e-5
+    moved_chi = weyl_scalar_at(new_m, new_log_chi, q, form="chi")
+    assert abs(moved_chi - moved) / max(abs(moved), abs(moved_chi)) < 1e-6
 
 
 def test_weyl_scalar_unit_gauge_oracle():
@@ -351,10 +348,9 @@ def test_weyl_scalar_unit_gauge_oracle():
     rng = np.random.default_rng(14)
     m = ConstantMetric(np.eye(3))
     log_chi = draw_field(rng, 3, amp_scale=0.4)
-    gauge = WeylGauge.from_log(log_chi)
     q = np.array([0.3, -0.5, 0.2])
 
-    direct = weyl_scalar_at(m, gauge, q, r_scalar=0.0)
+    direct = weyl_scalar_at(m, log_chi, q, r_scalar=0.0)
 
     scaled = ScaledMetric(m, rho=lambda p: np.exp(-2.0 * log_chi(p)))
     riem = riemann_scalar_at(scaled, q, h=5e-3)
@@ -363,16 +359,18 @@ def test_weyl_scalar_unit_gauge_oracle():
 
 
 def test_conformal_transform_composes_gauge():
-    gauge = WeylGauge.from_log(lambda q: float(q[0]))
     m = ConstantMetric(np.eye(2))
-    new_m, new_gauge = conformal_transform(
-        m, gauge, log_rho=lambda q: 4.0 * float(q[1]))
+    new_m, new_log_chi = conformal_transform(
+        m, lambda q: float(q[0]), log_rho=lambda q: 4.0 * float(q[1]))
     q = np.array([0.3, 0.2])
-    assert abs(new_gauge.log_chi(q) - (0.3 + 2.0 * 0.2)) < 1e-12
+    assert abs(new_log_chi(q) - (0.3 + 2.0 * 0.2)) < 1e-12
     assert np.max(np.abs(new_m.matrix(q) - np.exp(0.8) * np.eye(2))) < 1e-12
 
 
-def test_scaled_metric_keeps_constant_dims_only_if_rho_constant():
+def test_scaled_metric_declares_no_constant_dims():
+    # the scaled components are differentiated along every axis, whether
+    # rho varies or not, even where the base metric declares all axes
+    # constant
     m = ConstantMetric(np.eye(2))
-    scaled = ScaledMetric(m, rho=lambda q: float(np.exp(q[0])))
-    assert 0 not in scaled.constant_dims
+    for rho in (lambda q: float(np.exp(q[0])), lambda q: 2.0):
+        assert ScaledMetric(m, rho=rho).constant_dims == frozenset()

@@ -5,7 +5,7 @@ from aqm_lab import config_space, hj
 from aqm_lab.config_space import SERIES_CUTOFF, TopMetric, killing_vectors, \
     sample_point
 from aqm_lab.fields import LinearField, draw_field
-from aqm_lab.geometry import WeylGauge, laplace_beltrami, weyl_scalar_at
+from aqm_lab.geometry import laplace_beltrami, weyl_scalar_at
 from aqm_lab.hj import (
     EMConfig,
     WaveInputs,
@@ -165,7 +165,7 @@ def _setup(seed, a=1.0):
 
 def test_born_density_unit_gauge():
     fields = WaveInputs(s_field=LinearField(np.zeros(10)),
-                        gauge=WeylGauge.unit())
+                        log_chi=LinearField(np.zeros(10)))
     assert born_density(fields, np.ones(10)) == pytest.approx(1.0)
 
 
@@ -173,7 +173,7 @@ def test_wave_ansatz_modulus():
     _, _, fields, q = _setup(16)
     psi = wave_ansatz(fields)
     # |psi| = chi^{-(n-2)/2} = exp(-4 log chi)
-    assert abs(abs(psi(q)) - np.exp(-4.0 * fields.gauge.log_chi(q))) < 1e-12
+    assert abs(abs(psi(q)) - np.exp(-4.0 * fields.log_chi(q))) < 1e-12
 
 
 def test_momentum_covector_gauge_shift():
@@ -218,7 +218,7 @@ def test_raised_momentum_matches_covector_and_inverse(em, batch):
 
 def test_hj_residual_evaluates_the_killing_fields_once(monkeypatch):
     # the momentum's square reads one Killing-field evaluation for the
-    # potential and the inverse metric, for one config or a tuple of them;
+    # potential and the inverse metric, for a stack of one config or more;
     # the Weyl scalar is stubbed, as it evaluates the inverse metric on its
     # own stencil points
     calls = {"killing_vectors": 0}
@@ -233,9 +233,10 @@ def test_hj_residual_evaluates_the_killing_fields_once(monkeypatch):
     monkeypatch.setattr(hj, "weyl_scalar_at", lambda *args, **kwargs: 0.0)
     _, metric, fields, q = _setup(21)
     em = EMConfig(e_field=(0.2, 0.1, -0.3), h_field=(0.3, -0.2, 0.4))
-    for configs in (em, (em, EMConfig.zero(), em)):
+    for configs in ((em,), (em, EMConfig.zero(), em)):
         calls["killing_vectors"] = 0
-        hj_residual(fields, configs, metric, q, r_scalar=6.0, xi2=2.0 / 9.0)
+        hj_residual(fields, configs, metric, q, 6.0, np.array([2.0 / 9.0]),
+                    1e-3, 4)
         assert calls == {"killing_vectors": 1}
 
 
@@ -292,30 +293,32 @@ def _em_stack(rng):
                          ids=["scalar", "array"])
 def test_stacked_configs_match_one_call_per_config(seed, xi2):
     # a tuple of configs shares the fields' stencils, the Killing fields and
-    # R_W; each config's entry must be, bitwise, its own call's value, and a
-    # lone config, which runs as the stack of one, must give bitwise what the
-    # primitives give without a config axis
+    # R_W; each config's entry must be, bitwise, its own call's value, and
+    # the stages' stack of one must give bitwise what the primitives give
+    # without a config axis
     rng, metric, fields, q = _setup(seed)
     ems = _em_stack(rng)
     r = metric.riemann_scalar()
     couplings = np.shape(xi2)
+    xi2s = np.atleast_1d(xi2)
     # three points and three configs: a mix-up of the point and config axes
     # would broadcast without an error (R_W, and so hj_residual, takes one
     # point)
     batch = q + 0.01 * rng.uniform(-1.0, 1.0, (3, 10))
     psi = wave_ansatz(fields)
-    rw = weyl_scalar_at(metric, fields.gauge, q, h=1e-3, order=4, r_scalar=r)
+    rw = weyl_scalar_at(metric, fields.log_chi, q, h=1e-3, order=4, r_scalar=r)
 
     defects, hj_res, div_res = linearization_check(fields, ems, metric, q,
                                                    r_scalar=r, xi2=xi2)
     assert defects.shape == hj_res.shape == (3,) + couplings
     assert div_res.shape == (3,)
-    hj_stack = hj_residual(fields, ems, metric, q, r, xi2)
-    w_stack = wave_operator(psi, ems, metric, q, psi(q), xi2=xi2, r_scalar=r)
-    assert hj_stack.shape == w_stack.shape == (3,) + couplings
-    w_batch = wave_operator(psi, ems, metric, batch, psi(batch), xi2=xi2,
-                            r_scalar=r)
-    assert w_batch.shape == (3, 3) + couplings
+    hj_stack = hj_residual(fields, ems, metric, q, r, xi2s, 1e-3, 4)
+    w_stack = wave_operator(psi, ems, metric, q, psi(q), xi2s, r, 1e-3, 4)
+    assert hj_stack.shape == w_stack.shape == (3, len(xi2s))
+    assert np.array_equal(hj_res, hj_stack.reshape(hj_res.shape))
+    w_batch = wave_operator(psi, ems, metric, batch, psi(batch), xi2s, r,
+                            1e-3, 4)
+    assert w_batch.shape == (3, 3, len(xi2s))
     div_stack = divergence_residual(fields, ems, metric, batch)
     up_stack, norm2_stack = raised_momentum(fields, ems, metric, batch,
                                             1e-3, 4)
@@ -326,19 +329,20 @@ def test_stacked_configs_match_one_call_per_config(seed, xi2):
                                                   r_scalar=r, xi2=xi2)
         assert np.array_equal(defects[k], defect)
         assert np.array_equal(hj_res[k], hj_k) and div_res[k] == div_k
-        hj_one = hj_residual(fields, em, metric, q, r, xi2)
+        hj_one = hj_residual(fields, (em,), metric, q, r, xi2s, 1e-3, 4)[0]
         assert np.array_equal(hj_stack[k], hj_one)
         norm2 = raised_momentum(fields, em, metric, q, 1e-3, 4)[1]
-        assert np.array_equal(hj_one, norm2 + np.asarray(xi2) * rw)
-        w_one = wave_operator(psi, em, metric, q, psi(q), xi2=xi2, r_scalar=r)
+        assert np.array_equal(hj_one, norm2 + xi2s * rw)
+        w_one = wave_operator(psi, (em,), metric, q, psi(q), xi2s, r,
+                              1e-3, 4)[0]
         assert np.array_equal(w_stack[k], w_one)
         lap = laplace_beltrami(metric, psi, q, potential=em.potential)
-        assert np.array_equal(w_one, -lap + np.asarray(xi2) * r * psi(q))
+        assert np.array_equal(w_one, -lap + xi2s * r * psi(q))
         # a batch of points rounds the fields' sums its own way, so the
         # batch is held to its point calls within 1e-12, not bitwise
         for b, p in enumerate(batch):
             np.testing.assert_allclose(w_batch[b, k], wave_operator(
-                psi, em, metric, p, psi(p), xi2=xi2, r_scalar=r),
+                psi, (em,), metric, p, psi(p), xi2s, r, 1e-3, 4)[0],
                 rtol=0.0, atol=1e-12)
         assert np.array_equal(div_stack[:, k],
                               divergence_residual(fields, em, metric, batch))
@@ -348,14 +352,14 @@ def test_stacked_configs_match_one_call_per_config(seed, xi2):
 
 
 def test_empty_config_tuple_is_rejected():
+    # wave_operator takes the stack that linearization_check checked
     _, metric, fields, q = _setup(34)
     r = metric.riemann_scalar()
     calls = (
         lambda: linearization_check(fields, (), metric, q, r_scalar=r),
-        lambda: hj_residual(fields, (), metric, q, r, 2.0 / 9.0),
+        lambda: hj_residual(fields, (), metric, q, r, np.array([2.0 / 9.0]),
+                            1e-3, 4),
         lambda: divergence_residual(fields, (), metric, q),
-        lambda: wave_operator(wave_ansatz(fields), (), metric, q, 1.0,
-                              xi2=2.0 / 9.0, r_scalar=r),
         lambda: raised_momentum(fields, (), metric, q, 1e-3, 4),
     )
     for call in calls:
@@ -381,14 +385,15 @@ def test_wave_operator_acts_on_plane_wave():
     coeffs = np.zeros(10)
     coeffs[0] = -1.2
     coeffs[1] = 0.4
-    fields = WaveInputs(s_field=LinearField(coeffs), gauge=WeylGauge.unit())
+    fields = WaveInputs(s_field=LinearField(coeffs),
+                        log_chi=LinearField(np.zeros(10)))
     q = np.zeros(10)
     q[0] = 0.3
     em = EMConfig.zero()
     psi = wave_ansatz(fields)
     xi2 = conformal_coupling(10) ** 2
-    w = wave_operator(psi, em, metric, q, psi(q), xi2=xi2,
-                      r_scalar=metric.riemann_scalar())
+    w = wave_operator(psi, (em,), metric, q, psi(q), np.array([xi2]),
+                      metric.riemann_scalar(), 1e-3, 4)[0, 0]
     u = momentum_covector(fields, em, q)
     ginv = metric.inverse(q)
     expected = u @ ginv @ u + xi2 * 6.0
@@ -400,7 +405,8 @@ def test_divergence_residual_plane_wave_zero():
     coeffs = np.zeros(10)
     coeffs[0] = -1.0
     coeffs[2] = 0.3
-    fields = WaveInputs(s_field=LinearField(coeffs), gauge=WeylGauge.unit())
+    fields = WaveInputs(s_field=LinearField(coeffs),
+                        log_chi=LinearField(np.zeros(10)))
     q = np.zeros(10)
     val = divergence_residual(fields, EMConfig.zero(), metric, q)
     assert abs(val) < 1e-9
@@ -411,9 +417,11 @@ def test_hj_residual_on_shell_value():
     metric = TopMetric(1.0)
     coeffs = np.zeros(10)
     coeffs[0] = 1.0
-    fields = WaveInputs(s_field=LinearField(coeffs), gauge=WeylGauge.unit())
+    fields = WaveInputs(s_field=LinearField(coeffs),
+                        log_chi=LinearField(np.zeros(10)))
     q = np.zeros(10)
-    val = hj_residual(fields, EMConfig.zero(), metric, q,
-                      r_scalar=metric.riemann_scalar(), xi2=2.0 / 9.0)
+    val = hj_residual(fields, (EMConfig.zero(),), metric, q,
+                      metric.riemann_scalar(), np.array([2.0 / 9.0]),
+                      1e-3, 4)[0, 0]
     expected = -1.0 + (2.0 / 9.0) * 6.0
     assert abs(val - expected) < 1e-9

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from aqm_lab.config_space import TopMetric
 from aqm_lab.dynamics import integrate_trajectory
 from aqm_lab.fields import LinearField
-from aqm_lab.geometry import WeylGauge
 from aqm_lab.hj import EMConfig, WaveInputs
 from aqm_lab.report import (
     SCHEMA,
@@ -123,7 +122,8 @@ def test_finite_payload_bytes_golden():
 def test_trajectory_rows_layout():
     coeffs = np.zeros(10)
     coeffs[0] = -1.0
-    fields = WaveInputs(s_field=LinearField(coeffs), gauge=WeylGauge.unit())
+    fields = WaveInputs(s_field=LinearField(coeffs),
+                        log_chi=LinearField(np.zeros(10)))
     starts = np.vstack([np.zeros(10), 0.01 * np.random.default_rng(0)
                         .uniform(-1.0, 1.0, (1, 10))])
     bundle = integrate_trajectory(fields, EMConfig.zero(), TopMetric(1.0),

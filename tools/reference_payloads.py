@@ -9,7 +9,7 @@ compares against; a change that moves payload bits on purpose runs it and
 commits the diff, which shows which values moved and by how much:
 
     python tools/reference_payloads.py
-    python tools/reference_payloads.py --out OTHER.json --src OTHER/src
+    python tools/reference_payloads.py --out OTHER.json
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import platform
 import sys
 from pathlib import Path
 
-from payload_digests import DEFAULT_SRC, runs
+from payload_digests import runs
 
 REFERENCE = Path(__file__).resolve().parents[1] / "tests" / "reference_payloads.json"
 SEEDS = [0, 1, 2, 3]
@@ -39,7 +39,9 @@ def _cpu_model() -> str:
 
 
 def fingerprint() -> dict:
-    """What the payload bits may depend on besides the source."""
+    """What the payload bits may depend on besides the source. The CPU is
+    in it because an OpenBLAS built for several architectures picks its
+    kernels by the CPU it runs on."""
     import numpy as np
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -50,8 +52,8 @@ def fingerprint() -> dict:
             "cpu": _cpu_model(), "blas": blas}
 
 
-def collect(src: Path = DEFAULT_SRC) -> dict:
-    report = list(runs("all", SEEDS, [N_DRAWS], [], src))
+def collect() -> dict:
+    report = list(runs("all", SEEDS, [N_DRAWS], []))
     return {"seeds": SEEDS, "n_draws": N_DRAWS, "fingerprint": fingerprint(),
             "runs": report}
 
@@ -59,10 +61,8 @@ def collect(src: Path = DEFAULT_SRC) -> dict:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, default=REFERENCE)
-    parser.add_argument("--src", type=Path, default=DEFAULT_SRC,
-                        help="the src directory of the checkout to run")
     args = parser.parse_args(argv)
-    args.out.write_text(json.dumps(collect(args.src), indent=1) + "\n")
+    args.out.write_text(json.dumps(collect(), indent=1) + "\n")
     return 0
 
 
