@@ -85,6 +85,7 @@ _AD_BLOCKS = np.stack([_AD_HALVES[0].reshape(3, 6, 6)[:, :3, :3],
                        _AD_HALVES[1].reshape(3, 6, 6)[:, :3, 3:]]
                       ).reshape(2, 3, 9)
 _EYE3 = np.eye(3)
+_DIAG3 = np.arange(3)
 # (theta * theta) @ _HALF_SUMS = (|theta_rot|^2, |theta_boost|^2)
 _HALF_SUMS = np.repeat(np.eye(2), 3, axis=0)
 # sign of s in ``_rodrigues_coefficients`` for each half: -|theta_rot|^2
@@ -212,6 +213,10 @@ def frame_coefficients(theta: np.ndarray) -> np.ndarray:
     exp(ad_R) Phi1(ad_B), with R and B the rotation and boost generators.
     On the adjoint, ad_R^3 = -|theta_rot|^2 ad_R and
     ad_B^3 = +|theta_boost|^2 ad_B, so each factor is a quadratic in ad.
+
+    No verb evaluates the frame: it is the test reference of the closed
+    forms, a^2 C^T P C of ``GroupMetric.matrix`` and C^-1 of
+    ``killing_vectors``.
     """
     theta = np.asarray(theta, dtype=float)
     batch = theta.shape[:-1]
@@ -331,9 +336,13 @@ class GroupMetric(MetricField):
 
     The polarization of (a^2/2) tr(omega omega-raised) over the six chart
     directions, which equals a^2 C^T diag(1, 1, 1, -1, -1, -1) C with C the
-    frame matrix. Its scalar curvature is the constant 6/a^2. ``inverse``
-    and ``sqrt_det`` are closed forms; the generic ``MetricField`` forms of
-    ``matrix`` are their test reference.
+    frame matrix. Its scalar curvature is the constant 6/a^2. ``matrix``,
+    ``inverse`` and ``sqrt_det`` are closed forms, and none builds the
+    frame. a^2 C^T P C from ``frame_coefficients`` is the test reference of
+    ``matrix``, and the generic ``MetricField`` forms of ``matrix`` are that
+    of ``inverse`` and ``sqrt_det``. ``matrix`` shares no coefficient with
+    ``killing_vectors``, so curvature, a finite-difference result of
+    ``matrix`` alone, is independent of the other two.
     """
 
     dim = 6
@@ -344,8 +353,79 @@ class GroupMetric(MetricField):
         self.a = np.float64(a)  # an extreme power is inf or 0, not an error
 
     def matrix(self, theta):
-        c = frame_coefficients(theta)
-        return self.a ** 2 * np.swapaxes(c, -1, -2) @ (0.5 * GENERATOR_PAIRING) @ c
+        """a^2 C^T P C in closed form on 3x3 blocks: no frame is built.
+
+        In the (J, K) basis the frame is C = [[A, e2_b E V], [0, E N]] (see
+        ``killing_vectors``): W = ad_R on so(3), V the J <- K block of ad_B,
+        E = exp(W), A = Phi1(W), M = V^T V and N = I + e3_b M. With
+        P = diag(I, -I), A^T E = Phi1(-W) e^W = Phi1(W) = A and E^T E = I,
+        C^T P C = [[A^T A, e2_b A V], [(e2_b A V)^T, e2_b^2 M - N^2]]. With
+        x = theta_rot, beta = theta_boost, r = |x|, b = |beta|,
+        W^2 = x x^T - r^2 I and M = b^2 I - beta beta^T, this is
+
+            g / a^2 = [[2 e2_r I + q_r x x^T, e2_b A V],
+                       [(e2_b A V)^T, -2 e2_b I + q_b beta beta^T]],
+            A V = (sin r / r) V + e2_r (x.beta I - beta x^T) + e3_r x (x^T V),
+
+        with e2_r = (1 - cos r)/r^2, e3_r = (r - sin r)/r^3,
+        e2_b = (cosh b - 1)/b^2, q_r = (1 - 2 e2_r)/r^2 and
+        q_b = (2 e2_b - 1)/b^2. Each element below the cutoff takes the
+        Taylor series. The points stay on the last axis until one transpose
+        at the end, so a per-point factor scales contiguous rows.
+        """
+        theta = np.asarray(theta, dtype=float)
+        batch = theta.shape[:-1]
+        flat = theta.reshape(-1, 6)
+        n = len(flat)
+        halves = np.ascontiguousarray(flat.T).reshape(2, 3, n)
+        rot, boost = halves
+        sq = np.sum(halves * halves, axis=1)  # r^2, b^2
+        # held off zero, so nothing divides by 0; an element below the cutoff
+        # takes its series afterwards
+        rb = np.sqrt(np.maximum(sq, SERIES_CUTOFF ** 2))
+        r, b = rb
+        far = rb * rb
+        # e2 = 2 sin^2(r/2)/r^2 and 2 sinh^2(b/2)/b^2: no cancellation
+        e2 = np.empty((2, n))
+        np.sin(0.5 * r, out=e2[0])
+        np.sinh(0.5 * b, out=e2[1])
+        e2 /= rb
+        e2 *= 2.0 * e2
+        q = (1.0 - 2.0 * e2) / far  # q_r and -q_b
+        sinc = np.sin(r) / r
+        e3_r = (1.0 - sinc) / far[0]
+        small = sq < SERIES_CUTOFF ** 2
+        if small.any():
+            rot_small, boost_small = small
+            s = sq[0, rot_small]
+            sinc[rot_small] = 1.0 - s / 6.0 + s * s / 120.0
+            e3_r[rot_small] = 1.0 / 6.0 - s / 120.0 + s * s / 5040.0
+            e2[0, rot_small] = 0.5 - s / 24.0 + s * s / 720.0
+            q[0, rot_small] = 1.0 / 12.0 - s / 360.0 + s * s / 20160.0
+            s = sq[1, boost_small]
+            e2[1, boost_small] = 0.5 + s / 24.0 + s * s / 720.0
+            q[1, boost_small] = -(1.0 / 12.0 + s / 360.0 + s * s / 20160.0)
+        a2 = self.a ** 2
+        # the diagonal blocks a^2 (q x x^T + 2 e2 I), the boost's negated;
+        # x_i x_j is formed before its factor, so each block is symmetric
+        blocks = halves[:, :, None] * halves[:, None]
+        blocks *= (a2 * q)[:, None, None]
+        blocks[:, _DIAG3, _DIAG3] += (2.0 * a2) * e2[:, None]
+        g = np.empty((6, 6, n))
+        g[:3, :3] = blocks[0]
+        np.negative(blocks[1], out=g[3:, 3:])
+        # the corner a^2 e2_b A V, each term's factor taken on a 3-vector
+        corner = a2 * e2[1]
+        v = (_AD_BLOCKS[1].T @ boost).reshape(3, 3, n)
+        jk = g[:3, 3:]
+        np.multiply(v, sinc * corner, out=jk)
+        wv = e2[0] * corner  # the factor of W V = x.beta I - beta x^T
+        jk -= (boost * wv)[:, None] * rot
+        jk[_DIAG3, _DIAG3] += np.sum(rot * boost, axis=0) * wv
+        x_v = np.sum(rot[:, None] * v, axis=0)  # x^T V
+        jk += rot[:, None] * (x_v * (e3_r * corner))
+        g[3:, :3] = jk.transpose(1, 0, 2)
+        return g.transpose(2, 0, 1).reshape(batch + (6, 6))
 
     def inverse(self, theta):
         return self.inverse_from_killing(killing_vectors(theta))
@@ -373,8 +453,9 @@ class TopMetric(MetricField):
 
     Block diagonal: Minkowski diag(-1, 1, 1, 1) on spacetime and the
     ``GroupMetric`` on the group factor. Components depend on theta only.
-    ``inverse`` and ``sqrt_det`` compose the group metric's closed forms;
-    the generic ``MetricField`` forms of ``matrix`` are their test reference.
+    ``matrix``, ``inverse`` and ``sqrt_det`` compose the group metric's
+    closed forms, so none builds the frame; the generic ``MetricField``
+    forms of ``matrix`` are the test reference of the other two.
 
     The scalar curvature of this metric is the constant 6/a^2.
     """

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aqm_lab import cli, dynamics
+from aqm_lab import cli, config_space, dynamics
 from aqm_lab.cli import VERBS, ConfigError, _build_parser, main, resolve_config
 
 FAST_DIRAC = ["verify-dirac", "--n-draws", "2"]
@@ -191,6 +191,41 @@ def test_check_rows_are_the_checks_every_verb_reports(monkeypatch, capsys):
         monkeypatch.setitem(VERBS, name, replace(verb, run=stray))
         assert main(argv) == 3, name
         assert_one_line_error(capsys, "error: internal: RuntimeError: ")
+
+
+def test_no_verb_builds_the_frame(monkeypatch, capsys):
+    # the frame is the closed forms' test reference only: every verb runs
+    # with it raising
+    def fail(*args, **kwargs):
+        raise AssertionError("frame built")
+
+    for name in ("frame_coefficients", "_rodrigues_coefficients"):
+        monkeypatch.setattr(config_space, name, fail)
+    for name in VERBS:
+        assert main([name, *SHORT_RUNS[name]]) == 0, name
+        capsys.readouterr()
+
+
+def test_one_percent_metric_error_fails_verify_curvature(tmp_path):
+    # the checks see the closed-form metric: e2_b of its rotation-boost
+    # block off by 1%, in a copy of the package, fails both curvature checks
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    module = src / "aqm_lab" / "config_space.py"
+    text = module.read_text()
+    exact = "corner = a2 * e2[1]"
+    assert text.count(exact) == 1
+    module.write_text(text.replace(exact, "corner = 1.01 * a2 * e2[1]"))
+    env = child_env()
+    env["PYTHONPATH"] = os.pathsep.join([str(src), env["PYTHONPATH"]])
+    proc = subprocess.run([sys.executable, "-m", "aqm_lab.cli",
+                           "verify-curvature", "--n-draws", "4"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1, proc.stderr
+    failed = {c["name"] for c in json.loads(proc.stdout)["payload"]["checks"]
+              if not c["pass"]}
+    assert failed == {"curvature_max_rel_error", "curvature_mean_rel_error"}
 
 
 def test_config_file_merging(tmp_path, capsys):

@@ -433,7 +433,7 @@ def test_top_metric_at_group_identity():
     q = np.zeros(10)
     g = m.matrix(q)
     expected = np.diag([-1, 1, 1, 1, 4, 4, 4, -4, -4, -4]).astype(float)
-    assert np.max(np.abs(g - expected)) < 1e-12
+    assert np.array_equal(g, expected)
 
 
 def test_top_metric_signature_constant():
@@ -444,6 +444,68 @@ def test_top_metric_signature_constant():
         evals = np.linalg.eigvalsh(m.matrix(q))
         assert int(np.sum(evals > 0)) == 6
         assert int(np.sum(evals < 0)) == 4
+
+
+def _frame_metric(theta: np.ndarray, a: float) -> np.ndarray:
+    """a^2 C^T P C from the frame C: the reference of ``GroupMetric.matrix``."""
+    c = frame_coefficients(theta)
+    return a ** 2 * np.swapaxes(c, -1, -2) @ (0.5 * GENERATOR_PAIRING) @ c
+
+
+def _assert_matrix_matches_frame(group: GroupMetric, theta: np.ndarray):
+    """The closed form is exactly symmetric and within 1e-13 of the frame's
+    metric, per point, relative to that point's largest entry."""
+    g = group.matrix(theta)
+    ref = _frame_metric(theta, group.a)
+    assert g.shape == theta.shape[:-1] + (6, 6)
+    assert np.array_equal(g, np.swapaxes(g, -1, -2))
+    err = np.max(np.abs(g - ref), axis=(-2, -1)) \
+        / np.max(np.abs(ref), axis=(-2, -1))
+    assert np.all(err <= 1e-13), float(np.max(err))
+
+
+@pytest.mark.parametrize("a", [0.7, 1.0, 1.3])
+def test_group_matrix_matches_frame_at_random_points(a):
+    # rotation components in +-pi, boosts up to RAPIDITY_MAX; as one (n,)
+    # batch, as a (k, m) batch, as an empty batch and point by point
+    rng = np.random.default_rng(21)
+    theta = np.array([sample_point(rng)[4:] for _ in range(200)])
+    assert np.max(np.abs(theta[:, 3:])) <= RAPIDITY_MAX
+    group = GroupMetric(a)
+    for batch in (theta, theta.reshape(20, 10, 6), theta[:0], *theta[:20]):
+        _assert_matrix_matches_frame(group, batch)
+
+
+@pytest.mark.parametrize("scale", [1e-2, 1.01 * SERIES_CUTOFF, SERIES_CUTOFF,
+                                   0.99 * SERIES_CUTOFF, 1e-5, 1e-7, 1e-9])
+@pytest.mark.parametrize("small", [slice(0, 6), slice(0, 3), slice(3, 6)])
+def test_group_matrix_matches_frame_across_the_series_cutoff(scale, small):
+    # both halves at the angle scale, or one alone with the other drawn over
+    # the full domain, on both sides of the series switch
+    rng = np.random.default_rng(22)
+    theta = np.array([sample_point(rng)[4:] for _ in range(24)])
+    direction = rng.normal(size=(24, 2, 3))
+    halves = scale * direction / np.linalg.norm(direction, axis=-1,
+                                                keepdims=True)
+    theta[:, small] = halves.reshape(24, 6)[:, small]
+    for a in (0.7, 1.0, 1.3):
+        for batch in (theta, theta.reshape(4, 6, 6), *theta[:6]):
+            _assert_matrix_matches_frame(GroupMetric(a), batch)
+
+
+def test_group_matrix_builds_no_frame_and_no_killing_fields(monkeypatch):
+    # the matrix is what curvature holds the K and sqrt(g) closed forms to,
+    # so it shares no code path with them
+    def fail(*args, **kwargs):
+        raise AssertionError("called by GroupMetric.matrix")
+
+    theta = np.random.default_rng(36).uniform(-2.0, 2.0, (4, 6))
+    expected = _frame_metric(theta, 1.3)
+    for name in ("frame_coefficients", "_rodrigues_coefficients",
+                 "killing_vectors"):
+        monkeypatch.setattr(config_space, name, fail)
+    g = GroupMetric(1.3).matrix(theta)
+    assert np.max(np.abs(g - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def _closed_form_rel_errors(metric: MetricField, q: np.ndarray
