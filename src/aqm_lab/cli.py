@@ -6,9 +6,10 @@ defined) and exits 0 when all checks pass, 1 when any check fails, 2 on
 configuration errors and 3 on internal errors. Flags override the optional
 JSON config file, which in turn overrides built-in defaults; config keys
 equal the flag names without the leading dashes (``n-draws`` may be spelled
-``n_draws``). Flags, config keys, defaults and checks come from one table,
-``VERBS``: ``main`` seeds the generator, and builds every check record from
-the values a verb's runner returns and the verb's ``Check`` rows.
+``n_draws``), each given once. Flags, config keys, defaults and checks come
+from one table, ``VERBS``: ``main`` seeds the generator, and builds every
+check record from the values a verb's runner returns and the verb's
+``report.Check`` rows, which hold the pass rule.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from .hj import EMConfig, WaveInputs, conformal_coupling, draw_wave_inputs, \
 from .lorentz_reps import Irrep, angular_laplacian_check, casimir_value, \
     commutator_defect, conjugation_defect, d_matrix, reps_up_to_dim, \
     vector_intertwiner
-from .report import build_report, check_at_least, check_close, dump_report, \
-    trajectory_rows, write_csv, SPECTRUM_COLUMNS, TRAJECTORY_COLUMNS
+from .report import Check, build_report, check_table, dump_report, \
+    spectrum_table, trajectory_table, write_csv
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -68,10 +69,10 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class Kind:
-    """``parse``: flag text to value (``None``: a switch). ``check``: a value
-    from a flag or a config file to the value used, or raise unless ``need``."""
+    """``parse``: flag text to value. ``check``: a value from a flag or a
+    config file to the value used, or raise unless ``need``."""
 
-    parse: Callable[[str], object] | None
+    parse: Callable[[str], object]
     check: Callable[[object], object]
     need: str
     choices: tuple | None = None
@@ -114,23 +115,15 @@ def _vector(v) -> tuple[float, float, float]:
     return tuple(_finite(x) for x in v)
 
 
-def _of_type(cls):
-    def check(v):
-        if type(v) is not cls:
-            raise TypeError(v)
-        return v
-    return check
-
-
 def _writable_path(v) -> str:
     """A writable file, or a new file in a writable directory; checked
     before any computation, nothing is created."""
-    path = _of_type(str)(v)
-    target = path if os.path.exists(path) \
-        else os.path.dirname(os.path.abspath(path))
-    if not path or os.path.isdir(path) or not os.access(target, os.W_OK):
+    if type(v) is not str:
+        raise TypeError(v)
+    target = v if os.path.exists(v) else os.path.dirname(os.path.abspath(v))
+    if not v or os.path.isdir(v) or not os.access(target, os.W_OK):
         raise ValueError(v)
-    return path
+    return v
 
 
 def _parse_rep(text: str) -> Irrep:
@@ -165,7 +158,6 @@ AT_LEAST_TWO = _int_from(2, "an integer >= 2")
 POSITIVE = Kind(float, lambda v: _finite(v, positive=True),
                 "a finite positive number")
 VECTOR = Kind(_numbers, _vector, "three finite numbers", metavar="x,y,z")
-SWITCH = Kind(None, _of_type(bool), "true or false")
 OUT_PATH = Kind(str, _writable_path, "a writable file path")
 REPS = Kind(str, _rep_labels, "a 'u,v' label or a list of them",
             metavar="u,v", repeat=True)
@@ -217,8 +209,6 @@ E_FIELD = Param("E", VECTOR, None, "constant electric field "
 KAPPA = Param("kappa", REAL, 2.0, "group-direction coupling of the potential")
 MASS = Param("mass", POSITIVE, 1.0,
              "particle mass (spectrum: derive the length scale from it)")
-COUNTERTERM = Param("counterterm", SWITCH, False,
-                    "apply the field-invariant counterterm in the gap check")
 DS = Param("ds", POSITIVE, 0.01, "integration step")
 STEPS = Param("steps", N_DRAWS.kind, 200, "steps per trajectory")
 SECTIONS = Param("sections", AT_LEAST_TWO, 5,
@@ -377,11 +367,9 @@ def _run_verify_dirac(cfg: dict, rng: np.random.Generator):
         p = rng.uniform(-1.0, 1.0, 4)
         x = rng.uniform(-1.0, 1.0, 4)
 
-        m18 = top_spinor_matrix(p, em, scale, x=x,
-                                counterterm=bool(cfg["counterterm"]))
+        m18 = top_spinor_matrix(p, em, scale, x=x)
         m19 = squared_dirac_matrix(p, em, scale.mass, x=x)
-        gap_expected = 0.0 if cfg["counterterm"] \
-            else scale.a ** 2 * em.invariant_h2_e2()
+        gap_expected = scale.a ** 2 * em.invariant_h2_e2()
         gap = float(np.max(np.abs(m18 - m19 - gap_expected * np.eye(4))))
         gaps.append(gap)
 
@@ -448,8 +436,7 @@ def _run_trace(cfg: dict, rng: np.random.Generator):
               "trace_flux_drift": rep.flux_drift,
               "trace_min_pairwise_distance": rep.min_distance}
     if cfg["format"] == "csv":
-        return values, None, (TRAJECTORY_COLUMNS,
-                              trajectory_rows(bundle, cfg["ds"]))
+        return values, None, trajectory_table(bundle, cfg["ds"])
     records = [{
         "n_truncated": rep.n_truncated,
         "section_flux": rep.section_flux,
@@ -475,34 +462,12 @@ def _run_spectrum(cfg: dict, rng: np.random.Generator):
     n_nonfinite = sum(not math.isfinite(r["m2"]) for r in records)
     values = {"spectrum_mass_closure_defect": mass_closure_defect(),
               "spectrum_nonfinite_m2_count": n_nonfinite}
-    rows = [[r["u"], r["v"], r["casimir"], r["m2"]] for r in records]
-    return values, records, (SPECTRUM_COLUMNS, rows)
+    return values, records, spectrum_table(records)
 
 
 # ---------------------------------------------------------------------------
 # the verb table and the entry point
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Check:
-    """One named check of a verb. ``reduce``, a numpy reduction (so a NaN
-    propagates), takes the runner's per-draw values or one number to the
-    checked value, which passes within ``tol`` of zero or, as a ``floor``,
-    at ``tol`` or above. ``--tol`` replaces every nonzero ``tol`` that is
-    not a floor: floors and counts (``tol`` 0) are not residuals."""
-
-    name: str
-    tol: float
-    reduce: Callable = np.max
-    floor: bool = False
-
-    def record(self, values, tol: float | None):
-        value = self.reduce(values)
-        if self.floor:
-            return check_at_least(self.name, value, self.tol)
-        reach = tol is not None and self.tol != 0.0
-        return check_close(self.name, value, 0.0, tol if reach else self.tol)
 
 
 @dataclass(frozen=True)
@@ -561,7 +526,7 @@ VERBS: dict[str, Verb] = {
         "reduced operator against the squared Dirac operator, dispersion "
         "and mass closure",
         _run_verify_dirac,
-        (*_COMMON, N_DRAWS, MASS, KAPPA, H_FIELD, E_FIELD, COUNTERTERM),
+        (*_COMMON, N_DRAWS, MASS, KAPPA, H_FIELD, E_FIELD),
         (Check("dirac_clifford_max_defect", 1e-12),
          Check("dirac_gap_max_defect", 1e-10),
          Check("dirac_counterterm_max_defect", 1e-12),
@@ -587,9 +552,6 @@ VERBS: dict[str, Verb] = {
          Check("spectrum_nonfinite_m2_count", 0.0))),
 }
 
-CHECK_COLUMNS = ["name", "value", "expected", "tolerance", "pass"]
-
-
 # every flag defaults to None, so one parser serves every ``main`` call
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -606,17 +568,26 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=verb.help)
         for param in verb.params:
             kind = param.kind
-            if kind.parse is None:
-                p.add_argument(param.flag, dest=param.name, default=None,
-                               action="store_true", help=param.help)
-            else:
-                p.add_argument(param.flag, dest=param.name, default=None,
-                               action="append" if kind.repeat else "store",
-                               type=kind.parse, choices=kind.choices,
-                               metavar=kind.metavar, help=param.help)
+            p.add_argument(param.flag, dest=param.name, default=None,
+                           action="append" if kind.repeat else "store",
+                           type=kind.parse, choices=kind.choices,
+                           metavar=kind.metavar, help=param.help)
         p.add_argument("--config", default=None,
                        help="JSON file with defaults for any flag of this verb")
     return parser
+
+
+def _distinct_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The config file's JSON objects, each key given once in either
+    spelling: a repeated key would shadow a value that is never checked."""
+    seen = {}
+    for key, _ in pairs:
+        name = key.replace("-", "_")
+        if name in seen:
+            raise ConfigError(f"config key {key!r} given twice (first as "
+                              f"{seen[name]!r})")
+        seen[name] = key
+    return dict(pairs)
 
 
 def _read_config(path: str | None) -> dict:
@@ -624,12 +595,12 @@ def _read_config(path: str | None) -> dict:
         return {}
     try:
         with open(path, encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+            file_cfg = json.load(fh, object_pairs_hook=_distinct_keys)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     if not isinstance(file_cfg, dict):
         raise ConfigError("config file must hold a JSON object")
-    return {str(k).replace("-", "_"): v for k, v in file_cfg.items()}
+    return {k.replace("-", "_"): v for k, v in file_cfg.items()}
 
 
 def resolve_config(command: str, file_cfg: dict, flags: dict) -> dict:
@@ -687,11 +658,7 @@ def main(argv: list[str] | None = None) -> int:
                 cfg, np.random.default_rng(cfg["seed"]))
             checks = verb.check(values, cfg["tol"])
         if cfg["format"] == "csv":
-            if table is None:
-                table = (CHECK_COLUMNS, [
-                    [c.name, c.value, c.expected, c.tolerance, int(c.passed)]
-                    for c in sorted(checks, key=lambda c: c.name)])
-            write_csv(*table, out=cfg["out"])
+            write_csv(*(table or check_table(checks)), out=cfg["out"])
         else:
             echo = {p.name: cfg[p.name] for p in verb.params if p.echo}
             report = build_report(args.command, echo, checks, records,

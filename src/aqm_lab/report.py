@@ -1,4 +1,5 @@
-"""Check records, deterministic report serialization, CSV writers.
+"""Check rows and their pass rule, check records, deterministic report
+serialization, CSV layouts.
 
 A report separates a byte-stable ``payload`` (command, configuration echo,
 check records, optional data records) from volatile envelope fields
@@ -18,6 +19,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -26,12 +28,11 @@ SCHEMA = "aqm-lab/report/v1"
 
 @dataclass(frozen=True)
 class CheckRecord:
-    """One named check: measured value against an expectation.
-
-    For ordinary checks ``passed`` means |value - expected| <= tolerance.
-    Control checks that must stay far from zero use ``check_at_least``:
-    there ``passed`` means value >= expected and the tolerance is zero by
-    convention. A non-finite value fails either kind.
+    """One named check: measured value against an expectation, as
+    ``Check.record`` builds it. A residual passes when
+    |value - expected| <= tolerance, with ``expected`` 0; a floor passes
+    when value >= expected, with ``tolerance`` 0 by convention. A
+    non-finite value fails either kind.
     """
 
     name: str
@@ -53,21 +54,36 @@ class CheckRecord:
         return out
 
 
-def check_close(name: str, value: float, expected: float, tolerance: float
-                ) -> CheckRecord:
-    value = float(value)
-    return CheckRecord(name=name, value=value, expected=float(expected),
-                       tolerance=float(tolerance),
-                       passed=math.isfinite(value)
-                       and bool(abs(value - expected) <= tolerance))
+@dataclass(frozen=True)
+class Check:
+    """One named check of a verb, the one place its pass rule lives.
+    ``reduce``, a numpy reduction (so a NaN propagates), takes the verb's
+    per-draw values or one number to the checked value. A residual passes
+    within ``tol`` of zero; a ``floor`` passes at ``tol`` or above; a
+    non-finite value never passes. ``--tol`` replaces every nonzero ``tol``
+    that is not a floor: floors and counts (``tol`` 0) are not residuals."""
+
+    name: str
+    tol: float
+    reduce: Callable = np.max
+    floor: bool = False
+
+    def record(self, values, tol: float | None) -> CheckRecord:
+        value = float(self.reduce(values))
+        if self.floor:
+            expected, tolerance = float(self.tol), 0.0
+            passed = value >= expected
+        else:
+            expected = 0.0
+            tolerance = float(self.tol if tol is None or self.tol == 0.0
+                              else tol)
+            passed = abs(value) <= tolerance
+        return CheckRecord(self.name, value, expected, tolerance,
+                           math.isfinite(value) and passed)
 
 
-def check_at_least(name: str, value: float, threshold: float) -> CheckRecord:
-    """Control check that passes only when the value stays above a floor."""
-    value = float(value)
-    return CheckRecord(name=name, value=value, expected=float(threshold),
-                       tolerance=0.0,
-                       passed=math.isfinite(value) and bool(value >= threshold))
+def _by_name(checks: list[CheckRecord]) -> list[CheckRecord]:
+    return sorted(checks, key=lambda c: c.name)
 
 
 def build_report(command: str, config: dict, checks: list[CheckRecord],
@@ -77,7 +93,7 @@ def build_report(command: str, config: dict, checks: list[CheckRecord],
     payload = {
         "command": command,
         "config": _plain(config),
-        "checks": [c.to_json() for c in sorted(checks, key=lambda c: c.name)],
+        "checks": [c.to_json() for c in _by_name(checks)],
         "passed": bool(all(c.passed for c in checks)),
     }
     if records is not None:
@@ -123,10 +139,26 @@ TRAJECTORY_COLUMNS = ["s", "x0", "x1", "x2", "x3",
 
 SPECTRUM_COLUMNS = ["u", "v", "casimir", "m2"]
 
+CHECK_COLUMNS = ["name", "value", "expected", "tolerance", "pass"]
 
-def trajectory_rows(bundle, ds: float) -> list[list]:
-    """Flatten a ``dynamics.Bundle`` integrated at step ``ds`` into
-    trajectory CSV rows.
+
+def check_table(checks: list[CheckRecord]) -> tuple[list[str], list[list]]:
+    """The check records as a CSV table, sorted by name as in the JSON
+    payload."""
+    return CHECK_COLUMNS, [
+        [c.name, c.value, c.expected, c.tolerance, int(c.passed)]
+        for c in _by_name(checks)]
+
+
+def spectrum_table(records: list[dict]) -> tuple[list[str], list[list]]:
+    """The spectrum records (``dirac.mass_spin_spectrum``) as a CSV table."""
+    return SPECTRUM_COLUMNS, [[r[c] for c in SPECTRUM_COLUMNS]
+                              for r in records]
+
+
+def trajectory_table(bundle, ds: float) -> tuple[list[str], list[list]]:
+    """A ``dynamics.Bundle`` integrated at step ``ds`` as a CSV table of
+    trajectory samples.
 
     Trajectories are concatenated; each restarts the parameter column at
     zero, which delimits them without extra columns.
@@ -136,7 +168,7 @@ def trajectory_rows(bundle, ds: float) -> list[list]:
         flag = int(bundle.timelike[i])
         rows.extend([ds * k, *map(float, bundle.points[k, i]), flag]
                     for k in range(n))
-    return rows
+    return TRAJECTORY_COLUMNS, rows
 
 
 def write_csv(columns: list[str], rows: list[list], out=None) -> None:

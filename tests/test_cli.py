@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import csv
 import io
 import json
 import os
@@ -268,7 +269,7 @@ def test_malformed_config_is_error(tmp_path, capsys):
         capsys.readouterr()
         assert main(["verify-curvature", "--config", str(cfg)]) == 2, bad
         assert_one_line_error(capsys)
-    for bad in ({"kappa": None}, {"H": "abc"}, {"counterterm": "no"}):
+    for bad in ({"kappa": None}, {"H": "abc"}):
         cfg.write_text(json.dumps(bad))
         assert main(["verify-dirac", "--config", str(cfg)]) == 2, bad
         assert_one_line_error(capsys)
@@ -292,6 +293,37 @@ def test_malformed_config_is_error(tmp_path, capsys):
     assert not missing.parent.exists()
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"n-draws": 0, "n_draws": 2}', "'n_draws' given twice (first as "
+                                     "'n-draws')"),
+    ('{"seed": -1, "seed": 2}', "'seed' given twice"),
+    ('{"n_draws": 2, "n-draws": 2}', "'n-draws' given twice (first as "
+                                     "'n_draws')"),
+], ids=["two_spellings", "repeated_key", "same_values"])
+def test_config_key_given_twice_is_error(tmp_path, capsys, text, key):
+    # the later value would shadow the earlier one, which no check would see
+    cfg = tmp_path / "twice.json"
+    cfg.write_text(text)
+    assert main(["verify-curvature", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: config key {key}"), captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_counterterm_is_no_option(tmp_path, capsys):
+    # the counterterm has its own check; no option moves it into the gap
+    # check, as a flag or a config key
+    assert main(["verify-dirac", "--counterterm"]) == 2
+    assert_one_line_error(capsys, "error: unrecognized arguments: "
+                                  "--counterterm")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"counterterm": True}))
+    assert main(["verify-dirac", "--config", str(cfg)]) == 2
+    assert_one_line_error(capsys, "error: unknown config keys for "
+                                  "verify-dirac: ['counterterm']")
+
+
 def test_out_flag_writes_file(tmp_path):
     out = tmp_path / "report.json"
     code = main(FAST_DIRAC + ["--out", str(out)])
@@ -306,6 +338,26 @@ def test_csv_format_for_verify(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "name,value,expected,tolerance,pass"
     assert len(lines) == 6  # five checks
+
+
+@pytest.mark.parametrize("verb", ["verify-curvature", "verify-weyl",
+                                  "verify-linearization", "verify-reps",
+                                  "verify-dirac"])
+def test_csv_check_table_is_the_payload_checks(verb, tmp_path):
+    # the same records, in the same order and to the bit; --tol 1e-9 fails
+    # some checks, so the pass column is not all ones
+    argv = [verb, "--n-draws", "2" if verb == "verify-dirac" else "1",
+            "--tol", "1e-9"]
+    out_csv, out_json = tmp_path / "checks.csv", tmp_path / "report.json"
+    code = main(argv + ["--format", "csv", "--out", str(out_csv)])
+    assert main(argv + ["--out", str(out_json)]) == code
+    rows = list(csv.reader(out_csv.read_text().splitlines()))
+    assert rows[0] == ["name", "value", "expected", "tolerance", "pass"]
+    checks = json.loads(out_json.read_text())["payload"]["checks"]
+    assert [[r[0], float(r[1]), float(r[2]), float(r[3]), bool(int(r[4]))]
+            for r in rows[1:]] == [
+        [c["name"], c["value"], c["expected"], c["tolerance"], c["pass"]]
+        for c in checks]
 
 
 def test_same_seed_payloads_identical(tmp_path):
@@ -654,7 +706,6 @@ def test_fuzzed_config_resolves_to_checked_values_or_config_error(case):
         vec = cfg.get(key)
         assert vec is None or (len(vec) == 3
                                and all(is_finite_number(x) for x in vec))
-    assert type(cfg.get("counterterm", False)) is bool
     for key, value in raw.items():
         assert cfg[key] == (tuple(value) if key in ("H", "E") and value
                             is not None else value)

@@ -2,8 +2,6 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from aqm_lab.config_space import TopMetric
 from aqm_lab.dynamics import integrate_trajectory
@@ -12,11 +10,11 @@ from aqm_lab.hj import EMConfig, WaveInputs
 from aqm_lab.report import (
     SCHEMA,
     TRAJECTORY_COLUMNS,
+    Check,
+    CheckRecord,
     build_report,
-    check_at_least,
-    check_close,
     dump_report,
-    trajectory_rows,
+    trajectory_table,
     write_csv,
 )
 
@@ -26,28 +24,71 @@ def payload_bytes(report: dict) -> bytes:
     return json.dumps(report["payload"], sort_keys=True, allow_nan=False).encode()
 
 
-def test_check_close_semantics():
-    assert check_close("x", 1.0, 1.0, 0.0).passed
-    assert check_close("x", 1.0, 1.05, 0.1).passed
-    assert not check_close("x", 1.0, 1.2, 0.1).passed
+# the three kinds of check row: a residual, a floor and a count
+ROWS = {"close": Check("close", 1e-6),
+        "floor": Check("floor", 1e-2, np.min, floor=True),
+        "count": Check("count", 0.0)}
+
+# (row, per-draw values, --tol, expected, tolerance, pass)
+FINITE_CASES = [
+    ("close", [0.0], None, 0.0, 1e-6, True),
+    ("close", [1e-6], None, 0.0, 1e-6, True),
+    ("close", [-5e-7, 2e-7], None, 0.0, 1e-6, True),
+    ("close", [1e-9, 2e-6], None, 0.0, 1e-6, False),
+    ("close", [-2e-6], None, 0.0, 1e-6, False),
+    ("close", [2e-6], 1e-5, 0.0, 1e-5, True),
+    ("close", [5e-7], 1e-7, 0.0, 1e-7, False),
+    ("floor", [0.5, 2.0], None, 1e-2, 0.0, True),
+    ("floor", [1e-2], None, 1e-2, 0.0, True),
+    ("floor", [0.5, 5e-3], None, 1e-2, 0.0, False),
+    ("floor", [-1.0], None, 1e-2, 0.0, False),
+    ("floor", [5e-3], 1e-3, 1e-2, 0.0, False),
+    ("floor", [0.5], 1.0, 1e-2, 0.0, True),
+    ("count", 0, None, 0.0, 0.0, True),
+    ("count", 1, None, 0.0, 0.0, False),
+    ("count", 1, 10.0, 0.0, 0.0, False),
+]
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.floats(-10, 10), st.floats(-10, 10), st.floats(0, 5))
-def test_check_close_matches_abs_difference(value, expected, tol):
-    rec = check_close("x", value, expected, tol)
-    assert rec.passed == (abs(value - expected) <= tol)
+def assert_record(row, values, tol, expected, tolerance, passed):
+    rec = ROWS[row].record(values, tol)
+    assert (rec.name, rec.expected, rec.tolerance, rec.passed) \
+        == (row, expected, tolerance, passed)
+    assert type(rec.value) is float and type(rec.passed) is bool
 
 
-def test_check_at_least():
-    assert check_at_least("floor", 0.5, 0.1).passed
-    assert not check_at_least("floor", 0.05, 0.1).passed
-    assert check_at_least("floor", 0.1, 0.1).tolerance == 0.0
+@pytest.mark.parametrize(
+    "row, values, tol, expected, tolerance, passed", FINITE_CASES,
+    ids=["close-zero", "close-at-tolerance", "close-both-signs",
+         "close-one-draw-over", "close-negative-over", "close-tol-widens",
+         "close-tol-narrows", "floor-above", "floor-at",
+         "floor-one-draw-below", "floor-negative", "floor-tol-ignored-below",
+         "floor-tol-ignored-above", "count-zero", "count-one",
+         "count-tol-ignored"])
+def test_check_row_pass_rule(row, values, tol, expected, tolerance, passed):
+    # a residual passes within its tolerance of 0, a floor at or above it;
+    # --tol replaces only the nonzero tolerance of a residual
+    assert_record(row, values, tol, expected, tolerance, passed)
+    assert ROWS[row].record(values, tol).value == ROWS[row].reduce(values)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_nonfinite_value_fails_every_check(bad):
+    # a non-finite value never passes, whatever the kind of row or --tol; a
+    # NaN draw propagates through the row's reduction
+    for row, tol, expected, tolerance in [
+            ("close", None, 0.0, 1e-6), ("close", 1e300, 0.0, 1e300),
+            ("floor", None, 1e-2, 0.0), ("floor", 1e300, 1e-2, 0.0),
+            ("count", None, 0.0, 0.0), ("count", 1e300, 0.0, 0.0)]:
+        assert_record(row, [bad], tol, expected, tolerance, False)
+        if bad != bad:
+            assert_record(row, [0.5, bad, 0.0], tol, expected, tolerance,
+                          False)
 
 
 def test_build_report_sorts_and_aggregates():
-    checks = [check_close("zeta", 1.0, 1.0, 0.1),
-              check_close("alpha", 0.0, 1.0, 0.1)]
+    checks = [CheckRecord("zeta", 0.0, 0.0, 0.1, True),
+              CheckRecord("alpha", 1.0, 0.0, 0.1, False)]
     report = build_report("cmd", {"seed": 1}, checks, wall_time_s=0.5)
     names = [c["name"] for c in report["payload"]["checks"]]
     assert names == ["alpha", "zeta"]
@@ -58,14 +99,15 @@ def test_build_report_sorts_and_aggregates():
 
 
 def test_payload_bytes_excludes_wall_time():
-    checks = [check_close("a", 1.0, 1.0, 0.1)]
+    checks = [CheckRecord("a", 0.0, 0.0, 0.1, True)]
     r1 = build_report("cmd", {"seed": 1}, checks, wall_time_s=0.1)
     r2 = build_report("cmd", {"seed": 1}, checks, wall_time_s=99.0)
     assert payload_bytes(r1) == payload_bytes(r2)
 
 
 def test_numpy_values_serialize_plainly(tmp_path):
-    checks = [check_close("a", np.float64(1.0), np.float64(1.0), np.float64(0.1))]
+    checks = [CheckRecord("a", np.float64(0.0), np.float64(0.0),
+                          np.float64(0.1), np.bool_(True))]
     report = build_report("cmd", {"n": np.int64(3)}, checks,
                           records=[{"vec": np.arange(3.0)}])
     out = tmp_path / "r.json"
@@ -81,16 +123,10 @@ def test_dump_rejects_nan():
         dump_report({"payload": {"value": float("nan")}}, out=None)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-def test_nonfinite_value_fails_every_check(bad):
-    assert not check_close("x", bad, 0.0, 1e300).passed
-    assert not check_at_least("floor", bad, 1e-6).passed
-
-
 def test_nonfinite_check_serializes_as_null(tmp_path):
-    checks = [check_close("a", float("nan"), 0.0, 1.0),
-              check_at_least("b", float("inf"), 1e-6),
-              check_close("c", 0.5, 0.0, 1.0)]
+    checks = [CheckRecord("a", float("nan"), 0.0, 1.0, False),
+              CheckRecord("b", float("inf"), 1e-6, 0.0, False),
+              CheckRecord("c", 0.5, 0.0, 1.0, True)]
     report = build_report("cmd", {}, checks,
                           records=[{"r": float("nan"), "v": [1.0, -np.inf]}])
     out = tmp_path / "r.json"
@@ -107,8 +143,8 @@ def test_nonfinite_check_serializes_as_null(tmp_path):
 
 
 def test_finite_payload_bytes_golden():
-    checks = [check_close("a", 1.25e-9, 0.0, 1e-6),
-              check_at_least("b", 0.5, 1e-2)]
+    checks = [CheckRecord("a", 1.25e-9, 0.0, 1e-6, True),
+              CheckRecord("b", 0.5, 1e-2, 0.0, True)]
     report = build_report("cmd", {"seed": 3, "H": (0.1, 0.2, 0.3)}, checks,
                           records=[{"x": np.float64(2.5), "n": np.int64(4)}])
     assert payload_bytes(report) == (
@@ -128,7 +164,8 @@ def test_trajectory_rows_layout():
                         .uniform(-1.0, 1.0, (1, 10))])
     bundle = integrate_trajectory(fields, EMConfig.zero(), TopMetric(1.0),
                                   starts, ds=0.1, n_steps=3)
-    rows = trajectory_rows(bundle, 0.1)
+    columns, rows = trajectory_table(bundle, 0.1)
+    assert columns == TRAJECTORY_COLUMNS
     assert len(rows) == 8  # two trajectories, four samples each
     assert len(rows[0]) == len(TRAJECTORY_COLUMNS)
     assert rows[0][0] == 0.0
