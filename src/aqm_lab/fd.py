@@ -84,6 +84,34 @@ def derivative_stack(f: Callable[[np.ndarray], np.ndarray], point: np.ndarray,
     return out
 
 
+def value_and_derivative_stack(f: Callable[[np.ndarray], np.ndarray],
+                               point: np.ndarray, h: float, order: int,
+                               skip: Iterable[int]
+                               ) -> tuple[np.ndarray, np.ndarray]:
+    """``(f(point), derivative_stack(f, point, h, order, skip))`` from one
+    call of ``f``.
+
+    The points ride along with the stencil points that ``derivative_stack``
+    hands over: ``f`` sees one flat batch of shape (n_stencil + n_batch,
+    dim), stencil points first, and the stack is the weighted sum of the
+    stencil rows. With every axis skipped, ``derivative_stack`` hands over
+    the points themselves, so ``f`` sees each point twice.
+    """
+    point = np.asarray(point, dtype=float)
+    dim = point.shape[-1]
+    value = []
+
+    def with_point(points):
+        n = points.size // dim
+        values = np.asarray(f(np.concatenate([points.reshape(n, dim),
+                                              point.reshape(-1, dim)])))
+        value.append(values[n:].reshape(point.shape[:-1] + values.shape[1:]))
+        return values[:n].reshape(points.shape[:-1] + values.shape[1:])
+
+    stack = derivative_stack(with_point, point, h=h, order=order, skip=skip)
+    return value[0], stack
+
+
 def central_diff(f: Callable[[np.ndarray], np.ndarray], point: np.ndarray,
                  axis: int, h: float = 1e-3, order: int = 4) -> np.ndarray:
     """Derivative of ``f`` along one coordinate axis: the one-axis case of

@@ -16,7 +16,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .fd import derivative_stack
+from .fd import derivative_stack, value_and_derivative_stack
 
 # ---------------------------------------------------------------------------
 # metric fields
@@ -40,16 +40,20 @@ class MetricField:
         raise NotImplementedError
 
     def inverse(self, q: np.ndarray) -> np.ndarray:
-        g = self.matrix(q)
-        try:
-            return np.linalg.inv(g)
-        except np.linalg.LinAlgError:
-            # an exactly singular matrix (a scale underflowed to zero) makes
-            # the batch NaN, which the checks report
-            return np.full(g.shape, np.nan)
+        return _invert(self.matrix(q))
 
     def sqrt_det(self, q: np.ndarray) -> np.ndarray:
         return np.sqrt(np.abs(np.linalg.det(self.matrix(q))))
+
+
+def _invert(g: np.ndarray) -> np.ndarray:
+    """The generic inverse of metric matrices g on the last two axes."""
+    try:
+        return np.linalg.inv(g)
+    except np.linalg.LinAlgError:
+        # an exactly singular matrix (a scale underflowed to zero) makes
+        # the batch NaN, which the checks report
+        return np.full(g.shape, np.nan)
 
 
 class ScaledMetric(MetricField):
@@ -88,19 +92,21 @@ def _unit_axes(a: np.ndarray, at: int, n: int) -> np.ndarray:
 
 
 def christoffel_at(metric: MetricField, point: np.ndarray, h: float = 1e-3,
-                   order: int = 4) -> np.ndarray:
-    """Christoffel symbols Gamma^i_{jk} of the metric at points on the last axis.
+                   order: int = 4) -> tuple[np.ndarray, np.ndarray]:
+    """Christoffel symbols Gamma^i_{jk} of the metric at points on the last
+    axis, and the inverse metric g^{ij} there: ``(gam, ginv)``.
 
-    Components are assembled from central differences of the metric matrix;
+    Components are assembled from central differences of the metric matrix,
+    whose values at the points come from the same call as its stencil;
     axes in ``metric.constant_dims`` contribute exact zero derivatives.
     """
-    point = np.asarray(point, dtype=float)
-    dg = derivative_stack(metric.matrix, point, h=h, order=order,
-                          skip=metric.constant_dims)  # dg[..., l, i, j] = d_l g_ij
-    # curvature stays a result of ``matrix`` alone, never of a closed form
-    ginv = MetricField.inverse(metric, point)
+    g, dg = value_and_derivative_stack(metric.matrix, point, h, order,
+                                       metric.constant_dims)
+    # dg[..., l, i, j] = d_l g_ij; curvature stays a result of ``matrix``
+    # alone, never of a closed form
+    ginv = _invert(g)
     term = np.einsum("...jlk->...ljk", dg) + np.einsum("...klj->...ljk", dg) - dg
-    return 0.5 * np.einsum("...il,...ljk->...ijk", ginv, term)
+    return 0.5 * np.einsum("...il,...ljk->...ijk", ginv, term), ginv
 
 
 def riemann_scalar_at(metric: MetricField, point: np.ndarray, h: float = 1e-2,
@@ -108,16 +114,19 @@ def riemann_scalar_at(metric: MetricField, point: np.ndarray, h: float = 1e-2,
     """Riemann scalar curvature R at one point by nested finite differences.
 
     ``h`` steps the outer derivatives of the Christoffel symbols, h/10 the
-    metric derivatives inside each Christoffel evaluation.
+    metric derivatives inside each Christoffel evaluation. One Christoffel
+    evaluation covers the point and its stencil, with the inverse metric
+    riding along as an extra slice, so ``matrix`` is called once.
     """
-    point = np.asarray(point, dtype=float)
     h_inner = h / 10.0
-    gam = christoffel_at(metric, point, h=h_inner, order=order)
-    dgam = derivative_stack(
-        lambda q: christoffel_at(metric, q, h=h_inner, order=order),
-        point, h=h, order=order, skip=metric.constant_dims)
-    # curvature stays a result of ``matrix`` alone, never of a closed form
-    ginv = MetricField.inverse(metric, point)
+
+    def christoffel_and_inverse(q):
+        gam, ginv = christoffel_at(metric, q, h=h_inner, order=order)
+        return np.concatenate([gam, ginv[..., None, :, :]], axis=-3)
+
+    both, dboth = value_and_derivative_stack(christoffel_and_inverse, point, h,
+                                             order, metric.constant_dims)
+    gam, ginv, dgam = both[:-1], both[-1], dboth[:, :-1]
     t1 = np.einsum("iijk->jk", dgam)
     t2 = np.einsum("jiik->jk", dgam)
     t3 = np.einsum("iip,pjk->jk", gam, gam)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from aqm_lab.config_space import GroupMetric, TopMetric, sample_point
+from aqm_lab.fd import derivative_stack
 from aqm_lab.fields import LinearField, draw_field
 from aqm_lab.geometry import (
     MetricField,
@@ -70,14 +71,16 @@ class SphereMetric(MetricField):
 
 def test_flat_christoffel_vanishes():
     m = ConstantMetric(np.eye(3))
-    gam = christoffel_at(m, np.array([0.2, -0.5, 1.0]))
+    gam, ginv = christoffel_at(m, np.array([0.2, -0.5, 1.0]))
     assert np.max(np.abs(gam)) < 1e-12
+    assert np.array_equal(ginv, np.eye(3))
 
 
 def test_sphere_christoffel_golden():
     m = SphereMetric(radius=1.0)
     q = np.array([0.7, 0.3])
-    gam = christoffel_at(m, q)
+    gam, ginv = christoffel_at(m, q)
+    assert np.array_equal(ginv, np.linalg.inv(m.matrix(q)))
     assert abs(gam[0, 1, 1] + np.sin(0.7) * np.cos(0.7)) < 1e-9
     assert abs(gam[1, 0, 1] - 1.0 / np.tan(0.7)) < 1e-9
     assert abs(gam[1, 1, 0] - 1.0 / np.tan(0.7)) < 1e-9
@@ -132,6 +135,78 @@ def test_group_scalar_curvature_reads_the_matrix_alone(monkeypatch):
     for name in ("inverse", "inverse_from_killing", "sqrt_det"):
         monkeypatch.setattr(GroupMetric, name, fail)
     assert riemann_scalar_at(GroupMetric(0.9), theta) == expected
+
+
+def christoffel_reference(metric, point, h=1e-3, order=4):
+    """Gamma^i_{jk} from a derivative stack of ``matrix`` and a separate
+    generic inverse at the points: the Christoffel symbols before they came
+    with the inverse from one call of ``matrix``."""
+    point = np.asarray(point, dtype=float)
+    dg = derivative_stack(metric.matrix, point, h=h, order=order,
+                          skip=metric.constant_dims)
+    ginv = MetricField.inverse(metric, point)
+    term = np.einsum("...jlk->...ljk", dg) + np.einsum("...klj->...ljk", dg) - dg
+    return 0.5 * np.einsum("...il,...ljk->...ijk", ginv, term)
+
+
+def riemann_reference(metric, point, h=1e-2, order=4):
+    """R in two passes, the Christoffel symbols at the point alone and on
+    its stencil, and a third inverse at the point: the Riemann scalar before
+    the point rode along with its stencil."""
+    point = np.asarray(point, dtype=float)
+    h_inner = h / 10.0
+    gam = christoffel_reference(metric, point, h=h_inner, order=order)
+    dgam = derivative_stack(
+        lambda q: christoffel_reference(metric, q, h=h_inner, order=order),
+        point, h=h, order=order, skip=metric.constant_dims)
+    ginv = MetricField.inverse(metric, point)
+    t1 = np.einsum("iijk->jk", dgam)
+    t2 = np.einsum("jiik->jk", dgam)
+    t3 = np.einsum("iip,pjk->jk", gam, gam)
+    t4 = np.einsum("ijp,pik->jk", gam, gam)
+    return float(np.einsum("jk,jk->", ginv, t1 - t2 + t3 - t4))
+
+
+@pytest.mark.parametrize("a", [0.8, 1.6])
+def test_riemann_scalar_matches_two_pass_reference_bitwise(a):
+    # the top and group metrics evaluate each point alone, so the point and
+    # the inverse riding along with the stencil leave every bit in place
+    rng = np.random.default_rng(26)
+    for _ in range(10):
+        q = sample_point(rng)
+        assert riemann_scalar_at(TopMetric(a), q) == riemann_reference(TopMetric(a), q)
+        assert riemann_scalar_at(GroupMetric(a), q[4:]) \
+            == riemann_reference(GroupMetric(a), q[4:])
+
+
+def test_riemann_scalar_of_scaled_metric_matches_two_pass_reference():
+    # a band-limited rho takes a matrix product over the batch, whose bits at
+    # the point may part from those of a one-point product in the last place
+    rng = np.random.default_rng(27)
+    for _ in range(12):
+        log_rho = draw_field(rng, 10, amp_scale=0.5)
+        metric, _ = conformal_transform(TopMetric(1.0), lambda q: q[..., 0], log_rho)
+        q = sample_point(rng, rot_scale=1.0, boost_bound=1.0)
+        assert abs(riemann_scalar_at(metric, q) - riemann_reference(metric, q)) <= 1e-14
+
+
+class SingularMetric(MetricField):
+    """diag(1 + q0^2, 0): exactly singular everywhere."""
+
+    dim = 2
+
+    def matrix(self, q):
+        q = np.asarray(q, dtype=float)
+        g = np.zeros(q.shape[:-1] + (2, 2))
+        g[..., 0, 0] = 1.0 + q[..., 0] ** 2
+        return g
+
+
+def test_singular_metric_gives_nan_curvature_without_raising():
+    q = np.array([0.4, -0.2])
+    gam, ginv = christoffel_at(SingularMetric(), q)
+    assert np.all(np.isnan(ginv)) and np.all(np.isnan(gam))
+    assert np.isnan(riemann_scalar_at(SingularMetric(), q))
 
 
 def test_covariant_divergence_flat_linear():
