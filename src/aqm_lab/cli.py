@@ -35,7 +35,8 @@ from .dirac import EXTREME_SCALES, MassScale, clifford_defect, \
     squared_dirac_matrix, top_spinor_matrix
 from .dynamics import integrate_trajectory, transport_check
 from .fields import LinearField, draw_field
-from .geometry import conformal_transform, riemann_scalar_at, weyl_scalar_at
+from .geometry import CURVATURE_STEP, conformal_transform, \
+    riemann_scalar_at, weyl_scalar_at
 from .hj import EMConfig, WaveInputs, conformal_coupling, draw_wave_inputs, \
     linearization_check
 from .lorentz_reps import Irrep, angular_laplacian_check, casimir_value, \
@@ -81,9 +82,10 @@ class Kind:
 
 
 def _finite(v, positive: bool = False) -> float:
+    # an integer that no float equals is an error, not a rounded value
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise TypeError(v)
-    if not math.isfinite(float(v)) or (positive and v <= 0):
+    if not math.isfinite(float(v)) or float(v) != v or (positive and v <= 0):
         raise ValueError(v)
     return float(v)
 
@@ -259,15 +261,15 @@ def _run_verify_curvature(cfg: dict, rng: np.random.Generator):
 
 def _run_verify_weyl(cfg: dict, rng: np.random.Generator):
     metric = TopMetric(cfg["a"])
-    r = metric.riemann_scalar()
+    r, h, order = metric.riemann_scalar(), cfg["h"], cfg["order"]
     diffs, records = [], []
     for _ in range(cfg["n_draws"]):
         log_chi = draw_field(rng, 10)
         q = sample_point(rng, rot_scale=1.5, boost_bound=1.5)
-        line1 = weyl_scalar_at(metric, log_chi, q, h=cfg["h"],
-                               order=cfg["order"], form="phi", r_scalar=r)
-        line2 = weyl_scalar_at(metric, log_chi, q, h=cfg["h"],
-                               order=cfg["order"], form="chi", r_scalar=r)
+        line1 = weyl_scalar_at(metric, log_chi, q, h, order, form="phi",
+                               r_scalar=r)
+        line2 = weyl_scalar_at(metric, log_chi, q, h, order, form="chi",
+                               r_scalar=r)
         rel = abs(line1 - line2) / max(abs(line1), abs(line2), 1.0)
         diffs.append(rel)
         records.append({"point": list(q), "phi_form": line1, "chi_form": line2,
@@ -279,11 +281,9 @@ def _run_verify_weyl(cfg: dict, rng: np.random.Generator):
         log_chi = draw_field(rng, 10)
         log_rho = draw_field(rng, 10, amp_scale=0.5)
         q = sample_point(rng, rot_scale=1.0, boost_bound=1.0)
-        base = weyl_scalar_at(metric, log_chi, q, h=cfg["h"],
-                              order=cfg["order"], r_scalar=r)
+        base = weyl_scalar_at(metric, log_chi, q, h, order, r_scalar=r)
         new_metric, new_log_chi = conformal_transform(metric, log_chi, log_rho)
-        moved = weyl_scalar_at(new_metric, new_log_chi, q, h=cfg["h"],
-                               order=cfg["order"])
+        moved = weyl_scalar_at(new_metric, new_log_chi, q, h, order)
         rho0 = float(np.exp(log_rho(q)))
         weight_errs.append(abs(rho0 * moved - base) / max(abs(base), 1.0))
 
@@ -334,8 +334,7 @@ def _run_verify_reps(cfg: dict, rng: np.random.Generator):
     casimir_rel = []
     for rep in (Irrep(0, 0.5), Irrep(0.5, 0.5)):
         expected = -casimir_value(rep) / np.float64(cfg["a"]) ** 2
-        ratio = angular_laplacian_check(rep, thetas, a=cfg["a"],
-                                        order=cfg["order"])
+        ratio = angular_laplacian_check(rep, thetas, cfg["a"], cfg["order"])
         dev = np.max(np.abs(ratio - expected * np.eye(rep.dim)), axis=(-2, -1))
         casimir_rel.append(dev / abs(expected))
 
@@ -420,17 +419,15 @@ def _run_trace(cfg: dict, rng: np.random.Generator):
     em = EMConfig.zero()
     fields, starts = _plane_wave_bundle_inputs(rng, cfg["n_draws"],
                                                cfg["spread"])
-    bundle = integrate_trajectory(fields, em, metric, starts, ds=cfg["ds"],
-                                  n_steps=cfg["steps"], h=cfg["h"],
-                                  order=cfg["order"])
+    bundle = integrate_trajectory(fields, em, metric, starts, cfg["ds"],
+                                  cfg["steps"], cfg["h"], cfg["order"])
     # the start point's velocity norm is row 0 of the start evaluation; both
     # formats compute every check, so a CSV run fails where a JSON run does
     # (a degenerate start, a bundle that never left its start points)
     v0 = bundle.start_velocity[0]
     g0 = metric.matrix(starts[0])
-    rep = transport_check(fields, em, metric, bundle,
-                          n_sections=cfg["sections"], h=cfg["h"],
-                          order=cfg["order"])
+    rep = transport_check(fields, em, metric, bundle, cfg["sections"],
+                          cfg["h"], cfg["order"])
     values = {"trace_velocity_norm_defect": abs(abs(float(v0 @ g0 @ v0)) - 1.0),
               "trace_max_divergence": rep.max_divergence,
               "trace_flux_drift": rep.flux_drift,
@@ -452,12 +449,8 @@ def _run_spectrum(cfg: dict, rng: np.random.Generator):
         reps = [_parse_rep(lbl) for lbl in labels]
     else:
         reps = reps_up_to_dim(9)
-    if cfg["a"] is not None:
-        a = cfg["a"]
-    elif cfg["mass"] is not None:
-        a = MassScale(cfg["mass"]).a
-    else:
-        a = 1.0
+    # --a and --mass exclude each other; with neither, a = 1
+    a = (cfg["a"] or 1.0) if cfg["mass"] is None else MassScale(cfg["mass"]).a
     records = mass_spin_spectrum(reps, a)
     n_nonfinite = sum(not math.isfinite(r["m2"]) for r in records)
     values = {"spectrum_mass_closure_defect": mass_closure_defect(),
@@ -474,12 +467,14 @@ def _run_spectrum(cfg: dict, rng: np.random.Generator):
 class Verb:
     """``run(cfg, rng) -> (values, records, csv table or None)``, its
     ``params``, and its ``checks``: ``run`` gives a value for every check,
-    in every format, and each check makes one record."""
+    in every format, and each check makes one record. At most one of the
+    ``exclusive`` parameters, whose defaults are None, may be given."""
 
     help: str
     run: Callable[[dict, np.random.Generator], tuple]
     params: tuple[Param, ...]
     checks: tuple[Check, ...]
+    exclusive: tuple[Param, ...] = ()
 
     def check(self, values: dict, tol: float | None) -> list:
         names = {c.name for c in self.checks}
@@ -495,7 +490,7 @@ VERBS: dict[str, Verb] = {
     "verify-curvature": Verb(
         "scalar curvature of the top metric against 6/a^2",
         _run_verify_curvature, (*_COMMON, replace(N_DRAWS, default=50), A,
-                                replace(STEP, default=1e-2), ORDER),
+                                replace(STEP, default=CURVATURE_STEP), ORDER),
         (Check("curvature_max_rel_error", 1e-3),
          Check("curvature_mean_rel_error", 1e-4, np.mean))),
     "verify-weyl": Verb(
@@ -549,7 +544,8 @@ VERBS: dict[str, Verb] = {
         (*_COMMON, replace(A, default=None), replace(MASS, default=None),
          REP),
         (Check("spectrum_mass_closure_defect", 1e-14),
-         Check("spectrum_nonfinite_m2_count", 0.0))),
+         Check("spectrum_nonfinite_m2_count", 0.0)),
+        exclusive=(A, MASS)),
 }
 
 # every flag defaults to None, so one parser serves every ``main`` call
@@ -605,7 +601,8 @@ def _read_config(path: str | None) -> dict:
 
 def resolve_config(command: str, file_cfg: dict, flags: dict) -> dict:
     """Each parameter's flag value (``None``: not given), else its config
-    key, else its default; every value given passes its parameter's check."""
+    key, else its default; every value given passes its parameter's check,
+    and at most one of the verb's exclusive parameters is given."""
     params = VERBS[command].params
     unknown = set(file_cfg) - {p.name for p in params}
     if unknown:
@@ -614,6 +611,10 @@ def resolve_config(command: str, file_cfg: dict, flags: dict) -> dict:
     cfg = {p.name: p.check(file_cfg.get(p.name, p.default)) for p in params}
     cfg.update((p.name, p.check(flags[p.name])) for p in params
                if flags.get(p.name) is not None)
+    given = [p.flag for p in VERBS[command].exclusive
+             if cfg[p.name] is not None]
+    if len(given) > 1:
+        raise ConfigError(" and ".join(given) + " exclude each other")
     return cfg
 
 

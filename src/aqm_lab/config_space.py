@@ -347,7 +347,7 @@ class GroupMetric(MetricField):
 
     dim = 6
 
-    def __init__(self, a: float = 1.0):
+    def __init__(self, a: float):
         if a <= 0:
             raise ValueError("internal length scale a must be positive")
         self.a = np.float64(a)  # an extreme power is inf or 0, not an error
@@ -463,7 +463,7 @@ class TopMetric(MetricField):
     dim = 10
     constant_dims = frozenset(range(4))
 
-    def __init__(self, a: float = 1.0):
+    def __init__(self, a: float):
         self.group = GroupMetric(a)
         self.a = self.group.a
 

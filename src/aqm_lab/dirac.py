@@ -176,8 +176,7 @@ def momentum_product_symbol(p: np.ndarray, em: EMConfig, x: np.ndarray) -> np.nd
 
 
 def top_spinor_matrix(p: np.ndarray, em: EMConfig, scale: MassScale,
-                      x: np.ndarray | None = None,
-                      counterterm: bool = False) -> np.ndarray:
+                      x: np.ndarray, counterterm: bool = False) -> np.ndarray:
     """Reduced 4x4 operator of the top wave equation on a spin-1/2 plane wave.
 
     g^{mu nu} Pi_mu Pi_nu I + (spin coupling block) + 6 xi^2 / a^2 I.
@@ -185,8 +184,6 @@ def top_spinor_matrix(p: np.ndarray, em: EMConfig, scale: MassScale,
     -(a / xi)^2 (H^2 - E^2) xi^2, which removes the quadratic field
     invariant introduced by the spin coupling squares.
     """
-    if x is None:
-        x = np.zeros(4)
     a = scale.a
     t = momentum_product_symbol(p, em, x)
     # the Minkowski metric is its own inverse
@@ -223,10 +220,10 @@ def dispersion_root(p_spatial: np.ndarray, scale: MassScale) -> float:
     at the ends of the bracket (the scale over- or underflowed).
     """
     p_spatial = np.asarray(p_spatial, dtype=float)
-    em = EMConfig.zero()
+    em, x = EMConfig.zero(), np.zeros(4)
 
     def scalar_part(p0: float) -> float:
-        m = top_spinor_matrix(np.array([p0, *p_spatial]), em, scale)
+        m = top_spinor_matrix(np.array([p0, *p_spatial]), em, scale, x)
         return float(np.real(np.trace(m)) / 4.0)
 
     lo, f_lo = 0.0, scalar_part(0.0)

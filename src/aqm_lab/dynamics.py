@@ -26,7 +26,7 @@ NULL_TOL = 1e-10
 
 
 def velocity_field(fields: WaveInputs, em: EMConfig, metric: TopMetric,
-                   point: np.ndarray, h: float = 1e-3, order: int = 4
+                   point: np.ndarray, h: float, order: int
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Normalized trajectory velocity and the squared momentum norm.
 
@@ -73,7 +73,7 @@ def _within_chart(q: np.ndarray) -> np.ndarray:
 
 def integrate_trajectory(fields: WaveInputs, em: EMConfig, metric: TopMetric,
                          starts: np.ndarray, ds: float, n_steps: int,
-                         h: float = 1e-3, order: int = 4) -> Bundle:
+                         h: float, order: int) -> Bundle:
     """Fixed-step fourth-order Runge-Kutta integration of the velocity field.
 
     ``starts`` is a stack of start points, shape (n_traj, 10); n_steps >= 1.
@@ -156,7 +156,7 @@ class TransportReport:
 
 
 def flux_density(fields: WaveInputs, em: EMConfig, metric: TopMetric,
-                 point: np.ndarray, h: float = 1e-3, order: int = 4) -> np.ndarray:
+                 point: np.ndarray, h: float, order: int) -> np.ndarray:
     """Current magnitude along the flow, |psi|^2 sqrt(g) sqrt(|g^{ij} u_i u_j|),
     at points on the last axis."""
     point = np.asarray(point, dtype=float)
@@ -166,8 +166,8 @@ def flux_density(fields: WaveInputs, em: EMConfig, metric: TopMetric,
 
 
 def transport_check(fields: WaveInputs, em: EMConfig, metric: TopMetric,
-                    bundle: Bundle, n_sections: int = 5,
-                    h: float = 1e-3, order: int = 4) -> TransportReport:
+                    bundle: Bundle, n_sections: int, h: float, order: int
+                    ) -> TransportReport:
     """Divergence, flux drift and crossing diagnostics along a bundle.
 
     Cross-sections are equally spaced parameter steps shared by all
@@ -185,8 +185,7 @@ def transport_check(fields: WaveInputs, em: EMConfig, metric: TopMetric,
     sections = bundle.points[idx]
     fluxes = np.mean(flux_density(fields, em, metric, sections, h=h,
                                   order=order), axis=-1)
-    divergences = divergence_residual(fields, em, metric, sections, h=h,
-                                      order=order)
+    divergences = divergence_residual(fields, em, metric, sections, h, order)
     drift = np.max(np.abs(fluxes - fluxes[0])) / abs(fluxes[0]) \
         if n_common > 1 else np.nan
     return TransportReport(

@@ -49,8 +49,8 @@ def _step_table(order: int, h: float, dim: int, axes: tuple[int, ...]
 
 
 def derivative_stack(f: Callable[[np.ndarray], np.ndarray], point: np.ndarray,
-                     h: float = 1e-3, order: int = 4,
-                     skip: Iterable[int] = ()) -> np.ndarray:
+                     h: float, order: int, skip: Iterable[int] = ()
+                     ) -> np.ndarray:
     """Stack of partial derivatives: out[..., i, ...] = d f / d q^i at ``point``.
 
     ``point`` has shape (*batch, dim) and the result (*batch, dim, *value),
@@ -113,7 +113,7 @@ def value_and_derivative_stack(f: Callable[[np.ndarray], np.ndarray],
 
 
 def central_diff(f: Callable[[np.ndarray], np.ndarray], point: np.ndarray,
-                 axis: int, h: float = 1e-3, order: int = 4) -> np.ndarray:
+                 axis: int, h: float, order: int) -> np.ndarray:
     """Derivative of ``f`` along one coordinate axis: the one-axis case of
     ``derivative_stack``, with the same calling convention for ``f``."""
     point = np.asarray(point, dtype=float)

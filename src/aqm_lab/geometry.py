@@ -18,6 +18,9 @@ import numpy as np
 
 from .fd import derivative_stack, value_and_derivative_stack
 
+# outer step of the curvature stencil (verify-curvature, the Weyl fallback)
+CURVATURE_STEP = 1e-2
+
 # ---------------------------------------------------------------------------
 # metric fields
 # ---------------------------------------------------------------------------
@@ -91,8 +94,8 @@ def _unit_axes(a: np.ndarray, at: int, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def christoffel_at(metric: MetricField, point: np.ndarray, h: float = 1e-3,
-                   order: int = 4) -> tuple[np.ndarray, np.ndarray]:
+def christoffel_at(metric: MetricField, point: np.ndarray, h: float,
+                   order: int) -> tuple[np.ndarray, np.ndarray]:
     """Christoffel symbols Gamma^i_{jk} of the metric at points on the last
     axis, and the inverse metric g^{ij} there: ``(gam, ginv)``.
 
@@ -109,8 +112,8 @@ def christoffel_at(metric: MetricField, point: np.ndarray, h: float = 1e-3,
     return 0.5 * np.einsum("...il,...ljk->...ijk", ginv, term), ginv
 
 
-def riemann_scalar_at(metric: MetricField, point: np.ndarray, h: float = 1e-2,
-                      order: int = 4) -> float:
+def riemann_scalar_at(metric: MetricField, point: np.ndarray, h: float,
+                      order: int) -> float:
     """Riemann scalar curvature R at one point by nested finite differences.
 
     ``h`` steps the outer derivatives of the Christoffel symbols, h/10 the
@@ -135,7 +138,7 @@ def riemann_scalar_at(metric: MetricField, point: np.ndarray, h: float = 1e-2,
 
 
 def covariant_divergence_at(metric: MetricField, vector: Callable[[np.ndarray], np.ndarray],
-                            point: np.ndarray, h: float = 1e-3, order: int = 4,
+                            point: np.ndarray, h: float, order: int,
                             potential: Callable[[np.ndarray], np.ndarray] | None = None):
     """Gauge-covariant divergence (1/sqrt g)(d_k - i A_k)(sqrt g V^k) of a vector field.
 
@@ -178,7 +181,7 @@ def covariant_divergence_at(metric: MetricField, vector: Callable[[np.ndarray], 
 
 
 def laplace_beltrami(metric: MetricField, f: Callable[[np.ndarray], np.ndarray],
-                     point: np.ndarray, h: float = 1e-3, order: int = 4,
+                     point: np.ndarray, h: float, order: int,
                      potential: Callable[[np.ndarray], np.ndarray] | None = None,
                      h_inner: float | None = None):
     """Gauge-covariant Laplace-Beltrami operator (1/sqrt g) D_i (sqrt g g^{ij} D_j f).
@@ -208,8 +211,7 @@ def laplace_beltrami(metric: MetricField, f: Callable[[np.ndarray], np.ndarray],
         raised = _unit_axes(metric.inverse(q), nb, nc) @ flat
         return np.moveaxis(raised.reshape(df.shape), nb + nc, nb)
 
-    return covariant_divergence_at(metric, grad_up, point, h=h, order=order,
-                                   potential=potential)
+    return covariant_divergence_at(metric, grad_up, point, h, order, potential)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +221,7 @@ def laplace_beltrami(metric: MetricField, f: Callable[[np.ndarray], np.ndarray],
 
 def weyl_scalar_at(metric: MetricField,
                    log_chi: Callable[[np.ndarray], np.ndarray],
-                   point: np.ndarray, h: float = 1e-3, order: int = 4,
+                   point: np.ndarray, h: float, order: int,
                    form: str = "phi", r_scalar: float | None = None) -> float:
     """Weyl scalar curvature of the metric and the gauge chi = exp(log_chi)
     at one point.
@@ -231,11 +233,12 @@ def weyl_scalar_at(metric: MetricField,
     * ``form="chi"``:  R + 2(n-1) (lap chi)/chi - n(n-1) |grad chi|^2/chi^2.
 
     with n = ``metric.dim``. ``r_scalar`` short-circuits the Riemann scalar
-    when it is known in closed form (it enters both forms additively).
+    when it is known in closed form (it enters both forms additively);
+    without it, ``riemann_scalar_at`` steps by CURVATURE_STEP.
     """
     point = np.asarray(point, dtype=float)
     n = metric.dim
-    r = riemann_scalar_at(metric, point, order=order) \
+    r = riemann_scalar_at(metric, point, CURVATURE_STEP, order) \
         if r_scalar is None else float(r_scalar)
 
     if form == "phi":

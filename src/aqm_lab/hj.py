@@ -175,7 +175,7 @@ def draw_wave_inputs(rng: np.random.Generator) -> WaveInputs:
 
 
 def momentum_covector(fields: WaveInputs, em: EMConfig, point: np.ndarray,
-                      h: float = 1e-3, order: int = 4) -> np.ndarray:
+                      h: float, order: int) -> np.ndarray:
     """Gauge-covariant momentum u_j = d_j S - A_j at points on the last axis."""
     point = np.asarray(point, dtype=float)
     return derivative_stack(fields.s_field, point, h=h, order=order) \
@@ -253,7 +253,7 @@ def hj_residual(fields: WaveInputs, ems: tuple[EMConfig, ...],
 
 
 def divergence_residual(fields: WaveInputs, em: EMConfigs, metric: TopMetric,
-                        point: np.ndarray, h: float = 1e-3, order: int = 4
+                        point: np.ndarray, h: float, order: int
                         ) -> np.ndarray:
     """Residual of the transport equation: covariant divergence of the
     density-weighted momentum current chi^(-(n-2)) g^{ij} u_j, at points on

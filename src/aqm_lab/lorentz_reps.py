@@ -256,8 +256,8 @@ def vector_intertwiner() -> tuple[np.ndarray, float]:
 # ---------------------------------------------------------------------------
 
 
-def angular_laplacian_check(rep: Irrep, theta: np.ndarray, a: float = 1.0,
-                            order: int = 4) -> np.ndarray:
+def angular_laplacian_check(rep: Irrep, theta: np.ndarray, a: float,
+                            order: int) -> np.ndarray:
     """Laplace-Beltrami operator of the group block applied to D(Lambda)^{-1}.
 
     Returns the matrix ratio (Delta D^{-1})(theta) (D^{-1}(theta))^{-1},

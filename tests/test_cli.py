@@ -263,13 +263,15 @@ def test_malformed_config_is_error(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")
     assert main(["verify-dirac", "--config", str(cfg)]) == 2
+    # an integer that no float equals would be rounded without a word
     for bad in ({"order": 3}, {"n_draws": True}, {"seed": "x"}, {"seed": -1},
-                {"seed": 1.5}, {"a": "1"}, {"format": "xml"}, {"out": 5}):
+                {"seed": 1.5}, {"a": "1"}, {"format": "xml"}, {"out": 5},
+                {"tol": 2**53 + 1}, {"a": 2**53 + 1}):
         cfg.write_text(json.dumps(bad))
         capsys.readouterr()
         assert main(["verify-curvature", "--config", str(cfg)]) == 2, bad
         assert_one_line_error(capsys)
-    for bad in ({"kappa": None}, {"H": "abc"}):
+    for bad in ({"kappa": None}, {"H": "abc"}, {"H": [2**53 + 1, 0, 0]}):
         cfg.write_text(json.dumps(bad))
         assert main(["verify-dirac", "--config", str(cfg)]) == 2, bad
         assert_one_line_error(capsys)
@@ -429,6 +431,21 @@ def test_spectrum_rep_selection_and_csv(tmp_path):
 
 def test_spectrum_bad_rep_label():
     assert main(["spectrum", "--rep", "0.3,7"]) == 2
+
+
+def test_spectrum_takes_a_or_mass_not_both(tmp_path, capsys):
+    # the scale comes from one of them; the other would be dropped unread
+    assert main(["spectrum", "--a", "2", "--mass", "3"]) == 2
+    assert_one_line_error(capsys, "error: --a and --mass exclude each other")
+    cfg = tmp_path / "cfg.json"
+    for file_cfg, flags in (({"a": 2, "mass": 3}, []),
+                            ({"mass": 3}, ["--a", "2"]),
+                            ({"a": 2}, ["--mass", "3"])):
+        cfg.write_text(json.dumps(file_cfg))
+        assert main(["spectrum", "--config", str(cfg), *flags]) == 2, file_cfg
+        assert_one_line_error(capsys, "error: --a and --mass ")
+    for flags in (["--a", "2"], ["--mass", "3"]):
+        assert main(["spectrum", *flags]) == 0
 
 
 def test_internal_error_exits_three(capsys, monkeypatch):

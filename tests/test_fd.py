@@ -128,12 +128,12 @@ def test_derivative_stack_and_skip():
 
     # every axis skipped: zero blocks shaped like f, f evaluated once
     calls.clear()
-    stack = derivative_stack(counted, point4, skip=range(4))
+    stack = derivative_stack(counted, point4, h=1e-3, order=4, skip=range(4))
     assert len(calls) == 1
     assert stack.shape == (4, 2, 2) and stack.dtype == float
     assert not np.any(stack)
     stack = derivative_stack(lambda q: np.exp(1j * q[..., :2]), point4[:2],
-                             skip=(0, 1))
+                             h=1e-3, order=4, skip=(0, 1))
     assert stack.shape == (2, 2) and stack.dtype == complex
     assert not np.any(stack)
 
@@ -208,7 +208,8 @@ def test_nested_batched_stack_matches_reference():
     point = rng.uniform(-1.0, 1.0, 4)
     scale = max(1.0, abs(float(field(point))))
     got = derivative_stack(
-        lambda q: derivative_stack(counted, q, h=h, skip=(2,)), point, h=h)
+        lambda q: derivative_stack(counted, q, h=h, order=4, skip=(2,)),
+        point, h=h, order=4)
     # (inner offsets, outer offsets, outer axes, inner axes, dim)
     assert calls == [(4, 4, 4, 3, 4)]
     ref = derivative_stack_reference(
@@ -228,7 +229,7 @@ def test_derivative_stack_calls_f_once():
     point = np.zeros((3, 6))
     for skip in ((), (1, 2), range(6)):
         calls.clear()
-        derivative_stack(counted, point, skip=skip)
+        derivative_stack(counted, point, h=1e-3, order=4, skip=skip)
         assert len(calls) == 1
     assert calls == [(3, 6)]
 
@@ -292,7 +293,7 @@ def test_value_and_stack_with_every_axis_skipped():
                                                       range(5))
             assert calls == [(2 * int(np.prod(batch)), 5)], name
             assert np.array_equal(value, f(point)), name
-            ref = derivative_stack(f, point, skip=range(5))
+            ref = derivative_stack(f, point, h=1e-3, order=4, skip=range(5))
             assert stack.shape == ref.shape and stack.dtype == ref.dtype, name
             assert not np.any(stack), name
 
@@ -381,7 +382,7 @@ def test_curvature_point_evaluates_frames_in_few_calls(monkeypatch):
     # stencil points: 25 x 25 points in one call (before: 626 in 5 calls)
     counts = _count_points(monkeypatch, TopMetric, "matrix")
     q = sample_point(np.random.default_rng(22))
-    riemann_scalar_at(TopMetric(1.0), q)
+    riemann_scalar_at(TopMetric(1.0), q, h=1e-2, order=4)
     assert counts["points"] == 625
     assert counts["calls"] == 1
 

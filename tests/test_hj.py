@@ -179,8 +179,8 @@ def test_wave_ansatz_modulus():
 def test_momentum_covector_gauge_shift():
     _, _, fields, q = _setup(17)
     em = EMConfig(e_field=(0.2, 0.1, -0.3), h_field=(0.3, -0.2, 0.4))
-    u_free = momentum_covector(fields, EMConfig.zero(), q)
-    u_em = momentum_covector(fields, em, q)
+    u_free = momentum_covector(fields, EMConfig.zero(), q, h=1e-3, order=4)
+    u_em = momentum_covector(fields, em, q, h=1e-3, order=4)
     assert np.max(np.abs(u_free - u_em - em.potential(q))) < 1e-12
 
 
@@ -319,7 +319,8 @@ def test_stacked_configs_match_one_call_per_config(seed, xi2):
     w_batch = wave_operator(psi, ems, metric, batch, psi(batch), xi2s, r,
                             1e-3, 4)
     assert w_batch.shape == (3, 3, len(xi2s))
-    div_stack = divergence_residual(fields, ems, metric, batch)
+    div_stack = divergence_residual(fields, ems, metric, batch, h=1e-3,
+                                    order=4)
     up_stack, norm2_stack = raised_momentum(fields, ems, metric, batch,
                                             1e-3, 4)
     assert div_stack.shape == norm2_stack.shape == (3, 3)
@@ -336,7 +337,8 @@ def test_stacked_configs_match_one_call_per_config(seed, xi2):
         w_one = wave_operator(psi, (em,), metric, q, psi(q), xi2s, r,
                               1e-3, 4)[0]
         assert np.array_equal(w_stack[k], w_one)
-        lap = laplace_beltrami(metric, psi, q, potential=em.potential)
+        lap = laplace_beltrami(metric, psi, q, h=1e-3, order=4,
+                               potential=em.potential)
         assert np.array_equal(w_one, -lap + xi2s * r * psi(q))
         # a batch of points rounds the fields' sums its own way, so the
         # batch is held to its point calls within 1e-12, not bitwise
@@ -345,7 +347,8 @@ def test_stacked_configs_match_one_call_per_config(seed, xi2):
                 psi, (em,), metric, p, psi(p), xi2s, r, 1e-3, 4)[0],
                 rtol=0.0, atol=1e-12)
         assert np.array_equal(div_stack[:, k],
-                              divergence_residual(fields, em, metric, batch))
+                              divergence_residual(fields, em, metric, batch,
+                                                  h=1e-3, order=4))
         up, norm2 = raised_momentum(fields, em, metric, batch, 1e-3, 4)
         assert np.array_equal(up_stack[:, k], up)
         assert np.array_equal(norm2_stack[:, k], norm2)
@@ -359,7 +362,7 @@ def test_empty_config_tuple_is_rejected():
         lambda: linearization_check(fields, (), metric, q, r_scalar=r),
         lambda: hj_residual(fields, (), metric, q, r, np.array([2.0 / 9.0]),
                             1e-3, 4),
-        lambda: divergence_residual(fields, (), metric, q),
+        lambda: divergence_residual(fields, (), metric, q, h=1e-3, order=4),
         lambda: raised_momentum(fields, (), metric, q, 1e-3, 4),
     )
     for call in calls:
@@ -394,7 +397,7 @@ def test_wave_operator_acts_on_plane_wave():
     xi2 = conformal_coupling(10) ** 2
     w = wave_operator(psi, (em,), metric, q, psi(q), np.array([xi2]),
                       metric.riemann_scalar(), 1e-3, 4)[0, 0]
-    u = momentum_covector(fields, em, q)
+    u = momentum_covector(fields, em, q, h=1e-3, order=4)
     ginv = metric.inverse(q)
     expected = u @ ginv @ u + xi2 * 6.0
     assert abs(w / psi(q) - expected) < 1e-7
@@ -408,7 +411,8 @@ def test_divergence_residual_plane_wave_zero():
     fields = WaveInputs(s_field=LinearField(coeffs),
                         log_chi=LinearField(np.zeros(10)))
     q = np.zeros(10)
-    val = divergence_residual(fields, EMConfig.zero(), metric, q)
+    val = divergence_residual(fields, EMConfig.zero(), metric, q, h=1e-3,
+                              order=4)
     assert abs(val) < 1e-9
 
 

@@ -457,7 +457,7 @@ def test_vector_intertwiner_algebra_level():
 def test_angular_laplacian_casimir_smallest_spinor():
     theta = np.array([0.3, -0.2, 0.5, 0.1, -0.4, 0.2])
     rep = Irrep(0, 0.5)
-    ratio = angular_laplacian_check(rep, theta, a=1.0)
+    ratio = angular_laplacian_check(rep, theta, a=1.0, order=4)
     expected = -casimir_value(rep) * np.eye(2)
     assert np.max(np.abs(ratio - expected)) < 1e-5
 
@@ -466,15 +466,15 @@ def test_angular_laplacian_casimir_vector_rep_scaled():
     theta = np.array([-0.4, 0.2, 0.1, 0.3, 0.2, -0.1])
     rep = Irrep(0.5, 0.5)
     a = 2.0
-    ratio = angular_laplacian_check(rep, theta, a=a)
+    ratio = angular_laplacian_check(rep, theta, a=a, order=4)
     expected = -casimir_value(rep) / a ** 2 * np.eye(4)
     assert np.max(np.abs(ratio - expected)) < 1e-5
 
 
 def test_angular_laplacian_separates_reps():
     theta = np.array([0.2, 0.4, -0.3, -0.2, 0.1, 0.5])
-    v1 = angular_laplacian_check(Irrep(0, 0.5), theta)[0, 0]
-    v2 = angular_laplacian_check(Irrep(0.5, 0.5), theta)[0, 0]
+    v1 = angular_laplacian_check(Irrep(0, 0.5), theta, a=1.0, order=4)[0, 0]
+    v2 = angular_laplacian_check(Irrep(0.5, 0.5), theta, a=1.0, order=4)[0, 0]
     assert abs(v1 - v2) > 1.0
 
 
@@ -484,8 +484,8 @@ def test_angular_laplacian_batch_equals_per_angle_calls(seed, n_angles):
     # verify-reps hands every draw to one call per irrep
     thetas = np.random.default_rng(seed).uniform(-1.2, 1.2, (n_angles, 6))
     for rep in (Irrep(0, 0.5), Irrep(0.5, 0.5)):
-        batch = angular_laplacian_check(rep, thetas, a=1.5)
+        batch = angular_laplacian_check(rep, thetas, a=1.5, order=4)
         assert batch.shape == (n_angles, rep.dim, rep.dim)
         for theta, ratio in zip(thetas, batch):
-            single = angular_laplacian_check(rep, theta, a=1.5)
+            single = angular_laplacian_check(rep, theta, a=1.5, order=4)
             assert np.array_equal(ratio, single)

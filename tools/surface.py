@@ -17,6 +17,7 @@ from __future__ import annotations
 import ast
 import importlib
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 DEFAULT_SRC = Path(__file__).resolve().parents[1] / "src" / "aqm_lab"
@@ -37,17 +38,37 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
+def knob_names(source: str) -> Iterator[str]:
+    """Each knob of a module's source by qualified name, in source order:
+    ``function.param``, ``Class.method.param``, ``Dataclass.field``; a
+    nested function's name follows its enclosing one's."""
+    def visit(node: ast.AST, scope: str) -> Iterator[str]:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name, args = scope + child.name, child.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [a for a, d in zip(args.kwonlyargs,
+                                                args.kw_defaults)
+                              if d is not None]
+                yield from (f"{name}.{a.arg}" for a in defaulted)
+                yield from visit(child, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                name = scope + child.name
+                if _is_dataclass(child):
+                    yield from (f"{name}.{stmt.target.id}"
+                                for stmt in child.body
+                                if isinstance(stmt, ast.AnnAssign)
+                                and stmt.value is not None)
+                yield from visit(child, name + ".")
+            else:
+                yield from visit(child, scope)
+
+    return visit(ast.parse(source), "")
+
+
 def knobs(source: str) -> int:
-    count = 0
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            count += len(node.args.defaults)
-            count += sum(1 for d in node.args.kw_defaults if d is not None)
-        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
-            count += sum(1 for stmt in node.body
-                         if isinstance(stmt, ast.AnnAssign)
-                         and stmt.value is not None)
-    return count
+    return sum(1 for _ in knob_names(source))
 
 
 def cli_flags(src: Path) -> int:
