@@ -81,11 +81,16 @@ class Kind:
     repeat: bool = False
 
 
+class NoExactFloat(ValueError):
+    """An integer that no float equals: an error, not a rounded value."""
+
+
 def _finite(v, positive: bool = False) -> float:
-    # an integer that no float equals is an error, not a rounded value
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise TypeError(v)
-    if not math.isfinite(float(v)) or float(v) != v or (positive and v <= 0):
+    if isinstance(v, int) and (abs(v) > sys.float_info.max or float(v) != v):
+        raise NoExactFloat(v)
+    if not math.isfinite(v) or (positive and v <= 0):
         raise ValueError(v)
     return float(v)
 
@@ -185,9 +190,11 @@ class Param:
             return None
         try:
             return self.kind.check(value)
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, ValueError, OverflowError) as exc:
+            why = (f", and the integer {exc.args[0]} has no exact float value"
+                   if isinstance(exc, NoExactFloat) else "")
             raise ConfigError(f"{self.flag} must be {self.kind.need}; "
-                              f"got {value!r}") from None
+                              f"got {value!r}{why}") from None
 
 
 SEED = Param("seed", _int_from(0, "a non-negative integer"), 0,
@@ -246,12 +253,16 @@ REP = Param("rep", REPS, None, "representation label, repeatable (default: "
 
 
 def _run_verify_curvature(cfg: dict, rng: np.random.Generator):
+    # the Minkowski block is constant, so the top metric's scalar curvature
+    # is its group block's: each drawn point's angles are differentiated on
+    # the 6-D group metric
     metric = TopMetric(cfg["a"])
     expected = metric.riemann_scalar()
     rel_errors, records = [], []
     for _ in range(cfg["n_draws"]):
         q = sample_point(rng, boost_bound=RAPIDITY_MAX)
-        r = riemann_scalar_at(metric, q, h=cfg["h"], order=cfg["order"])
+        r = riemann_scalar_at(metric.group, q[4:], h=cfg["h"],
+                              order=cfg["order"])
         rel = abs(r - expected) / abs(expected)
         rel_errors.append(rel)
         records.append({"point": list(q), "r_scalar": r, "rel_error": rel})
@@ -327,14 +338,21 @@ def _run_verify_linearization(cfg: dict, rng: np.random.Generator):
             "linearization_control_min_defect": control_defects}, records, None
 
 
+# verify-reps hands its draws to the stacked checks this many at a time, so
+# its memory does not grow with --n-draws; a default run is one chunk
+REPS_CHUNK = 5
+
+
 def _run_verify_reps(cfg: dict, rng: np.random.Generator):
     reps = reps_up_to_dim(9)
     thetas = rng.uniform(-1.2, 1.2, (cfg["n_draws"], 6))
+    chunks = np.split(thetas, range(REPS_CHUNK, len(thetas), REPS_CHUNK))
 
     casimir_rel = []
     for rep in (Irrep(0, 0.5), Irrep(0.5, 0.5)):
         expected = -casimir_value(rep) / np.float64(cfg["a"]) ** 2
-        ratio = angular_laplacian_check(rep, thetas, cfg["a"], cfg["order"])
+        ratio = np.concatenate([angular_laplacian_check(
+            rep, t, cfg["a"], cfg["order"]) for t in chunks])
         dev = np.max(np.abs(ratio - expected * np.eye(rep.dim)), axis=(-2, -1))
         casimir_rel.append(dev / abs(expected))
 
@@ -345,8 +363,9 @@ def _run_verify_reps(cfg: dict, rng: np.random.Generator):
 
     values = {
         "reps_commutator_max_defect": [commutator_defect(rep) for rep in reps],
-        "reps_conjugation_max_defect": [conjugation_defect(rep, thetas)
-                                        for rep in reps],
+        "reps_conjugation_max_defect": [
+            np.concatenate([conjugation_defect(rep, t) for t in chunks])
+            for rep in reps],
         "reps_laplacian_casimir_max_rel": casimir_rel,
         "reps_intertwiner_nullspace_sigma": sigma_min,
         "reps_intertwiner_fresh_residual": resid,

@@ -457,11 +457,12 @@ class TopMetric(MetricField):
     closed forms, so none builds the frame; the generic ``MetricField``
     forms of ``matrix`` are the test reference of the other two.
 
-    The scalar curvature of this metric is the constant 6/a^2.
+    The Minkowski block is constant, so the scalar curvature of this
+    product metric is that of its group block, the constant 6/a^2 (the
+    product-metric rule; O'Neill, "Semi-Riemannian Geometry", 1983).
     """
 
     dim = 10
-    constant_dims = frozenset(range(4))
 
     def __init__(self, a: float):
         self.group = GroupMetric(a)

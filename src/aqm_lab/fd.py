@@ -14,7 +14,7 @@ one call, so a nested derivative costs one call per nesting level.
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 
 import numpy as np
 
@@ -34,68 +34,49 @@ def stencil(order: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
 
 
 @functools.lru_cache(maxsize=32)
-def _step_table(order: int, h: float, dim: int, axes: tuple[int, ...]
-                ) -> np.ndarray:
-    """Read-only steps[k, a] = offsets[k] h e_{axes[a]}, (n_offsets, n_axes, dim).
+def _step_table(order: int, h: float, dim: int) -> np.ndarray:
+    """Read-only steps[k, i] = offsets[k] h e_i, (n_offsets, dim, dim).
 
-    Built once per (order, h, dim, axes): a verb differentiates with a few
-    step sizes over a few axis sets, so the cache stays small.
+    Built once per (order, h, dim): a verb differentiates with a few step
+    sizes in a few dimensions, so the cache stays small.
     """
     offsets, _ = stencil(order)
-    steps = np.zeros((len(offsets), len(axes), dim))
-    steps[:, range(len(axes)), axes] = (np.array(offsets) * h)[:, None]
+    steps = np.zeros((len(offsets), dim, dim))
+    steps[:, range(dim), range(dim)] = (np.array(offsets) * h)[:, None]
     steps.flags.writeable = False
     return steps
 
 
 def derivative_stack(f: Callable[[np.ndarray], np.ndarray], point: np.ndarray,
-                     h: float, order: int, skip: Iterable[int] = ()
-                     ) -> np.ndarray:
+                     h: float, order: int) -> np.ndarray:
     """Stack of partial derivatives: out[..., i, ...] = d f / d q^i at ``point``.
 
     ``point`` has shape (*batch, dim) and the result (*batch, dim, *value),
     where ``f`` maps (*batch, dim) points to (*batch, *value) values. The
-    stencil points of every differentiated axis go to ``f`` in one call, as
-    an array of shape (n_offsets, *batch, n_axes, dim). Axes listed in
-    ``skip`` are known to leave ``f`` unchanged and get an exact zero block
-    without any function evaluations; ``f`` is evaluated at ``point`` only
-    when every axis is skipped, to learn the block's shape. The table of
-    stencil steps comes from a small cache keyed by (order, h, dim, axes).
+    stencil points of every axis go to ``f`` in one call, as an array of
+    shape (n_offsets, *batch, dim, dim). The table of stencil steps comes
+    from a small cache keyed by (order, h, dim).
     """
     point = np.asarray(point, dtype=float)
     batch, dim = point.shape[:-1], point.shape[-1]
-    skip = frozenset(skip)
-    axes = [i for i in range(dim) if i not in skip]
-    if not axes:
-        value = np.asarray(f(point))
-        dtype = complex if np.iscomplexobj(value) else float
-        return np.zeros(batch + (dim,) + value.shape[len(batch):], dtype)
-
     _, weights = stencil(order)
-    steps = _step_table(order, h, dim, tuple(axes))
+    steps = _step_table(order, h, dim)
     points = point[..., None, :] + steps.reshape(
         steps.shape[:1] + (1,) * len(batch) + steps.shape[1:])
     values = np.asarray(f(points))  # values[k]: all points at offset k
-    partials = sum(w * v for w, v in zip(weights, values)) / h
-    if len(axes) == dim:
-        return partials
-    out = np.zeros(batch + (dim,) + partials.shape[len(batch) + 1:], partials.dtype)
-    out[(slice(None),) * len(batch) + (axes,)] = partials
-    return out
+    return sum(w * v for w, v in zip(weights, values)) / h
 
 
 def value_and_derivative_stack(f: Callable[[np.ndarray], np.ndarray],
-                               point: np.ndarray, h: float, order: int,
-                               skip: Iterable[int]
+                               point: np.ndarray, h: float, order: int
                                ) -> tuple[np.ndarray, np.ndarray]:
-    """``(f(point), derivative_stack(f, point, h, order, skip))`` from one
-    call of ``f``.
+    """``(f(point), derivative_stack(f, point, h, order))`` from one call
+    of ``f``.
 
     The points ride along with the stencil points that ``derivative_stack``
     hands over: ``f`` sees one flat batch of shape (n_stencil + n_batch,
     dim), stencil points first, and the stack is the weighted sum of the
-    stencil rows. With every axis skipped, ``derivative_stack`` hands over
-    the points themselves, so ``f`` sees each point twice.
+    stencil rows.
     """
     point = np.asarray(point, dtype=float)
     dim = point.shape[-1]
@@ -108,15 +89,14 @@ def value_and_derivative_stack(f: Callable[[np.ndarray], np.ndarray],
         value.append(values[n:].reshape(point.shape[:-1] + values.shape[1:]))
         return values[:n].reshape(points.shape[:-1] + values.shape[1:])
 
-    stack = derivative_stack(with_point, point, h=h, order=order, skip=skip)
+    stack = derivative_stack(with_point, point, h=h, order=order)
     return value[0], stack
 
 
 def central_diff(f: Callable[[np.ndarray], np.ndarray], point: np.ndarray,
                  axis: int, h: float, order: int) -> np.ndarray:
-    """Derivative of ``f`` along one coordinate axis: the one-axis case of
+    """Derivative of ``f`` along one coordinate axis: one slice of
     ``derivative_stack``, with the same calling convention for ``f``."""
     point = np.asarray(point, dtype=float)
-    others = set(range(point.shape[-1])) - {axis}
-    stack = derivative_stack(f, point, h=h, order=order, skip=others)
+    stack = derivative_stack(f, point, h=h, order=order)
     return np.take(stack, axis, axis=point.ndim - 1)

@@ -29,15 +29,13 @@ CURVATURE_STEP = 1e-2
 class MetricField:
     """Base class for metric fields g_ij(q).
 
-    Subclasses set ``dim``, ``constant_dims`` (coordinate indices the
-    components provably do not depend on, exploited to skip finite
-    differences) and implement ``matrix``. ``inverse`` and ``sqrt_det``
-    have generic fallbacks. Every method takes points on the last axis of
-    ``q`` and returns its values with the leading axes of ``q`` in front.
+    Subclasses set ``dim`` and implement ``matrix``. ``inverse`` and
+    ``sqrt_det`` have generic fallbacks. Every method takes points on the
+    last axis of ``q`` and returns its values with the leading axes of
+    ``q`` in front.
     """
 
     dim: int = 0
-    constant_dims: frozenset[int] = frozenset()
 
     def matrix(self, q: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -100,11 +98,9 @@ def christoffel_at(metric: MetricField, point: np.ndarray, h: float,
     axis, and the inverse metric g^{ij} there: ``(gam, ginv)``.
 
     Components are assembled from central differences of the metric matrix,
-    whose values at the points come from the same call as its stencil;
-    axes in ``metric.constant_dims`` contribute exact zero derivatives.
+    whose values at the points come from the same call as its stencil.
     """
-    g, dg = value_and_derivative_stack(metric.matrix, point, h, order,
-                                       metric.constant_dims)
+    g, dg = value_and_derivative_stack(metric.matrix, point, h, order)
     # dg[..., l, i, j] = d_l g_ij; curvature stays a result of ``matrix``
     # alone, never of a closed form
     ginv = _invert(g)
@@ -128,7 +124,7 @@ def riemann_scalar_at(metric: MetricField, point: np.ndarray, h: float,
         return np.concatenate([gam, ginv[..., None, :, :]], axis=-3)
 
     both, dboth = value_and_derivative_stack(christoffel_and_inverse, point, h,
-                                             order, metric.constant_dims)
+                                             order)
     gam, ginv, dgam = both[:-1], both[-1], dboth[:, :-1]
     t1 = np.einsum("iijk->jk", dgam)
     t2 = np.einsum("jiik->jk", dgam)

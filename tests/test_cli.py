@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from aqm_lab import cli, config_space, dynamics
 from aqm_lab.cli import VERBS, ConfigError, _build_parser, main, resolve_config
+from aqm_lab.lorentz_reps import reps_up_to_dim
 
 FAST_DIRAC = ["verify-dirac", "--n-draws", "2"]
 ROOT = Path(__file__).resolve().parents[1]
@@ -263,18 +264,30 @@ def test_malformed_config_is_error(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")
     assert main(["verify-dirac", "--config", str(cfg)]) == 2
-    # an integer that no float equals would be rounded without a word
     for bad in ({"order": 3}, {"n_draws": True}, {"seed": "x"}, {"seed": -1},
-                {"seed": 1.5}, {"a": "1"}, {"format": "xml"}, {"out": 5},
-                {"tol": 2**53 + 1}, {"a": 2**53 + 1}):
+                {"seed": 1.5}, {"a": "1"}, {"format": "xml"}, {"out": 5}):
         cfg.write_text(json.dumps(bad))
         capsys.readouterr()
         assert main(["verify-curvature", "--config", str(cfg)]) == 2, bad
         assert_one_line_error(capsys)
-    for bad in ({"kappa": None}, {"H": "abc"}, {"H": [2**53 + 1, 0, 0]}):
+    for bad in ({"kappa": None}, {"H": "abc"}):
         cfg.write_text(json.dumps(bad))
         assert main(["verify-dirac", "--config", str(cfg)]) == 2, bad
         assert_one_line_error(capsys)
+    # an integer that no float equals would be rounded without a word; the
+    # error names the rule it breaks
+    inexact, beyond = 2**53 + 1, 10**400
+    for verb, key, value, need, integer in (
+            ("spectrum", "tol", inexact, "a finite positive number", inexact),
+            ("verify-curvature", "a", beyond, "a finite positive number",
+             beyond),
+            ("verify-dirac", "H", [inexact, 0, 0], "three finite numbers",
+             inexact)):
+        cfg.write_text(json.dumps({key: value}))
+        assert main([verb, "--config", str(cfg)]) == 2, key
+        assert capsys.readouterr().err == (
+            f"error: --{key} must be {need}; got {value!r}, and the integer "
+            f"{integer} has no exact float value\n")
     cfg.write_text(json.dumps({"n_draws": 1}))
     assert main(["trace", "--config", str(cfg)]) == 2
     assert_one_line_error(capsys, "error: --n-draws ")
@@ -491,6 +504,35 @@ def test_nan_conjugation_draw_fails_verify_reps(monkeypatch, capsys):
     conj = checks.pop("reps_conjugation_max_defect")
     assert conj["nonfinite"] and not conj["pass"]
     assert all(c["pass"] for c in checks.values())
+
+
+def test_verify_reps_hands_over_draws_in_bounded_chunks(monkeypatch, capsys):
+    # the stacked checks see at most REPS_CHUNK draws per call, so memory
+    # does not grow with --n-draws, and the values stay those of one batch
+    sizes = []
+    for name in ("angular_laplacian_check", "conjugation_defect"):
+        def recorded(rep, theta, *args, _f=getattr(cli, name)):
+            sizes.append(len(theta))
+            return _f(rep, theta, *args)
+
+        monkeypatch.setattr(cli, name, recorded)
+    chunk = cli.REPS_CHUNK
+    argv = ["verify-reps", "--n-draws", str(2 * chunk + 1)]
+    n_calls = 2 + len(reps_up_to_dim(9))  # two Casimir irreps, every irrep
+
+    def values():
+        assert main(argv) == 0
+        return {c["name"]: c["value"] for c in
+                json.loads(capsys.readouterr().out)["payload"]["checks"]}
+
+    chunked = values()
+    assert sorted(sizes) == sorted([1, chunk, chunk] * n_calls)
+    sizes.clear()
+    monkeypatch.setattr(cli, "REPS_CHUNK", 2 * chunk + 1)
+    one_batch = values()
+    assert sizes == [2 * chunk + 1] * n_calls
+    for name, value in one_batch.items():
+        assert abs(chunked[name] - value) <= 1e-12 * abs(value), name
 
 
 def test_tol_cannot_forgive_nonfinite_spectrum(capsys):

@@ -425,7 +425,6 @@ def test_top_metric_block_structure():
     g = m.matrix(q)
     assert np.allclose(g[:4, :4], MINKOWSKI)
     assert np.max(np.abs(g[:4, 4:])) == 0.0
-    assert m.constant_dims == {0, 1, 2, 3}
 
 
 def test_top_metric_at_group_identity():

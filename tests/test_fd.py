@@ -2,37 +2,45 @@ import numpy as np
 import pytest
 
 from aqm_lab import cli, config_space, fd, hj
-from aqm_lab.config_space import TopMetric, sample_point
+from aqm_lab.config_space import GroupMetric, TopMetric, sample_point
 from aqm_lab.fd import central_diff, derivative_stack, stencil, \
     value_and_derivative_stack
 from aqm_lab.fields import BandLimitedField, draw_field
-from aqm_lab.geometry import riemann_scalar_at
 from aqm_lab.hj import EMConfig, draw_wave_inputs, linearization_check
 
 
-def derivative_stack_reference(f, point, h=1e-3, order=4, skip=()):
+def derivative_stack_reference(f, point, h=1e-3, order=4):
     """Per-point loop over batch entries, axes and offsets: the reference of
     the batched ``derivative_stack``. ``f`` sees one 1-d point per call."""
     point = np.asarray(point, dtype=float)
     offsets, weights = stencil(order)
     out = []
     for p in point.reshape(-1, point.shape[-1]):
-        blocks = {}
+        blocks = []
         for i in range(p.size):
-            if i in skip:
-                continue
             acc = None
             for k, w in zip(offsets, weights):
                 q = p.copy()
                 q[i] += k * h
                 term = w * np.asarray(f(q))
                 acc = term if acc is None else acc + term
-            blocks[i] = acc / h
-        value = np.asarray(f(p))
-        zero = np.zeros(value.shape, complex if np.iscomplexobj(value) else float)
-        out.append(np.stack([blocks.get(i, zero) for i in range(p.size)]))
+            blocks.append(acc / h)
+        out.append(np.stack(blocks))
     out = np.array(out)
     return out.reshape(point.shape[:-1] + out.shape[1:])
+
+
+def ignoring(f, skip):
+    """``f`` read with the axes in ``skip`` pinned to 0.3: a callable that
+    does not read those axes, as the top metric does not read spacetime.
+    ``derivative_stack`` differentiates them like any other axis."""
+    skip = list(skip)
+
+    def g(q):
+        q = np.array(q, dtype=float)
+        q[..., skip] = 0.3
+        return f(q)
+    return g
 
 
 def test_stencil_orders():
@@ -99,17 +107,16 @@ def test_gradient_matches_analytic():
 
 
 def test_derivative_stack_and_skip():
+    # an axis the callable skips (does not read) is differentiated like any
+    # other, and its block is zero
     def f(q):
-        return q[..., 0] + 2.0 * q[..., 1] + 3.0 * q[..., 2]
+        return q[..., 0] + 3.0 * q[..., 2]
 
     point = np.array([0.1, 0.2, 0.3])
     stack = derivative_stack(f, point, h=1e-3, order=4)
-    assert np.allclose(stack, [1.0, 2.0, 3.0], atol=1e-11)
-    stack = derivative_stack(f, point, h=1e-3, order=4, skip=(1,))
-    assert stack[1] == 0.0
-    assert abs(stack[2] - 3.0) < 1e-11
+    assert np.allclose(stack, [1.0, 0.0, 3.0], atol=1e-11)
 
-    # 4 evaluations per differentiated axis at order 4, no probe call
+    # 4 evaluations per axis at order 4, no probe call
     calls = []
 
     def counted(q):
@@ -120,29 +127,19 @@ def test_derivative_stack_and_skip():
     point4 = np.array([0.1, 0.2, 0.3, 0.4])
     for skip in ((), (2,), (0, 3)):
         calls.clear()
-        stack = derivative_stack(counted, point4, h=1e-3, order=4, skip=skip)
-        assert len(calls) == 4 * (4 - len(skip))
+        stack = derivative_stack(ignoring(counted, skip), point4, h=1e-3,
+                                 order=4)
+        assert len(calls) == 4 * 4
         assert stack.shape == (4, 2, 2) and stack.dtype == float
         for i in skip:
-            assert not np.any(stack[i])
+            assert np.max(np.abs(stack[i])) < 1e-12
 
-    # every axis skipped: zero blocks shaped like f, f evaluated once
-    calls.clear()
-    stack = derivative_stack(counted, point4, h=1e-3, order=4, skip=range(4))
-    assert len(calls) == 1
-    assert stack.shape == (4, 2, 2) and stack.dtype == float
-    assert not np.any(stack)
-    stack = derivative_stack(lambda q: np.exp(1j * q[..., :2]), point4[:2],
-                             h=1e-3, order=4, skip=(0, 1))
-    assert stack.shape == (2, 2) and stack.dtype == complex
-    assert not np.any(stack)
-
-    # a complex-valued callable keeps a complex stack, zero blocks included
+    # a complex-valued callable keeps a complex stack
     stack = derivative_stack(lambda q: np.exp(1j * q[..., 0]) + q[..., 1],
-                             point[:2], h=1e-3, order=4, skip=(1,))
+                             point[:2], h=1e-3, order=4)
     assert stack.dtype == complex
     assert abs(stack[0] - 1j * np.exp(0.1j)) < 1e-12
-    assert stack[1] == 0.0
+    assert abs(stack[1] - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +168,7 @@ def _matrix_field(field: BandLimitedField):
 @pytest.mark.parametrize("skip", [(), (1,), (0, 3, 4)])
 @pytest.mark.parametrize("order", [2, 4])
 def test_batched_stack_matches_reference(skip, order):
+    # ``skip``: the axes the callables do not read
     rng = np.random.default_rng(20)
     field = draw_field(rng, 5)
     cases = {
@@ -182,15 +180,17 @@ def test_batched_stack_matches_reference(skip, order):
     for batch in ((), (3,), (2, 3)):
         point = rng.uniform(-1.0, 1.0, batch + (5,))
         for name, f in cases.items():
+            f = ignoring(f, skip)
             scale = max(1.0, float(np.max(np.abs(f(point)))))
-            got = derivative_stack(f, point, h=h, order=order, skip=skip)
-            ref = derivative_stack_reference(f, point, h=h, order=order, skip=skip)
+            got = derivative_stack(f, point, h=h, order=order)
+            ref = derivative_stack_reference(f, point, h=h, order=order)
             assert got.shape == ref.shape, name
             assert got.shape[:len(batch) + 1] == batch + (5,), name
             assert got.dtype == ref.dtype, name
             assert np.max(np.abs(got - ref)) <= _tol(scale, h, 1), name
             for i in skip:
-                assert not np.any(np.take(got, i, axis=len(batch))), name
+                assert np.max(np.abs(np.take(got, i, axis=len(batch)))) \
+                    <= _tol(scale, h, 1), name
 
 
 def test_nested_batched_stack_matches_reference():
@@ -208,15 +208,16 @@ def test_nested_batched_stack_matches_reference():
     point = rng.uniform(-1.0, 1.0, 4)
     scale = max(1.0, abs(float(field(point))))
     got = derivative_stack(
-        lambda q: derivative_stack(counted, q, h=h, order=4, skip=(2,)),
+        lambda q: derivative_stack(ignoring(counted, (2,)), q, h=h, order=4),
         point, h=h, order=4)
     # (inner offsets, outer offsets, outer axes, inner axes, dim)
-    assert calls == [(4, 4, 4, 3, 4)]
+    assert calls == [(4, 4, 4, 4, 4)]
     ref = derivative_stack_reference(
-        lambda q: derivative_stack_reference(field, q, h=h, skip=(2,)), point, h=h)
+        lambda q: derivative_stack_reference(ignoring(field, (2,)), q, h=h),
+        point, h=h)
     assert got.shape == ref.shape == (4, 4)
     assert np.max(np.abs(got - ref)) <= _tol(scale, h, 2)
-    assert not np.any(got[:, 2])
+    assert np.max(np.abs(got[:, 2])) <= _tol(scale, h, 2)
 
 
 def test_derivative_stack_calls_f_once():
@@ -227,11 +228,9 @@ def test_derivative_stack_calls_f_once():
         return np.sin(q).sum(axis=-1)
 
     point = np.zeros((3, 6))
-    for skip in ((), (1, 2), range(6)):
-        calls.clear()
-        derivative_stack(counted, point, h=1e-3, order=4, skip=skip)
-        assert len(calls) == 1
-    assert calls == [(3, 6)]
+    derivative_stack(counted, point, h=1e-3, order=4)
+    # (offsets, batch, axes, dim)
+    assert calls == [(4, 3, 6, 6)]
 
 
 # pointwise callables: each value depends on its own point alone, by
@@ -253,59 +252,60 @@ _POINTWISE = {
 @pytest.mark.parametrize("order", [2, 4])
 def test_value_and_stack_equal_separate_calls_bitwise(skip, order):
     # one call of f returns f(point) and the derivative stack, each bitwise
-    # equal to its separate evaluation
+    # equal to its separate evaluation; ``skip``: the axes f does not read
     rng = np.random.default_rng(24)
     h = 1e-3
     for batch in ((), (3,), (2, 3)):
         point = rng.uniform(-1.0, 1.0, batch + (5,))
         for name, f in _POINTWISE.items():
+            f = ignoring(f, skip)
             calls = []
 
             def counted(q, f=f):
                 calls.append(q.shape)
                 return f(q)
 
-            value, stack = value_and_derivative_stack(counted, point, h, order, skip)
+            value, stack = value_and_derivative_stack(counted, point, h, order)
             n_batch = int(np.prod(batch))
-            n_stencil = len(stencil(order)[0]) * n_batch * (5 - len(skip))
+            n_stencil = len(stencil(order)[0]) * n_batch * 5
             assert calls == [(n_stencil + n_batch, 5)], name
             expected = np.asarray(f(point))
             assert value.shape == expected.shape and value.dtype == expected.dtype, name
             assert np.array_equal(value, expected), name
-            ref = derivative_stack(f, point, h=h, order=order, skip=skip)
+            ref = derivative_stack(f, point, h=h, order=order)
             assert stack.shape == ref.shape and stack.dtype == ref.dtype, name
             assert np.array_equal(stack, ref), name
 
 
 def test_value_and_stack_with_every_axis_skipped():
-    # the value from one call, which sees each point twice (as its own
-    # stencil row and as itself), and an exact zero stack
+    # a callable that reads no axis: the value from the one call, and a
+    # stack that is zero up to the rounding of the weighted sum
     for batch in ((), (2, 3)):
         point = np.random.default_rng(25).uniform(-1.0, 1.0, batch + (5,))
         for name, f in _POINTWISE.items():
+            f = ignoring(f, range(5))
             calls = []
 
             def counted(q, f=f):
                 calls.append(q.shape)
                 return f(q)
 
-            value, stack = value_and_derivative_stack(counted, point, 1e-3, 4,
-                                                      range(5))
-            assert calls == [(2 * int(np.prod(batch)), 5)], name
+            value, stack = value_and_derivative_stack(counted, point, 1e-3, 4)
+            assert calls == [(21 * int(np.prod(batch)), 5)], name
             assert np.array_equal(value, f(point)), name
-            ref = derivative_stack(f, point, h=1e-3, order=4, skip=range(5))
+            ref = derivative_stack(f, point, h=1e-3, order=4)
             assert stack.shape == ref.shape and stack.dtype == ref.dtype, name
-            assert not np.any(stack), name
+            assert np.max(np.abs(stack)) <= _tol(1.0, 1e-3, 1), name
 
 
-def step_table_reference(order, h, dim, axes):
-    """steps[k, a] = offsets[k] h e_{axes[a]}, entry by entry: the table that
+def step_table_reference(order, h, dim):
+    """steps[k, i] = offsets[k] h e_i, entry by entry: the table that
     ``derivative_stack`` built on every call before it came from a cache."""
     offsets, _ = stencil(order)
-    steps = np.zeros((len(offsets), len(axes), dim))
+    steps = np.zeros((len(offsets), dim, dim))
     for k, off in enumerate(offsets):
-        for a, axis in enumerate(axes):
-            steps[k, a, axis] = off * h
+        for axis in range(dim):
+            steps[k, axis, axis] = off * h
     return steps
 
 
@@ -314,7 +314,8 @@ def step_table_reference(order, h, dim, axes):
 @pytest.mark.parametrize("order", [2, 4])
 def test_cached_step_table_matches_uncached_build(order, h, skip):
     # a cold and a warm cache hand f the same stencil points, bitwise equal
-    # to the point plus the table built entry by entry
+    # to the point plus the table built entry by entry, on every axis,
+    # those that f does not read (``skip``) included
     seen = []
 
     def recorded(q):
@@ -322,19 +323,20 @@ def test_cached_step_table_matches_uncached_build(order, h, skip):
         return np.sin(q).sum(axis=-1)
 
     point = np.random.default_rng(22).uniform(-1.0, 1.0, (3, 5))
-    axes = tuple(i for i in range(5) if i not in skip)
     fd._step_table.cache_clear()
-    cold = derivative_stack(recorded, point, h=h, order=order, skip=skip)
-    warm = derivative_stack(recorded, point, h=h, order=order, skip=skip)
+    f = ignoring(recorded, skip)
+    cold = derivative_stack(f, point, h=h, order=order)
+    warm = derivative_stack(f, point, h=h, order=order)
     assert fd._step_table.cache_info().hits >= 1
-    ref = step_table_reference(order, h, 5, axes)
-    table = fd._step_table(order, h, 5, axes)
+    ref = step_table_reference(order, h, 5)
+    table = fd._step_table(order, h, 5)
     assert np.array_equal(table, ref)
     expected = point[:, None, :] + ref[:, None]
+    expected[..., list(skip)] = 0.3
     assert np.array_equal(seen[0], expected) and np.array_equal(seen[1], expected)
     assert np.array_equal(cold, warm)
     with pytest.raises(ValueError):
-        table[0, 0, axes[0]] = 0.0
+        table[0, 0, 0] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -377,14 +379,17 @@ def _count_frames_and_killing(monkeypatch):
             _count_angles(monkeypatch, "killing_vectors", (config_space, hj)))
 
 
-def test_curvature_point_evaluates_frames_in_few_calls(monkeypatch):
-    # the point and its 24 outer stencil points, each with its 24 inner
-    # stencil points: 25 x 25 points in one call (before: 626 in 5 calls)
-    counts = _count_points(monkeypatch, TopMetric, "matrix")
-    q = sample_point(np.random.default_rng(22))
-    riemann_scalar_at(TopMetric(1.0), q, h=1e-2, order=4)
-    assert counts["points"] == 625
-    assert counts["calls"] == 1
+def test_curvature_point_evaluates_frames_in_few_calls(monkeypatch, tmp_path):
+    # a verify-curvature point differentiates the group block alone: the
+    # angles and their 24 outer stencil points, each with its 24 inner
+    # stencil points, 25 x 25 points in one call of the group metric (the
+    # top metric on every axis: 41 x 41)
+    group = _count_points(monkeypatch, GroupMetric, "matrix")
+    top = _count_points(monkeypatch, TopMetric, "matrix")
+    assert cli.main(["verify-curvature", "--n-draws", "1",
+                     "--out", str(tmp_path / "report.json")]) == 0
+    assert group == {"calls": 1, "points": 625}
+    assert top == {"calls": 0, "points": 0}
 
 
 def _em_linearization_check():

@@ -32,7 +32,6 @@ class ConstantMetric(MetricField):
         self._inv = np.linalg.inv(m)
         self._sd = np.sqrt(np.abs(np.linalg.det(m)))
         self.dim = m.shape[0]
-        self.constant_dims = frozenset(range(self.dim))
 
     def matrix(self, q):
         return np.broadcast_to(self._m, np.shape(q)[:-1] + self._m.shape)
@@ -48,7 +47,6 @@ class SphereMetric(MetricField):
     """Round 2-sphere of radius r in polar coordinates q = (colatitude, azimuth)."""
 
     dim = 2
-    constant_dims = frozenset({1})
 
     def __init__(self, radius: float = 1.0):
         if radius <= 0:
@@ -110,6 +108,31 @@ def test_top_scalar_curvature_matches_closed_form():
         assert abs(val - 6.0 / a ** 2) / (6.0 / a ** 2) < 1e-4
 
 
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_top_scalar_curvature_is_the_group_blocks(monkeypatch, a):
+    # the product-metric rule that verify-curvature relies on: the top
+    # metric, differentiated on all ten axes, has the scalar curvature of
+    # its group block at the point's angles
+    top_points = []
+    top_matrix = TopMetric.matrix
+
+    def counted(self, q):
+        top_points.append(int(np.prod(np.shape(q)[:-1])))
+        return top_matrix(self, q)
+
+    monkeypatch.setattr(TopMetric, "matrix", counted)
+    rng = np.random.default_rng(28)
+    for _ in range(4):
+        q = sample_point(rng)
+        top_points.clear()
+        top = riemann_scalar_at(TopMetric(a), q, h=1e-2, order=4)
+        # the point and its 40 outer stencil points, each with its 40 inner
+        # ones: every axis is differentiated
+        assert top_points == [41 * 41]
+        group = riemann_scalar_at(GroupMetric(a), q[4:], h=1e-2, order=4)
+        assert abs(top - group) <= 1e-12 * abs(group)
+
+
 def test_top_scalar_curvature_reads_the_matrix_alone(monkeypatch):
     # curvature is a finite-difference result of ``matrix``: the closed-form
     # inverse and sqrt(g) of the top metric never enter it
@@ -144,8 +167,7 @@ def christoffel_reference(metric, point, h=1e-3, order=4):
     generic inverse at the points: the Christoffel symbols before they came
     with the inverse from one call of ``matrix``."""
     point = np.asarray(point, dtype=float)
-    dg = derivative_stack(metric.matrix, point, h=h, order=order,
-                          skip=metric.constant_dims)
+    dg = derivative_stack(metric.matrix, point, h=h, order=order)
     ginv = MetricField.inverse(metric, point)
     term = np.einsum("...jlk->...ljk", dg) + np.einsum("...klj->...ljk", dg) - dg
     return 0.5 * np.einsum("...il,...ljk->...ijk", ginv, term)
@@ -160,7 +182,7 @@ def riemann_reference(metric, point, h=1e-2, order=4):
     gam = christoffel_reference(metric, point, h=h_inner, order=order)
     dgam = derivative_stack(
         lambda q: christoffel_reference(metric, q, h=h_inner, order=order),
-        point, h=h, order=order, skip=metric.constant_dims)
+        point, h=h, order=order)
     ginv = MetricField.inverse(metric, point)
     t1 = np.einsum("iijk->jk", dgam)
     t2 = np.einsum("jiik->jk", dgam)
@@ -455,11 +477,3 @@ def test_conformal_transform_composes_gauge():
     assert abs(new_log_chi(q) - (0.3 + 2.0 * 0.2)) < 1e-12
     assert np.max(np.abs(new_m.matrix(q) - np.exp(0.8) * np.eye(2))) < 1e-12
 
-
-def test_scaled_metric_declares_no_constant_dims():
-    # the scaled components are differentiated along every axis, whether
-    # rho varies or not, even where the base metric declares all axes
-    # constant
-    m = ConstantMetric(np.eye(2))
-    for rho in (lambda q: float(np.exp(q[0])), lambda q: 2.0):
-        assert ScaledMetric(m, rho=rho).constant_dims == frozenset()

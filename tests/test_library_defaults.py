@@ -22,8 +22,6 @@ ALLOWED = {
     "config_space.sample_point.boost_bound",
     # dispersion_root and verify-dirac's gap check run without it
     "dirac.top_spinor_matrix.counterterm",
-    # the divergences, Laplacians and momenta differentiate every axis
-    "fd.derivative_stack.skip",
     # the wave inputs and verify-weyl's gauges are drawn at unit amplitude
     "fields.draw_field.amp_scale",
     # the transport residual, the Weyl scalar and the Casimir check take

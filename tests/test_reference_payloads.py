@@ -3,7 +3,8 @@
 ``tests/reference_payloads.json`` holds, for every verb (``trace`` in both
 formats) at seeds 0-3 and two draws, the exit code, the payload sha256 and
 every check record, with the fingerprint of the platform that produced them.
-On the same platform the digests must be equal. Elsewhere the bits may move
+On the same platform the digests must be equal, and a digest that moves
+lists each moved check's old and new value. Elsewhere the bits may move
 with the BLAS kernels, so each check value must stay within
 ``VALUE_FRACTION`` of its tolerance (of the floor, for a floor check), with
 the same pass bit. The test prints which comparison it made.
@@ -46,6 +47,14 @@ def _value_moves(ref: dict, now: dict) -> list[str]:
     return moves
 
 
+def _moved_values(ref: dict, now: dict) -> list[str]:
+    """Each check of ``now`` whose value is not the reference's, old -> new
+    in repr, so a digest that moves shows by how much."""
+    old = {c["name"]: c["value"] for c in ref["checks"]}
+    return [f"  {c['name']} {old.get(c['name'])!r} -> {c['value']!r}"
+            for c in now["checks"] if old.get(c["name"]) != c["value"]]
+
+
 def test_payloads_match_the_reference(tmp_path):
     out = tmp_path / "now.json"
     subprocess.run([sys.executable, str(ROOT / "tools" / "reference_payloads.py"),
@@ -57,16 +66,20 @@ def test_payloads_match_the_reference(tmp_path):
 
     if ref["fingerprint"] == now["fingerprint"]:
         print("same platform: comparing exit codes and payload digests")
-        moved = [f"{k}: {a['exit']} {a['sha256']} -> {b['exit']} {b['sha256']}"
-                 for k, a, b in zip(key, ref["runs"], now["runs"])
-                 if (a["exit"], a["sha256"]) != (b["exit"], b["sha256"])]
+        moved, detail = [], []
+        for k, a, b in zip(key, ref["runs"], now["runs"]):
+            if (a["exit"], a["sha256"]) != (b["exit"], b["sha256"]):
+                moved.append(f"{k}: {a['exit']} {a['sha256']} -> "
+                             f"{b['exit']} {b['sha256']}")
+                detail += [moved[-1], *_moved_values(a, b)]
     else:
         print(f"platform {now['fingerprint']} is not the reference's "
               f"{ref['fingerprint']}: comparing exit codes, pass bits and "
               f"check values within {VALUE_FRACTION} of each tolerance")
         moved = [f"{k}: {m}" for k, a, b in zip(key, ref["runs"], now["runs"])
                  for m in _value_moves(a, b)]
-    assert not moved, "\n".join(moved)
+        detail = moved
+    assert not moved, "\n".join(detail)
 
 
 def test_value_comparison_scales_with_each_checks_tolerance():
@@ -91,3 +104,12 @@ def test_value_comparison_scales_with_each_checks_tolerance():
     assert len(moved(count=1.0)) == 1
     assert len(moved(residual=None)) == 1
     assert moved(exit=1) == ["exit 0 -> 1"]
+
+
+def test_moved_values_show_each_moved_check_old_and_new():
+    ref = {"checks": [{"name": "a", "value": 1e-10},
+                      {"name": "b", "value": 2.0}]}
+    now = {"checks": [{"name": "a", "value": 1.5e-10},
+                      {"name": "b", "value": 2.0}]}
+    assert _moved_values(ref, now) == ["  a 1e-10 -> 1.5e-10"]
+    assert _moved_values(ref, ref) == []
