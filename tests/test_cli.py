@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from aqm_lab import cli, config_space, dynamics
 from aqm_lab.cli import VERBS, ConfigError, _build_parser, main, resolve_config
-from aqm_lab.lorentz_reps import reps_up_to_dim
 
 FAST_DIRAC = ["verify-dirac", "--n-draws", "2"]
 ROOT = Path(__file__).resolve().parents[1]
@@ -291,6 +290,23 @@ def test_malformed_config_is_error(tmp_path, capsys):
     cfg.write_text(json.dumps({"n_draws": 1}))
     assert main(["trace", "--config", str(cfg)]) == 2
     assert_one_line_error(capsys, "error: --n-draws ")
+    # a count that sizes an array or a loop is bounded; one above the bound
+    # is refused before anything is allocated, and the error names the bound
+    huge, over = str(10**20), str(cli.MAX_COUNT + 1)
+    for argv, flag in ((["verify-reps", "--n-draws", huge], "--n-draws"),
+                       (["trace", "--n-draws", huge], "--n-draws"),
+                       (["trace", "--steps", huge, "--n-draws", "2"], "--steps"),
+                       (["verify-curvature", "--n-draws", over], "--n-draws"),
+                       (["trace", "--steps", over], "--steps")):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(f"error: {flag} must be "), err
+        assert f" {cli.MAX_COUNT}; got " in err, err
+    for key in ("n_draws", "steps"):
+        cfg.write_text(json.dumps({key: cli.MAX_COUNT + 1}))
+        assert main(["trace", "--config", str(cfg)]) == 2, key
+        assert_one_line_error(capsys, f"error: --{key.replace('_', '-')} ")
     # an empty list of labels would select no representation, a vacuous pass
     cfg.write_text(json.dumps({"rep": []}))
     assert main(["spectrum", "--config", str(cfg)]) == 2
@@ -488,13 +504,14 @@ def test_spectrum_extreme_scales_give_null_records(argv, null_m2, capsys):
 
 
 def test_nan_conjugation_draw_fails_verify_reps(monkeypatch, capsys):
-    # verify-reps hands every draw to conjugation_defect in one stack; a NaN
-    # in one draw's row must fail its check, neither pass nor exit 3
+    # verify-reps hands every draw to conjugation_defect in one stack per
+    # class of irreps; a NaN in one draw's row must fail its check, neither
+    # pass nor exit 3
     conjugation_defect = cli.conjugation_defect
 
-    def nan_in_second_draw(rep, thetas):
-        defect = conjugation_defect(rep, thetas).copy()
-        defect[1] = np.nan
+    def nan_in_second_draw(reps, thetas):
+        defect = conjugation_defect(reps, thetas).copy()
+        defect[..., 1] = np.nan
         return defect
 
     monkeypatch.setattr(cli, "conjugation_defect", nan_in_second_draw)
@@ -511,14 +528,15 @@ def test_verify_reps_hands_over_draws_in_bounded_chunks(monkeypatch, capsys):
     # does not grow with --n-draws, and the values stay those of one batch
     sizes = []
     for name in ("angular_laplacian_check", "conjugation_defect"):
-        def recorded(rep, theta, *args, _f=getattr(cli, name)):
+        def recorded(reps, theta, *args, _f=getattr(cli, name)):
             sizes.append(len(theta))
-            return _f(rep, theta, *args)
+            return _f(reps, theta, *args)
 
         monkeypatch.setattr(cli, name, recorded)
     chunk = cli.REPS_CHUNK
     argv = ["verify-reps", "--n-draws", str(2 * chunk + 1)]
-    n_calls = 2 + len(reps_up_to_dim(9))  # two Casimir irreps, every irrep
+    # one shared Casimir pass, one conjugation stack per dimension and spin
+    n_calls = 1 + 13
 
     def values():
         assert main(argv) == 0

@@ -5,9 +5,23 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.spatial.transform import Rotation
 
-from aqm_lab.config_space import SERIES_CUTOFF, generators, lorentz_from_angles
+from aqm_lab.cli import CASIMIR_REPS, REPS_CHUNK
+from aqm_lab.config_space import (
+    SERIES_CUTOFF,
+    GroupMetric,
+    expm as chart_expm,
+    factor_exponents,
+    generators,
+    lorentz_from_angles,
+)
+from aqm_lab.geometry import laplace_beltrami
 from aqm_lab.lorentz_reps import (
     Irrep,
+    _chart_product,
+    _generator_halves,
+    conjugation_class,
+    dimension_class,
+    irrep_classes,
     angular_laplacian_check,
     casimir_value,
     commutator_defect,
@@ -430,6 +444,31 @@ def test_vector_intertwiner_equals_three_single_angle_calls():
     assert sigma_min == s[-1]
 
 
+def test_vector_intertwiner_system_equals_kron_form(monkeypatch):
+    # the broadcast product of D and Lambda^T with I is bitwise the stack of
+    # kron(D, I) - kron(I, Lambda^T), signed zeros included
+    systems = []
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        systems.append(a)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    vector_intertwiner()
+    thetas = np.array([[0.7, -0.3, 0.2, 0.4, 0.1, -0.5],
+                       [-0.2, 0.5, -0.6, 0.1, -0.3, 0.2],
+                       [0.1, 0.2, 0.9, -0.2, 0.6, 0.3]])
+    eye = np.eye(4)
+    kron_form = np.vstack([np.kron(d, eye) - np.kron(eye, lam.T) for d, lam in
+                           zip(d_matrix(Irrep(0.5, 0.5), thetas),
+                               lorentz_from_angles(thetas))])
+    (system,) = systems
+    assert system.shape == kron_form.shape == (48, 16)
+    assert system.dtype == kron_form.dtype
+    assert system.tobytes() == kron_form.tobytes()
+
+
 def test_vector_intertwiner_fresh_group_elements():
     x, _ = vector_intertwiner()
     rep = Irrep(0.5, 0.5)
@@ -481,7 +520,6 @@ def test_angular_laplacian_separates_reps():
 @pytest.mark.parametrize("n_angles", [1, 2, 5])
 @pytest.mark.parametrize("seed", [3, 41, 907])
 def test_angular_laplacian_batch_equals_per_angle_calls(seed, n_angles):
-    # verify-reps hands every draw to one call per irrep
     thetas = np.random.default_rng(seed).uniform(-1.2, 1.2, (n_angles, 6))
     for rep in (Irrep(0, 0.5), Irrep(0.5, 0.5)):
         batch = angular_laplacian_check(rep, thetas, a=1.5, order=4)
@@ -489,3 +527,152 @@ def test_angular_laplacian_batch_equals_per_angle_calls(seed, n_angles):
         for theta, ratio in zip(thetas, batch):
             single = angular_laplacian_check(rep, theta, a=1.5, order=4)
             assert np.array_equal(ratio, single)
+
+
+# ---------------------------------------------------------------------------
+# irrep classes: each stacked check against its per-irrep form
+# ---------------------------------------------------------------------------
+
+
+CLASS_REPS = reps_up_to_dim(9) + [Irrep(1.5, 1.5), Irrep(2, 1)]
+DIMENSION_CLASSES = irrep_classes(CLASS_REPS, dimension_class)
+CONJUGATION_CLASSES = irrep_classes(CLASS_REPS, conjugation_class)
+
+
+def class_id(cls: tuple[Irrep, ...]) -> str:
+    return "+".join(rep.label() for rep in cls)
+
+
+def commutator_defect_per_irrep(rep: Irrep) -> float:
+    """One irrep's commutator defect from one stacked product of its six
+    generators and an ``einsum`` for the targets: the reference of the
+    class form."""
+    j, k = irrep_generators(rep)
+    gens = np.concatenate([j, k])
+    d = gens.shape[-1]
+    prods = gens[:, None] @ gens[None, :]
+    comm = (prods - prods.swapaxes(0, 1)).reshape(2, 3, 2, 3, d, d)
+    target_j, target_k = 1j * np.einsum("abc,hcij->habij", EPS,
+                                        gens.reshape(2, 3, d, d))
+    residuals = np.stack([comm[0, :, 0] - target_j,
+                          comm[0, :, 1] - target_k,
+                          comm[1, :, 1] + target_j])
+    return float(np.max(np.abs(residuals)))
+
+
+def conjugation_defect_per_irrep(rep: Irrep, theta: np.ndarray) -> np.ndarray:
+    """One irrep's conjugation defect from one ``expm`` call of its own four
+    factors: the reference of the class form."""
+    m_uv, kappa = factor_exponents(theta, _generator_halves(rep))
+    m_vu, _ = factor_exponents(theta, _generator_halves(rep.conjugate))
+    exponents = np.stack([-1j * m_uv, 1j * m_vu], axis=-4)
+    kappa = np.broadcast_to(kappa[..., None, :], exponents.shape[:-2])
+    factors = chart_expm(exponents, kappa, rep.u + rep.v)
+    d_uv = _chart_product(factors[..., 0, :, :, :], inverse=False)
+    d_vu_inv = _chart_product(factors[..., 1, :, :, :], inverse=True)
+    p = factor_swap(rep)
+    return np.max(np.abs(d_uv.conj().swapaxes(-1, -2) - p.T @ d_vu_inv @ p),
+                  axis=(-2, -1))
+
+
+def angular_laplacian_per_irrep(rep: Irrep, theta: np.ndarray, a: float,
+                                order: int) -> np.ndarray:
+    """One irrep's Casimir ratio from its own stencil pass: the reference of
+    the shared pass."""
+    lap = laplace_beltrami(GroupMetric(a), lambda t: d_matrix_inverse(rep, t),
+                           theta, h=1e-2, order=order, h_inner=1e-3)
+    return lap @ d_matrix(rep, theta)
+
+
+def test_classes_of_the_checked_irreps():
+    reps = reps_up_to_dim(9)
+    assert len(irrep_classes(reps, dimension_class)) == 9
+    conjugation = irrep_classes(reps, conjugation_class)
+    assert len(conjugation) == 13
+    # a class holds the conjugate of each member
+    for cls in conjugation:
+        assert {rep.conjugate for rep in cls} == set(cls)
+
+
+@pytest.mark.parametrize("cls", DIMENSION_CLASSES, ids=class_id)
+def test_commutator_class_equals_per_irrep_form(cls):
+    defects = commutator_defect(cls)
+    assert defects.shape == (len(cls),)
+    for rep, defect in zip(cls, defects):
+        reference = commutator_defect_per_irrep(rep)
+        assert defect == reference
+        assert commutator_defect(rep) == reference
+        assert isinstance(commutator_defect(rep), float)
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3)], ids=str)
+@pytest.mark.parametrize("scale", [1.0, 1e-9, 0.0])
+def test_conjugation_class_equals_per_irrep_form(scale, shape):
+    # scale 1e-9 puts both factors below SERIES_CUTOFF; 0 is theta = 0;
+    # the spin-0 class broadcasts kappa onto the exponents
+    assert (Irrep(0, 0),) in CONJUGATION_CLASSES
+    thetas = scale * np.random.default_rng(30).uniform(-1.2, 1.2, shape + (6,))
+    for cls in CONJUGATION_CLASSES:
+        defects = conjugation_defect(cls, thetas)
+        assert defects.shape == (len(cls),) + shape
+        for rep, defect in zip(cls, defects):
+            reference = conjugation_defect_per_irrep(rep, thetas)
+            assert np.array_equal(defect, reference), rep.label()
+            assert np.array_equal(conjugation_defect(rep, thetas), reference)
+
+
+@pytest.mark.parametrize("cls", CONJUGATION_CLASSES, ids=class_id)
+def test_conjugation_class_is_nan_in_non_finite_rows_only(cls):
+    thetas = np.random.default_rng(31).uniform(-1.2, 1.2, (5, 6))
+    thetas[1, 4] = np.nan
+    thetas[3, 0] = np.inf
+    with np.errstate(all="ignore"):
+        defects = conjugation_defect(cls, thetas)
+    for rep, defect in zip(cls, defects):
+        assert np.isnan(defect[[1, 3]]).all(), rep.label()
+        for row in (0, 2, 4):
+            assert defect[row] == conjugation_defect_per_irrep(rep,
+                                                               thetas[row])
+
+
+def test_mixed_class_raises():
+    theta = np.zeros(6)
+    # one dimension, two spins: (0,3/2) has spin 3/2, (1/2,1/2) spin 1
+    with pytest.raises(ValueError, match="not one class"):
+        conjugation_defect((Irrep(0, 1.5), Irrep(0.5, 0.5)), theta)
+    with pytest.raises(ValueError, match="not one class"):
+        conjugation_defect((Irrep(0, 0.5), Irrep(0, 1)), theta)
+    with pytest.raises(ValueError, match="not one class"):
+        commutator_defect((Irrep(0, 0.5), Irrep(0.5, 0.5)))
+    with pytest.raises(ValueError, match="not one class"):
+        commutator_defect(())
+    with pytest.raises(ValueError, match="not one class"):
+        conjugation_defect((), theta)
+    with pytest.raises(ValueError, match="not one class"):
+        angular_laplacian_check((), theta, a=1.0, order=4)
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 2)], ids=str)
+def test_shared_laplacian_pass_equals_single_irrep_calls(shape):
+    thetas = np.random.default_rng(32).uniform(-1.2, 1.2, shape + (6,))
+    ratios = angular_laplacian_check(CASIMIR_REPS, thetas, a=1.5, order=4)
+    assert isinstance(ratios, tuple) and len(ratios) == len(CASIMIR_REPS)
+    for rep, ratio in zip(CASIMIR_REPS, ratios):
+        assert ratio.shape == shape + (rep.dim, rep.dim)
+        single = angular_laplacian_check(rep, thetas, a=1.5, order=4)
+        assert np.array_equal(ratio, single)
+        assert np.array_equal(
+            ratio, angular_laplacian_per_irrep(rep, thetas, a=1.5, order=4))
+
+
+@pytest.mark.parametrize("seed", [0, 5, 17])
+def test_reps_chunk_through_shared_pass_equals_per_draw_calls(seed):
+    # verify-reps hands REPS_CHUNK draws to one shared pass; from 15 draws
+    # numpy's in-place products of 256 KiB operands move the last bits, so
+    # a chunk past that size fails here
+    thetas = np.random.default_rng(seed).uniform(-1.2, 1.2, (REPS_CHUNK, 6))
+    ratios = angular_laplacian_check(CASIMIR_REPS, thetas, a=1.0, order=4)
+    for rep, ratio in zip(CASIMIR_REPS, ratios):
+        for theta, row in zip(thetas, ratio):
+            assert np.array_equal(
+                row, angular_laplacian_per_irrep(rep, theta, a=1.0, order=4))
