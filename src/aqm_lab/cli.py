@@ -215,7 +215,6 @@ OUT = Param("out", OUT_PATH, None, "output path (default stdout)",
 FORMAT = Param("format", _one_of("json", "csv"), "json", "report format")
 A = Param("a", POSITIVE, 1.0, "internal length scale")
 STEP = Param("h", POSITIVE, 1e-3, "stencil step")
-ORDER = Param("order", _one_of(2, 4), 4, "stencil order")
 H_FIELD = Param("H", VECTOR, None, "constant magnetic field "
                 "(verify-dirac: drawn per draw by default)")
 E_FIELD = Param("E", VECTOR, None, "constant electric field "
@@ -267,8 +266,7 @@ def _run_verify_curvature(cfg: dict, rng: np.random.Generator):
     rel_errors, records = [], []
     for _ in range(cfg["n_draws"]):
         q = sample_point(rng, boost_bound=RAPIDITY_MAX)
-        r = riemann_scalar_at(metric.group, q[4:], h=cfg["h"],
-                              order=cfg["order"])
+        r = riemann_scalar_at(metric.group, q[4:], h=cfg["h"])
         rel = abs(r - expected) / abs(expected)
         rel_errors.append(rel)
         records.append({"point": list(q), "r_scalar": r, "rel_error": rel})
@@ -278,15 +276,13 @@ def _run_verify_curvature(cfg: dict, rng: np.random.Generator):
 
 def _run_verify_weyl(cfg: dict, rng: np.random.Generator):
     metric = TopMetric(cfg["a"])
-    r, h, order = metric.riemann_scalar(), cfg["h"], cfg["order"]
+    r, h = metric.riemann_scalar(), cfg["h"]
     diffs, records = [], []
     for _ in range(cfg["n_draws"]):
         log_chi = draw_field(rng, 10)
         q = sample_point(rng, rot_scale=1.5, boost_bound=1.5)
-        line1 = weyl_scalar_at(metric, log_chi, q, h, order, form="phi",
-                               r_scalar=r)
-        line2 = weyl_scalar_at(metric, log_chi, q, h, order, form="chi",
-                               r_scalar=r)
+        line1 = weyl_scalar_at(metric, log_chi, q, h, form="phi", r_scalar=r)
+        line2 = weyl_scalar_at(metric, log_chi, q, h, form="chi", r_scalar=r)
         rel = abs(line1 - line2) / max(abs(line1), abs(line2), 1.0)
         diffs.append(rel)
         records.append({"point": list(q), "phi_form": line1, "chi_form": line2,
@@ -298,9 +294,9 @@ def _run_verify_weyl(cfg: dict, rng: np.random.Generator):
         log_chi = draw_field(rng, 10)
         log_rho = draw_field(rng, 10, amp_scale=0.5)
         q = sample_point(rng, rot_scale=1.0, boost_bound=1.0)
-        base = weyl_scalar_at(metric, log_chi, q, h, order, r_scalar=r)
+        base = weyl_scalar_at(metric, log_chi, q, h, r_scalar=r)
         new_metric, new_log_chi = conformal_transform(metric, log_chi, log_rho)
-        moved = weyl_scalar_at(new_metric, new_log_chi, q, h, order)
+        moved = weyl_scalar_at(new_metric, new_log_chi, q, h)
         rho0 = float(np.exp(log_rho(q)))
         weight_errs.append(abs(rho0 * moved - base) / max(abs(base), 1.0))
 
@@ -323,8 +319,7 @@ def _run_verify_linearization(cfg: dict, rng: np.random.Generator):
         fields = draw_wave_inputs(rng)
         q = sample_point(rng, rot_scale=1.5, boost_bound=1.5)
         defects, hj_res, div_res = linearization_check(
-            fields, ems, metric, q, r_scalar=r, xi2=couplings,
-            h=cfg["h"], order=cfg["order"])
+            fields, ems, metric, q, r_scalar=r, xi2=couplings, h=cfg["h"])
         if i < 10:
             control = defects[0, 1]
             control_defects.append(np.hypot(control.real, control.imag))
@@ -360,8 +355,8 @@ def _run_verify_reps(cfg: dict, rng: np.random.Generator):
     chunks = np.split(thetas, range(REPS_CHUNK, len(thetas), REPS_CHUNK))
 
     # the two Casimir irreps share one stencil pass per chunk
-    ratios = zip(*(angular_laplacian_check(CASIMIR_REPS, t, cfg["a"],
-                                           cfg["order"]) for t in chunks))
+    ratios = zip(*(angular_laplacian_check(CASIMIR_REPS, t, cfg["a"])
+                   for t in chunks))
     casimir_rel = []
     for rep, ratio in zip(CASIMIR_REPS, ratios):
         expected = -casimir_value(rep) / np.float64(cfg["a"]) ** 2
@@ -458,14 +453,13 @@ def _run_trace(cfg: dict, rng: np.random.Generator):
     fields, starts = _plane_wave_bundle_inputs(rng, cfg["n_draws"],
                                                cfg["spread"])
     bundle = integrate_trajectory(fields, em, metric, starts, cfg["ds"],
-                                  cfg["steps"], cfg["h"], cfg["order"])
+                                  cfg["steps"], cfg["h"])
     # the start point's velocity norm is row 0 of the start evaluation; both
     # formats compute every check, so a CSV run fails where a JSON run does
     # (a degenerate start, a bundle that never left its start points)
     v0 = bundle.start_velocity[0]
     g0 = metric.matrix(starts[0])
-    rep = transport_check(fields, em, metric, bundle, cfg["sections"],
-                          cfg["h"], cfg["order"])
+    rep = transport_check(fields, em, metric, bundle, cfg["sections"], cfg["h"])
     values = {"trace_velocity_norm_defect": abs(abs(float(v0 @ g0 @ v0)) - 1.0),
               "trace_max_divergence": rep.max_divergence,
               "trace_flux_drift": rep.flux_drift,
@@ -528,19 +522,19 @@ VERBS: dict[str, Verb] = {
     "verify-curvature": Verb(
         "scalar curvature of the top metric against 6/a^2",
         _run_verify_curvature, (*_COMMON, replace(N_DRAWS, default=50), A,
-                                replace(STEP, default=CURVATURE_STEP), ORDER),
+                                replace(STEP, default=CURVATURE_STEP)),
         (Check("curvature_max_rel_error", 1e-3),
          Check("curvature_mean_rel_error", 1e-4, np.mean))),
     "verify-weyl": Verb(
         "agreement of the two Weyl scalar forms and the conformal weight",
         _run_verify_weyl,
-        (*_COMMON, replace(N_DRAWS, default=100), A, STEP, ORDER),
+        (*_COMMON, replace(N_DRAWS, default=100), A, STEP),
         (Check("weyl_forms_max_rel_diff", 1e-6),
          Check("weyl_conformal_weight_max_rel", 1e-5))),
     "verify-linearization": Verb(
         "exact equivalence of the nonlinear pair with the linear wave equation",
         _run_verify_linearization,
-        (*_COMMON, replace(N_DRAWS, default=100), A, STEP, ORDER, KAPPA,
+        (*_COMMON, replace(N_DRAWS, default=100), A, STEP, KAPPA,
          replace(H_FIELD, default=(0.3, -0.2, 0.4)),
          replace(E_FIELD, default=(0.2, 0.1, -0.3))),
         (Check("linearization_max_defect_free", 1e-6),
@@ -549,7 +543,7 @@ VERBS: dict[str, Verb] = {
     "verify-reps": Verb(
         "commutators, conjugation, Casimir eigenvalues and the vector "
         "equivalence",
-        _run_verify_reps, (*_COMMON, replace(N_DRAWS, default=5), A, ORDER),
+        _run_verify_reps, (*_COMMON, replace(N_DRAWS, default=5), A),
         (Check("reps_commutator_max_defect", 1e-12),
          Check("reps_conjugation_max_defect", 1e-10),
          Check("reps_laplacian_casimir_max_rel", 1e-3),
@@ -572,8 +566,7 @@ VERBS: dict[str, Verb] = {
         (SEED, TOL, OUT, replace(FORMAT, default="csv"),
          replace(N_DRAWS, kind=_int_from(2, f"an integer from 2 to "
                                             f"{MAX_COUNT}", MAX_COUNT),
-                 default=8), A, STEP, ORDER, DS,
-         STEPS, SECTIONS, SPREAD),
+                 default=8), A, STEP, DS, STEPS, SECTIONS, SPREAD),
         (Check("trace_max_divergence", 1e-6),
          Check("trace_flux_drift", 1e-6),
          Check("trace_velocity_norm_defect", 1e-10),

@@ -26,7 +26,7 @@ NULL_TOL = 1e-10
 
 
 def velocity_field(fields: WaveInputs, em: EMConfig, metric: TopMetric,
-                   point: np.ndarray, h: float, order: int
+                   point: np.ndarray, h: float
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Normalized trajectory velocity and the squared momentum norm.
 
@@ -37,7 +37,7 @@ def velocity_field(fields: WaveInputs, em: EMConfig, metric: TopMetric,
     unnormalized.
     """
     point = np.asarray(point, dtype=float)
-    up, norm2 = raised_momentum(fields, em, metric, point, h, order)
+    up, norm2 = raised_momentum(fields, em, metric, point, h)
     scale = np.sqrt(np.abs(np.where(np.abs(norm2) < NULL_TOL, 1.0, norm2)))
     return up / scale[..., None], norm2
 
@@ -73,7 +73,7 @@ def _within_chart(q: np.ndarray) -> np.ndarray:
 
 def integrate_trajectory(fields: WaveInputs, em: EMConfig, metric: TopMetric,
                          starts: np.ndarray, ds: float, n_steps: int,
-                         h: float, order: int) -> Bundle:
+                         h: float) -> Bundle:
     """Fixed-step fourth-order Runge-Kutta integration of the velocity field.
 
     ``starts`` is a stack of start points, shape (n_traj, 10); n_steps >= 1.
@@ -109,7 +109,7 @@ def integrate_trajectory(fields: WaveInputs, em: EMConfig, metric: TopMetric,
         # compares false, so it propagates instead of stopping its row
         for c in (None, 0.5, 0.5, 1.0):
             p = q if c is None else q + c * ds * ks[-1]
-            v, norm2 = velocity_field(fields, em, metric, p, h=h, order=order)
+            v, norm2 = velocity_field(fields, em, metric, p, h=h)
             if start is None:
                 start, start_sign = (v, norm2), np.sign(norm2)
             halt = running & (norm2 * start_sign < NULL_TOL)
@@ -156,17 +156,17 @@ class TransportReport:
 
 
 def flux_density(fields: WaveInputs, em: EMConfig, metric: TopMetric,
-                 point: np.ndarray, h: float, order: int) -> np.ndarray:
+                 point: np.ndarray, h: float) -> np.ndarray:
     """Current magnitude along the flow, |psi|^2 sqrt(g) sqrt(|g^{ij} u_i u_j|),
     at points on the last axis."""
     point = np.asarray(point, dtype=float)
-    _, norm2 = raised_momentum(fields, em, metric, point, h, order)
+    _, norm2 = raised_momentum(fields, em, metric, point, h)
     return born_density(fields, point) * metric.sqrt_det(point) \
         * np.sqrt(np.abs(norm2))
 
 
 def transport_check(fields: WaveInputs, em: EMConfig, metric: TopMetric,
-                    bundle: Bundle, n_sections: int, h: float, order: int
+                    bundle: Bundle, n_sections: int, h: float
                     ) -> TransportReport:
     """Divergence, flux drift and crossing diagnostics along a bundle.
 
@@ -183,9 +183,8 @@ def transport_check(fields: WaveInputs, em: EMConfig, metric: TopMetric,
     n = min(n_sections, n_common)  # more samples give the same index set
     idx = np.unique(np.linspace(0, n_common - 1, n).astype(int))
     sections = bundle.points[idx]
-    fluxes = np.mean(flux_density(fields, em, metric, sections, h=h,
-                                  order=order), axis=-1)
-    divergences = divergence_residual(fields, em, metric, sections, h, order)
+    fluxes = np.mean(flux_density(fields, em, metric, sections, h=h), axis=-1)
+    divergences = divergence_residual(fields, em, metric, sections, h)
     drift = np.max(np.abs(fluxes - fluxes[0])) / abs(fluxes[0]) \
         if n_common > 1 else np.nan
     return TransportReport(

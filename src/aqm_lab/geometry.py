@@ -92,15 +92,15 @@ def _unit_axes(a: np.ndarray, at: int, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def christoffel_at(metric: MetricField, point: np.ndarray, h: float,
-                   order: int) -> tuple[np.ndarray, np.ndarray]:
+def christoffel_at(metric: MetricField, point: np.ndarray,
+                   h: float) -> tuple[np.ndarray, np.ndarray]:
     """Christoffel symbols Gamma^i_{jk} of the metric at points on the last
     axis, and the inverse metric g^{ij} there: ``(gam, ginv)``.
 
     Components are assembled from central differences of the metric matrix,
     whose values at the points come from the same call as its stencil.
     """
-    g, dg = value_and_derivative_stack(metric.matrix, point, h, order)
+    g, dg = value_and_derivative_stack(metric.matrix, point, h)
     # dg[..., l, i, j] = d_l g_ij; curvature stays a result of ``matrix``
     # alone, never of a closed form
     ginv = _invert(g)
@@ -108,23 +108,28 @@ def christoffel_at(metric: MetricField, point: np.ndarray, h: float,
     return 0.5 * np.einsum("...il,...ljk->...ijk", ginv, term), ginv
 
 
-def riemann_scalar_at(metric: MetricField, point: np.ndarray, h: float,
-                      order: int) -> float:
+def riemann_scalar_at(metric: MetricField, point: np.ndarray, h: float, *,
+                      order: int = 4) -> float:
     """Riemann scalar curvature R at one point by nested finite differences.
 
     ``h`` steps the outer derivatives of the Christoffel symbols, h/10 the
     metric derivatives inside each Christoffel evaluation. One Christoffel
     evaluation covers the point and its stencil, with the inverse metric
     riding along as an extra slice, so ``matrix`` is called once.
+
+    ``order`` names the one stencil, 4, and changes nothing: it is kept only
+    for callers that still pass it, and any other value raises ValueError.
     """
+    if order != 4:
+        raise ValueError(f"unsupported stencil order {order}; the stencil "
+                         f"is of order 4")
     h_inner = h / 10.0
 
     def christoffel_and_inverse(q):
-        gam, ginv = christoffel_at(metric, q, h=h_inner, order=order)
+        gam, ginv = christoffel_at(metric, q, h=h_inner)
         return np.concatenate([gam, ginv[..., None, :, :]], axis=-3)
 
-    both, dboth = value_and_derivative_stack(christoffel_and_inverse, point, h,
-                                             order)
+    both, dboth = value_and_derivative_stack(christoffel_and_inverse, point, h)
     gam, ginv, dgam = both[:-1], both[-1], dboth[:, :-1]
     t1 = np.einsum("iijk->jk", dgam)
     t2 = np.einsum("jiik->jk", dgam)
@@ -134,7 +139,7 @@ def riemann_scalar_at(metric: MetricField, point: np.ndarray, h: float,
 
 
 def covariant_divergence_at(metric: MetricField, vector: Callable[[np.ndarray], np.ndarray],
-                            point: np.ndarray, h: float, order: int,
+                            point: np.ndarray, h: float,
                             potential: Callable[[np.ndarray], np.ndarray] | None = None):
     """Gauge-covariant divergence (1/sqrt g)(d_k - i A_k)(sqrt g V^k) of a vector field.
 
@@ -155,7 +160,7 @@ def covariant_divergence_at(metric: MetricField, vector: Callable[[np.ndarray], 
 
     # flux[..., i, k, ...] = d_i (sqrt g V^k); the value axes follow k, so
     # the trace is indexed from the front
-    flux = derivative_stack(density, point, h=h, order=order)
+    flux = derivative_stack(density, point, h=h)
     total = 0.0
     for k in range(metric.dim):
         total += flux[(slice(None),) * nb + (k, k)]
@@ -177,7 +182,7 @@ def covariant_divergence_at(metric: MetricField, vector: Callable[[np.ndarray], 
 
 
 def laplace_beltrami(metric: MetricField, f: Callable[[np.ndarray], np.ndarray],
-                     point: np.ndarray, h: float, order: int,
+                     point: np.ndarray, h: float,
                      potential: Callable[[np.ndarray], np.ndarray] | None = None,
                      h_inner: float | None = None):
     """Gauge-covariant Laplace-Beltrami operator (1/sqrt g) D_i (sqrt g g^{ij} D_j f).
@@ -192,7 +197,7 @@ def laplace_beltrami(metric: MetricField, f: Callable[[np.ndarray], np.ndarray],
     h_inner = h if h_inner is None else h_inner
 
     def grad_up(q):
-        df = derivative_stack(f, q, h=h_inner, order=order)  # (*batch, dim, *value)
+        df = derivative_stack(f, q, h=h_inner)  # (*batch, dim, *value)
         nb, nc = q.ndim - 1, 0
         if potential is not None:
             a = np.asarray(potential(q))  # (*batch, dim, *channels)
@@ -207,7 +212,7 @@ def laplace_beltrami(metric: MetricField, f: Callable[[np.ndarray], np.ndarray],
         raised = _unit_axes(metric.inverse(q), nb, nc) @ flat
         return np.moveaxis(raised.reshape(df.shape), nb + nc, nb)
 
-    return covariant_divergence_at(metric, grad_up, point, h, order, potential)
+    return covariant_divergence_at(metric, grad_up, point, h, potential)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +222,7 @@ def laplace_beltrami(metric: MetricField, f: Callable[[np.ndarray], np.ndarray],
 
 def weyl_scalar_at(metric: MetricField,
                    log_chi: Callable[[np.ndarray], np.ndarray],
-                   point: np.ndarray, h: float, order: int,
+                   point: np.ndarray, h: float,
                    form: str = "phi", r_scalar: float | None = None) -> float:
     """Weyl scalar curvature of the metric and the gauge chi = exp(log_chi)
     at one point.
@@ -234,12 +239,12 @@ def weyl_scalar_at(metric: MetricField,
     """
     point = np.asarray(point, dtype=float)
     n = metric.dim
-    r = riemann_scalar_at(metric, point, CURVATURE_STEP, order) \
+    r = riemann_scalar_at(metric, point, CURVATURE_STEP) \
         if r_scalar is None else float(r_scalar)
 
     if form == "phi":
-        div_phi = laplace_beltrami(metric, log_chi, point, h=h, order=order)
-        phi = derivative_stack(log_chi, point, h=h, order=order)
+        div_phi = laplace_beltrami(metric, log_chi, point, h=h)
+        phi = derivative_stack(log_chi, point, h=h)
         phi_sq = float(phi @ metric.inverse(point) @ phi)
         return r + 2.0 * (n - 1) * div_phi - (n - 1) * (n - 2) * phi_sq
 
@@ -248,8 +253,8 @@ def weyl_scalar_at(metric: MetricField,
             return np.exp(log_chi(q))
 
         chi0 = chi(point)
-        lap_chi = laplace_beltrami(metric, chi, point, h=h, order=order)
-        dchi = derivative_stack(chi, point, h=h, order=order)
+        lap_chi = laplace_beltrami(metric, chi, point, h=h)
+        dchi = derivative_stack(chi, point, h=h)
         grad_sq = float(dchi @ metric.inverse(point) @ dchi)
         return r + 2.0 * (n - 1) * lap_chi / chi0 - n * (n - 1) * grad_sq / chi0 ** 2
 

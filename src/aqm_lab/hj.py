@@ -175,15 +175,14 @@ def draw_wave_inputs(rng: np.random.Generator) -> WaveInputs:
 
 
 def momentum_covector(fields: WaveInputs, em: EMConfig, point: np.ndarray,
-                      h: float, order: int) -> np.ndarray:
+                      h: float) -> np.ndarray:
     """Gauge-covariant momentum u_j = d_j S - A_j at points on the last axis."""
     point = np.asarray(point, dtype=float)
-    return derivative_stack(fields.s_field, point, h=h, order=order) \
-        - em.potential(point)
+    return derivative_stack(fields.s_field, point, h=h) - em.potential(point)
 
 
 def raised_momentum(fields: WaveInputs, em: EMConfigs, metric: TopMetric,
-                    point: np.ndarray, h: float, order: int
+                    point: np.ndarray, h: float
                     ) -> tuple[np.ndarray, np.ndarray]:
     """The raise u#^i = g^{ij} u_j of the momentum u = ``momentum_covector``
     and its square u.u# = g^{ij} u_i u_j, at points on the last axis, as
@@ -202,7 +201,7 @@ def raised_momentum(fields: WaveInputs, em: EMConfigs, metric: TopMetric,
     point = np.asarray(point, dtype=float)
     x, theta = split_point(point)
     k = killing_vectors(theta)
-    u = derivative_stack(fields.s_field, point, h=h, order=order)
+    u = derivative_stack(fields.s_field, point, h=h)
     if isinstance(em, EMConfig):  # the one-config shortcut of the RK4 stages
         u = u - em.potential_from_killing(x, k)
     else:
@@ -237,7 +236,7 @@ def wave_ansatz(fields: WaveInputs) -> Callable[[np.ndarray], np.ndarray]:
 
 def hj_residual(fields: WaveInputs, ems: tuple[EMConfig, ...],
                 metric: TopMetric, point: np.ndarray, r_scalar: float,
-                xi2: np.ndarray, h: float, order: int) -> np.ndarray:
+                xi2: np.ndarray, h: float) -> np.ndarray:
     """Residual of the Hamilton-Jacobi equation at a point, per config and
     coupling, as (n_em, n_xi2).
 
@@ -246,15 +245,13 @@ def hj_residual(fields: WaveInputs, ems: tuple[EMConfig, ...],
     point. u.u# is evaluated once per config and R_W, which reads neither
     the potential nor the coupling, once for all.
     """
-    _, norm2 = raised_momentum(fields, ems, metric, point, h, order)
-    rw = weyl_scalar_at(metric, fields.log_chi, point, h=h, order=order,
-                        r_scalar=r_scalar)
+    _, norm2 = raised_momentum(fields, ems, metric, point, h)
+    rw = weyl_scalar_at(metric, fields.log_chi, point, h=h, r_scalar=r_scalar)
     return norm2[:, None] + xi2 * rw
 
 
 def divergence_residual(fields: WaveInputs, em: EMConfigs, metric: TopMetric,
-                        point: np.ndarray, h: float, order: int
-                        ) -> np.ndarray:
+                        point: np.ndarray, h: float) -> np.ndarray:
     """Residual of the transport equation: covariant divergence of the
     density-weighted momentum current chi^(-(n-2)) g^{ij} u_j, at points on
     the last axis. A tuple of configs gives (*batch, n_em) from one stencil
@@ -262,20 +259,20 @@ def divergence_residual(fields: WaveInputs, em: EMConfigs, metric: TopMetric,
     point = np.asarray(point, dtype=float)
 
     def current_up(q):
-        up, _ = raised_momentum(fields, em, metric, q, h, order)
+        up, _ = raised_momentum(fields, em, metric, q, h)
         # the components right after the batch axes, a stack's configs
         # after them
         up = np.moveaxis(up, -1, q.ndim - 1)
         rho = born_density(fields, q)
         return rho.reshape(rho.shape + (1,) * (up.ndim - rho.ndim)) * up
 
-    return covariant_divergence_at(metric, current_up, point, h=h, order=order)
+    return covariant_divergence_at(metric, current_up, point, h=h)
 
 
 def wave_operator(psi: Callable[[np.ndarray], np.ndarray],
                   ems: tuple[EMConfig, ...], metric: MetricField,
                   point: np.ndarray, psi0: np.ndarray, xi2: np.ndarray,
-                  r_scalar: float, h: float, order: int) -> np.ndarray:
+                  r_scalar: float, h: float) -> np.ndarray:
     """Minimally coupled curvature-potential wave operator applied to psi.
 
     W psi = -(1/sqrt g)(d_i - i A_i) [sqrt g g^{ij} (d_j - i A_j) psi]
@@ -292,15 +289,13 @@ def wave_operator(psi: Callable[[np.ndarray], np.ndarray],
         return np.swapaxes(
             _stacked_potential(ems, x, killing_vectors(theta)), -1, -2)
 
-    lap = laplace_beltrami(metric, psi, point, h=h, order=order,
-                           potential=potential)
+    lap = laplace_beltrami(metric, psi, point, h=h, potential=potential)
     return -lap[..., None] + xi2 * r_scalar * psi0[..., None, None]
 
 
 def linearization_check(fields: WaveInputs, em: EMConfigs, metric: TopMetric,
                         point: np.ndarray, r_scalar: float,
-                        xi2: float | np.ndarray | None = None, h: float = 1e-3,
-                        order: int = 4
+                        xi2: float | np.ndarray | None = None, h: float = 1e-3
                         ) -> tuple[complex | np.ndarray, float | np.ndarray, float]:
     """Verify the exact linearization at one point.
 
@@ -337,10 +332,9 @@ def linearization_check(fields: WaveInputs, em: EMConfigs, metric: TopMetric,
 
     psi = wave_ansatz(fields)
     psi0 = psi(point)
-    w = wave_operator(psi, ems, metric, point, psi0, couplings, r_scalar,
-                      h, order)
-    hj = hj_residual(fields, ems, metric, point, r_scalar, couplings, h, order)
-    div = divergence_residual(fields, ems, metric, point, h=h, order=order)
+    w = wave_operator(psi, ems, metric, point, psi0, couplings, r_scalar, h)
+    hj = hj_residual(fields, ems, metric, point, r_scalar, couplings, h)
+    div = divergence_residual(fields, ems, metric, point, h=h)
     chi_pow = np.exp((n - 2) * fields.log_chi(point))
     defect = w / psi0 - hj + 1j * chi_pow * div[:, None]
     if np.ndim(xi2) == 0:

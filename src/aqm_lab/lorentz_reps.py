@@ -308,8 +308,8 @@ def vector_intertwiner() -> tuple[np.ndarray, float]:
 # ---------------------------------------------------------------------------
 
 
-def angular_laplacian_check(reps: Irreps, theta: np.ndarray, a: float,
-                            order: int) -> np.ndarray | tuple[np.ndarray, ...]:
+def angular_laplacian_check(reps: Irreps, theta: np.ndarray, a: float
+                            ) -> np.ndarray | tuple[np.ndarray, ...]:
     """Laplace-Beltrami operator of the group block applied to D(Lambda)^{-1},
     per irrep of a stack.
 
@@ -333,7 +333,7 @@ def angular_laplacian_check(reps: Irreps, theta: np.ndarray, a: float,
             t.shape[:-1] + (rep.dim ** 2,)) for rep in stack], axis=-1)
 
     lap = laplace_beltrami(GroupMetric(a), d_inverse, theta, h=1e-2,
-                           order=order, h_inner=1e-3)
+                           h_inner=1e-3)
     ends = np.cumsum([rep.dim ** 2 for rep in stack])[:-1]
     ratios = tuple(
         np.ascontiguousarray(part).reshape(theta.shape[:-1] + (rep.dim,) * 2)

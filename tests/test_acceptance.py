@@ -52,7 +52,7 @@ def test_criterion_curvature():
         expected = 6.0 / a ** 2
         for _ in range(50):
             q = sample_point(rng, boost_bound=RAPIDITY_MAX)
-            r = riemann_scalar_at(metric, q, h=1e-2, order=4)
+            r = riemann_scalar_at(metric, q, h=1e-2)
             worst = np.maximum(worst, abs(r - expected) / expected)
     wall = time.perf_counter() - start
     ok = worst < 1e-3 and wall < 120.0
@@ -69,9 +69,9 @@ def test_criterion_weyl_forms():
     for _ in range(100):
         log_chi = draw_field(rng, 10)
         q = sample_point(rng, rot_scale=1.5, boost_bound=1.5)
-        v1 = weyl_scalar_at(metric, log_chi, q, h=1e-3, order=4, form="phi",
+        v1 = weyl_scalar_at(metric, log_chi, q, h=1e-3, form="phi",
                             r_scalar=r)
-        v2 = weyl_scalar_at(metric, log_chi, q, h=1e-3, order=4, form="chi",
+        v2 = weyl_scalar_at(metric, log_chi, q, h=1e-3, form="chi",
                             r_scalar=r)
         worst = np.maximum(worst, abs(v1 - v2)
                            / np.max([abs(v1), abs(v2), 1.0]))
@@ -138,7 +138,7 @@ def test_criterion_representations():
     for rep in (Irrep(0, 0.5), Irrep(0.5, 0.5)):
         expected = -casimir_value(rep)
         for theta in thetas:
-            ratio = angular_laplacian_check(rep, theta, a=1.0, order=4)
+            ratio = angular_laplacian_check(rep, theta, a=1.0)
             dev = float(np.max(np.abs(ratio - expected * np.eye(rep.dim))))
             casimir_worst = np.maximum(casimir_worst, dev / abs(expected))
     wall = time.perf_counter() - start
@@ -201,21 +201,20 @@ def test_criterion_transport():
     q0 = np.zeros(10)
     q0[4:7] = [0.2, -0.3, 0.1]
 
-    v0, _ = velocity_field(fields, em, metric, q0, h=1e-3, order=4)
+    v0, _ = velocity_field(fields, em, metric, q0, h=1e-3)
     g0 = metric.matrix(q0)
     norm_defect = abs(abs(float(v0 @ g0 @ v0)) - 1.0)
 
     traj = integrate_trajectory(fields, em, metric, q0[None], ds=0.01,
-                                n_steps=1000, h=1e-3, order=4)
+                                n_steps=1000, h=1e-3)
     straight = float(np.max(np.abs(traj.points[..., 0, :][-1]
                                    - (q0 + 10.0 * v0))))
 
     rng = np.random.default_rng(107)
     starts = np.vstack([q0, q0 + 0.05 * rng.uniform(-1.0, 1.0, (3, 10))])
     bundle = integrate_trajectory(fields, em, metric, starts, ds=0.02,
-                                  n_steps=100, h=1e-3, order=4)
-    rep = transport_check(fields, em, metric, bundle, n_sections=5, h=1e-3,
-                          order=4)
+                                  n_steps=100, h=1e-3)
+    rep = transport_check(fields, em, metric, bundle, n_sections=5, h=1e-3)
 
     curved = np.zeros(10)
     curved[0] = -1.4
@@ -227,7 +226,7 @@ def test_criterion_transport():
 
     def endpoint(ds, steps):
         bundle = integrate_trajectory(cfields, em, metric, c0[None], ds=ds,
-                                      n_steps=steps, h=1e-3, order=4)
+                                      n_steps=steps, h=1e-3)
         return bundle.points[..., 0, :][-1]
 
     ref = endpoint(0.025, 32)

@@ -92,10 +92,13 @@ def test_unknown_verb_exits_two():
 
 @pytest.mark.parametrize("argv, prefix", [
     (["trace", "--kappa", "2"], "error: unrecognized arguments: --kappa 2"),
-    (["verify-curvature", "--order", "3"],
-     "error: argument --order: invalid choice: "),
+    (["verify-curvature", "--format", "xml"],
+     "error: argument --format: invalid choice: "),
     ([], "error: the following arguments are required: command"),
-], ids=["unknown_flag", "bad_choice", "missing_verb"])
+    # one stencil: the stencil order is no longer an option
+    (["verify-linearization", "--order", "4"],
+     "error: unrecognized arguments: --order 4"),
+], ids=["unknown_flag", "bad_choice", "missing_verb", "order_flag"])
 def test_rejected_flag_is_one_error_line(capsys, argv, prefix):
     # a flag the parser rejects is reported like every configuration
     # error: one line on stderr, no usage, nothing on stdout
@@ -263,7 +266,7 @@ def test_malformed_config_is_error(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")
     assert main(["verify-dirac", "--config", str(cfg)]) == 2
-    for bad in ({"order": 3}, {"n_draws": True}, {"seed": "x"}, {"seed": -1},
+    for bad in ({"order": 4}, {"n_draws": True}, {"seed": "x"}, {"seed": -1},
                 {"seed": 1.5}, {"a": "1"}, {"format": "xml"}, {"out": 5}):
         cfg.write_text(json.dumps(bad))
         capsys.readouterr()
@@ -733,7 +736,7 @@ def test_trace_runs_at_the_widest_seed_ball(seed, tmp_path):
 
 
 # config fuzz: the verb's own keys plus junk keys, with JSON values
-JUNK_KEYS = ["draws", "config", "verbose", "n_draw", "Tol"]
+JUNK_KEYS = ["draws", "config", "verbose", "n_draw", "Tol", "order"]
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
     | st.text(max_size=6)
@@ -775,7 +778,6 @@ def test_fuzzed_config_resolves_to_checked_values_or_config_error(case):
     for key in ("n_draws", "steps", "sections"):
         assert key not in cfg or (type(cfg[key]) is int and cfg[key] >= 1)
     assert verb != "trace" or cfg["n_draws"] >= 2
-    assert cfg.get("order", 4) in (2, 4) and type(cfg.get("order", 4)) is int
     for key in ("a", "h", "mass", "ds", "spread"):
         assert cfg.get(key) is None or is_finite_number(cfg[key], True)
     assert is_finite_number(cfg.get("kappa", 0.0))

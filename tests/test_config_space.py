@@ -176,7 +176,7 @@ def test_frame_columns_match_chart_derivative():
     lam_inv = np.linalg.inv(lorentz_from_angles(theta))
     for axis in range(6):
         dlam = central_diff(lambda t: lorentz_from_angles(t), theta,
-                            axis=axis, h=1e-5, order=4)
+                            axis=axis, h=1e-5)
         omega = basis_decompose(dlam @ lam_inv)
         assert np.max(np.abs(c[:, axis] - omega)) < 1e-9
 
@@ -403,7 +403,7 @@ def test_killing_brackets_close_with_minus_f():
     def xi_at(t):
         return killing_vectors(t)
 
-    dxi = np.stack([central_diff(xi_at, theta, axis=b, h=1e-5, order=4)
+    dxi = np.stack([central_diff(xi_at, theta, axis=b, h=1e-5)
                     for b in range(6)])  # dxi[beta, alpha, a]
     for a in range(6):
         for b in range(6):

@@ -54,7 +54,7 @@ def _bundle(points, n_samples, truncated=None):
 def test_velocity_unit_normalized():
     fields = _plane_wave(np.array([0.3, -0.2, 0.4]))
     q = np.zeros(10)
-    v, norm2 = velocity_field(fields, EM0, METRIC, q, h=1e-3, order=4)
+    v, norm2 = velocity_field(fields, EM0, METRIC, q, h=1e-3)
     assert norm2 < 0  # timelike
     g = METRIC.matrix(q)
     assert abs(abs(v @ g @ v) - 1.0) < 1e-10
@@ -63,9 +63,9 @@ def test_velocity_unit_normalized():
 def test_velocity_null_direction_is_left_unnormalized():
     fields = _null_wave()
     q = np.zeros(10)
-    v, norm2 = velocity_field(fields, EM0, METRIC, q, h=1e-3, order=4)
+    v, norm2 = velocity_field(fields, EM0, METRIC, q, h=1e-3)
     assert abs(norm2) < NULL_TOL
-    up, _ = hj.raised_momentum(fields, EM0, METRIC, q, 1e-3, 4)
+    up, _ = hj.raised_momentum(fields, EM0, METRIC, q, 1e-3)
     np.testing.assert_array_equal(v, up)
 
 
@@ -83,10 +83,9 @@ def test_velocity_field_row_zero_has_the_bits_of_one_point(seed):
     points = np.array([sample_point(rng, rot_scale=1.5, boost_bound=1.5)
                        for _ in range(8)])
     for fields, em, pts in ((plane, EM0, starts), (drawn, em_on, points)):
-        v, norm2 = velocity_field(fields, em, METRIC, pts[0], h=1e-3, order=4)
+        v, norm2 = velocity_field(fields, em, METRIC, pts[0], h=1e-3)
         for n in (2, 8):
-            vb, norm2b = velocity_field(fields, em, METRIC, pts[:n], h=1e-3,
-                                        order=4)
+            vb, norm2b = velocity_field(fields, em, METRIC, pts[:n], h=1e-3)
             assert np.array_equal(vb[0], v) and norm2b[0] == norm2
 
 
@@ -94,9 +93,9 @@ def test_plane_wave_trajectory_is_straight():
     fields = _plane_wave(np.array([0.5, 0.1, -0.3]))
     q0 = np.zeros(10)
     q0[4:7] = [0.2, -0.1, 0.3]
-    v0, _ = velocity_field(fields, EM0, METRIC, q0, h=1e-3, order=4)
+    v0, _ = velocity_field(fields, EM0, METRIC, q0, h=1e-3)
     traj = integrate_trajectory(fields, EM0, METRIC, q0[None], ds=0.01,
-                                n_steps=1000, h=1e-3, order=4)
+                                n_steps=1000, h=1e-3)
     assert traj.truncated.tolist() == [None]
     assert traj.n_samples.tolist() == [1001]
     expected_end = q0 + 10.0 * v0
@@ -108,17 +107,17 @@ def test_trajectory_reversibility():
     fields = _plane_wave(np.array([0.2, 0.6, -0.1]))
     q0 = np.zeros(10)
     fwd = integrate_trajectory(fields, EM0, METRIC, q0[None], ds=0.02,
-                               n_steps=200, h=1e-3, order=4)
+                               n_steps=200, h=1e-3)
     end = fwd.points[-1]
     back = integrate_trajectory(fields, EM0, METRIC, end, ds=-0.02,
-                                n_steps=200, h=1e-3, order=4)
+                                n_steps=200, h=1e-3)
     assert np.max(np.abs(back.points[-1, 0] - q0)) < 1e-7
 
 
 def test_degenerate_start_truncates_immediately():
     fields = _null_wave()
     traj = integrate_trajectory(fields, EM0, METRIC, np.zeros((1, 10)),
-                                ds=0.01, n_steps=50, h=1e-3, order=4)
+                                ds=0.01, n_steps=50, h=1e-3)
     assert traj.truncated.tolist() == ["degenerate"]
     assert traj.n_samples.tolist() == [1]
     assert np.all(np.isnan(traj.points[1:]))
@@ -134,7 +133,7 @@ def test_rapidity_wall_truncates():
     q0 = np.zeros(10)
     q0[7] = RAPIDITY_MAX - 0.05
     traj = integrate_trajectory(fields, EM0, METRIC, q0[None], ds=0.05,
-                                n_steps=400, h=1e-3, order=4)
+                                n_steps=400, h=1e-3)
     n = traj.n_samples[0]
     assert traj.truncated.tolist() == ["rapidity"]
     assert n < 401
@@ -147,19 +146,19 @@ def test_initial_point_outside_chart_rejected():
     q0[8] = RAPIDITY_MAX + 0.5
     with pytest.raises(ValueError):
         integrate_trajectory(fields, EM0, METRIC, q0[None], ds=0.01,
-                             n_steps=10, h=1e-3, order=4)
+                             n_steps=10, h=1e-3)
     # a single point is not a stack of starts
     with pytest.raises(ValueError):
         integrate_trajectory(fields, EM0, METRIC, np.zeros(10), ds=0.01,
-                             n_steps=10, h=1e-3, order=4)
+                             n_steps=10, h=1e-3)
     # nor is an empty stack, and step 0's first stage is the start
     # evaluation, so there is at least one step
     with pytest.raises(ValueError):
         integrate_trajectory(fields, EM0, METRIC, np.zeros((0, 10)), ds=0.01,
-                             n_steps=10, h=1e-3, order=4)
+                             n_steps=10, h=1e-3)
     with pytest.raises(ValueError):
         integrate_trajectory(fields, EM0, METRIC, np.zeros((2, 10)), ds=0.01,
-                             n_steps=0, h=1e-3, order=4)
+                             n_steps=0, h=1e-3)
 
 
 def test_rk4_step_halving_convergence():
@@ -175,7 +174,7 @@ def test_rk4_step_halving_convergence():
 
     def endpoint(ds, steps):
         bundle = integrate_trajectory(fields, EM0, METRIC, q0[None], ds=ds,
-                                      n_steps=steps, h=1e-3, order=4)
+                                      n_steps=steps, h=1e-3)
         return bundle.points[-1, 0]
 
     ref = endpoint(0.025, 32)
@@ -189,7 +188,7 @@ def test_min_pairwise_distance_positive_for_distinct_seeds():
     rng = np.random.default_rng(29)
     bundle = integrate_trajectory(fields, EM0, METRIC,
                                   _ball(np.zeros(10), rng, 4, spread=0.1),
-                                  ds=0.01, n_steps=30, h=1e-3, order=4)
+                                  ds=0.01, n_steps=30, h=1e-3)
     assert min_pairwise_distance(bundle) > 1e-4
 
 
@@ -198,9 +197,8 @@ def test_transport_report_plane_wave():
     rng = np.random.default_rng(30)
     bundle = integrate_trajectory(fields, EM0, METRIC,
                                   _ball(np.zeros(10), rng, 4),
-                                  ds=0.02, n_steps=100, h=1e-3, order=4)
-    rep = transport_check(fields, EM0, METRIC, bundle, n_sections=5, h=1e-3,
-                          order=4)
+                                  ds=0.02, n_steps=100, h=1e-3)
+    rep = transport_check(fields, EM0, METRIC, bundle, n_sections=5, h=1e-3)
     assert rep.max_divergence < 1e-6
     assert rep.flux_drift < 1e-10
     assert rep.n_truncated == 0
@@ -215,10 +213,10 @@ def test_transport_check_keeps_nan_divergence():
     q0 = np.array([0.1, -0.2, 0.3, 0.25, 0.2, -0.1, 0.3, 0.1, 0.2, -0.3])
     bundle = integrate_trajectory(fields, EM0, METRIC,
                                   _ball(q0, np.random.default_rng(0), 2),
-                                  ds=0.01, n_steps=5, h=1e-3, order=4)
+                                  ds=0.01, n_steps=5, h=1e-3)
     with np.errstate(all="ignore"):
         report = transport_check(fields, EM0, METRIC, bundle, n_sections=5,
-                                 h=1e-300, order=4)
+                                 h=1e-300)
     assert np.isnan(report.max_divergence)
     assert report.min_distance > 0.0
 
@@ -229,14 +227,14 @@ def test_transport_check_caps_sections_at_the_shared_steps():
     fields = _plane_wave(np.array([-0.2, 0.5, 0.1]))
     bundle = integrate_trajectory(
         fields, EM0, METRIC, _ball(np.zeros(10), np.random.default_rng(30), 2),
-        ds=0.02, n_steps=3, h=1e-3, order=4)
+        ds=0.02, n_steps=3, h=1e-3)
     n_common = int(np.min(bundle.n_samples))
     assert n_common == 4
     capped = transport_check(fields, EM0, METRIC, bundle, n_sections=n_common,
-                             h=1e-3, order=4)
+                             h=1e-3)
     for n_sections in (n_common + 1, 1000, 10**21):
         assert transport_check(fields, EM0, METRIC, bundle, n_sections,
-                               h=1e-3, order=4) == capped
+                               h=1e-3) == capped
 
 
 def test_bundle_stopped_at_its_start_has_nan_drift():
@@ -245,13 +243,12 @@ def test_bundle_stopped_at_its_start_has_nan_drift():
     fields = _plane_wave(np.array([0.3, -0.2, 0.4]))
     q0 = np.zeros(10)
     running = integrate_trajectory(fields, EM0, METRIC, (q0 + 0.05)[None],
-                                   ds=0.02, n_steps=5, h=1e-3, order=4)
+                                   ds=0.02, n_steps=5, h=1e-3)
     points = np.full((6, 2, 10), np.nan)
     points[0, 0] = q0
     points[:, 1] = running.points[:, 0]
     bundle = _bundle(points, [1, 6], ["degenerate", None])
-    report = transport_check(fields, EM0, METRIC, bundle, n_sections=5, h=1e-3,
-                             order=4)
+    report = transport_check(fields, EM0, METRIC, bundle, n_sections=5, h=1e-3)
     assert np.isnan(report.flux_drift)
     assert report.n_truncated == 1 and len(report.section_flux) == 1
 
@@ -262,7 +259,7 @@ def test_bundle_stopped_at_its_start_has_nan_drift():
 
 
 def integrate_trajectory_reference(fields, em, metric, q0, ds, n_steps,
-                                   h=1e-3, order=4):
+                                   h=1e-3):
     """One trajectory, one point per RK4 stage: the loop the batched
     integrator replaces, as (points, truncated, timelike). It calls
     ``dynamics.velocity_field`` on single points; a stage is degenerate
@@ -275,16 +272,14 @@ def integrate_trajectory_reference(fields, em, metric, q0, ds, n_steps,
         return bool(np.all(np.abs(q[7:]) <= RAPIDITY_MAX))
 
     def rhs(p):
-        v, stage_norm2 = dynamics.velocity_field(fields, em, metric, p, h=h,
-                                                 order=order)
+        v, stage_norm2 = dynamics.velocity_field(fields, em, metric, p, h=h)
         if abs(stage_norm2) < NULL_TOL or stage_norm2 * norm2 < 0:
             raise Degenerate
         return v
 
     q = np.asarray(q0, dtype=float).copy()
     assert within_chart(q)
-    _, norm2 = dynamics.velocity_field(fields, em, metric, q, h=h,
-                                       order=order)
+    _, norm2 = dynamics.velocity_field(fields, em, metric, q, h=h)
     if abs(norm2) < NULL_TOL:
         return q[None, :].copy(), "degenerate", False
     samples = [q.copy()]
@@ -309,7 +304,7 @@ def integrate_trajectory_reference(fields, em, metric, q0, ds, n_steps,
 
 def _assert_matches_reference(fields, em, starts, ds, n_steps):
     batched = integrate_trajectory(fields, em, METRIC, starts, ds=ds,
-                                   n_steps=n_steps, h=1e-3, order=4)
+                                   n_steps=n_steps, h=1e-3)
     assert isinstance(batched, Bundle)
     assert batched.points.shape == (n_steps + 1, len(starts), 10)
     for i, q0 in enumerate(starts):
@@ -358,7 +353,7 @@ def test_trajectories_stop_at_the_null_surface():
     assert degenerate.tolist() == [1, 8, 9, 11, 12]
     for i, n in enumerate(bundle.n_samples):
         _, norm2 = velocity_field(fields, em, METRIC, bundle.points[:n, i],
-                                  h=1e-3, order=4)
+                                  h=1e-3)
         assert np.all(norm2 * norm2[0] > 0)
 
 
@@ -394,7 +389,7 @@ def test_batched_null_bundle_is_degenerate_at_start(monkeypatch):
 
     monkeypatch.setattr(dynamics, "velocity_field", counted)
     integrate_trajectory(_null_wave(), EM0, METRIC, starts, ds=0.01,
-                         n_steps=10, h=1e-3, order=4)
+                         n_steps=10, h=1e-3)
     assert len(calls) == 1
 
 
@@ -403,9 +398,9 @@ def test_batched_bundle_degenerates_mid_run_per_trajectory(monkeypatch):
     # ahead in time degenerates at some RK4 stage; the others run on
     raised = dynamics.raised_momentum
 
-    def vanishing(fields, em, metric, point, h, order):
+    def vanishing(fields, em, metric, point, h):
         late = np.asarray(point)[..., 0] > 0.08
-        up, norm2 = raised(fields, em, metric, point, h, order)
+        up, norm2 = raised(fields, em, metric, point, h)
         return np.where(late[..., None], 0.0, up), np.where(late, 0.0, norm2)
 
     monkeypatch.setattr(dynamics, "raised_momentum", vanishing)
@@ -425,9 +420,9 @@ def test_a_stopped_neighbour_leaves_the_others_bitwise_unchanged(monkeypatch):
     # their neighbour stops mid-run (x^0 = 0.05) or runs on (x^0 = -0.7)
     raised = dynamics.raised_momentum
 
-    def vanishing(fields, em, metric, point, h, order):
+    def vanishing(fields, em, metric, point, h):
         late = np.asarray(point)[..., 0] > 0.08
-        up, norm2 = raised(fields, em, metric, point, h, order)
+        up, norm2 = raised(fields, em, metric, point, h)
         return np.where(late[..., None], 0.0, up), np.where(late, 0.0, norm2)
 
     monkeypatch.setattr(dynamics, "raised_momentum", vanishing)
@@ -437,8 +432,7 @@ def test_a_stopped_neighbour_leaves_the_others_bitwise_unchanged(monkeypatch):
         starts = _ball(np.zeros(10), np.random.default_rng(12), 3)
         starts[:, 0] = [first, -0.5, -0.6]
         bundles.append(integrate_trajectory(fields, EM0, METRIC, starts,
-                                            ds=0.01, n_steps=20, h=1e-3,
-                                            order=4))
+                                            ds=0.01, n_steps=20, h=1e-3))
     stopped, running = bundles
     assert stopped.truncated[0] == "degenerate" \
         and 1 < stopped.n_samples[0] < 21
@@ -455,10 +449,10 @@ def test_bundle_with_a_degenerate_start_matches_reference(monkeypatch):
     raised = dynamics.raised_momentum
     calls = []
 
-    def vanishing(fields, em, metric, point, h, order):
+    def vanishing(fields, em, metric, point, h):
         calls.append(np.shape(point))
         late = np.asarray(point)[..., 0] > 0.08
-        up, norm2 = raised(fields, em, metric, point, h, order)
+        up, norm2 = raised(fields, em, metric, point, h)
         return np.where(late[..., None], 0.0, up), np.where(late, 0.0, norm2)
 
     monkeypatch.setattr(dynamics, "raised_momentum", vanishing)
@@ -467,7 +461,7 @@ def test_bundle_with_a_degenerate_start_matches_reference(monkeypatch):
     starts[:, 0] = [0.1, -0.5, -0.6]
     n_steps = 5
     bundle = integrate_trajectory(fields, EM0, METRIC, starts, ds=0.01,
-                                  n_steps=n_steps, h=1e-3, order=4)
+                                  n_steps=n_steps, h=1e-3)
     assert calls == [(3, 10)] * (4 * n_steps)
     assert bundle.truncated[0] == "degenerate" and bundle.n_samples[0] == 1
     _assert_matches_reference(fields, EM0, starts, ds=0.01, n_steps=n_steps)
@@ -494,7 +488,7 @@ def test_velocity_field_evaluates_the_killing_fields_once(monkeypatch):
     fields = draw_wave_inputs(rng)
     em = EMConfig(e_field=(0.2, 0.1, -0.3), h_field=(0.3, -0.2, 0.4))
     q = np.stack([sample_point(rng, 1.5, 1.5) for _ in range(2)])
-    velocity_field(fields, em, METRIC, q, h=1e-3, order=4)
+    velocity_field(fields, em, METRIC, q, h=1e-3)
     assert counts == {"killing_vectors": 1, "frame_coefficients": 0}
 
 
@@ -515,7 +509,7 @@ def test_bundle_calls_velocity_field_once_per_stage(monkeypatch):
         integrate_trajectory(fields, EM0, METRIC,
                              _ball(np.zeros(10), np.random.default_rng(5),
                                    n_traj),
-                             ds=0.01, n_steps=n_steps, h=1e-3, order=4)
+                             ds=0.01, n_steps=n_steps, h=1e-3)
         counts.append(len(calls))
     # the start evaluation is the first stage of step 0
     assert counts == [4 * n_steps, 4 * n_steps]
@@ -544,19 +538,19 @@ def test_transport_check_evaluates_each_section_once(monkeypatch):
         for out in calls.values():
             out.clear()
         rep = transport_check(fields, em, METRIC, _bundle(points, [5] * 4),
-                              n_sections=5, h=1e-3, order=4)
+                              n_sections=5, h=1e-3)
         assert {name: len(out) for name, out in calls.items()} \
             == {"divergence_residual": 1, "flux_density": 1}
         (divergences,) = calls["divergence_residual"]
         assert divergences.shape == (5, 4)
         for i, section in enumerate(points):
             flux = np.mean(real["flux_density"](fields, em, METRIC, section,
-                                                h=1e-3, order=4))
+                                                h=1e-3))
             assert rep.section_flux[i] == float(flux)
             np.testing.assert_array_equal(
                 divergences[i],
                 real["divergence_residual"](fields, em, METRIC, section,
-                                            h=1e-3, order=4))
+                                            h=1e-3))
         assert rep.max_divergence == np.max(np.abs(divergences))
 
 

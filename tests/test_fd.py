@@ -1,19 +1,33 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from aqm_lab import cli, config_space, fd, hj
 from aqm_lab.config_space import GroupMetric, TopMetric, sample_point
-from aqm_lab.fd import central_diff, derivative_stack, stencil, \
+from aqm_lab.fd import central_diff, derivative_stack, \
     value_and_derivative_stack
 from aqm_lab.fields import BandLimitedField, draw_field
 from aqm_lab.hj import EMConfig, draw_wave_inputs, linearization_check
 
+SRC = Path(__file__).resolve().parents[1] / "src" / "aqm_lab"
 
-def derivative_stack_reference(f, point, h=1e-3, order=4):
-    """Per-point loop over batch entries, axes and offsets: the reference of
-    the batched ``derivative_stack``. ``f`` sees one 1-d point per call."""
+# offsets and weights of the central first-derivative stencils, by accuracy
+# order: the tests' own table, so that a wrong weight in ``fd`` fails the
+# pins against the references below; order 2 lives here alone
+STENCILS = {
+    2: ((-1, 1), (-0.5, 0.5)),
+    4: ((-2, -1, 1, 2), (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)),
+}
+
+
+def stencil_loop(f, point, h, order):
+    """Per-point loop over batch entries, axes and the offsets of the
+    order-``order`` stencil of ``STENCILS``: ``f`` sees one 1-d point per
+    call."""
     point = np.asarray(point, dtype=float)
-    offsets, weights = stencil(order)
+    offsets, weights = STENCILS[order]
     out = []
     for p in point.reshape(-1, point.shape[-1]):
         blocks = []
@@ -30,6 +44,17 @@ def derivative_stack_reference(f, point, h=1e-3, order=4):
     return out.reshape(point.shape[:-1] + out.shape[1:])
 
 
+def derivative_stack_reference(f, point, h=1e-3, order=4):
+    """The reference of the batched ``derivative_stack``, built from the
+    ``order`` row of ``STENCILS``: the order-4 loop, or at order 2 the
+    Richardson extrapolation (4 D(h) - D(2h)) / 3 of two order-2 loops,
+    which is the fourth-order stencil."""
+    if order == 2:
+        return (4.0 * stencil_loop(f, point, h, 2)
+                - stencil_loop(f, point, 2.0 * h, 2)) / 3.0
+    return stencil_loop(f, point, h, 4)
+
+
 def ignoring(f, skip):
     """``f`` read with the axes in ``skip`` pinned to 0.3: a callable that
     does not read those axes, as the top metric does not read spacetime.
@@ -44,13 +69,33 @@ def ignoring(f, skip):
 
 
 def test_stencil_orders():
-    offs2, w2 = stencil(2)
-    assert offs2 == (-1, 1)
-    offs4, w4 = stencil(4)
-    assert offs4 == (-2, -1, 1, 2)
-    assert np.allclose(np.sum(w4), 0.0)
-    with pytest.raises(ValueError):
-        stencil(3)
+    # fd's one stencil is the table's order-4 row, and that row is the
+    # Richardson extrapolation of its order-2 row at h and 2h, to the bit
+    assert (fd.OFFSETS, fd.WEIGHTS) == STENCILS[4]
+    richardson = {}
+    for k, w in zip(*STENCILS[2]):
+        richardson[k] = 4.0 / 3.0 * w
+        richardson[2 * k] = -1.0 / 3.0 * w / 2.0
+    assert tuple(sorted(richardson)) == STENCILS[4][0]
+    assert tuple(richardson[k] for k in STENCILS[4][0]) == STENCILS[4][1]
+
+
+def test_no_src_parameter_chooses_a_stencil():
+    # one stencil: no function of the package takes an ``order``, but the
+    # inert keyword of riemann_scalar_at that perfbench's tracing test
+    # still passes (ROADMAP item 1)
+    found = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                args = node.args
+                for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                            args.vararg, args.kwarg):
+                    if arg is not None and arg.arg == "order":
+                        found.add((path.stem, getattr(node, "name", "lambda"),
+                                   arg in args.kwonlyargs))
+    assert found == {("geometry", "riemann_scalar_at", True)}
 
 
 def test_central_diff_polynomial_exact():
@@ -59,18 +104,19 @@ def test_central_diff_polynomial_exact():
         return q[..., 0] ** 3 - 2.0 * q[..., 1] ** 2 + 5.0
 
     point = np.array([1.3, 0.7])
-    d0 = central_diff(f, point, axis=0, h=0.1, order=4)
-    d1 = central_diff(f, point, axis=1, h=0.1, order=4)
+    d0 = central_diff(f, point, axis=0, h=0.1)
+    d1 = central_diff(f, point, axis=1, h=0.1)
     assert abs(d0 - 3 * 1.3 ** 2) < 1e-12
     assert abs(d1 + 4 * 0.7) < 1e-12
 
 
 def test_central_diff_order4_beats_order2():
+    # fd's stencil against the table's order-2 row
     point = np.array([0.4])
     exact = np.cos(0.4)
-    e2 = abs(central_diff(lambda q: np.sin(q[..., 0]), point, 0, h=1e-2, order=2)
+    e2 = abs(stencil_loop(lambda q: np.sin(q[..., 0]), point, 1e-2, 2)[0]
              - exact)
-    e4 = abs(central_diff(lambda q: np.sin(q[..., 0]), point, 0, h=1e-2, order=4)
+    e4 = abs(central_diff(lambda q: np.sin(q[..., 0]), point, 0, h=1e-2)
              - exact)
     assert e4 < e2 * 1e-2
 
@@ -82,7 +128,7 @@ def test_central_diff_matrix_valued():
                          np.stack([np.zeros_like(x), y ** 2], axis=-1)], axis=-2)
 
     point = np.array([0.5, -0.3])
-    d = central_diff(f, point, axis=0, h=1e-3, order=4)
+    d = central_diff(f, point, axis=0, h=1e-3)
     expected = np.array([[1.0, -0.3], [0.0, 0.0]])
     assert np.max(np.abs(d - expected)) < 1e-10
 
@@ -91,7 +137,7 @@ def test_central_diff_complex():
     def f(q):
         return np.exp(1j * q[..., 0])
 
-    d = central_diff(f, np.array([0.2]), axis=0, h=1e-3, order=4)
+    d = central_diff(f, np.array([0.2]), axis=0, h=1e-3)
     assert abs(d - 1j * np.exp(0.2j)) < 1e-12
 
 
@@ -101,7 +147,7 @@ def test_gradient_matches_analytic():
         return np.sin(q[..., 0]) * np.cos(q[..., 1])
 
     point = np.array([0.3, 1.1])
-    g = derivative_stack(f, point, h=1e-3, order=4)
+    g = derivative_stack(f, point, h=1e-3)
     expected = np.array([np.cos(0.3) * np.cos(1.1), -np.sin(0.3) * np.sin(1.1)])
     assert np.max(np.abs(g - expected)) < 1e-11
 
@@ -113,10 +159,10 @@ def test_derivative_stack_and_skip():
         return q[..., 0] + 3.0 * q[..., 2]
 
     point = np.array([0.1, 0.2, 0.3])
-    stack = derivative_stack(f, point, h=1e-3, order=4)
+    stack = derivative_stack(f, point, h=1e-3)
     assert np.allclose(stack, [1.0, 0.0, 3.0], atol=1e-11)
 
-    # 4 evaluations per axis at order 4, no probe call
+    # 4 evaluations per axis, no probe call
     calls = []
 
     def counted(q):
@@ -127,8 +173,7 @@ def test_derivative_stack_and_skip():
     point4 = np.array([0.1, 0.2, 0.3, 0.4])
     for skip in ((), (2,), (0, 3)):
         calls.clear()
-        stack = derivative_stack(ignoring(counted, skip), point4, h=1e-3,
-                                 order=4)
+        stack = derivative_stack(ignoring(counted, skip), point4, h=1e-3)
         assert len(calls) == 4 * 4
         assert stack.shape == (4, 2, 2) and stack.dtype == float
         for i in skip:
@@ -136,7 +181,7 @@ def test_derivative_stack_and_skip():
 
     # a complex-valued callable keeps a complex stack
     stack = derivative_stack(lambda q: np.exp(1j * q[..., 0]) + q[..., 1],
-                             point[:2], h=1e-3, order=4)
+                             point[:2], h=1e-3)
     assert stack.dtype == complex
     assert abs(stack[0] - 1j * np.exp(0.1j)) < 1e-12
     assert abs(stack[1] - 1.0) < 1e-12
@@ -168,7 +213,8 @@ def _matrix_field(field: BandLimitedField):
 @pytest.mark.parametrize("skip", [(), (1,), (0, 3, 4)])
 @pytest.mark.parametrize("order", [2, 4])
 def test_batched_stack_matches_reference(skip, order):
-    # ``skip``: the axes the callables do not read
+    # the reference from the ``order`` row of STENCILS; ``skip``: the axes
+    # the callables do not read
     rng = np.random.default_rng(20)
     field = draw_field(rng, 5)
     cases = {
@@ -182,7 +228,7 @@ def test_batched_stack_matches_reference(skip, order):
         for name, f in cases.items():
             f = ignoring(f, skip)
             scale = max(1.0, float(np.max(np.abs(f(point)))))
-            got = derivative_stack(f, point, h=h, order=order)
+            got = derivative_stack(f, point, h=h)
             ref = derivative_stack_reference(f, point, h=h, order=order)
             assert got.shape == ref.shape, name
             assert got.shape[:len(batch) + 1] == batch + (5,), name
@@ -208,8 +254,8 @@ def test_nested_batched_stack_matches_reference():
     point = rng.uniform(-1.0, 1.0, 4)
     scale = max(1.0, abs(float(field(point))))
     got = derivative_stack(
-        lambda q: derivative_stack(ignoring(counted, (2,)), q, h=h, order=4),
-        point, h=h, order=4)
+        lambda q: derivative_stack(ignoring(counted, (2,)), q, h=h),
+        point, h=h)
     # (inner offsets, outer offsets, outer axes, inner axes, dim)
     assert calls == [(4, 4, 4, 4, 4)]
     ref = derivative_stack_reference(
@@ -228,7 +274,7 @@ def test_derivative_stack_calls_f_once():
         return np.sin(q).sum(axis=-1)
 
     point = np.zeros((3, 6))
-    derivative_stack(counted, point, h=1e-3, order=4)
+    derivative_stack(counted, point, h=1e-3)
     # (offsets, batch, axes, dim)
     assert calls == [(4, 3, 6, 6)]
 
@@ -252,7 +298,8 @@ _POINTWISE = {
 @pytest.mark.parametrize("order", [2, 4])
 def test_value_and_stack_equal_separate_calls_bitwise(skip, order):
     # one call of f returns f(point) and the derivative stack, each bitwise
-    # equal to its separate evaluation; ``skip``: the axes f does not read
+    # equal to its separate evaluation, and the stack matches the reference
+    # from the ``order`` row of STENCILS; ``skip``: the axes f does not read
     rng = np.random.default_rng(24)
     h = 1e-3
     for batch in ((), (3,), (2, 3)):
@@ -265,16 +312,19 @@ def test_value_and_stack_equal_separate_calls_bitwise(skip, order):
                 calls.append(q.shape)
                 return f(q)
 
-            value, stack = value_and_derivative_stack(counted, point, h, order)
+            value, stack = value_and_derivative_stack(counted, point, h)
             n_batch = int(np.prod(batch))
-            n_stencil = len(stencil(order)[0]) * n_batch * 5
+            n_stencil = len(fd.OFFSETS) * n_batch * 5
             assert calls == [(n_stencil + n_batch, 5)], name
             expected = np.asarray(f(point))
             assert value.shape == expected.shape and value.dtype == expected.dtype, name
             assert np.array_equal(value, expected), name
-            ref = derivative_stack(f, point, h=h, order=order)
+            ref = derivative_stack(f, point, h=h)
             assert stack.shape == ref.shape and stack.dtype == ref.dtype, name
             assert np.array_equal(stack, ref), name
+            scale = max(1.0, float(np.max(np.abs(expected))))
+            ref = derivative_stack_reference(f, point, h=h, order=order)
+            assert np.max(np.abs(stack - ref)) <= _tol(scale, h, 1), name
 
 
 def test_value_and_stack_with_every_axis_skipped():
@@ -290,22 +340,27 @@ def test_value_and_stack_with_every_axis_skipped():
                 calls.append(q.shape)
                 return f(q)
 
-            value, stack = value_and_derivative_stack(counted, point, 1e-3, 4)
+            value, stack = value_and_derivative_stack(counted, point, 1e-3)
             assert calls == [(21 * int(np.prod(batch)), 5)], name
             assert np.array_equal(value, f(point)), name
-            ref = derivative_stack(f, point, h=1e-3, order=4)
+            ref = derivative_stack(f, point, h=1e-3)
             assert stack.shape == ref.shape and stack.dtype == ref.dtype, name
             assert np.max(np.abs(stack)) <= _tol(1.0, 1e-3, 1), name
 
 
 def step_table_reference(order, h, dim):
-    """steps[k, i] = offsets[k] h e_i, entry by entry: the table that
-    ``derivative_stack`` built on every call before it came from a cache."""
-    offsets, _ = stencil(order)
-    steps = np.zeros((len(offsets), dim, dim))
-    for k, off in enumerate(offsets):
+    """steps[k, i] = shift[k] e_i, entry by entry, with the fourth-order
+    shifts from the ``order`` row of STENCILS: its offsets times h, or at
+    order 2 the order-2 offsets at h and at 2h that the Richardson
+    extrapolation reads. The table that ``derivative_stack`` built on every
+    call before it came from a cache."""
+    offsets, _ = STENCILS[order]
+    shifts = [k * s for k in offsets
+              for s in ((h, 2.0 * h) if order == 2 else (h,))]
+    steps = np.zeros((len(shifts), dim, dim))
+    for k, shift in enumerate(sorted(shifts)):
         for axis in range(dim):
-            steps[k, axis, axis] = off * h
+            steps[k, axis, axis] = shift
     return steps
 
 
@@ -314,8 +369,9 @@ def step_table_reference(order, h, dim):
 @pytest.mark.parametrize("order", [2, 4])
 def test_cached_step_table_matches_uncached_build(order, h, skip):
     # a cold and a warm cache hand f the same stencil points, bitwise equal
-    # to the point plus the table built entry by entry, on every axis,
-    # those that f does not read (``skip``) included
+    # to the point plus the table built entry by entry from the ``order``
+    # row of STENCILS, on every axis, those that f does not read (``skip``)
+    # included
     seen = []
 
     def recorded(q):
@@ -325,11 +381,11 @@ def test_cached_step_table_matches_uncached_build(order, h, skip):
     point = np.random.default_rng(22).uniform(-1.0, 1.0, (3, 5))
     fd._step_table.cache_clear()
     f = ignoring(recorded, skip)
-    cold = derivative_stack(f, point, h=h, order=order)
-    warm = derivative_stack(f, point, h=h, order=order)
+    cold = derivative_stack(f, point, h=h)
+    warm = derivative_stack(f, point, h=h)
     assert fd._step_table.cache_info().hits >= 1
     ref = step_table_reference(order, h, 5)
-    table = fd._step_table(order, h, 5)
+    table = fd._step_table(h, 5)
     assert np.array_equal(table, ref)
     expected = point[:, None, :] + ref[:, None]
     expected[..., list(skip)] = 0.3

@@ -40,7 +40,7 @@ def test_draw_field_deterministic_and_smooth():
     q = np.array([0.2, -0.1, 0.5, 0.9])
     assert f1(q) == f2(q)
     # gradient exists and is finite
-    g = derivative_stack(f1, q, h=1e-4, order=4)
+    g = derivative_stack(f1, q, h=1e-4)
     assert np.all(np.isfinite(g))
 
 

@@ -69,7 +69,7 @@ class SphereMetric(MetricField):
 
 def test_flat_christoffel_vanishes():
     m = ConstantMetric(np.eye(3))
-    gam, ginv = christoffel_at(m, np.array([0.2, -0.5, 1.0]), h=1e-3, order=4)
+    gam, ginv = christoffel_at(m, np.array([0.2, -0.5, 1.0]), h=1e-3)
     assert np.max(np.abs(gam)) < 1e-12
     assert np.array_equal(ginv, np.eye(3))
 
@@ -77,7 +77,7 @@ def test_flat_christoffel_vanishes():
 def test_sphere_christoffel_golden():
     m = SphereMetric(radius=1.0)
     q = np.array([0.7, 0.3])
-    gam, ginv = christoffel_at(m, q, h=1e-3, order=4)
+    gam, ginv = christoffel_at(m, q, h=1e-3)
     assert np.array_equal(ginv, np.linalg.inv(m.matrix(q)))
     assert abs(gam[0, 1, 1] + np.sin(0.7) * np.cos(0.7)) < 1e-9
     assert abs(gam[1, 0, 1] - 1.0 / np.tan(0.7)) < 1e-9
@@ -88,14 +88,13 @@ def test_sphere_christoffel_golden():
 def test_sphere_scalar_curvature():
     for r in (1.0, 2.0):
         m = SphereMetric(radius=r)
-        val = riemann_scalar_at(m, np.array([1.1, 0.4]), h=1e-2, order=4)
+        val = riemann_scalar_at(m, np.array([1.1, 0.4]), h=1e-2)
         assert abs(val - 2.0 / r ** 2) / (2.0 / r ** 2) < 1e-6
 
 
 def test_flat_scalar_curvature_zero():
     m = ConstantMetric(np.diag([-1.0, 1.0, 1.0, 1.0]))
-    val = riemann_scalar_at(m, np.array([0.3, -0.2, 0.9, 0.0]), h=1e-2,
-                            order=4)
+    val = riemann_scalar_at(m, np.array([0.3, -0.2, 0.9, 0.0]), h=1e-2)
     assert abs(val) < 1e-10
 
 
@@ -104,7 +103,7 @@ def test_top_scalar_curvature_matches_closed_form():
     for a in (1.0, 2.0):
         m = TopMetric(a)
         q = sample_point(rng)
-        val = riemann_scalar_at(m, q, h=1e-2, order=4)
+        val = riemann_scalar_at(m, q, h=1e-2)
         assert abs(val - 6.0 / a ** 2) / (6.0 / a ** 2) < 1e-4
 
 
@@ -125,11 +124,11 @@ def test_top_scalar_curvature_is_the_group_blocks(monkeypatch, a):
     for _ in range(4):
         q = sample_point(rng)
         top_points.clear()
-        top = riemann_scalar_at(TopMetric(a), q, h=1e-2, order=4)
+        top = riemann_scalar_at(TopMetric(a), q, h=1e-2)
         # the point and its 40 outer stencil points, each with its 40 inner
         # ones: every axis is differentiated
         assert top_points == [41 * 41]
-        group = riemann_scalar_at(GroupMetric(a), q[4:], h=1e-2, order=4)
+        group = riemann_scalar_at(GroupMetric(a), q[4:], h=1e-2)
         assert abs(top - group) <= 1e-12 * abs(group)
 
 
@@ -137,52 +136,62 @@ def test_top_scalar_curvature_reads_the_matrix_alone(monkeypatch):
     # curvature is a finite-difference result of ``matrix``: the closed-form
     # inverse and sqrt(g) of the top metric never enter it
     q = sample_point(np.random.default_rng(11))
-    expected = riemann_scalar_at(TopMetric(1.4), q, h=1e-2, order=4)
+    expected = riemann_scalar_at(TopMetric(1.4), q, h=1e-2)
 
     def fail(self, q):
         raise AssertionError("closed form used in curvature")
 
     monkeypatch.setattr(TopMetric, "inverse", fail)
     monkeypatch.setattr(TopMetric, "sqrt_det", fail)
-    assert riemann_scalar_at(TopMetric(1.4), q, h=1e-2, order=4) == expected
+    assert riemann_scalar_at(TopMetric(1.4), q, h=1e-2) == expected
 
 
 def test_group_scalar_curvature_reads_the_matrix_alone(monkeypatch):
     # the group metric's closed-form inverse and sqrt(g) never enter its
     # curvature either
     theta = sample_point(np.random.default_rng(12))[4:]
-    expected = riemann_scalar_at(GroupMetric(0.9), theta, h=1e-2, order=4)
+    expected = riemann_scalar_at(GroupMetric(0.9), theta, h=1e-2)
 
     def fail(self, theta):
         raise AssertionError("closed form used in curvature")
 
     for name in ("inverse", "inverse_from_killing", "sqrt_det"):
         monkeypatch.setattr(GroupMetric, name, fail)
-    assert riemann_scalar_at(GroupMetric(0.9), theta, h=1e-2, order=4) \
+    assert riemann_scalar_at(GroupMetric(0.9), theta, h=1e-2) \
         == expected
 
 
-def christoffel_reference(metric, point, h=1e-3, order=4):
+def test_riemann_scalar_order_keyword_is_inert():
+    # the one stencil is of order 4: ``order=4`` is the call without it,
+    # to the bit, and any other order is refused
+    q = sample_point(np.random.default_rng(13))
+    expected = riemann_scalar_at(TopMetric(1.0), q, h=1e-2)
+    assert riemann_scalar_at(TopMetric(1.0), q, h=1e-2, order=4) == expected
+    with pytest.raises(ValueError, match="order 2"):
+        riemann_scalar_at(TopMetric(1.0), q, h=1e-2, order=2)
+
+
+def christoffel_reference(metric, point, h=1e-3):
     """Gamma^i_{jk} from a derivative stack of ``matrix`` and a separate
     generic inverse at the points: the Christoffel symbols before they came
     with the inverse from one call of ``matrix``."""
     point = np.asarray(point, dtype=float)
-    dg = derivative_stack(metric.matrix, point, h=h, order=order)
+    dg = derivative_stack(metric.matrix, point, h=h)
     ginv = MetricField.inverse(metric, point)
     term = np.einsum("...jlk->...ljk", dg) + np.einsum("...klj->...ljk", dg) - dg
     return 0.5 * np.einsum("...il,...ljk->...ijk", ginv, term)
 
 
-def riemann_reference(metric, point, h=1e-2, order=4):
+def riemann_reference(metric, point, h=1e-2):
     """R in two passes, the Christoffel symbols at the point alone and on
     its stencil, and a third inverse at the point: the Riemann scalar before
     the point rode along with its stencil."""
     point = np.asarray(point, dtype=float)
     h_inner = h / 10.0
-    gam = christoffel_reference(metric, point, h=h_inner, order=order)
+    gam = christoffel_reference(metric, point, h=h_inner)
     dgam = derivative_stack(
-        lambda q: christoffel_reference(metric, q, h=h_inner, order=order),
-        point, h=h, order=order)
+        lambda q: christoffel_reference(metric, q, h=h_inner),
+        point, h=h)
     ginv = MetricField.inverse(metric, point)
     t1 = np.einsum("iijk->jk", dgam)
     t2 = np.einsum("jiik->jk", dgam)
@@ -198,9 +207,9 @@ def test_riemann_scalar_matches_two_pass_reference_bitwise(a):
     rng = np.random.default_rng(26)
     for _ in range(10):
         q = sample_point(rng)
-        assert riemann_scalar_at(TopMetric(a), q, h=1e-2, order=4) \
+        assert riemann_scalar_at(TopMetric(a), q, h=1e-2) \
             == riemann_reference(TopMetric(a), q)
-        assert riemann_scalar_at(GroupMetric(a), q[4:], h=1e-2, order=4) \
+        assert riemann_scalar_at(GroupMetric(a), q[4:], h=1e-2) \
             == riemann_reference(GroupMetric(a), q[4:])
 
 
@@ -212,7 +221,7 @@ def test_riemann_scalar_of_scaled_metric_matches_two_pass_reference():
         log_rho = draw_field(rng, 10, amp_scale=0.5)
         metric, _ = conformal_transform(TopMetric(1.0), lambda q: q[..., 0], log_rho)
         q = sample_point(rng, rot_scale=1.0, boost_bound=1.0)
-        r = riemann_scalar_at(metric, q, h=1e-2, order=4)
+        r = riemann_scalar_at(metric, q, h=1e-2)
         assert abs(r - riemann_reference(metric, q)) <= 1e-14
 
 
@@ -230,9 +239,9 @@ class SingularMetric(MetricField):
 
 def test_singular_metric_gives_nan_curvature_without_raising():
     q = np.array([0.4, -0.2])
-    gam, ginv = christoffel_at(SingularMetric(), q, h=1e-3, order=4)
+    gam, ginv = christoffel_at(SingularMetric(), q, h=1e-3)
     assert np.all(np.isnan(ginv)) and np.all(np.isnan(gam))
-    assert np.isnan(riemann_scalar_at(SingularMetric(), q, h=1e-2, order=4))
+    assert np.isnan(riemann_scalar_at(SingularMetric(), q, h=1e-2))
 
 
 def test_covariant_divergence_flat_linear():
@@ -242,8 +251,7 @@ def test_covariant_divergence_flat_linear():
         # covector field with components (x, y): divergence 2
         return np.stack([q[..., 0], q[..., 1]], axis=-1)
 
-    val = covariant_divergence_at(m, cov, np.array([0.4, -0.7]), h=1e-3,
-                                  order=4)
+    val = covariant_divergence_at(m, cov, np.array([0.4, -0.7]), h=1e-3)
     assert abs(val - 2.0) < 1e-9
 
 
@@ -255,7 +263,7 @@ def test_covariant_divergence_sphere():
         return m.matrix(q) @ np.array([1.0, 0.0])
 
     q = np.array([0.9, 0.2])
-    val = covariant_divergence_at(m, cov, q, h=1e-3, order=4)
+    val = covariant_divergence_at(m, cov, q, h=1e-3)
     assert abs(val - 1.0 / np.tan(0.9)) < 1e-8
 
 
@@ -290,7 +298,7 @@ def test_covariant_divergence_batch_matches_per_point(vector, batch, gauged):
                        rng.uniform(-np.pi, np.pi, batch)], axis=-1)
     potential = (lambda q: np.stack([0.3 * q[..., 1], np.cos(q[..., 0])],
                                     axis=-1)) if gauged else None
-    batched = covariant_divergence_at(m, vector, points, h=1e-3, order=4,
+    batched = covariant_divergence_at(m, vector, points, h=1e-3,
                                       potential=potential)
 
     value_shape = np.shape(vector(points))[len(batch) + 1:]
@@ -299,7 +307,7 @@ def test_covariant_divergence_batch_matches_per_point(vector, batch, gauged):
         for e in np.ndindex(value_shape):
             loop[b + e] = covariant_divergence_at(
                 m, lambda q: vector(q)[(Ellipsis,) + e], points[b],
-                h=1e-3, order=4, potential=potential)
+                h=1e-3, potential=potential)
     assert batched.shape == loop.shape
     np.testing.assert_allclose(batched, loop, rtol=0,
                                atol=1e-12 * np.max(np.abs(loop)))
@@ -308,7 +316,7 @@ def test_covariant_divergence_batch_matches_per_point(vector, batch, gauged):
 def test_group_metric_scalar_curvature():
     theta = np.array([0.3, -0.2, 0.5, 0.1, -0.4, 0.2])
     for a in (1.0, 2.0):
-        val = riemann_scalar_at(GroupMetric(a), theta, h=1e-2, order=4)
+        val = riemann_scalar_at(GroupMetric(a), theta, h=1e-2)
         assert abs(val - 6.0 / a ** 2) / (6.0 / a ** 2) < 1e-6
 
 
@@ -324,8 +332,8 @@ def test_laplace_beltrami_sphere_harmonics():
     y2 = lambda p: np.sin(p[..., 0]) ** 2 * np.cos(2.0 * p[..., 1])
     for r in (1.0, 2.0):
         m = SphereMetric(radius=r)
-        lap1 = laplace_beltrami(m, y1, q, h=1e-3, order=4)
-        lap2 = laplace_beltrami(m, y2, q, h=1e-3, order=4)
+        lap1 = laplace_beltrami(m, y1, q, h=1e-3)
+        lap2 = laplace_beltrami(m, y2, q, h=1e-3)
         assert abs(lap1 + 2.0 * y1(q) / r ** 2) < 1e-8
         assert abs(lap2 + 6.0 * y2(q) / r ** 2) < 1e-8
 
@@ -338,7 +346,7 @@ def test_laplace_beltrami_gauged_plane_wave():
     a = np.array([0.1, 0.4, -0.2, 0.3])
     f = lambda x: np.exp(1j * (x @ k))
     x = np.array([0.3, -0.5, 0.2, 0.8])
-    val = laplace_beltrami(m, f, x, h=1e-3, order=4,
+    val = laplace_beltrami(m, f, x, h=1e-3,
                            potential=lambda q: np.broadcast_to(a, q.shape))
     expected = -float((k - a) @ np.linalg.inv(eta) @ (k - a)) * f(x)
     assert abs(val - expected) < 1e-8
@@ -362,14 +370,14 @@ def test_laplace_beltrami_channels_match_one_call_per_channel(f, batch):
     points = np.stack([rng.uniform(0.5, 2.5, batch),
                        rng.uniform(-np.pi, np.pi, batch)], axis=-1)
     covectors = [_covector(c) for c in (0.3, -0.7, 1.1)]
-    lap = laplace_beltrami(m, f, points, h=1e-3, order=4,
+    lap = laplace_beltrami(m, f, points, h=1e-3,
                            potential=lambda q: np.stack(
                                [a(q) for a in covectors], axis=-1))
     value_shape = np.shape(f(points))[len(batch):]
     assert lap.shape == batch + (3,) + value_shape
     for c, a in enumerate(covectors):
         assert np.array_equal(lap[(slice(None),) * len(batch) + (c,)],
-                              laplace_beltrami(m, f, points, h=1e-3, order=4,
+                              laplace_beltrami(m, f, points, h=1e-3,
                                                potential=a))
 
 
@@ -377,7 +385,7 @@ def test_laplace_beltrami_matrix_valued():
     # Delta (q_a q_b) = 2 delta_ab on flat R^3
     m = ConstantMetric(np.eye(3))
     val = laplace_beltrami(m, lambda q: q[..., :, None] * q[..., None, :],
-                           np.array([0.4, -0.7, 0.2]), h=1e-3, order=4)
+                           np.array([0.4, -0.7, 0.2]), h=1e-3)
     assert val.shape == (3, 3)
     assert np.max(np.abs(val - 2.0 * np.eye(3))) < 1e-8
 
@@ -394,7 +402,7 @@ def test_unit_gauge():
     m = TopMetric(1.0)
     q = sample_point(rng)
     for form in ("phi", "chi"):
-        val = weyl_scalar_at(m, LinearField(np.zeros(10)), q, h=1e-3, order=4,
+        val = weyl_scalar_at(m, LinearField(np.zeros(10)), q, h=1e-3,
                              form=form, r_scalar=6.0)
         assert abs(val - 6.0) < 1e-12
 
@@ -406,7 +414,7 @@ def test_weyl_scalar_flat_constant_slope():
     q = np.array([0.5, 0.4, -0.2])
     expected = -2.0 * float(c @ c)
     for form in ("phi", "chi"):
-        val = weyl_scalar_at(m, LinearField(c), q, h=1e-3, order=4, form=form,
+        val = weyl_scalar_at(m, LinearField(c), q, h=1e-3, form=form,
                              r_scalar=0.0)
         assert abs(val - expected) < 1e-8
 
@@ -418,7 +426,7 @@ def test_weyl_scalar_flat_quadratic_log():
     q = np.array([0.6, -0.3, 0.1])
     expected = 12.0 - 2.0 * float(q @ q)
     val = weyl_scalar_at(m, lambda p: 0.5 * np.sum(p * p, axis=-1), q,
-                         h=1e-3, order=4, r_scalar=0.0)
+                         h=1e-3, r_scalar=0.0)
     assert abs(val - expected) < 1e-7
 
 
@@ -428,8 +436,8 @@ def test_weyl_forms_agree_on_top():
     log_chi = draw_field(rng, 10)
     q = sample_point(rng, rot_scale=1.5, boost_bound=1.5)
     r = m.riemann_scalar()
-    v1 = weyl_scalar_at(m, log_chi, q, h=1e-3, order=4, form="phi", r_scalar=r)
-    v2 = weyl_scalar_at(m, log_chi, q, h=1e-3, order=4, form="chi", r_scalar=r)
+    v1 = weyl_scalar_at(m, log_chi, q, h=1e-3, form="phi", r_scalar=r)
+    v2 = weyl_scalar_at(m, log_chi, q, h=1e-3, form="chi", r_scalar=r)
     assert abs(v1 - v2) / max(abs(v1), 1.0) < 1e-6
 
 
@@ -442,13 +450,13 @@ def test_weyl_scalar_conformal_weight():
     log_chi = draw_field(rng, 10)
     log_rho = draw_field(rng, 10, amp_scale=0.4)
     q = sample_point(rng, rot_scale=1.0, boost_bound=1.0)
-    base = weyl_scalar_at(m, log_chi, q, h=1e-3, order=4,
+    base = weyl_scalar_at(m, log_chi, q, h=1e-3,
                           r_scalar=m.riemann_scalar())
     new_m, new_log_chi = conformal_transform(m, log_chi, log_rho)
-    moved = weyl_scalar_at(new_m, new_log_chi, q, h=1e-3, order=4)
+    moved = weyl_scalar_at(new_m, new_log_chi, q, h=1e-3)
     rho0 = float(np.exp(log_rho(q)))
     assert abs(rho0 * moved - base) / max(abs(base), 1.0) < 1e-5
-    moved_chi = weyl_scalar_at(new_m, new_log_chi, q, h=1e-3, order=4,
+    moved_chi = weyl_scalar_at(new_m, new_log_chi, q, h=1e-3,
                                form="chi")
     assert abs(moved_chi - moved) / max(abs(moved), abs(moved_chi)) < 1e-6
 
@@ -461,10 +469,10 @@ def test_weyl_scalar_unit_gauge_oracle():
     log_chi = draw_field(rng, 3, amp_scale=0.4)
     q = np.array([0.3, -0.5, 0.2])
 
-    direct = weyl_scalar_at(m, log_chi, q, h=1e-3, order=4, r_scalar=0.0)
+    direct = weyl_scalar_at(m, log_chi, q, h=1e-3, r_scalar=0.0)
 
     scaled = ScaledMetric(m, rho=lambda p: np.exp(-2.0 * log_chi(p)))
-    riem = riemann_scalar_at(scaled, q, h=5e-3, order=4)
+    riem = riemann_scalar_at(scaled, q, h=5e-3)
     chi0 = float(np.exp(log_chi(q)))
     assert abs(direct - riem / chi0 ** 2) < 5e-5
 

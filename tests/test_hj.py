@@ -179,8 +179,8 @@ def test_wave_ansatz_modulus():
 def test_momentum_covector_gauge_shift():
     _, _, fields, q = _setup(17)
     em = EMConfig(e_field=(0.2, 0.1, -0.3), h_field=(0.3, -0.2, 0.4))
-    u_free = momentum_covector(fields, EMConfig.zero(), q, h=1e-3, order=4)
-    u_em = momentum_covector(fields, em, q, h=1e-3, order=4)
+    u_free = momentum_covector(fields, EMConfig.zero(), q, h=1e-3)
+    u_em = momentum_covector(fields, em, q, h=1e-3)
     assert np.max(np.abs(u_free - u_em - em.potential(q))) < 1e-12
 
 
@@ -208,8 +208,8 @@ def test_raised_momentum_matches_covector_and_inverse(em, batch):
     above[:, 4:] = 1.01 * SERIES_CUTOFF * unit
     for q in (random, identity, below, above):
         q = q.reshape(batch + (10,))
-        up, norm2 = raised_momentum(fields, em, metric, q, 1e-3, 4)
-        u_ref = momentum_covector(fields, em, q, h=1e-3, order=4)
+        up, norm2 = raised_momentum(fields, em, metric, q, 1e-3)
+        u_ref = momentum_covector(fields, em, q, h=1e-3)
         up_ref = (metric.inverse(q) @ u_ref[..., None])[..., 0]
         norm2_ref = (u_ref[..., None, :] @ up_ref[..., None])[..., 0, 0]
         assert np.array_equal(up, up_ref) and np.array_equal(norm2, norm2_ref)
@@ -236,7 +236,7 @@ def test_hj_residual_evaluates_the_killing_fields_once(monkeypatch):
     for configs in ((em,), (em, EMConfig.zero(), em)):
         calls["killing_vectors"] = 0
         hj_residual(fields, configs, metric, q, 6.0, np.array([2.0 / 9.0]),
-                    1e-3, 4)
+                    1e-3)
         assert calls == {"killing_vectors": 1}
 
 
@@ -306,23 +306,22 @@ def test_stacked_configs_match_one_call_per_config(seed, xi2):
     # point)
     batch = q + 0.01 * rng.uniform(-1.0, 1.0, (3, 10))
     psi = wave_ansatz(fields)
-    rw = weyl_scalar_at(metric, fields.log_chi, q, h=1e-3, order=4, r_scalar=r)
+    rw = weyl_scalar_at(metric, fields.log_chi, q, h=1e-3, r_scalar=r)
 
     defects, hj_res, div_res = linearization_check(fields, ems, metric, q,
                                                    r_scalar=r, xi2=xi2)
     assert defects.shape == hj_res.shape == (3,) + couplings
     assert div_res.shape == (3,)
-    hj_stack = hj_residual(fields, ems, metric, q, r, xi2s, 1e-3, 4)
-    w_stack = wave_operator(psi, ems, metric, q, psi(q), xi2s, r, 1e-3, 4)
+    hj_stack = hj_residual(fields, ems, metric, q, r, xi2s, 1e-3)
+    w_stack = wave_operator(psi, ems, metric, q, psi(q), xi2s, r, 1e-3)
     assert hj_stack.shape == w_stack.shape == (3, len(xi2s))
     assert np.array_equal(hj_res, hj_stack.reshape(hj_res.shape))
     w_batch = wave_operator(psi, ems, metric, batch, psi(batch), xi2s, r,
-                            1e-3, 4)
+                            1e-3)
     assert w_batch.shape == (3, 3, len(xi2s))
-    div_stack = divergence_residual(fields, ems, metric, batch, h=1e-3,
-                                    order=4)
+    div_stack = divergence_residual(fields, ems, metric, batch, h=1e-3)
     up_stack, norm2_stack = raised_momentum(fields, ems, metric, batch,
-                                            1e-3, 4)
+                                            1e-3)
     assert div_stack.shape == norm2_stack.shape == (3, 3)
     assert up_stack.shape == (3, 3, 10)
     for k, em in enumerate(ems):
@@ -330,26 +329,26 @@ def test_stacked_configs_match_one_call_per_config(seed, xi2):
                                                   r_scalar=r, xi2=xi2)
         assert np.array_equal(defects[k], defect)
         assert np.array_equal(hj_res[k], hj_k) and div_res[k] == div_k
-        hj_one = hj_residual(fields, (em,), metric, q, r, xi2s, 1e-3, 4)[0]
+        hj_one = hj_residual(fields, (em,), metric, q, r, xi2s, 1e-3)[0]
         assert np.array_equal(hj_stack[k], hj_one)
-        norm2 = raised_momentum(fields, em, metric, q, 1e-3, 4)[1]
+        norm2 = raised_momentum(fields, em, metric, q, 1e-3)[1]
         assert np.array_equal(hj_one, norm2 + xi2s * rw)
         w_one = wave_operator(psi, (em,), metric, q, psi(q), xi2s, r,
-                              1e-3, 4)[0]
+                              1e-3)[0]
         assert np.array_equal(w_stack[k], w_one)
-        lap = laplace_beltrami(metric, psi, q, h=1e-3, order=4,
+        lap = laplace_beltrami(metric, psi, q, h=1e-3,
                                potential=em.potential)
         assert np.array_equal(w_one, -lap + xi2s * r * psi(q))
         # a batch of points rounds the fields' sums its own way, so the
         # batch is held to its point calls within 1e-12, not bitwise
         for b, p in enumerate(batch):
             np.testing.assert_allclose(w_batch[b, k], wave_operator(
-                psi, (em,), metric, p, psi(p), xi2s, r, 1e-3, 4)[0],
+                psi, (em,), metric, p, psi(p), xi2s, r, 1e-3)[0],
                 rtol=0.0, atol=1e-12)
         assert np.array_equal(div_stack[:, k],
                               divergence_residual(fields, em, metric, batch,
-                                                  h=1e-3, order=4))
-        up, norm2 = raised_momentum(fields, em, metric, batch, 1e-3, 4)
+                                                  h=1e-3))
+        up, norm2 = raised_momentum(fields, em, metric, batch, 1e-3)
         assert np.array_equal(up_stack[:, k], up)
         assert np.array_equal(norm2_stack[:, k], norm2)
 
@@ -361,9 +360,9 @@ def test_empty_config_tuple_is_rejected():
     calls = (
         lambda: linearization_check(fields, (), metric, q, r_scalar=r),
         lambda: hj_residual(fields, (), metric, q, r, np.array([2.0 / 9.0]),
-                            1e-3, 4),
-        lambda: divergence_residual(fields, (), metric, q, h=1e-3, order=4),
-        lambda: raised_momentum(fields, (), metric, q, 1e-3, 4),
+                            1e-3),
+        lambda: divergence_residual(fields, (), metric, q, h=1e-3),
+        lambda: raised_momentum(fields, (), metric, q, 1e-3),
     )
     for call in calls:
         with pytest.raises(ValueError, match="empty"):
@@ -396,8 +395,8 @@ def test_wave_operator_acts_on_plane_wave():
     psi = wave_ansatz(fields)
     xi2 = conformal_coupling(10) ** 2
     w = wave_operator(psi, (em,), metric, q, psi(q), np.array([xi2]),
-                      metric.riemann_scalar(), 1e-3, 4)[0, 0]
-    u = momentum_covector(fields, em, q, h=1e-3, order=4)
+                      metric.riemann_scalar(), 1e-3)[0, 0]
+    u = momentum_covector(fields, em, q, h=1e-3)
     ginv = metric.inverse(q)
     expected = u @ ginv @ u + xi2 * 6.0
     assert abs(w / psi(q) - expected) < 1e-7
@@ -411,8 +410,7 @@ def test_divergence_residual_plane_wave_zero():
     fields = WaveInputs(s_field=LinearField(coeffs),
                         log_chi=LinearField(np.zeros(10)))
     q = np.zeros(10)
-    val = divergence_residual(fields, EMConfig.zero(), metric, q, h=1e-3,
-                              order=4)
+    val = divergence_residual(fields, EMConfig.zero(), metric, q, h=1e-3)
     assert abs(val) < 1e-9
 
 
@@ -426,6 +424,6 @@ def test_hj_residual_on_shell_value():
     q = np.zeros(10)
     val = hj_residual(fields, (EMConfig.zero(),), metric, q,
                       metric.riemann_scalar(), np.array([2.0 / 9.0]),
-                      1e-3, 4)[0, 0]
+                      1e-3)[0, 0]
     expected = -1.0 + (2.0 / 9.0) * 6.0
     assert abs(val - expected) < 1e-9

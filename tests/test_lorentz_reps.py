@@ -496,7 +496,7 @@ def test_vector_intertwiner_algebra_level():
 def test_angular_laplacian_casimir_smallest_spinor():
     theta = np.array([0.3, -0.2, 0.5, 0.1, -0.4, 0.2])
     rep = Irrep(0, 0.5)
-    ratio = angular_laplacian_check(rep, theta, a=1.0, order=4)
+    ratio = angular_laplacian_check(rep, theta, a=1.0)
     expected = -casimir_value(rep) * np.eye(2)
     assert np.max(np.abs(ratio - expected)) < 1e-5
 
@@ -505,15 +505,15 @@ def test_angular_laplacian_casimir_vector_rep_scaled():
     theta = np.array([-0.4, 0.2, 0.1, 0.3, 0.2, -0.1])
     rep = Irrep(0.5, 0.5)
     a = 2.0
-    ratio = angular_laplacian_check(rep, theta, a=a, order=4)
+    ratio = angular_laplacian_check(rep, theta, a=a)
     expected = -casimir_value(rep) / a ** 2 * np.eye(4)
     assert np.max(np.abs(ratio - expected)) < 1e-5
 
 
 def test_angular_laplacian_separates_reps():
     theta = np.array([0.2, 0.4, -0.3, -0.2, 0.1, 0.5])
-    v1 = angular_laplacian_check(Irrep(0, 0.5), theta, a=1.0, order=4)[0, 0]
-    v2 = angular_laplacian_check(Irrep(0.5, 0.5), theta, a=1.0, order=4)[0, 0]
+    v1 = angular_laplacian_check(Irrep(0, 0.5), theta, a=1.0)[0, 0]
+    v2 = angular_laplacian_check(Irrep(0.5, 0.5), theta, a=1.0)[0, 0]
     assert abs(v1 - v2) > 1.0
 
 
@@ -522,10 +522,10 @@ def test_angular_laplacian_separates_reps():
 def test_angular_laplacian_batch_equals_per_angle_calls(seed, n_angles):
     thetas = np.random.default_rng(seed).uniform(-1.2, 1.2, (n_angles, 6))
     for rep in (Irrep(0, 0.5), Irrep(0.5, 0.5)):
-        batch = angular_laplacian_check(rep, thetas, a=1.5, order=4)
+        batch = angular_laplacian_check(rep, thetas, a=1.5)
         assert batch.shape == (n_angles, rep.dim, rep.dim)
         for theta, ratio in zip(thetas, batch):
-            single = angular_laplacian_check(rep, theta, a=1.5, order=4)
+            single = angular_laplacian_check(rep, theta, a=1.5)
             assert np.array_equal(ratio, single)
 
 
@@ -575,12 +575,12 @@ def conjugation_defect_per_irrep(rep: Irrep, theta: np.ndarray) -> np.ndarray:
                   axis=(-2, -1))
 
 
-def angular_laplacian_per_irrep(rep: Irrep, theta: np.ndarray, a: float,
-                                order: int) -> np.ndarray:
+def angular_laplacian_per_irrep(rep: Irrep, theta: np.ndarray,
+                                a: float) -> np.ndarray:
     """One irrep's Casimir ratio from its own stencil pass: the reference of
     the shared pass."""
     lap = laplace_beltrami(GroupMetric(a), lambda t: d_matrix_inverse(rep, t),
-                           theta, h=1e-2, order=order, h_inner=1e-3)
+                           theta, h=1e-2, h_inner=1e-3)
     return lap @ d_matrix(rep, theta)
 
 
@@ -649,20 +649,20 @@ def test_mixed_class_raises():
     with pytest.raises(ValueError, match="not one class"):
         conjugation_defect((), theta)
     with pytest.raises(ValueError, match="not one class"):
-        angular_laplacian_check((), theta, a=1.0, order=4)
+        angular_laplacian_check((), theta, a=1.0)
 
 
 @pytest.mark.parametrize("shape", [(), (3,), (2, 2)], ids=str)
 def test_shared_laplacian_pass_equals_single_irrep_calls(shape):
     thetas = np.random.default_rng(32).uniform(-1.2, 1.2, shape + (6,))
-    ratios = angular_laplacian_check(CASIMIR_REPS, thetas, a=1.5, order=4)
+    ratios = angular_laplacian_check(CASIMIR_REPS, thetas, a=1.5)
     assert isinstance(ratios, tuple) and len(ratios) == len(CASIMIR_REPS)
     for rep, ratio in zip(CASIMIR_REPS, ratios):
         assert ratio.shape == shape + (rep.dim, rep.dim)
-        single = angular_laplacian_check(rep, thetas, a=1.5, order=4)
+        single = angular_laplacian_check(rep, thetas, a=1.5)
         assert np.array_equal(ratio, single)
         assert np.array_equal(
-            ratio, angular_laplacian_per_irrep(rep, thetas, a=1.5, order=4))
+            ratio, angular_laplacian_per_irrep(rep, thetas, a=1.5))
 
 
 @pytest.mark.parametrize("seed", [0, 5, 17])
@@ -671,8 +671,8 @@ def test_reps_chunk_through_shared_pass_equals_per_draw_calls(seed):
     # numpy's in-place products of 256 KiB operands move the last bits, so
     # a chunk past that size fails here
     thetas = np.random.default_rng(seed).uniform(-1.2, 1.2, (REPS_CHUNK, 6))
-    ratios = angular_laplacian_check(CASIMIR_REPS, thetas, a=1.0, order=4)
+    ratios = angular_laplacian_check(CASIMIR_REPS, thetas, a=1.0)
     for rep, ratio in zip(CASIMIR_REPS, ratios):
         for theta, row in zip(thetas, ratio):
             assert np.array_equal(
-                row, angular_laplacian_per_irrep(rep, theta, a=1.0, order=4))
+                row, angular_laplacian_per_irrep(rep, theta, a=1.0))

@@ -163,7 +163,7 @@ def test_trajectory_rows_layout():
     starts = np.vstack([np.zeros(10), 0.01 * np.random.default_rng(0)
                         .uniform(-1.0, 1.0, (1, 10))])
     bundle = integrate_trajectory(fields, EMConfig.zero(), TopMetric(1.0),
-                                  starts, ds=0.1, n_steps=3, h=1e-3, order=4)
+                                  starts, ds=0.1, n_steps=3, h=1e-3)
     columns, rows = trajectory_table(bundle, 0.1)
     assert columns == TRAJECTORY_COLUMNS
     assert len(rows) == 8  # two trajectories, four samples each
