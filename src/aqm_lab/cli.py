@@ -223,8 +223,13 @@ KAPPA = Param("kappa", REAL, 2.0, "group-direction coupling of the potential")
 MASS = Param("mass", POSITIVE, 1.0,
              "particle mass (spectrum: derive the length scale from it)")
 DS = Param("ds", POSITIVE, 0.01, "integration step")
+# trace's bundle is one (steps + 1, n_draws, 10) array of trajectory
+# points: each count is bounded, and so is the number of points, 160 MB of
+# them at the bound
+MAX_BUNDLE = 2 * 10**6
 STEPS = Param("steps", N_DRAWS.kind, 200,
-              f"steps per trajectory, at most {MAX_COUNT}")
+              f"steps per trajectory, at most {MAX_COUNT}, with n-draws x "
+              f"(steps + 1) at most {MAX_BUNDLE}")
 SECTIONS = Param("sections", AT_LEAST_TWO, 5,
                  "number of flux cross-sections")
 # trace's plane-wave start draws its spatial momentum, its rotation angles
@@ -635,7 +640,8 @@ def _read_config(path: str | None) -> dict:
 def resolve_config(command: str, file_cfg: dict, flags: dict) -> dict:
     """Each parameter's flag value (``None``: not given), else its config
     key, else its default; every value given passes its parameter's check,
-    and at most one of the verb's exclusive parameters is given."""
+    at most one of the verb's exclusive parameters is given, and a bundle
+    holds at most MAX_BUNDLE points."""
     params = VERBS[command].params
     unknown = set(file_cfg) - {p.name for p in params}
     if unknown:
@@ -648,6 +654,10 @@ def resolve_config(command: str, file_cfg: dict, flags: dict) -> dict:
              if cfg[p.name] is not None]
     if len(given) > 1:
         raise ConfigError(" and ".join(given) + " exclude each other")
+    if "steps" in cfg and cfg["n_draws"] * (cfg["steps"] + 1) > MAX_BUNDLE:
+        raise ConfigError(f"--n-draws x (--steps + 1) must be at most "
+                          f"{MAX_BUNDLE} trajectory points; got "
+                          f"{cfg['n_draws']} x {cfg['steps'] + 1}")
     return cfg
 
 

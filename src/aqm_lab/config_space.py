@@ -476,12 +476,20 @@ class TopMetric(MetricField):
         g[..., 4:, 4:] = group
         return g
 
-    def inverse(self, q):
-        """blockdiag(eta, the group block): no 10x10 matrix is inverted."""
+    def killing_fields(self, q):
+        """``killing_vectors`` of the points' angles, (*batch, 6, 6): the
+        one source of K for ``inverse`` and for the momentum and the
+        potential of ``hj``."""
         _, theta = split_point(q)
-        ginv = np.zeros(theta.shape[:-1] + (10, 10))
+        return killing_vectors(theta)
+
+    def inverse(self, q):
+        """blockdiag(eta, the group block a^-2 K P K^T), with K from
+        ``killing_fields``: no 10x10 matrix is inverted."""
+        k = self.killing_fields(q)
+        ginv = np.zeros(k.shape[:-2] + (10, 10))
         ginv[..., :4, :4] = MINKOWSKI
-        ginv[..., 4:, 4:] = self.group.inverse(theta)
+        ginv[..., 4:, 4:] = self.group.inverse_from_killing(k)
         return ginv
 
     def raise_from_killing(self, k, u):

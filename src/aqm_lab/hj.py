@@ -24,8 +24,8 @@ import numpy as np
 from .config_space import TopMetric, killing_vectors, split_point
 from .fd import derivative_stack
 from .fields import draw_field
-from .geometry import MetricField, covariant_divergence_at, \
-    laplace_beltrami, weyl_scalar_at
+from .geometry import covariant_divergence_at, laplace_beltrami, \
+    weyl_scalar_at
 
 
 def conformal_coupling(n: int) -> float:
@@ -189,9 +189,9 @@ def raised_momentum(fields: WaveInputs, em: EMConfigs, metric: TopMetric,
     (u#, u.u#).
 
     The potential and the inverse metric read one evaluation of the Killing
-    fields of the points' angles. The raise goes by blocks
-    (``TopMetric.raise_from_killing``): eta u on spacetime and the group
-    inverse on the group components, bitwise equal to
+    fields of the points' angles, ``metric.killing_fields``. The raise goes
+    by blocks (``TopMetric.raise_from_killing``): eta u on spacetime and the
+    group inverse on the group components, bitwise equal to
     ``metric.inverse(point) @ u`` without building the 10x10 inverse.
 
     A tuple of configs gives u# as (*batch, n_em, 10) and u.u# as
@@ -199,8 +199,8 @@ def raised_momentum(fields: WaveInputs, em: EMConfigs, metric: TopMetric,
     gradient of S and the Killing fields are evaluated once for all.
     """
     point = np.asarray(point, dtype=float)
-    x, theta = split_point(point)
-    k = killing_vectors(theta)
+    x, _ = split_point(point)
+    k = metric.killing_fields(point)
     u = derivative_stack(fields.s_field, point, h=h)
     if isinstance(em, EMConfig):  # the one-config shortcut of the RK4 stages
         u = u - em.potential_from_killing(x, k)
@@ -270,7 +270,7 @@ def divergence_residual(fields: WaveInputs, em: EMConfigs, metric: TopMetric,
 
 
 def wave_operator(psi: Callable[[np.ndarray], np.ndarray],
-                  ems: tuple[EMConfig, ...], metric: MetricField,
+                  ems: tuple[EMConfig, ...], metric: TopMetric,
                   point: np.ndarray, psi0: np.ndarray, xi2: np.ndarray,
                   r_scalar: float, h: float) -> np.ndarray:
     """Minimally coupled curvature-potential wave operator applied to psi.
@@ -285,12 +285,58 @@ def wave_operator(psi: Callable[[np.ndarray], np.ndarray],
     def potential(q):
         # every config's covector from one evaluation of the Killing
         # fields, the configs on the channel axis after k
-        x, theta = split_point(q)
+        x, _ = split_point(q)
         return np.swapaxes(
-            _stacked_potential(ems, x, killing_vectors(theta)), -1, -2)
+            _stacked_potential(ems, x, metric.killing_fields(q)), -1, -2)
 
     lap = laplace_beltrami(metric, psi, point, h=h, potential=potential)
     return -lap[..., None] + xi2 * r_scalar * psi0[..., None, None]
+
+
+class _Evaluated:
+    """A pure function of points, evaluated once per distinct point array.
+
+    A call at an array equal (``np.array_equal``) to one already seen hands
+    back that call's values, read-only, so a caller that writes into a
+    shared value fails; any other array is evaluated and kept with a copy
+    of itself. The stages of one check build their point arrays by the same
+    arithmetic, so arrays that meet here are equal in bytes too. A point
+    with a NaN equals no array and is evaluated each time.
+    """
+
+    def __init__(self, f: Callable[[np.ndarray], np.ndarray]):
+        self._f = f
+        self._seen: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def __call__(self, q: np.ndarray) -> np.ndarray:
+        q = np.asarray(q, dtype=float)
+        for points, values in self._seen:
+            if np.array_equal(points, q):
+                return values
+        values = self._f(q)
+        if isinstance(values, np.ndarray):
+            values = values.view()
+            values.flags.writeable = False
+        self._seen.append((q.copy(), values))
+        return values
+
+
+class _CheckMetric(TopMetric):
+    """The top metric inside one ``linearization_check``: its Killing fields
+    and sqrt g are evaluated once per point array, for every stage; the
+    inverse, the raise and the potential read K through
+    ``killing_fields``, by the top metric's own code."""
+
+    def __init__(self, metric: TopMetric):
+        super().__init__(metric.a)
+        self._killing = _Evaluated(metric.killing_fields)
+        self._sqrt_det = _Evaluated(metric.sqrt_det)
+
+    def killing_fields(self, q):
+        return self._killing(q)
+
+    def sqrt_det(self, q):
+        return self._sqrt_det(q)
 
 
 def linearization_check(fields: WaveInputs, em: EMConfigs, metric: TopMetric,
@@ -317,9 +363,19 @@ def linearization_check(fields: WaveInputs, em: EMConfigs, metric: TopMetric,
 
     A tuple of electromagnetic configs stacks them the same way: defect and
     hj_res get a leading axis of configs, (n_em,) or (n_em, n_xi2), and
-    div_res is (n_em,). Each field is evaluated once per stencil level, the
-    Killing fields once per point set and R_W once, whatever the number of
-    configs, and each entry is bitwise that of the call with its one config.
+    div_res is (n_em,), each entry bitwise that of the call with its one
+    config. R_W is evaluated once, whatever the number of configs.
+
+    The three stages (the wave operator, the Hamilton-Jacobi residual and
+    the transport residual) walk the same point arrays: the point, its
+    stencil points and theirs. The inputs of the identity, S, log chi, the
+    Killing fields and sqrt g, are evaluated once per point array for all
+    three, through a store that lives for this call: 6 field calls on
+    3 282 points and 2 Killing-field calls on 41 angles per check. Each
+    input is a pure function of its points, so every result keeps its
+    bytes. Only inputs are shared; nothing one side of the identity
+    derives reaches the other.
+
     This is the one entry that takes a lone config or a scalar coupling: it
     runs them as stacks of one and drops those axes from its results.
     """
@@ -329,6 +385,8 @@ def linearization_check(fields: WaveInputs, em: EMConfigs, metric: TopMetric,
         xi2 = conformal_coupling(n) ** 2
     ems = _stack(em)
     couplings = np.atleast_1d(np.asarray(xi2, dtype=float))
+    fields = WaveInputs(_Evaluated(fields.s_field), _Evaluated(fields.log_chi))
+    metric = _CheckMetric(metric)
 
     psi = wave_ansatz(fields)
     psi0 = psi(point)

@@ -327,6 +327,39 @@ def test_malformed_config_is_error(tmp_path, capsys):
     assert not missing.parent.exists()
 
 
+def test_trace_bundle_above_its_bound_is_refused(capsys, tmp_path,
+                                                  monkeypatch):
+    # each count may be within its own bound while the bundle, one
+    # (steps + 1, n_draws, 10) array, is not: the product is refused at
+    # configuration, from flags, a config file or both, and nothing is
+    # drawn or integrated (only the refusal runs here, never a bundle at
+    # the bound)
+    def never(*args, **kwargs):
+        raise AssertionError("a refused bundle reached the run")
+
+    monkeypatch.setattr(cli, "_plane_wave_bundle_inputs", never)
+    monkeypatch.setattr(cli, "integrate_trajectory", never)
+    cfg = tmp_path / "cfg.json"
+    cap = str(cli.MAX_COUNT)
+    over = cli.MAX_BUNDLE // 2  # two trajectories of MAX_BUNDLE / 2 + 1 points
+    cfg.write_text(json.dumps({"n_draws": cli.MAX_COUNT,
+                               "steps": cli.MAX_COUNT}))
+    for argv in (["trace", "--n-draws", cap, "--steps", cap],
+                 ["trace", "--n-draws", "2", "--steps", str(over)],
+                 ["trace", "--n-draws", cap],
+                 ["trace", "--config", str(cfg)],
+                 ["trace", "--config", str(cfg), "--steps", "2"]):
+        assert main(argv) == 2, argv
+        assert_one_line_error(capsys, "error: --n-draws x (--steps + 1) "
+                                      f"must be at most {cli.MAX_BUNDLE} ")
+    # at the bound the configuration resolves; it is not run
+    for n_draws, steps in ((2, over - 1), (cli.MAX_BUNDLE // 100, 99)):
+        cfg = resolve_config("trace", {"n_draws": n_draws, "steps": steps},
+                             {})
+        assert cfg["n_draws"] * (cfg["steps"] + 1) == cli.MAX_BUNDLE
+    assert f"at most {cli.MAX_BUNDLE}" in cli.STEPS.help
+
+
 @pytest.mark.parametrize("text, key", [
     ('{"n-draws": 0, "n_draws": 2}', "'n_draws' given twice (first as "
                                      "'n-draws')"),

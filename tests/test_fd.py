@@ -457,25 +457,26 @@ def _em_linearization_check():
 
 
 def test_linearization_check_evaluates_fields_in_few_calls(monkeypatch):
-    # psi at the point is evaluated once, for the wave operator and the
-    # division by psi alike (before: 6 687 points in 18 calls)
+    # each field once per point array, for the three stages together: the
+    # point, its 40 stencil points and their 1 600, 2 x 1 641 points in 6
+    # calls (before the check's store: 6 685 points in 16 calls)
     counts = _count_points(monkeypatch, BandLimitedField, "__call__")
     _em_linearization_check()
-    assert counts["points"] == 6685
-    assert counts["calls"] <= 16
+    assert counts == {"calls": 6, "points": 3282}
 
 
 def test_linearization_check_evaluates_frames_in_few_calls(monkeypatch):
     # the closed-form inverse takes the Killing fields, sqrt(g) none, and
-    # neither assembles the 10x10 matrix; the potential and the inverse of
-    # one raised momentum share their Killing fields, and the
-    # Hamilton-Jacobi residual and the current both take the momentum from
-    # them; the Killing fields are closed-form and build no frame
+    # neither assembles the 10x10 matrix; the potential, the inverse and
+    # the raised momentum of every stage read one evaluation of the Killing
+    # fields per point array, the point's and its 40 stencil points' (before
+    # the check's store: 165 angles in 9 calls); the Killing fields are
+    # closed-form and build no frame
     frames, killing = _count_frames_and_killing(monkeypatch)
     matrices = _count_points(monkeypatch, TopMetric, "matrix")
     _em_linearization_check()
     assert frames == {"calls": 0, "points": 0}
-    assert killing == {"calls": 9, "points": 165}
+    assert killing == {"calls": 2, "points": 41}
     assert matrices["calls"] == 0
 
 
@@ -483,10 +484,10 @@ def test_verify_linearization_draw_evaluates_two_checks(monkeypatch, tmp_path):
     # the free and the field-on check are one call with a tuple of two EM
     # configs, and the wrong-coupling control rides on it as a second
     # coupling, so a draw costs the field and Killing-field evaluations of
-    # one check: 6 685 field points in 16 calls and 165 Killing-field points
-    # in 9 calls, and one evaluation of each traced layer, R_W included
-    # (two checks: 13 374 field points in 36 calls, 330 Killing-field points
-    # in 18; three: 20 061 in 54 and 495 in 27); the Killing fields build no
+    # one check: 3 282 field points in 6 calls and 41 Killing-field points
+    # in 2 calls, and one evaluation of each traced layer, R_W included
+    # (two checks: 6 564 field points in 12 calls, 82 Killing-field points
+    # in 4; three: 9 846 in 18 and 123 in 6); the Killing fields build no
     # frame
     fields = _count_points(monkeypatch, BandLimitedField, "__call__")
     frames, killing = _count_frames_and_killing(monkeypatch)
@@ -502,9 +503,9 @@ def test_verify_linearization_draw_evaluates_two_checks(monkeypatch, tmp_path):
         monkeypatch.setattr(module, name, counted)
     assert cli.main(["verify-linearization", "--n-draws", "1",
                      "--out", str(tmp_path / "report.json")]) == 0
-    assert fields == {"calls": 16, "points": 6685}
+    assert fields == {"calls": 6, "points": 3282}
     assert frames == {"calls": 0, "points": 0}
-    assert killing == {"calls": 9, "points": 165}
+    assert killing == {"calls": 2, "points": 41}
     assert reached == {"linearization_check": 1, "wave_operator": 1,
                        "hj_residual": 1, "divergence_residual": 1,
                        "weyl_scalar_at": 1}

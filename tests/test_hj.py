@@ -380,6 +380,147 @@ def test_linearization_insensitive_to_curvature_route():
     assert abs(d1 - d2) < 1e-9
 
 
+# ---------------------------------------------------------------------------
+# the check's store: each input once per point array, and the same bits
+# ---------------------------------------------------------------------------
+
+
+def _unshared_check(fields, em, metric, point, r_scalar, xi2, h=1e-3):
+    """``linearization_check`` composed from its three stages on the plain
+    fields and metric, with no store: each stage evaluates S, log chi, the
+    Killing fields and sqrt g itself."""
+    point = np.asarray(point, dtype=float)
+    ems = (em,) if isinstance(em, EMConfig) else tuple(em)
+    couplings = np.atleast_1d(np.asarray(xi2, dtype=float))
+    psi = wave_ansatz(fields)
+    psi0 = psi(point)
+    w = wave_operator(psi, ems, metric, point, psi0, couplings, r_scalar, h)
+    hj_res = hj_residual(fields, ems, metric, point, r_scalar, couplings, h)
+    div = divergence_residual(fields, ems, metric, point, h=h)
+    chi_pow = np.exp((metric.dim - 2) * fields.log_chi(point))
+    defect = w / psi0 - hj_res + 1j * chi_pow * div[:, None]
+    if np.ndim(xi2) == 0:
+        defect, hj_res = defect[:, 0], hj_res[:, 0]
+    if isinstance(em, EMConfig):
+        defect, hj_res, div = defect[0], hj_res[0], float(div[0])
+    if np.ndim(defect) == 0:
+        return complex(defect), float(hj_res), div
+    return defect, hj_res, div
+
+
+def _bits(result):
+    """Type, shape and bytes of each of (defect, hj_res, div_res): equal
+    bits, NaN payloads and signed zeros included."""
+    return [(type(x), np.shape(x), np.asarray(x).tobytes()) for x in result]
+
+
+@pytest.mark.parametrize("a", [0.7, 1.0, 1.4])
+@pytest.mark.parametrize("stacked", [False, True], ids=["lone", "stack"])
+@pytest.mark.parametrize("xi2", [2.0 / 9.0, (2.0 / 9.0, 0.25)],
+                         ids=["scalar", "array"])
+def test_shared_inputs_give_the_unshared_bits(a, stacked, xi2):
+    # four random points per case, 48 in all, over the whole sampled
+    # domain, one with both angle halves below the series cutoff
+    rng = np.random.default_rng(35)
+    metric = TopMetric(a)
+    fields = draw_wave_inputs(rng)
+    em = _em_stack(rng) if stacked else \
+        EMConfig(*rng.normal(size=(2, 3)), kappa=rng.normal())
+    points = [sample_point(rng) for _ in range(4)]
+    points[-1][4:] = 0.5 * SERIES_CUTOFF
+    r = metric.riemann_scalar()
+    for q in points:
+        shared = linearization_check(fields, em, metric, q, r_scalar=r,
+                                     xi2=xi2)
+        assert _bits(shared) == _bits(
+            _unshared_check(fields, em, metric, q, r, xi2))
+
+
+@pytest.mark.parametrize("coordinate", [2, 8], ids=["x", "theta"])
+def test_nan_point_gives_the_unshared_nans(coordinate):
+    # a NaN point equals no array, so the store evaluates it afresh at
+    # every call and the NaNs come out as without it
+    _, metric, fields, q = _setup(36)
+    q[coordinate] = np.nan
+    ems = _em_stack(np.random.default_rng(36))
+    r = metric.riemann_scalar()
+    with np.errstate(invalid="ignore"):
+        shared = linearization_check(fields, ems, metric, q, r_scalar=r,
+                                     xi2=(2.0 / 9.0, 0.25))
+        unshared = _unshared_check(fields, ems, metric, q, r,
+                                   (2.0 / 9.0, 0.25))
+    assert np.isnan(shared[0]).all()
+    assert _bits(shared) == _bits(unshared)
+
+
+def test_each_check_evaluates_its_own_inputs():
+    # two checks in a row at the same point, on different fields, each get
+    # their own values; the inputs and the metric handed in are left as
+    # they were, their values writable
+    rng, metric, first, q = _setup(37)
+    second = draw_wave_inputs(rng)
+    em = EMConfig(e_field=(0.2, 0.1, -0.3), h_field=(0.3, -0.2, 0.4))
+    r = metric.riemann_scalar()
+    before = (dict(vars(first)), dict(vars(second)), dict(vars(metric)))
+    results = [linearization_check(fields, em, metric, q, r_scalar=r)
+               for fields in (first, second)]
+    assert results[0] != results[1]
+    for fields, result in zip((first, second), results):
+        assert _bits(result) == _bits(
+            _unshared_check(fields, em, metric, q, r, 2.0 / 9.0))
+    assert (dict(vars(first)), dict(vars(second)), dict(vars(metric))) \
+        == before
+    assert type(metric) is TopMetric
+    stencil = q + 1e-3 * np.eye(10)
+    for values in (first.s_field(stencil), metric.killing_fields(stencil),
+                   metric.sqrt_det(stencil)):
+        assert values.flags.writeable
+
+
+def test_the_store_keys_on_the_values_of_the_points():
+    # an equal array shares the first evaluation whatever its identity;
+    # another array of the same shape, or the caller's array written after
+    # the call, is evaluated afresh
+    seen = []
+
+    def field(q):
+        seen.append(q.copy())
+        return q.sum(axis=-1)
+
+    evaluated = hj._Evaluated(field)
+    q = np.random.default_rng(39).uniform(size=(3, 10))
+    first = evaluated(q)
+    assert evaluated(q.copy()) is first and len(seen) == 1
+    assert np.array_equal(evaluated(q[::-1]), q[::-1].sum(axis=-1))
+    q[0, 0] = 7.0
+    assert np.array_equal(evaluated(q), q.sum(axis=-1))
+    assert len(seen) == 3 and not first.flags.writeable
+
+
+def _write_into(values):
+    values *= 1.0
+
+
+@pytest.mark.parametrize("target", ["log_chi", "killing_fields"])
+def test_a_stage_writing_into_a_shared_input_fails(monkeypatch, target):
+    _, metric, fields, q = _setup(38)
+    if target == "log_chi":
+        def born(fields, point):
+            _write_into(fields.log_chi(point))
+
+        monkeypatch.setattr(hj, "born_density", born)
+    else:
+        raise_from_killing = TopMetric.raise_from_killing
+
+        def raising(self, k, u):
+            _write_into(k)
+            return raise_from_killing(self, k, u)
+
+        monkeypatch.setattr(TopMetric, "raise_from_killing", raising)
+    with pytest.raises(ValueError, match="read-only"):
+        linearization_check(fields, EMConfig.zero(), metric, q, r_scalar=6.0)
+
+
 def test_wave_operator_acts_on_plane_wave():
     # unit gauge, linear spacetime phase, no fields:
     # W psi / psi = u.g^-1.u + xi^2 R exactly (the flux divergence vanishes)
