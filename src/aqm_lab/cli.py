@@ -40,8 +40,8 @@ from .geometry import CURVATURE_STEP, conformal_transform, \
 from .hj import EMConfig, WaveInputs, conformal_coupling, draw_wave_inputs, \
     linearization_check
 from .lorentz_reps import Irrep, angular_laplacian_check, casimir_value, \
-    commutator_defect, conjugation_class, conjugation_defect, d_matrix, \
-    dimension_class, irrep_classes, reps_up_to_dim, vector_intertwiner
+    commutator_defect, conjugation_defect, d_matrix, reps_up_to_dim, \
+    vector_intertwiner
 from .report import Check, build_report, check_table, dump_report, \
     spectrum_table, trajectory_table, write_csv
 
@@ -374,17 +374,10 @@ def _run_verify_reps(cfg: dict, rng: np.random.Generator):
     resid = np.abs(d_matrix(Irrep(0.5, 0.5), fresh) @ x
                    - x @ lorentz_from_angles(fresh))
 
-    # one stack per class of irreps; the values keep the order of ``reps``
-    commutators, conjugations = {}, {}
-    for cls in irrep_classes(reps, dimension_class):
-        commutators.update(zip(cls, commutator_defect(cls)))
-    for cls in irrep_classes(reps, conjugation_class):
-        conjugations.update(zip(cls, np.concatenate(
-            [conjugation_defect(cls, t) for t in chunks], axis=-1)))
-
     values = {
-        "reps_commutator_max_defect": [commutators[rep] for rep in reps],
-        "reps_conjugation_max_defect": [conjugations[rep] for rep in reps],
+        "reps_commutator_max_defect": commutator_defect(reps),
+        "reps_conjugation_max_defect": np.concatenate(
+            [conjugation_defect(reps, t) for t in chunks], axis=-1),
         "reps_laplacian_casimir_max_rel": casimir_rel,
         "reps_intertwiner_nullspace_sigma": sigma_min,
         "reps_intertwiner_fresh_residual": resid,

@@ -11,7 +11,7 @@ checked numerically between the two.
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +34,9 @@ class Irrep:
     def __post_init__(self):
         if not (_is_half_integer(self.u) and _is_half_integer(self.v)):
             raise ValueError("u and v must be non-negative half-integers")
-        object.__setattr__(self, "u", float(self.u))
-        object.__setattr__(self, "v", float(self.v))
+        # the half-integer the check accepted, not a value within 1e-12 of it
+        object.__setattr__(self, "u", round(2 * self.u) / 2)
+        object.__setattr__(self, "v", round(2 * self.v) / 2)
 
     @property
     def dim(self) -> int:
@@ -66,38 +67,14 @@ def reps_up_to_dim(max_dim: int) -> list[Irrep]:
     return out
 
 
-Irreps = Irrep | tuple[Irrep, ...]
-
-
-def dimension_class(rep: Irrep) -> int:
-    """Irreps of one dimension share one ``commutator_defect`` stack."""
-    return rep.dim
-
-
-def conjugation_class(rep: Irrep) -> tuple[int, float]:
-    """Irreps of one dimension and one spin u + v share the nodes and the
-    matrix size of one ``expm`` call in ``conjugation_defect``."""
-    return rep.dim, rep.u + rep.v
-
-
-def irrep_classes(reps: list[Irrep], key: Callable[[Irrep], object]
-                  ) -> list[tuple[Irrep, ...]]:
-    """The irreps grouped by ``key``, each group in the order of ``reps``."""
-    groups: dict = {}
-    for rep in reps:
-        groups.setdefault(key(rep), []).append(rep)
-    return [tuple(group) for group in groups.values()]
-
-
-def _stack(reps: Irreps, key: Callable[[Irrep], object] | None
-           ) -> tuple[Irrep, ...]:
-    """A lone irrep as the stack of one, a tuple as it is: not empty, and
-    one class, with one value of ``key`` (when given) on every member."""
-    stack = (reps,) if isinstance(reps, Irrep) else tuple(reps)
-    if not stack or key is not None and len(set(map(key, stack))) > 1:
-        raise ValueError(f"the stack ({', '.join(r.label() for r in stack)})"
-                         " is not one class of irreps")
-    return stack
+def _groups(reps: Sequence[Irrep], key: Callable[[Irrep], object]
+            ) -> list[tuple[list[int], tuple[Irrep, ...]]]:
+    """The positions of ``reps`` and their irreps, grouped by ``key``:
+    groups, and the positions in each, in first-seen order."""
+    positions: dict = {}
+    for i, rep in enumerate(reps):
+        positions.setdefault(key(rep), []).append(i)
+    return [(idx, tuple(reps[i] for i in idx)) for idx in positions.values()]
 
 
 def su2_generators(j: float) -> np.ndarray:
@@ -151,28 +128,29 @@ _EPS[0, 1, 2] = _EPS[1, 2, 0] = _EPS[2, 0, 1] = 1.0
 _EPS[0, 2, 1] = _EPS[2, 1, 0] = _EPS[1, 0, 2] = -1.0
 
 
-def commutator_defect(reps: Irreps) -> float | np.ndarray:
+def commutator_defect(reps: Sequence[Irrep]) -> np.ndarray:
     """Largest entry of the residuals of the three commutation relations of
-    (J, K), per irrep of a stack of one dimension.
+    (J, K), one per irrep of ``reps``, in their order.
 
-    The 9 (a, b) pairs of [J, J], [J, K] and [K, K] of every member come
-    from one stacked product of the six generators, and their targets
-    i eps_abc J_c and i eps_abc K_c from one product with the Levi-Civita
-    rows, whose weights are exactly 0 or +-1. A lone irrep gives a float.
+    The 9 (a, b) pairs of [J, J], [J, K] and [K, K] of every irrep of one
+    dimension come from one stacked product of the six generators, and
+    their targets i eps_abc J_c and i eps_abc K_c from one product with the
+    Levi-Civita rows, whose weights are exactly 0 or +-1.
     """
-    stack = _stack(reps, dimension_class)
-    gens = np.stack([np.concatenate(irrep_generators(rep)) for rep in stack])
-    n, d = len(stack), stack[0].dim
-    prods = gens[:, :, None] @ gens[:, None, :]
-    # comm[r, h, a, g, b] = [G_ha, G_gb] of member r, with G_0 = J and G_1 = K
-    comm = (prods - prods.swapaxes(1, 2)).reshape(n, 2, 3, 2, 3, d, d)
-    targets = 1j * (_EPS.reshape(9, 3) @ gens.reshape(n, 2, 3, d * d))
-    target_j, target_k = np.moveaxis(targets.reshape(n, 2, 3, 3, d, d), 1, 0)
-    residuals = np.stack([comm[:, 0, :, 0] - target_j,
-                          comm[:, 0, :, 1] - target_k,
-                          comm[:, 1, :, 1] + target_j], axis=1)
-    defect = np.max(np.abs(residuals.reshape(n, -1)), axis=-1)
-    return float(defect[0]) if isinstance(reps, Irrep) else defect
+    defect = np.empty(len(reps))
+    for idx, stack in _groups(reps, lambda rep: rep.dim):
+        gens = np.stack([np.concatenate(irrep_generators(rep)) for rep in stack])
+        n, d = len(stack), stack[0].dim
+        prods = gens[:, :, None] @ gens[:, None, :]
+        # comm[r, h, a, g, b] = [G_ha, G_gb] of irrep r, G_0 = J and G_1 = K
+        comm = (prods - prods.swapaxes(1, 2)).reshape(n, 2, 3, 2, 3, d, d)
+        targets = 1j * (_EPS.reshape(9, 3) @ gens.reshape(n, 2, 3, d * d))
+        target_j, target_k = np.moveaxis(targets.reshape(n, 2, 3, 3, d, d), 1, 0)
+        residuals = np.stack([comm[:, 0, :, 0] - target_j,
+                              comm[:, 0, :, 1] - target_k,
+                              comm[:, 1, :, 1] + target_j], axis=1)
+        defect[idx] = np.max(np.abs(residuals.reshape(n, -1)), axis=-1)
+    return defect
 
 
 def casimir_value(rep: Irrep) -> float:
@@ -239,42 +217,43 @@ def factor_swap(rep: Irrep) -> np.ndarray:
     return p
 
 
-def conjugation_defect(reps: Irreps, theta: np.ndarray) -> np.ndarray:
-    """Residual of the conjugation relation between (u, v) and (v, u), per
-    irrep of a stack of one dimension and one spin u + v (leading axis) and
-    per angle 6-vector on the last axis of ``theta``.
+def conjugation_defect(reps: Sequence[Irrep], theta: np.ndarray) -> np.ndarray:
+    """Residual of the conjugation relation between (u, v) and (v, u), one
+    row per irrep of ``reps`` in their order (leading axis), per angle
+    6-vector on the last axis of ``theta``.
 
     The adjoint of D in rep (u, v) equals the inverse of D in rep (v, u)
     after the canonical reordering of the two spin factors:
     D_(u,v)(theta)^dagger = P^T D_(v,u)(theta)^{-1} P. When u or v is zero
     the permutation is the identity and the relation is the bare
-    adjoint-inverse statement. Every side of every member shares kappa and
-    the spin, so all their factors come from one ``expm`` call. A row with
-    a non-finite angle gives NaN in that row only. A lone irrep gives the
-    batch shape of ``theta``.
+    adjoint-inverse statement. Irreps of one dimension and one spin u + v
+    share kappa, the spin and the matrix size, so both sides of all of them
+    come from one ``expm`` call. A row with a non-finite angle gives NaN in
+    that row only.
     """
-    stack = _stack(reps, conjugation_class)
-    conjugates = tuple(rep.conjugate for rep in stack)
-    # one exponent per irrep: a member's conjugate is a member of its class
-    m = {}
-    for rep in dict.fromkeys(stack + conjugates):
-        m[rep], kappa = factor_exponents(theta, _generator_halves(rep))
-    n = len(stack)
-    exponents = np.stack([e for rep, conj in zip(stack, conjugates)
-                          for e in (-1j * m[rep], 1j * m[conj])])
-    # (member, side, *batch, factor, d, d); kappa takes the exponents' batch
-    # shape: at spin 0 expm returns exp(0) I on kappa's shape alone
-    exponents = exponents.reshape((n, 2) + exponents.shape[1:])
-    kappa = np.broadcast_to(kappa, exponents.shape[:-2])
-    factors = expm(exponents, kappa, stack[0].u + stack[0].v)
-    d_uv = _chart_product(factors[:, 0], inverse=False)
-    d_vu_inv = _chart_product(factors[:, 1], inverse=True)
-    p = np.stack([factor_swap(rep) for rep in stack])
-    p = p.reshape(p.shape[:1] + (1,) * (d_uv.ndim - 3) + p.shape[1:])
-    defect = np.max(np.abs(d_uv.conj().swapaxes(-1, -2)
-                           - p.swapaxes(-1, -2) @ d_vu_inv @ p),
-                    axis=(-2, -1))
-    return defect[0] if isinstance(reps, Irrep) else defect
+    defect = np.empty((len(reps),) + np.shape(theta)[:-1])
+    for idx, stack in _groups(reps, lambda rep: (rep.dim, rep.u + rep.v)):
+        conjugates = tuple(rep.conjugate for rep in stack)
+        # one exponent per distinct irrep and conjugate
+        m = {}
+        for rep in dict.fromkeys(stack + conjugates):
+            m[rep], kappa = factor_exponents(theta, _generator_halves(rep))
+        n = len(stack)
+        exponents = np.stack([e for rep, conj in zip(stack, conjugates)
+                              for e in (-1j * m[rep], 1j * m[conj])])
+        # (member, side, *batch, factor, d, d); kappa takes the exponents'
+        # batch shape: at spin 0 expm returns exp(0) I on kappa's shape alone
+        exponents = exponents.reshape((n, 2) + exponents.shape[1:])
+        kappa = np.broadcast_to(kappa, exponents.shape[:-2])
+        factors = expm(exponents, kappa, stack[0].u + stack[0].v)
+        d_uv = _chart_product(factors[:, 0], inverse=False)
+        d_vu_inv = _chart_product(factors[:, 1], inverse=True)
+        p = np.stack([factor_swap(rep) for rep in stack])
+        p = p.reshape(p.shape[:1] + (1,) * (d_uv.ndim - 3) + p.shape[1:])
+        defect[idx] = np.max(np.abs(d_uv.conj().swapaxes(-1, -2)
+                                    - p.swapaxes(-1, -2) @ d_vu_inv @ p),
+                             axis=(-2, -1))
+    return defect
 
 
 def vector_intertwiner() -> tuple[np.ndarray, float]:
@@ -308,12 +287,12 @@ def vector_intertwiner() -> tuple[np.ndarray, float]:
 # ---------------------------------------------------------------------------
 
 
-def angular_laplacian_check(reps: Irreps, theta: np.ndarray, a: float
-                            ) -> np.ndarray | tuple[np.ndarray, ...]:
+def angular_laplacian_check(reps: Sequence[Irrep], theta: np.ndarray,
+                            a: float) -> tuple[np.ndarray, ...]:
     """Laplace-Beltrami operator of the group block applied to D(Lambda)^{-1},
-    per irrep of a stack.
+    one ratio per irrep of ``reps``, in their order.
 
-    Returns the matrix ratio (Delta D^{-1})(theta) (D^{-1}(theta))^{-1},
+    Returns the matrix ratios (Delta D^{-1})(theta) (D^{-1}(theta))^{-1},
     computed entirely by nested finite differences of the chart metric and
     the representation matrices. For every irrep this must be the constant
     matrix -(casimir / a^2) I, independent of theta: the group-invariant
@@ -322,21 +301,19 @@ def angular_laplacian_check(reps: Irreps, theta: np.ndarray, a: float
     normalization, and the representation conventions. The outer divergence
     steps by 1e-2, the inner gradient by 1e-3.
 
-    The members' flattened D^{-1} share one stencil pass, one metric inverse
-    and sqrt g; a stack gives a tuple of ratios, a lone irrep its ratio.
+    The irreps' flattened D^{-1} share one stencil pass, one metric inverse
+    and sqrt g.
     """
     theta = np.asarray(theta, dtype=float)
-    stack = _stack(reps, None)
 
     def d_inverse(t):
         return np.concatenate([d_matrix_inverse(rep, t).reshape(
-            t.shape[:-1] + (rep.dim ** 2,)) for rep in stack], axis=-1)
+            t.shape[:-1] + (rep.dim ** 2,)) for rep in reps], axis=-1)
 
     lap = laplace_beltrami(GroupMetric(a), d_inverse, theta, h=1e-2,
                            h_inner=1e-3)
-    ends = np.cumsum([rep.dim ** 2 for rep in stack])[:-1]
-    ratios = tuple(
+    ends = np.cumsum([rep.dim ** 2 for rep in reps])[:-1]
+    return tuple(
         np.ascontiguousarray(part).reshape(theta.shape[:-1] + (rep.dim,) * 2)
         @ d_matrix(rep, theta)
-        for rep, part in zip(stack, np.split(lap, ends, axis=-1)))
-    return ratios[0] if isinstance(reps, Irrep) else ratios
+        for rep, part in zip(reps, np.split(lap, ends, axis=-1)))

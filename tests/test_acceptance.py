@@ -132,13 +132,13 @@ def test_criterion_representations():
                     np.max(np.abs(k[a] @ k[b] - k[b] @ k[a] + tj))])
         for theta in thetas:
             conj_worst = np.maximum(conj_worst,
-                                    conjugation_defect(rep, theta))
+                                    np.max(conjugation_defect([rep], theta)))
 
     casimir_worst = 0.0
     for rep in (Irrep(0, 0.5), Irrep(0.5, 0.5)):
         expected = -casimir_value(rep)
         for theta in thetas:
-            ratio = angular_laplacian_check(rep, theta, a=1.0)
+            (ratio,) = angular_laplacian_check([rep], theta, a=1.0)
             dev = float(np.max(np.abs(ratio - expected * np.eye(rep.dim))))
             casimir_worst = np.maximum(casimir_worst, dev / abs(expected))
     wall = time.perf_counter() - start
@@ -278,7 +278,8 @@ def _nan_top_spinor(with_counterterm):
     ("representations", "irrep_generators", _nan_generators),
     ("representations", "conjugation_defect", lambda *a, **k: NAN),
     ("representations", "angular_laplacian_check",
-     lambda rep, *a, **k: np.full((rep.dim, rep.dim), NAN)),
+     lambda reps, *a, **k: tuple(np.full((rep.dim, rep.dim), NAN)
+                                 for rep in reps)),
     ("squared_dirac", "top_spinor_matrix", _nan_top_spinor(False)),
     ("squared_dirac", "top_spinor_matrix", _nan_top_spinor(True)),
 ], ids=["curvature", "weyl_forms", "free_defect", "control_defect",

@@ -498,6 +498,16 @@ def test_spectrum_bad_rep_label():
     assert main(["spectrum", "--rep", "0.3,7"]) == 2
 
 
+def test_spectrum_rep_near_a_half_integer_is_that_irrep(capsys):
+    # a label within 1e-12 of (1/2,0) is (1/2,0): u, casimir and m2 too
+    records = []
+    for label in ("0.5000000000004,0", "1/2,0"):
+        assert main(["spectrum", "--rep", label]) == 0
+        records.append(json.loads(capsys.readouterr().out)["payload"]["records"])
+    assert records[0] == records[1]
+    assert (records[0][0]["u"], records[0][0]["casimir"]) == (0.5, 1.5)
+
+
 def test_spectrum_takes_a_or_mass_not_both(tmp_path, capsys):
     # the scale comes from one of them; the other would be dropped unread
     assert main(["spectrum", "--a", "2", "--mass", "3"]) == 2
@@ -540,9 +550,8 @@ def test_spectrum_extreme_scales_give_null_records(argv, null_m2, capsys):
 
 
 def test_nan_conjugation_draw_fails_verify_reps(monkeypatch, capsys):
-    # verify-reps hands every draw to conjugation_defect in one stack per
-    # class of irreps; a NaN in one draw's row must fail its check, neither
-    # pass nor exit 3
+    # verify-reps hands every draw to conjugation_defect with every irrep;
+    # a NaN in one draw's row must fail its check, neither pass nor exit 3
     conjugation_defect = cli.conjugation_defect
 
     def nan_in_second_draw(reps, thetas):
@@ -571,8 +580,8 @@ def test_verify_reps_hands_over_draws_in_bounded_chunks(monkeypatch, capsys):
         monkeypatch.setattr(cli, name, recorded)
     chunk = cli.REPS_CHUNK
     argv = ["verify-reps", "--n-draws", str(2 * chunk + 1)]
-    # one shared Casimir pass, one conjugation stack per dimension and spin
-    n_calls = 1 + 13
+    # one shared Casimir pass, one conjugation call over every irrep
+    n_calls = 1 + 1
 
     def values():
         assert main(argv) == 0

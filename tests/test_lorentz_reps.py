@@ -15,13 +15,11 @@ from aqm_lab.config_space import (
     lorentz_from_angles,
 )
 from aqm_lab.geometry import laplace_beltrami
+from aqm_lab import lorentz_reps
 from aqm_lab.lorentz_reps import (
     Irrep,
     _chart_product,
     _generator_halves,
-    conjugation_class,
-    dimension_class,
-    irrep_classes,
     angular_laplacian_check,
     casimir_value,
     commutator_defect,
@@ -119,6 +117,15 @@ def test_irrep_validation_and_labels():
         Irrep(-0.5, 0.0)
 
 
+def test_irrep_stores_the_half_integers_it_accepts():
+    # within the 1e-12 acceptance of a half-integer, the label is the irrep
+    near, exact = Irrep(0.5 + 4e-13, 1 - 4e-13), Irrep(0.5, 1)
+    assert (near.u, near.v) == (0.5, 1.0)
+    assert near == exact and hash(near) == hash(exact)
+    assert near.label() == "(1/2,1)"
+    assert commutator_defect([near, exact])[0] == commutator_defect([exact])[0]
+
+
 def test_su2_golden_half():
     j = su2_generators(0.5)
     assert np.max(np.abs(j - SIGMA / 2.0)) < 1e-15
@@ -165,17 +172,18 @@ def commutator_residuals_reference(rep: Irrep) -> list[np.ndarray]:
 
 
 def test_commutators_all_small_reps():
-    for rep in reps_up_to_dim(9):
+    reps = reps_up_to_dim(9)
+    for rep in reps:
         for residual in commutator_residuals_reference(rep):
             assert np.max(np.abs(residual)) < 1e-12
-        assert commutator_defect(rep) < 1e-12
+    assert np.all(commutator_defect(reps) < 1e-12)
 
 
 @pytest.mark.parametrize("rep", reps_up_to_dim(9) + [Irrep(1.5, 1.5), Irrep(2, 1)],
                          ids=Irrep.label)
 def test_commutator_defect_equals_per_pair_loop(rep):
     reference = np.max(np.abs(commutator_residuals_reference(rep)))
-    assert commutator_defect(rep) == reference
+    assert commutator_defect([rep])[0] == reference
 
 
 def test_casimir_is_scalar_matrix():
@@ -373,12 +381,18 @@ def test_factor_swap_matches_double_loop_and_is_cached_read_only():
             p[0, 0] = 2.0
 
 
+# every class of one dimension and one spin u + v, interleaved, with one
+# irrep twice: the grouped checks put each row back in the order given
+SHUFFLED_REPS = [(reps_up_to_dim(9) + [Irrep(1.5, 1.5), Irrep(2, 1),
+                                       Irrep(1, 0.5)])[i]
+                 for i in np.random.default_rng(33).permutation(26)]
+
+
 def test_conjugation_relation_across_reps():
     rng = np.random.default_rng(23)
     thetas = [rng.uniform(-1.0, 1.0, 6) for _ in range(3)]
-    for rep in reps_up_to_dim(9):
-        for theta in thetas:
-            assert conjugation_defect(rep, theta) < 1e-10
+    for theta in thetas:
+        assert np.all(conjugation_defect(reps_up_to_dim(9), theta) < 1e-10)
 
 
 def conjugation_defect_reference(rep: Irrep, theta: np.ndarray) -> float:
@@ -398,9 +412,9 @@ def test_conjugation_defect_equals_per_angle_reference(scale, shape):
     thetas = scale * np.random.default_rng(28).uniform(-1.2, 1.2, shape + (6,))
     reps = reps_up_to_dim(9)
     assert {Irrep(0, 0), Irrep(0, 0.5), Irrep(0.5, 0)} <= set(reps)
-    for rep in reps:
-        defect = conjugation_defect(rep, thetas)
-        assert np.shape(defect) == shape
+    defects = conjugation_defect(reps, thetas)
+    assert defects.shape == (len(reps),) + shape
+    for rep, defect in zip(reps, defects):
         for idx in np.ndindex(shape):
             assert defect[idx] == conjugation_defect_reference(rep, thetas[idx])
 
@@ -409,10 +423,10 @@ def test_conjugation_defect_is_nan_in_non_finite_rows_only():
     thetas = np.random.default_rng(29).uniform(-1.2, 1.2, (5, 6))
     thetas[1, 4] = np.nan
     thetas[3, 0] = np.inf
-    for rep in reps_up_to_dim(9):
-        with np.errstate(all="ignore"):
-            defect = conjugation_defect(rep, thetas)
-        assert np.isnan(defect[[1, 3]]).all()
+    with np.errstate(all="ignore"):
+        defects = conjugation_defect(SHUFFLED_REPS, thetas)
+    for rep, defect in zip(SHUFFLED_REPS, defects):
+        assert np.isnan(defect[[1, 3]]).all(), rep.label()
         for row in (0, 2, 4):
             assert defect[row] == conjugation_defect_reference(rep, thetas[row])
 
@@ -496,7 +510,7 @@ def test_vector_intertwiner_algebra_level():
 def test_angular_laplacian_casimir_smallest_spinor():
     theta = np.array([0.3, -0.2, 0.5, 0.1, -0.4, 0.2])
     rep = Irrep(0, 0.5)
-    ratio = angular_laplacian_check(rep, theta, a=1.0)
+    (ratio,) = angular_laplacian_check([rep], theta, a=1.0)
     expected = -casimir_value(rep) * np.eye(2)
     assert np.max(np.abs(ratio - expected)) < 1e-5
 
@@ -505,15 +519,15 @@ def test_angular_laplacian_casimir_vector_rep_scaled():
     theta = np.array([-0.4, 0.2, 0.1, 0.3, 0.2, -0.1])
     rep = Irrep(0.5, 0.5)
     a = 2.0
-    ratio = angular_laplacian_check(rep, theta, a=a)
+    (ratio,) = angular_laplacian_check([rep], theta, a=a)
     expected = -casimir_value(rep) / a ** 2 * np.eye(4)
     assert np.max(np.abs(ratio - expected)) < 1e-5
 
 
 def test_angular_laplacian_separates_reps():
     theta = np.array([0.2, 0.4, -0.3, -0.2, 0.1, 0.5])
-    v1 = angular_laplacian_check(Irrep(0, 0.5), theta, a=1.0)[0, 0]
-    v2 = angular_laplacian_check(Irrep(0.5, 0.5), theta, a=1.0)[0, 0]
+    v1, v2 = (ratio[0, 0] for ratio in angular_laplacian_check(
+        [Irrep(0, 0.5), Irrep(0.5, 0.5)], theta, a=1.0))
     assert abs(v1 - v2) > 1.0
 
 
@@ -522,31 +536,22 @@ def test_angular_laplacian_separates_reps():
 def test_angular_laplacian_batch_equals_per_angle_calls(seed, n_angles):
     thetas = np.random.default_rng(seed).uniform(-1.2, 1.2, (n_angles, 6))
     for rep in (Irrep(0, 0.5), Irrep(0.5, 0.5)):
-        batch = angular_laplacian_check(rep, thetas, a=1.5)
+        (batch,) = angular_laplacian_check([rep], thetas, a=1.5)
         assert batch.shape == (n_angles, rep.dim, rep.dim)
         for theta, ratio in zip(thetas, batch):
-            single = angular_laplacian_check(rep, theta, a=1.5)
+            (single,) = angular_laplacian_check([rep], theta, a=1.5)
             assert np.array_equal(ratio, single)
 
 
 # ---------------------------------------------------------------------------
-# irrep classes: each stacked check against its per-irrep form
+# grouped checks: each row of a list of irreps against its per-irrep form
 # ---------------------------------------------------------------------------
-
-
-CLASS_REPS = reps_up_to_dim(9) + [Irrep(1.5, 1.5), Irrep(2, 1)]
-DIMENSION_CLASSES = irrep_classes(CLASS_REPS, dimension_class)
-CONJUGATION_CLASSES = irrep_classes(CLASS_REPS, conjugation_class)
-
-
-def class_id(cls: tuple[Irrep, ...]) -> str:
-    return "+".join(rep.label() for rep in cls)
 
 
 def commutator_defect_per_irrep(rep: Irrep) -> float:
     """One irrep's commutator defect from one stacked product of its six
     generators and an ``einsum`` for the targets: the reference of the
-    class form."""
+    grouped form."""
     j, k = irrep_generators(rep)
     gens = np.concatenate([j, k])
     d = gens.shape[-1]
@@ -562,7 +567,7 @@ def commutator_defect_per_irrep(rep: Irrep) -> float:
 
 def conjugation_defect_per_irrep(rep: Irrep, theta: np.ndarray) -> np.ndarray:
     """One irrep's conjugation defect from one ``expm`` call of its own four
-    factors: the reference of the class form."""
+    factors: the reference of the grouped form."""
     m_uv, kappa = factor_exponents(theta, _generator_halves(rep))
     m_vu, _ = factor_exponents(theta, _generator_halves(rep.conjugate))
     exponents = np.stack([-1j * m_uv, 1j * m_vu], axis=-4)
@@ -584,72 +589,36 @@ def angular_laplacian_per_irrep(rep: Irrep, theta: np.ndarray,
     return lap @ d_matrix(rep, theta)
 
 
-def test_classes_of_the_checked_irreps():
-    reps = reps_up_to_dim(9)
-    assert len(irrep_classes(reps, dimension_class)) == 9
-    conjugation = irrep_classes(reps, conjugation_class)
-    assert len(conjugation) == 13
-    # a class holds the conjugate of each member
-    for cls in conjugation:
-        assert {rep.conjugate for rep in cls} == set(cls)
-
-
-@pytest.mark.parametrize("cls", DIMENSION_CLASSES, ids=class_id)
-def test_commutator_class_equals_per_irrep_form(cls):
-    defects = commutator_defect(cls)
-    assert defects.shape == (len(cls),)
-    for rep, defect in zip(cls, defects):
-        reference = commutator_defect_per_irrep(rep)
-        assert defect == reference
-        assert commutator_defect(rep) == reference
-        assert isinstance(commutator_defect(rep), float)
+def test_classes_of_the_checked_irreps(monkeypatch):
+    # one expm call per class of one dimension and one spin u + v: 13 for
+    # the 23 checked irreps, and a repeated or reordered irrep joins its class
+    calls = []
+    monkeypatch.setattr(lorentz_reps, "expm",
+                        lambda *args: calls.append(args) or chart_expm(*args))
+    theta = np.zeros(6)
+    conjugation_defect(reps_up_to_dim(9), theta)
+    assert len(calls) == 13
+    calls.clear()
+    conjugation_defect(reps_up_to_dim(9)[::-1] + reps_up_to_dim(9), theta)
+    assert len(calls) == 13
 
 
 @pytest.mark.parametrize("shape", [(), (5,), (2, 3)], ids=str)
 @pytest.mark.parametrize("scale", [1.0, 1e-9, 0.0])
-def test_conjugation_class_equals_per_irrep_form(scale, shape):
+def test_shuffled_irreps_equal_per_irrep_forms(scale, shape):
     # scale 1e-9 puts both factors below SERIES_CUTOFF; 0 is theta = 0;
     # the spin-0 class broadcasts kappa onto the exponents
-    assert (Irrep(0, 0),) in CONJUGATION_CLASSES
     thetas = scale * np.random.default_rng(30).uniform(-1.2, 1.2, shape + (6,))
-    for cls in CONJUGATION_CLASSES:
-        defects = conjugation_defect(cls, thetas)
-        assert defects.shape == (len(cls),) + shape
-        for rep, defect in zip(cls, defects):
-            reference = conjugation_defect_per_irrep(rep, thetas)
-            assert np.array_equal(defect, reference), rep.label()
-            assert np.array_equal(conjugation_defect(rep, thetas), reference)
-
-
-@pytest.mark.parametrize("cls", CONJUGATION_CLASSES, ids=class_id)
-def test_conjugation_class_is_nan_in_non_finite_rows_only(cls):
-    thetas = np.random.default_rng(31).uniform(-1.2, 1.2, (5, 6))
-    thetas[1, 4] = np.nan
-    thetas[3, 0] = np.inf
-    with np.errstate(all="ignore"):
-        defects = conjugation_defect(cls, thetas)
-    for rep, defect in zip(cls, defects):
-        assert np.isnan(defect[[1, 3]]).all(), rep.label()
-        for row in (0, 2, 4):
-            assert defect[row] == conjugation_defect_per_irrep(rep,
-                                                               thetas[row])
-
-
-def test_mixed_class_raises():
-    theta = np.zeros(6)
-    # one dimension, two spins: (0,3/2) has spin 3/2, (1/2,1/2) spin 1
-    with pytest.raises(ValueError, match="not one class"):
-        conjugation_defect((Irrep(0, 1.5), Irrep(0.5, 0.5)), theta)
-    with pytest.raises(ValueError, match="not one class"):
-        conjugation_defect((Irrep(0, 0.5), Irrep(0, 1)), theta)
-    with pytest.raises(ValueError, match="not one class"):
-        commutator_defect((Irrep(0, 0.5), Irrep(0.5, 0.5)))
-    with pytest.raises(ValueError, match="not one class"):
-        commutator_defect(())
-    with pytest.raises(ValueError, match="not one class"):
-        conjugation_defect((), theta)
-    with pytest.raises(ValueError, match="not one class"):
-        angular_laplacian_check((), theta, a=1.0)
+    commutators = commutator_defect(SHUFFLED_REPS)
+    conjugations = conjugation_defect(SHUFFLED_REPS, thetas)
+    assert commutators.shape == (len(SHUFFLED_REPS),)
+    assert conjugations.shape == (len(SHUFFLED_REPS),) + shape
+    for rep, commutator, conjugation in zip(SHUFFLED_REPS, commutators,
+                                            conjugations):
+        assert commutator == commutator_defect_per_irrep(rep), rep.label()
+        assert np.array_equal(conjugation,
+                              conjugation_defect_per_irrep(rep, thetas)), \
+            rep.label()
 
 
 @pytest.mark.parametrize("shape", [(), (3,), (2, 2)], ids=str)
@@ -659,7 +628,7 @@ def test_shared_laplacian_pass_equals_single_irrep_calls(shape):
     assert isinstance(ratios, tuple) and len(ratios) == len(CASIMIR_REPS)
     for rep, ratio in zip(CASIMIR_REPS, ratios):
         assert ratio.shape == shape + (rep.dim, rep.dim)
-        single = angular_laplacian_check(rep, thetas, a=1.5)
+        (single,) = angular_laplacian_check([rep], thetas, a=1.5)
         assert np.array_equal(ratio, single)
         assert np.array_equal(
             ratio, angular_laplacian_per_irrep(rep, thetas, a=1.5))

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -81,12 +82,42 @@ def test_payload_digests_all_runs_every_verb_and_both_trace_formats(tmp_path):
 def test_surface_counts_lines_knobs_and_cli_flags():
     proc = subprocess.run([sys.executable, str(TOOLS / "surface.py")],
                           capture_output=True, text=True, check=True)
-    rows = dict(line.split() for line in proc.stdout.splitlines())
+    rows = {name: [int(n) for n in counts] for name, *counts in
+            map(str.split, proc.stdout.splitlines())}
     modules = [p.stem for p in (ROOT / "src" / "aqm_lab").glob("*.py")]
     assert list(rows) == sorted(modules) + ["total", "knobs", "flags"]
-    assert int(rows["total"]) == sum(int(rows[m]) for m in modules)
-    assert int(rows["knobs"]) > 0
-    assert int(rows["flags"]) == sum(len(v.params) for v in VERBS.values())
+    # per module and in total: non-blank lines, then public names
+    assert rows["total"] == [sum(rows[m][k] for m in modules) for k in (0, 1)]
+    assert rows["knobs"][0] > 0
+    assert rows["flags"] == [sum(len(v.params) for v in VERBS.values())]
+    spec = importlib.util.spec_from_file_location("surface",
+                                                  TOOLS / "surface.py")
+    surface = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(surface)
+    source = """
+import numpy as np
+from .fd import derivative_stack
+LIMIT = 3
+LIMIT = 4
+typed: int = 1
+_private = 2
+_EPS[0] = 1.0
+def public(x):
+    inner = x
+    return inner
+def _helper():
+    pass
+async def waits():
+    pass
+class Shape:
+    dim = 6
+    def method(self):
+        pass
+class _Hidden:
+    pass
+"""
+    assert surface.public_names(source) == {"LIMIT", "typed", "public",
+                                            "waits", "Shape"}
 
 
 def test_payload_digests_all_runs_trace_at_two_draws_at_least(tmp_path):

@@ -1,13 +1,17 @@
-"""Size of the package's surface: source lines, knobs and CLI flags.
+"""Size of the package's surface: source lines, public names, knobs and CLI
+flags.
 
-Prints the non-blank lines of every module under ``src/aqm_lab`` and their
-total, then the knob count: the defaulted parameters of every function and
-method (lambdas excluded), plus the field defaults of dataclasses, in every
-module except ``cli``, ``report`` and ``__init__``. Class attributes of
-classes that are not dataclasses (``MetricField.dim``) are not knobs. The
-CLI's surface is its flags instead: last comes the number of parameters of
-every verb in ``cli.VERBS``, summed over the verbs (each verb's
-``--config`` not counted). That imports the package from SRC_DIR.
+Prints the non-blank lines and the public names of every module under
+``src/aqm_lab``, and the totals of both: a public name is a module-level
+function, class or assigned name without a leading underscore (imports are
+not counted). Then comes the knob count: the defaulted parameters of every
+function and method (lambdas excluded), plus the field defaults of
+dataclasses, in every module except ``cli``, ``report`` and
+``__init__``. Class attributes of classes that are not dataclasses
+(``MetricField.dim``) are not knobs. The CLI's surface is its flags
+instead: last comes the number of parameters of every verb in
+``cli.VERBS``, summed over the verbs (each verb's ``--config`` not
+counted). That imports the package from SRC_DIR.
 
     python tools/surface.py [SRC_DIR]
 """
@@ -26,6 +30,21 @@ NO_KNOBS = frozenset({"cli", "report", "__init__"})
 
 def non_blank_lines(path: Path) -> int:
     return sum(1 for line in path.read_text().splitlines() if line.strip())
+
+
+def public_names(source: str) -> set[str]:
+    """The module-level functions, classes and assigned names of a module's
+    source that do not start with an underscore."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -80,14 +99,16 @@ def cli_flags(src: Path) -> int:
 def main(argv: list[str]) -> int:
     src = Path(argv[0]) if argv else DEFAULT_SRC
     modules = sorted(src.glob("*.py"))
-    total_lines = total_knobs = 0
+    total_lines = total_names = total_knobs = 0
     for path in modules:
-        lines = non_blank_lines(path)
+        source = path.read_text()
+        lines, names = non_blank_lines(path), len(public_names(source))
         total_lines += lines
-        print(f"{path.stem:<14}{lines:>6}")
+        total_names += names
+        print(f"{path.stem:<14}{lines:>6}{names:>6}")
         if path.stem not in NO_KNOBS:
-            total_knobs += knobs(path.read_text())
-    print(f"{'total':<14}{total_lines:>6}")
+            total_knobs += knobs(source)
+    print(f"{'total':<14}{total_lines:>6}{total_names:>6}")
     print(f"{'knobs':<14}{total_knobs:>6}")
     print(f"{'flags':<14}{cli_flags(src):>6}")
     return 0
