@@ -157,7 +157,7 @@ def _rep_labels(v):
         raise TypeError(v)
     for label in labels:
         _parse_rep(label)
-    return v
+    return labels
 
 
 REAL = Kind(float, _finite, "a finite number")
@@ -475,8 +475,7 @@ def _run_trace(cfg: dict, rng: np.random.Generator):
 
 def _run_spectrum(cfg: dict, rng: np.random.Generator):
     if cfg["rep"] is not None:
-        labels = cfg["rep"] if isinstance(cfg["rep"], list) else [cfg["rep"]]
-        reps = [_parse_rep(lbl) for lbl in labels]
+        reps = [_parse_rep(lbl) for lbl in cfg["rep"]]
     else:
         reps = reps_up_to_dim(9)
     # --a and --mass exclude each other; with neither, a = 1

@@ -173,18 +173,19 @@ def transport_check(fields: WaveInputs, em: EMConfig, metric: TopMetric,
     Cross-sections are equally spaced parameter steps shared by all
     trajectories; the flux through a section is the bundle average of the
     current magnitude. All sections go in one call, as one batch of shape
-    (n_sections, n_traj, 10). Truncated trajectories shorten the shared
-    range and are counted, not failed; a trajectory stopped at its start
-    point leaves no range to drift over, and the flux drift is NaN. Worst
-    cases use np.max, so a NaN divergence or flux propagates instead of
-    being dropped by the builtin max.
+    (n_sections, n_traj, 10); the divergence comes back with the axis of
+    its one config, which is dropped here. Truncated trajectories shorten
+    the shared range and are counted, not failed; a trajectory stopped at
+    its start point leaves no range to drift over, and the flux drift is
+    NaN. Worst cases use np.max, so a NaN divergence or flux propagates
+    instead of being dropped by the builtin max.
     """
     n_common = int(np.min(bundle.n_samples))
     n = min(n_sections, n_common)  # more samples give the same index set
     idx = np.unique(np.linspace(0, n_common - 1, n).astype(int))
     sections = bundle.points[idx]
     fluxes = np.mean(flux_density(fields, em, metric, sections, h=h), axis=-1)
-    divergences = divergence_residual(fields, em, metric, sections, h)
+    divergences = divergence_residual(fields, em, metric, sections, h)[..., 0]
     drift = np.max(np.abs(fluxes - fluxes[0])) / abs(fluxes[0]) \
         if n_common > 1 else np.nan
     return TransportReport(

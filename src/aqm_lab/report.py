@@ -123,8 +123,8 @@ def _plain(obj):
     return obj
 
 
-def dump_report(report: dict, out=None) -> None:
-    """Write a report as JSON to a path or a file object (default stdout)."""
+def dump_report(report: dict, out: str | None = None) -> None:
+    """Write a report as JSON to a path, or stdout."""
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     _write_text(text + "\n", out)
 
@@ -171,7 +171,9 @@ def trajectory_table(bundle, ds: float) -> tuple[list[str], list[list]]:
     return TRAJECTORY_COLUMNS, rows
 
 
-def write_csv(columns: list[str], rows: list[list], out=None) -> None:
+def write_csv(columns: list[str], rows: list[list],
+              out: str | None = None) -> None:
+    """Write a CSV table, a header row and its rows, to a path, or stdout."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -179,11 +181,9 @@ def write_csv(columns: list[str], rows: list[list], out=None) -> None:
     _write_text(buf.getvalue(), out)
 
 
-def _write_text(text: str, out) -> None:
+def _write_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    elif hasattr(out, "write"):
-        out.write(text)
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)

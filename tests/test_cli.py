@@ -508,6 +508,24 @@ def test_spectrum_rep_near_a_half_integer_is_that_irrep(capsys):
     assert (records[0][0]["u"], records[0][0]["casimir"]) == (0.5, 1.5)
 
 
+def test_spectrum_one_rep_label_has_one_payload(tmp_path):
+    # a lone label is the list of one, as a flag, a config string or a
+    # config list: the same run, byte for byte the same payload
+    payloads = []
+    for i, file_rep in enumerate((None, "1/2,0", ["1/2,0"])):
+        argv = ["--rep", "1/2,0"]
+        if file_rep is not None:
+            cfg = tmp_path / f"cfg{i}.json"
+            cfg.write_text(json.dumps({"rep": file_rep}))
+            argv = ["--config", str(cfg)]
+        out = tmp_path / f"report{i}.json"
+        assert main(["spectrum", *argv, "--out", str(out)]) == 0
+        payloads.append(json.dumps(json.loads(out.read_text())["payload"],
+                                   sort_keys=True))
+    assert payloads[0] == payloads[1] == payloads[2]
+    assert json.loads(payloads[0])["config"]["rep"] == ["1/2,0"]
+
+
 def test_spectrum_takes_a_or_mass_not_both(tmp_path, capsys):
     # the scale comes from one of them; the other would be dropped unread
     assert main(["spectrum", "--a", "2", "--mass", "3"]) == 2

@@ -542,7 +542,7 @@ def test_transport_check_evaluates_each_section_once(monkeypatch):
         assert {name: len(out) for name, out in calls.items()} \
             == {"divergence_residual": 1, "flux_density": 1}
         (divergences,) = calls["divergence_residual"]
-        assert divergences.shape == (5, 4)
+        assert divergences.shape == (5, 4, 1)
         for i, section in enumerate(points):
             flux = np.mean(real["flux_density"](fields, em, METRIC, section,
                                                 h=1e-3))

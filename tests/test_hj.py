@@ -271,15 +271,16 @@ def test_linearization_coupling_array_matches_scalar_calls(seed, em):
     couplings = (conformal_coupling(10) ** 2, 0.25, 0.0)
     defects, hj_res, div_res = linearization_check(fields, em, metric, q,
                                                    r_scalar=r, xi2=couplings)
-    assert defects.shape == hj_res.shape == (3,)
+    assert defects.shape == hj_res.shape == (1, 3)
     for k, xi2 in enumerate(couplings):
         defect, hj_k, div_k = linearization_check(fields, em, metric, q,
                                                   r_scalar=r, xi2=xi2)
-        assert np.array_equal(defects[k], defect)
-        assert np.array_equal(hj_res[k], hj_k) and div_res == div_k
+        assert np.array_equal(defects[:, k], defect[:, 0])
+        assert np.array_equal(hj_res[:, k], hj_k[:, 0]) \
+            and np.array_equal(div_res, div_k)
     # the default coupling is the conformal one
-    assert linearization_check(fields, em, metric, q, r_scalar=r) \
-        == (complex(defects[0]), float(hj_res[0]), div_res)
+    assert _bits(linearization_check(fields, em, metric, q, r_scalar=r)) \
+        == _bits((defects[:, :1], hj_res[:, :1], div_res))
 
 
 def _em_stack(rng):
@@ -299,7 +300,6 @@ def test_stacked_configs_match_one_call_per_config(seed, xi2):
     rng, metric, fields, q = _setup(seed)
     ems = _em_stack(rng)
     r = metric.riemann_scalar()
-    couplings = np.shape(xi2)
     xi2s = np.atleast_1d(xi2)
     # three points and three configs: a mix-up of the point and config axes
     # would broadcast without an error (R_W, and so hj_residual, takes one
@@ -310,12 +310,12 @@ def test_stacked_configs_match_one_call_per_config(seed, xi2):
 
     defects, hj_res, div_res = linearization_check(fields, ems, metric, q,
                                                    r_scalar=r, xi2=xi2)
-    assert defects.shape == hj_res.shape == (3,) + couplings
+    assert defects.shape == hj_res.shape == (3, len(xi2s))
     assert div_res.shape == (3,)
     hj_stack = hj_residual(fields, ems, metric, q, r, xi2s, 1e-3)
     w_stack = wave_operator(psi, ems, metric, q, psi(q), xi2s, r, 1e-3)
     assert hj_stack.shape == w_stack.shape == (3, len(xi2s))
-    assert np.array_equal(hj_res, hj_stack.reshape(hj_res.shape))
+    assert np.array_equal(hj_res, hj_stack)
     w_batch = wave_operator(psi, ems, metric, batch, psi(batch), xi2s, r,
                             1e-3)
     assert w_batch.shape == (3, 3, len(xi2s))
@@ -327,8 +327,8 @@ def test_stacked_configs_match_one_call_per_config(seed, xi2):
     for k, em in enumerate(ems):
         defect, hj_k, div_k = linearization_check(fields, em, metric, q,
                                                   r_scalar=r, xi2=xi2)
-        assert np.array_equal(defects[k], defect)
-        assert np.array_equal(hj_res[k], hj_k) and div_res[k] == div_k
+        assert np.array_equal(defects[k], defect[0])
+        assert np.array_equal(hj_res[k], hj_k[0]) and div_res[k] == div_k[0]
         hj_one = hj_residual(fields, (em,), metric, q, r, xi2s, 1e-3)[0]
         assert np.array_equal(hj_stack[k], hj_one)
         norm2 = raised_momentum(fields, em, metric, q, 1e-3)[1]
@@ -347,10 +347,31 @@ def test_stacked_configs_match_one_call_per_config(seed, xi2):
                 rtol=0.0, atol=1e-12)
         assert np.array_equal(div_stack[:, k],
                               divergence_residual(fields, em, metric, batch,
-                                                  h=1e-3))
+                                                  h=1e-3)[:, 0])
         up, norm2 = raised_momentum(fields, em, metric, batch, 1e-3)
         assert np.array_equal(up_stack[:, k], up)
         assert np.array_equal(norm2_stack[:, k], norm2)
+
+
+@pytest.mark.parametrize("batch", [(), (3,), (2, 2)])
+def test_a_lone_config_or_coupling_is_a_stack_of_one(batch):
+    # every spelling of one config and one coupling gives the stacked
+    # shapes, with the bits of the stack of one
+    rng, metric, fields, q = _setup(40)
+    em = EMConfig(*rng.normal(size=(2, 3)), kappa=rng.normal())
+    r = metric.riemann_scalar()
+    xi2 = conformal_coupling(10) ** 2
+    results = [linearization_check(fields, configs, metric, q, r_scalar=r,
+                                   **couplings)
+               for configs in (em, (em,))
+               for couplings in ({"xi2": xi2}, {"xi2": (xi2,)}, {})]
+    assert [np.shape(x) for x in results[0]] == [(1, 1), (1, 1), (1,)]
+    assert all(_bits(result) == _bits(results[0]) for result in results)
+    points = q + 0.01 * rng.uniform(-1.0, 1.0, batch + (10,))
+    lone = divergence_residual(fields, em, metric, points, h=1e-3)
+    assert lone.shape == batch + (1,)
+    assert _bits((lone,)) == _bits(
+        (divergence_residual(fields, (em,), metric, points, h=1e-3),))
 
 
 def test_empty_config_tuple_is_rejected():
@@ -399,12 +420,6 @@ def _unshared_check(fields, em, metric, point, r_scalar, xi2, h=1e-3):
     div = divergence_residual(fields, ems, metric, point, h=h)
     chi_pow = np.exp((metric.dim - 2) * fields.log_chi(point))
     defect = w / psi0 - hj_res + 1j * chi_pow * div[:, None]
-    if np.ndim(xi2) == 0:
-        defect, hj_res = defect[:, 0], hj_res[:, 0]
-    if isinstance(em, EMConfig):
-        defect, hj_res, div = defect[0], hj_res[0], float(div[0])
-    if np.ndim(defect) == 0:
-        return complex(defect), float(hj_res), div
     return defect, hj_res, div
 
 
@@ -464,7 +479,7 @@ def test_each_check_evaluates_its_own_inputs():
     before = (dict(vars(first)), dict(vars(second)), dict(vars(metric)))
     results = [linearization_check(fields, em, metric, q, r_scalar=r)
                for fields in (first, second)]
-    assert results[0] != results[1]
+    assert results[0][0] != results[1][0]
     for fields, result in zip((first, second), results):
         assert _bits(result) == _bits(
             _unshared_check(fields, em, metric, q, r, 2.0 / 9.0))

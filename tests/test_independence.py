@@ -24,6 +24,13 @@ reduction share by design the symbol of Pi_mu Pi_nu on the plane wave;
 the reduced side never reaches the gamma matrices, and the Dirac side
 never reaches the spin coupling block, the Casimir value or the irrep
 generators.
+
+The Weyl scalar never reads the closed-form R: its R is the caller's
+argument or a finite-difference result. Its two forms share by design the
+Laplace-Beltrami primitive and the top metric's inverse. The Riemann
+scalar that the conformal-weight check takes of the rescaled metric is,
+as in the curvature check, a result of ``matrix`` alone: it never reaches
+the top metric's inverse, sqrt g or closed-form R, or the Killing fields.
 """
 
 from __future__ import annotations
@@ -76,6 +83,18 @@ REPRESENTATIONS = (
     Row("lorentz_reps.angular_laplacian_check",
         forbidden=("lorentz_reps.casimir_value",), shared=()),
 )
+WEYL = (
+    Row("geometry.weyl_scalar_at",
+        forbidden=("config_space.TopMetric.riemann_scalar",),
+        shared=("geometry.laplace_beltrami",
+                "config_space.TopMetric.inverse")),
+    Row("geometry.riemann_scalar_at",
+        forbidden=("config_space.TopMetric.inverse",
+                   "config_space.TopMetric.sqrt_det",
+                   "config_space.killing_vectors",
+                   "config_space.TopMetric.riemann_scalar"),
+        shared=()),
+)
 SQUARED_DIRAC = (
     Row("dirac.top_spinor_matrix",
         forbidden=("dirac.gamma_matrices", "dirac.squared_dirac_matrix"),
@@ -105,7 +124,8 @@ def _guard_rows(monkeypatch, rows) -> dict[str, set]:
     reached: dict[str, set] = {}
 
     def enter(name):
-        for side in running:
+        # the innermost side that forbids the name is the one reported
+        for side in reversed(running):
             if name in by_side[side].forbidden:
                 raise AssertionError(f"{side} reached {name}")
             reached[side].add(name)
@@ -174,7 +194,8 @@ def test_linearization_sides_reach_only_what_they_share(monkeypatch,
     ("verify-curvature", CURVATURE),
     ("verify-reps", REPRESENTATIONS),
     ("verify-dirac", SQUARED_DIRAC),
-], ids=["curvature", "representations", "squared_dirac"])
+    ("verify-weyl", WEYL),
+], ids=["curvature", "representations", "squared_dirac", "weyl"])
 def test_verb_sides_reach_only_what_they_share(monkeypatch, tmp_path, verb,
                                                rows):
     reached = _guard_rows(monkeypatch, rows)

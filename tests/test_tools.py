@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from aqm_lab.cli import VERBS, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -136,3 +138,57 @@ def test_payload_digests_all_runs_trace_at_two_draws_at_least(tmp_path):
     payload = json.loads(out.read_text())["payload"]
     expected = hashlib.sha256(json.dumps(payload, sort_keys=True).encode())
     assert runs["trace/json"] == f"seed=1 n_draws=2 exit=0 {expected.hexdigest()}"
+
+
+def test_payload_digests_margins_summarize_each_check_over_the_seeds(
+        tmp_path):
+    # per check: kind, worst value, tolerance, margin, failing seeds and
+    # whether the value is the same at every seed, against the payloads
+    out = tmp_path / "report.json"
+    for verb in ("spectrum", "verify-dirac"):
+        proc = subprocess.run(
+            [sys.executable, str(TOOLS / "payload_digests.py"), verb,
+             "--seeds", "0-1", "--margins"],
+            capture_output=True, text=True, check=True)
+        values = {}
+        for seed in (0, 1):
+            assert main([verb, "--seed", str(seed), "--out", str(out)]) == 0
+            for check in json.loads(out.read_text())["payload"]["checks"]:
+                values.setdefault(check["name"], []).append(check["value"])
+        tols = {c.name: c.tol for c in VERBS[verb].checks}
+        lines = [line.split() for line in proc.stdout.splitlines()]
+        assert [line[:2] for line in lines] == [[verb, "n_draws=default"]] \
+            * len(tols)
+        assert [line[2] for line in lines] == sorted(tols)
+        for _, _, name, kind, *columns in lines:
+            fields = dict(column.split("=") for column in columns)
+            worst = max(map(abs, values[name]))
+            assert kind == "residual"
+            assert float(fields["worst"]) == pytest.approx(worst, rel=1e-3)
+            assert float(fields["tol"]) == tols[name]
+            assert float(fields["margin"]) == (
+                pytest.approx(tols[name] / worst, rel=1e-2) if worst
+                else float("inf"))
+            assert fields["fails"] == "0/2"
+            assert fields["same"] == ("yes" if values[name][0]
+                                      == values[name][1] else "no")
+    # a floor's margin is worst over threshold, and a non-finite value in
+    # any run makes the worst nan
+    spec = importlib.util.spec_from_file_location(
+        "payload_digests", TOOLS / "payload_digests.py")
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+
+    def run(seed, floor, residual):
+        return {"label": "v", "n_draws": 1, "checks": [
+            {"name": "f", "value": floor, "expected": 0.5, "tolerance": 0.0,
+             "pass": floor >= 0.5},
+            {"name": "r", "value": residual, "expected": 0.0,
+             "tolerance": 1e-6, "pass": residual is not None}]}
+
+    assert list(digests.margins([run(0, 2.0, 1e-9), run(1, 0.25, None)],
+                                {"f"})) == [
+        "v n_draws=1 f floor worst=2.500e-01 tol=5.000e-01 margin=0.5 "
+        "fails=1/2 same=no",
+        "v n_draws=1 r residual worst=nan tol=1.000e-06 margin=nan "
+        "fails=1/2 same=no"]

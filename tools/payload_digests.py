@@ -13,13 +13,23 @@ trajectories, runs at two draws or more (the line shows the count it ran).
 Diffing the output of two checkouts is a byte-identity check of their
 payloads. ``--values`` appends every check's ``name=value`` from the JSON
 payload, the value in repr (a CSV report has none), so that where the bits
-move the diff shows by how much:
+move the diff shows by how much.
+
+``--margins`` prints, in place of the runs, one line per (verb label, draw
+count, check) over the seeds, from the JSON payloads: the check's kind, its
+worst value (the largest |value| of a residual, the smallest value of a
+floor, ``nan`` if any run's value is not finite), its tolerance (a floor's
+threshold), the margin (tolerance over worst for a residual, worst over
+threshold for a floor; ``inf`` for a residual that reads 0 at every seed),
+the seeds at which the check fails out of those run, and whether the value
+is the same at every seed (a check that reads no draw):
 
     python tools/payload_digests.py verify-reps --seeds 0-29 --n-draws 1 5
     python tools/payload_digests.py trace --seeds 0,4 --format json
     python tools/payload_digests.py verify-reps --seeds 0-29 --src OTHER/src
     python tools/payload_digests.py all --seeds 0-3
     python tools/payload_digests.py verify-linearization --seeds 0-9 --values
+    python tools/payload_digests.py all --seeds 0-99 --margins
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -104,6 +115,33 @@ def runs(verb: str, seeds: list[int], n_draws: list[int | None],
                            "checks": checks(out)}
 
 
+def margins(records: list[dict], floors: set[str]) -> Iterator[str]:
+    """The ``--margins`` lines of the run records of ``runs``; ``floors``
+    names the checks that are floors."""
+    table: dict[tuple, list[dict]] = {}
+    for run in records:
+        for check in run["checks"]:
+            key = (run["label"], run["n_draws"], check["name"])
+            table.setdefault(key, []).append(check)
+    for (label, n, name), checks in table.items():
+        values = [math.nan if c["value"] is None else c["value"]
+                  for c in checks]
+        finite = all(map(math.isfinite, values))
+        if name in floors:
+            kind, tol = "floor", checks[0]["expected"]
+            worst = min(values) if finite else math.nan
+            margin = worst / tol
+        else:
+            kind, tol = "residual", checks[0]["tolerance"]
+            worst = max(map(abs, values)) if finite else math.nan
+            margin = math.inf if worst == 0.0 else tol / worst
+        fails = sum(not c["pass"] for c in checks)
+        same = "yes" if len({repr(v) for v in values}) == 1 else "no"
+        yield (f"{label} n_draws={'default' if n is None else n} {name} "
+               f"{kind} worst={worst:.3e} tol={tol:.3e} margin={margin:.3g} "
+               f"fails={fails}/{len(checks)} same={same}")
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("verb")
@@ -115,7 +153,19 @@ def main(argv: list[str]) -> int:
                         help="the src directory of the checkout to run")
     parser.add_argument("--values", action="store_true",
                         help="append each check's name=value after the digest")
+    parser.add_argument("--margins", action="store_true",
+                        help="print one line per check over the seeds "
+                             "instead of the runs")
     args, verb_args = parser.parse_known_args(argv)
+    if args.margins:
+        records = list(runs(args.verb, args.seeds, args.n_draws, verb_args,
+                            args.src))
+        from aqm_lab.cli import VERBS  # the checkout that runs() imported
+
+        floors = {c.name for v in VERBS.values() for c in v.checks if c.floor}
+        for line in margins(records, floors):
+            print(line)
+        return 0
     for run in runs(args.verb, args.seeds, args.n_draws, verb_args, args.src):
         n = run["n_draws"]
         values = [f"{c['name']}={c['value']!r}" for c in run["checks"]] \
