@@ -82,11 +82,6 @@ def _lead(a, ndim: int) -> np.ndarray:
     return a.reshape(a.shape + (1,) * (ndim - a.ndim))
 
 
-def _unit_axes(a: np.ndarray, at: int, n: int) -> np.ndarray:
-    """``a`` with ``n`` unit axes inserted before axis ``at``."""
-    return a.reshape(a.shape[:at] + (1,) * n + a.shape[at:])
-
-
 # ---------------------------------------------------------------------------
 # curvature
 # ---------------------------------------------------------------------------
@@ -138,6 +133,12 @@ def riemann_scalar_at(metric: MetricField, point: np.ndarray, h: float, *,
     return float(np.einsum("jk,jk->", ginv, t1 - t2 + t3 - t4))
 
 
+def _columns(v: np.ndarray, nb: int) -> np.ndarray:
+    """Axis ``nb`` of ``v`` moved last and made contiguous: each value
+    element's dim-vector is the operand its own scalar call multiplies."""
+    return np.ascontiguousarray(np.moveaxis(v, nb, -1))
+
+
 def covariant_divergence_at(metric: MetricField, vector: Callable[[np.ndarray], np.ndarray],
                             point: np.ndarray, h: float,
                             potential: Callable[[np.ndarray], np.ndarray] | None = None):
@@ -146,10 +147,11 @@ def covariant_divergence_at(metric: MetricField, vector: Callable[[np.ndarray], 
     ``point`` has shape (*batch, dim). ``vector(q)`` returns V^k on the axis
     after the batch axes of ``q``; trailing axes may hold complex or matrix
     values, and the result has shape (*batch, *value). ``potential(q)``,
-    when given, is the charge-weighted covector A_k, shape (*batch, dim),
-    or one covector per channel, (*batch, dim, *channels): then the value
-    axes of V begin with the channel axes, and each channel's A meets its
-    own V. Uses the density form, which needs no Christoffel symbols.
+    when given, is the charge-weighted covector A_k, (*batch, dim, ...),
+    padded with unit axes to the value rank of V, against whose value axes
+    it broadcasts. The value axes are a batch: each value element has the
+    bits of its own scalar call. Uses the density form, which needs no
+    Christoffel symbols.
     """
     point = np.asarray(point, dtype=float)
     nb = point.ndim - 1
@@ -168,16 +170,10 @@ def covariant_divergence_at(metric: MetricField, vector: Callable[[np.ndarray], 
     if potential is not None:
         v = np.asarray(vector(point))
         v = _lead(sqrt_g, v.ndim) * v
-        a = 1j * potential(point)
-        nc = a.ndim - nb - 1
-        # the channels join the batch axes, so each contraction is the
-        # product of one channel's covector with its own V; contiguous
-        # operands keep BLAS on its unit-stride kernels
-        a = np.ascontiguousarray(np.moveaxis(a, nb, -1))
-        v = np.ascontiguousarray(np.moveaxis(v, nb, nb + nc))
-        flat = v.reshape(v.shape[:nb + nc + 1] + (-1,))
-        total = total - (a[..., None, :] @ flat)[..., 0, :].reshape(
-            v.shape[:nb + nc] + v.shape[nb + nc + 1:])
+        a = _lead(1j * potential(point), v.ndim)
+        # one (1, dim) @ (dim, 1) product per value column
+        total = total - (_columns(a, nb)[..., None, :]
+                         @ _columns(v, nb)[..., None])[..., 0, 0]
     return total / _lead(sqrt_g, np.ndim(total))
 
 
@@ -189,28 +185,23 @@ def laplace_beltrami(metric: MetricField, f: Callable[[np.ndarray], np.ndarray],
 
     D = d - i A with the charge-weighted covector ``potential`` (zero when
     omitted). ``f`` may be real, complex or matrix valued. ``h`` steps the
-    outer divergence, ``h_inner`` (default h) the inner gradient. A
-    potential with channel axes after k, (*batch, dim, *channels), gives
-    one Laplacian per channel, shape (*batch, *channels, *value), from one
-    evaluation of ``f`` per stencil level.
+    outer divergence, ``h_inner`` (default h) the inner gradient. The
+    potential broadcasts as in ``covariant_divergence_at``: a stack of
+    covectors on its last axis against a unit last axis of ``f`` gives one
+    Laplacian per covector from one evaluation of ``f`` per stencil level.
+    Each value element has the bits of its own scalar call.
     """
     h_inner = h if h_inner is None else h_inner
 
     def grad_up(q):
         df = derivative_stack(f, q, h=h_inner)  # (*batch, dim, *value)
-        nb, nc = q.ndim - 1, 0
+        nb = q.ndim - 1
         if potential is not None:
-            a = np.asarray(potential(q))  # (*batch, dim, *channels)
-            nc = a.ndim - nb - 1
-            # D_j f per channel: (*batch, dim, *channels, *value)
-            df = _unit_axes(df, nb + 1, nc) - 1j * (
-                _lead(a, df.ndim + nc) * _unit_axes(f(q), nb, 1 + nc))
-        # the channels join the batch axes of the raise, so each channel is
-        # the inverse times an operand of the shape it has without channels
-        df = np.ascontiguousarray(np.moveaxis(df, nb, nb + nc))
-        flat = df.reshape(df.shape[:nb + nc + 1] + (-1,))
-        raised = _unit_axes(metric.inverse(q), nb, nc) @ flat
-        return np.moveaxis(raised.reshape(df.shape), nb + nc, nb)
+            df = df - 1j * (_lead(potential(q), df.ndim)
+                            * np.expand_dims(f(q), nb))
+        # g^{ij} with unit value axes @ each value column
+        ginv = np.expand_dims(metric.inverse(q), tuple(range(nb, df.ndim - 1)))
+        return np.moveaxis((ginv @ _columns(df, nb)[..., None])[..., 0], -1, nb)
 
     return covariant_divergence_at(metric, grad_up, point, h, potential)
 

@@ -289,12 +289,13 @@ def wave_operator(psi: Callable[[np.ndarray], np.ndarray],
     """
     def potential(q):
         # every config's covector from one evaluation of the Killing
-        # fields, the configs on the channel axis after k
+        # fields, the configs last, against the unit last axis of psi
         x, _ = split_point(q)
         return np.swapaxes(
             _stacked_potential(ems, x, metric.killing_fields(q)), -1, -2)
 
-    lap = laplace_beltrami(metric, psi, point, h=h, potential=potential)
+    lap = laplace_beltrami(metric, lambda q: psi(q)[..., None], point, h=h,
+                           potential=potential)
     return -lap[..., None] + xi2 * r_scalar * psi0[..., None, None]
 
 

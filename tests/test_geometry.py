@@ -14,6 +14,7 @@ from aqm_lab.geometry import (
     riemann_scalar_at,
     weyl_scalar_at,
 )
+from aqm_lab.lorentz_reps import Irrep, d_matrix_inverse
 
 
 # ---------------------------------------------------------------------------
@@ -363,14 +364,16 @@ def _covector(c):
 ], ids=["scalar", "matrix"])
 @pytest.mark.parametrize("batch", [(), (3,)])
 def test_laplace_beltrami_channels_match_one_call_per_channel(f, batch):
-    # a potential with a channel axis after k gives each channel's own
-    # gauge-covariant Laplacian, bitwise, from one stencil pass over f
+    # a stack of covectors on the last axis of the potential, against a
+    # unit axis of f, gives each covector's own gauge-covariant Laplacian,
+    # bitwise, from one stencil pass over f
     m = SphereMetric(radius=1.3)
     rng = np.random.default_rng(18)
     points = np.stack([rng.uniform(0.5, 2.5, batch),
                        rng.uniform(-np.pi, np.pi, batch)], axis=-1)
     covectors = [_covector(c) for c in (0.3, -0.7, 1.1)]
-    lap = laplace_beltrami(m, f, points, h=1e-3,
+    lap = laplace_beltrami(m, lambda q: np.expand_dims(f(q), q.ndim - 1),
+                           points, h=1e-3,
                            potential=lambda q: np.stack(
                                [a(q) for a in covectors], axis=-1))
     value_shape = np.shape(f(points))[len(batch):]
@@ -379,6 +382,45 @@ def test_laplace_beltrami_channels_match_one_call_per_channel(f, batch):
         assert np.array_equal(lap[(slice(None),) * len(batch) + (c,)],
                               laplace_beltrami(m, f, points, h=1e-3,
                                                potential=a))
+
+
+def test_laplace_beltrami_matrix_elements_match_scalar_calls():
+    # the value axes are a batch: each element of the Laplacian of the
+    # (1/2,1/2) D^-1 has the bits of the scalar call on that element
+    rep, m = Irrep(0.5, 0.5), GroupMetric(1.3)
+    thetas = np.random.default_rng(19).uniform(-1.2, 1.2, (3, 6))
+    lap = laplace_beltrami(m, lambda t: d_matrix_inverse(rep, t), thetas,
+                           h=1e-2, h_inner=1e-3)
+    assert lap.shape == (3, 4, 4)
+    for i, j in np.ndindex(4, 4):
+        assert np.array_equal(lap[..., i, j], laplace_beltrami(
+            m, lambda t: d_matrix_inverse(rep, t)[..., i, j], thetas,
+            h=1e-2, h_inner=1e-3)), (i, j)
+
+
+def test_laplace_beltrami_stacked_covectors_match_scalar_calls():
+    # a stack of 3 covectors against the unit axis of a matrix-valued f:
+    # each (covector, element) entry has the bits of the scalar call
+    m = SphereMetric(radius=1.3)
+    rng = np.random.default_rng(20)
+    points = np.stack([rng.uniform(0.5, 2.5, 3),
+                       rng.uniform(-np.pi, np.pi, 3)], axis=-1)
+    mixer = np.array([[1.0, 0.5j], [-0.2, 2.0]])
+
+    def f(q):
+        return np.exp(1j * q[..., 0])[..., None, None] * mixer \
+            + np.cos(q[..., 1])[..., None, None]
+
+    covectors = [_covector(c) for c in (0.3, -0.7, 1.1)]
+    lap = laplace_beltrami(m, lambda q: f(q)[..., None, :, :], points,
+                           h=1e-3, potential=lambda q: np.stack(
+                               [a(q) for a in covectors], axis=-1))
+    assert lap.shape == (3, 3, 2, 2)
+    for c, a in enumerate(covectors):
+        for i, j in np.ndindex(2, 2):
+            assert np.array_equal(lap[:, c, i, j], laplace_beltrami(
+                m, lambda q: f(q)[..., i, j], points, h=1e-3,
+                potential=a)), (c, i, j)
 
 
 def test_laplace_beltrami_matrix_valued():
