@@ -158,7 +158,9 @@ def expm(m: np.ndarray, kappa: np.ndarray, spin: float) -> np.ndarray:
     m = np.asarray(m)
     kappa = np.asarray(kappa)[..., None, None]
     phi = _expm1_ratio(kappa)
-    phi_down = phi * np.exp(-kappa)
+    # not ``*``: from 256 KiB numpy reuses the temporary in place, operands
+    # swapped, and the complex product is not bitwise commutative
+    phi_down = np.multiply(phi, np.exp(-kappa))
     nodes = sorted((i - spin for i in range(int(round(2 * spin)) + 1)),
                    key=lambda o: (abs(o), o))
     out = term = np.exp(nodes[0] * kappa) * np.eye(m.shape[-1])

@@ -214,11 +214,11 @@ def laplace_beltrami(metric: MetricField, f: Callable[[np.ndarray], np.ndarray],
 def weyl_scalar_at(metric: MetricField,
                    log_chi: Callable[[np.ndarray], np.ndarray],
                    point: np.ndarray, h: float,
-                   form: str = "phi", r_scalar: float | None = None) -> float:
+                   form: str, r_scalar: float | None = None) -> float:
     """Weyl scalar curvature of the metric and the gauge chi = exp(log_chi)
     at one point.
 
-    Two independently coded forms of the same scalar:
+    Two independently coded forms of the same scalar, named by ``form``:
 
     * ``form="phi"``:  R + 2(n-1) div(phi#) - (n-1)(n-2) phi.phi,
       with the Weyl covector phi_i = d_i log chi raised by the inverse metric.

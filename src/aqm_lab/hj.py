@@ -57,7 +57,10 @@ class EMConfig:
     ``e_field`` and ``h_field`` are the electric and magnetic 3-vectors. The
     spacetime potential A_0 = E.x, A_k = (1/2)(H x x)_k reproduces the field
     strength F_{0k} = -E_k, F_{kl} = eps_{klm} H_m. ``kappa`` scales the
-    group-direction extension of the potential.
+    group potential A_group = K c, the charges c = ``generator_charges``
+    pushed forward by K = ``killing_vectors`` = C^-1 (a pull-back through
+    the frame would be C^T c); the 10-D wave operator with it does not
+    reduce to the spin block that ``verify-dirac`` checks.
 
     The field is stated once, in the constant Jacobian dA of the spacetime
     potential; dA and the group charges are built once, at construction, and
@@ -110,8 +113,8 @@ class EMConfig:
         return self._da
 
     def generator_charges(self) -> np.ndarray:
-        """Constant algebra-frame components -(kappa/2) (H1, H2, H3, E1, E2, E3)
-        (read-only)."""
+        """Constant algebra-frame components c = -(kappa/2) (H1, H2, H3, E1,
+        E2, E3) (read-only), which the group potential maps as K c."""
         return self._charges
 
     def potential(self, q: np.ndarray) -> np.ndarray:
@@ -121,9 +124,9 @@ class EMConfig:
 
     def potential_from_killing(self, x: np.ndarray, k: np.ndarray) -> np.ndarray:
         """``potential`` at events x whose angles have the Killing fields
-        k = ``killing_vectors(theta)``: the group components pull the
-        constant ``generator_charges`` c back through the frame,
-        A_alpha = k[alpha, a] c_a."""
+        k = ``killing_vectors(theta)`` = C^-1: the group components push
+        the constant ``generator_charges`` c forward, A_alpha = k[alpha, a]
+        c_a; they are not its pull-back C^T c through the frame."""
         return np.concatenate([self.potential_spacetime(x),
                                k @ self.generator_charges()], axis=-1)
 
@@ -250,7 +253,8 @@ def hj_residual(fields: WaveInputs, ems: tuple[EMConfig, ...],
     the potential nor the coupling, once for all.
     """
     _, norm2 = raised_momentum(fields, ems, metric, point, h)
-    rw = weyl_scalar_at(metric, fields.log_chi, point, h=h, r_scalar=r_scalar)
+    rw = weyl_scalar_at(metric, fields.log_chi, point, h=h, form="phi",
+                        r_scalar=r_scalar)
     return norm2[:, None] + xi2 * rw
 
 

@@ -1,5 +1,5 @@
-"""Check rows and their pass rule, check records, deterministic report
-serialization, CSV layouts.
+"""Check rows, their pass rule and the check records they make,
+deterministic report serialization, CSV layouts.
 
 A report separates a byte-stable ``payload`` (command, configuration echo,
 check records, optional data records) from volatile envelope fields
@@ -27,34 +27,6 @@ SCHEMA = "aqm-lab/report/v1"
 
 
 @dataclass(frozen=True)
-class CheckRecord:
-    """One named check: measured value against an expectation, as
-    ``Check.record`` builds it. A residual passes when
-    |value - expected| <= tolerance, with ``expected`` 0; a floor passes
-    when value >= expected, with ``tolerance`` 0 by convention. A
-    non-finite value fails either kind.
-    """
-
-    name: str
-    value: float
-    expected: float
-    tolerance: float
-    passed: bool
-
-    def to_json(self) -> dict:
-        out = {
-            "name": self.name,
-            "value": float(self.value),
-            "expected": float(self.expected),
-            "tolerance": float(self.tolerance),
-            "pass": bool(self.passed),
-        }
-        if not math.isfinite(self.value):
-            out.update(value=None, nonfinite=True)
-        return out
-
-
-@dataclass(frozen=True)
 class Check:
     """One named check of a verb, the one place its pass rule lives.
     ``reduce``, a numpy reduction (so a NaN propagates), takes the verb's
@@ -68,7 +40,10 @@ class Check:
     reduce: Callable = np.max
     floor: bool = False
 
-    def record(self, values, tol: float | None) -> CheckRecord:
+    def record(self, values, tol: float | None) -> dict:
+        """The payload's check object: ``name``, ``value``, ``expected``,
+        ``tolerance`` and ``pass``, plus ``nonfinite`` when the value is
+        not finite (``_plain`` writes that value as null)."""
         value = float(self.reduce(values))
         if self.floor:
             expected, tolerance = float(self.tol), 0.0
@@ -78,23 +53,27 @@ class Check:
             tolerance = float(self.tol if tol is None or self.tol == 0.0
                               else tol)
             passed = abs(value) <= tolerance
-        return CheckRecord(self.name, value, expected, tolerance,
-                           math.isfinite(value) and passed)
+        finite = math.isfinite(value)
+        out = {"name": self.name, "value": value, "expected": expected,
+               "tolerance": tolerance, "pass": finite and passed}
+        if not finite:
+            out["nonfinite"] = True
+        return out
 
 
-def _by_name(checks: list[CheckRecord]) -> list[CheckRecord]:
-    return sorted(checks, key=lambda c: c.name)
+def _by_name(checks: list[dict]) -> list[dict]:
+    return sorted(checks, key=lambda c: c["name"])
 
 
-def build_report(command: str, config: dict, checks: list[CheckRecord],
+def build_report(command: str, config: dict, checks: list[dict],
                  records: list[dict] | None = None, wall_time_s: float = 0.0
                  ) -> dict:
     """Assemble the full report object around a byte-stable payload."""
     payload = {
         "command": command,
         "config": _plain(config),
-        "checks": [c.to_json() for c in _by_name(checks)],
-        "passed": bool(all(c.passed for c in checks)),
+        "checks": _plain(_by_name(checks)),
+        "passed": all(c["pass"] for c in checks),
     }
     if records is not None:
         payload["records"] = _plain(records)
@@ -142,12 +121,12 @@ SPECTRUM_COLUMNS = ["u", "v", "casimir", "m2"]
 CHECK_COLUMNS = ["name", "value", "expected", "tolerance", "pass"]
 
 
-def check_table(checks: list[CheckRecord]) -> tuple[list[str], list[list]]:
+def check_table(checks: list[dict]) -> tuple[list[str], list[list]]:
     """The check records as a CSV table, sorted by name as in the JSON
     payload."""
-    return CHECK_COLUMNS, [
-        [c.name, c.value, c.expected, c.tolerance, int(c.passed)]
-        for c in _by_name(checks)]
+    return CHECK_COLUMNS, [[c["name"], c["value"], c["expected"],
+                            c["tolerance"], int(c["pass"])]
+                           for c in _by_name(checks)]
 
 
 def spectrum_table(records: list[dict]) -> tuple[list[str], list[list]]:

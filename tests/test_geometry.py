@@ -468,7 +468,7 @@ def test_weyl_scalar_flat_quadratic_log():
     q = np.array([0.6, -0.3, 0.1])
     expected = 12.0 - 2.0 * float(q @ q)
     val = weyl_scalar_at(m, lambda p: 0.5 * np.sum(p * p, axis=-1), q,
-                         h=1e-3, r_scalar=0.0)
+                         h=1e-3, form="phi", r_scalar=0.0)
     assert abs(val - expected) < 1e-7
 
 
@@ -492,10 +492,10 @@ def test_weyl_scalar_conformal_weight():
     log_chi = draw_field(rng, 10)
     log_rho = draw_field(rng, 10, amp_scale=0.4)
     q = sample_point(rng, rot_scale=1.0, boost_bound=1.0)
-    base = weyl_scalar_at(m, log_chi, q, h=1e-3,
+    base = weyl_scalar_at(m, log_chi, q, h=1e-3, form="phi",
                           r_scalar=m.riemann_scalar())
     new_m, new_log_chi = conformal_transform(m, log_chi, log_rho)
-    moved = weyl_scalar_at(new_m, new_log_chi, q, h=1e-3)
+    moved = weyl_scalar_at(new_m, new_log_chi, q, h=1e-3, form="phi")
     rho0 = float(np.exp(log_rho(q)))
     assert abs(rho0 * moved - base) / max(abs(base), 1.0) < 1e-5
     moved_chi = weyl_scalar_at(new_m, new_log_chi, q, h=1e-3,
@@ -511,7 +511,7 @@ def test_weyl_scalar_unit_gauge_oracle():
     log_chi = draw_field(rng, 3, amp_scale=0.4)
     q = np.array([0.3, -0.5, 0.2])
 
-    direct = weyl_scalar_at(m, log_chi, q, h=1e-3, r_scalar=0.0)
+    direct = weyl_scalar_at(m, log_chi, q, h=1e-3, form="phi", r_scalar=0.0)
 
     scaled = ScaledMetric(m, rho=lambda p: np.exp(-2.0 * log_chi(p)))
     riem = riemann_scalar_at(scaled, q, h=5e-3)

@@ -306,7 +306,8 @@ def test_stacked_configs_match_one_call_per_config(seed, xi2):
     # point)
     batch = q + 0.01 * rng.uniform(-1.0, 1.0, (3, 10))
     psi = wave_ansatz(fields)
-    rw = weyl_scalar_at(metric, fields.log_chi, q, h=1e-3, r_scalar=r)
+    rw = weyl_scalar_at(metric, fields.log_chi, q, h=1e-3, form="phi",
+                        r_scalar=r)
 
     defects, hj_res, div_res = linearization_check(fields, ems, metric, q,
                                                    r_scalar=r, xi2=xi2)

@@ -30,9 +30,7 @@ ALLOWED = {
     "geometry.laplace_beltrami.potential",
     # only the Casimir check steps the inner gradient apart from the outer
     "geometry.laplace_beltrami.h_inner",
-    # the Hamilton-Jacobi residual and verify-weyl's conformal weight take
-    # the phi form, and the conformally moved metric has no closed-form R
-    "geometry.weyl_scalar_at.form",
+    # the conformally moved metric has no closed-form R
     "geometry.weyl_scalar_at.r_scalar",
     # EMConfig.zero and perfbench/test_tracing.py give no coupling
     "hj.EMConfig.kappa",

@@ -637,11 +637,35 @@ def test_shared_laplacian_pass_equals_single_irrep_calls(shape):
 @pytest.mark.parametrize("seed", [0, 5, 17])
 def test_reps_chunk_through_shared_pass_equals_per_draw_calls(seed):
     # verify-reps hands REPS_CHUNK draws to one shared pass; from 15 draws
-    # numpy's in-place products of 256 KiB operands move the last bits, so
-    # a chunk past that size fails here
-    thetas = np.random.default_rng(seed).uniform(-1.2, 1.2, (REPS_CHUNK, 6))
-    ratios = angular_laplacian_check(CASIMIR_REPS, thetas, a=1.0)
-    for rep, ratio in zip(CASIMIR_REPS, ratios):
-        for theta, row in zip(thetas, ratio):
-            assert np.array_equal(
-                row, angular_laplacian_per_irrep(rep, theta, a=1.0))
+    # the pass's expm batches reach 256 KiB, where numpy reuses temporaries
+    # in place, so chunks of 15 and 64 pin that it still gives each draw
+    # the bits of its own call
+    rng = np.random.default_rng(seed)
+    for n_draws in (REPS_CHUNK, 15, 64):
+        thetas = rng.uniform(-1.2, 1.2, (n_draws, 6))
+        ratios = angular_laplacian_check(CASIMIR_REPS, thetas, a=1.0)
+        for rep, ratio in zip(CASIMIR_REPS, ratios):
+            for theta, row in zip(thetas, ratio):
+                assert np.array_equal(
+                    row, angular_laplacian_per_irrep(rep, theta, a=1.0)), \
+                    (n_draws, rep.label())
+
+
+@pytest.mark.parametrize("rep", [None, Irrep(0.5, 0.5), Irrep(1, 0.5)],
+                         ids=lambda rep: rep.label() if rep else "chart")
+def test_expm_batch_rows_equal_single_calls(rep):
+    # 9000 angles give expm a kappa of 288 KiB, past the 256 KiB from which
+    # numpy reuses a temporary operand in place; sampled factor matrices of
+    # the batch must have the bits of their own calls, on the 4x4 chart
+    # (real exponents) and on irreps (imaginary ones)
+    rng = np.random.default_rng(36)
+    thetas = rng.uniform(-1.2, 1.2, (9000, 6))
+    if rep is None:
+        m, kappa = factor_exponents(thetas, generators().reshape(2, 3, 4, 4))
+        spin = 1.0
+    else:
+        m, kappa = factor_exponents(thetas, _generator_halves(rep))
+        m, spin = -1j * m, rep.u + rep.v
+    factors = chart_expm(m, kappa, spin)
+    for i in rng.choice(len(thetas), 40, replace=False):
+        assert np.array_equal(factors[i], chart_expm(m[i], kappa[i], spin)), i

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from aqm_lab.report import (
     SCHEMA,
     TRAJECTORY_COLUMNS,
     Check,
-    CheckRecord,
     build_report,
     dump_report,
     trajectory_table,
@@ -50,11 +50,23 @@ FINITE_CASES = [
 ]
 
 
+def record(name, value, expected, tolerance, passed):
+    """A check record as ``Check.record`` makes it for a finite value."""
+    return {"name": name, "value": value, "expected": expected,
+            "tolerance": tolerance, "pass": passed}
+
+
 def assert_record(row, values, tol, expected, tolerance, passed):
     rec = ROWS[row].record(values, tol)
-    assert (rec.name, rec.expected, rec.tolerance, rec.passed) \
+    assert (rec["name"], rec["expected"], rec["tolerance"], rec["pass"]) \
         == (row, expected, tolerance, passed)
-    assert type(rec.value) is float and type(rec.passed) is bool
+    assert type(rec["value"]) is float and type(rec["pass"]) is bool
+    # the record is the payload's check object: "nonfinite" only on a
+    # non-finite value
+    finite = math.isfinite(rec["value"])
+    assert set(rec) == {"name", "value", "expected", "tolerance", "pass",
+                        *(() if finite else ("nonfinite",))}
+    assert finite or rec["nonfinite"] is True
 
 
 @pytest.mark.parametrize(
@@ -69,7 +81,7 @@ def test_check_row_pass_rule(row, values, tol, expected, tolerance, passed):
     # a residual passes within its tolerance of 0, a floor at or above it;
     # --tol replaces only the nonzero tolerance of a residual
     assert_record(row, values, tol, expected, tolerance, passed)
-    assert ROWS[row].record(values, tol).value == ROWS[row].reduce(values)
+    assert ROWS[row].record(values, tol)["value"] == ROWS[row].reduce(values)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -87,8 +99,8 @@ def test_nonfinite_value_fails_every_check(bad):
 
 
 def test_build_report_sorts_and_aggregates():
-    checks = [CheckRecord("zeta", 0.0, 0.0, 0.1, True),
-              CheckRecord("alpha", 1.0, 0.0, 0.1, False)]
+    checks = [record("zeta", 0.0, 0.0, 0.1, True),
+              record("alpha", 1.0, 0.0, 0.1, False)]
     report = build_report("cmd", {"seed": 1}, checks, wall_time_s=0.5)
     names = [c["name"] for c in report["payload"]["checks"]]
     assert names == ["alpha", "zeta"]
@@ -99,15 +111,15 @@ def test_build_report_sorts_and_aggregates():
 
 
 def test_payload_bytes_excludes_wall_time():
-    checks = [CheckRecord("a", 0.0, 0.0, 0.1, True)]
+    checks = [record("a", 0.0, 0.0, 0.1, True)]
     r1 = build_report("cmd", {"seed": 1}, checks, wall_time_s=0.1)
     r2 = build_report("cmd", {"seed": 1}, checks, wall_time_s=99.0)
     assert payload_bytes(r1) == payload_bytes(r2)
 
 
 def test_numpy_values_serialize_plainly(tmp_path):
-    checks = [CheckRecord("a", np.float64(0.0), np.float64(0.0),
-                          np.float64(0.1), np.bool_(True))]
+    checks = [record("a", np.float64(0.0), np.float64(0.0),
+                     np.float64(0.1), np.bool_(True))]
     report = build_report("cmd", {"n": np.int64(3)}, checks,
                           records=[{"vec": np.arange(3.0)}])
     out = tmp_path / "r.json"
@@ -124,9 +136,9 @@ def test_dump_rejects_nan():
 
 
 def test_nonfinite_check_serializes_as_null(tmp_path):
-    checks = [CheckRecord("a", float("nan"), 0.0, 1.0, False),
-              CheckRecord("b", float("inf"), 1e-6, 0.0, False),
-              CheckRecord("c", 0.5, 0.0, 1.0, True)]
+    checks = [Check("a", 1.0).record([float("nan")], None),
+              Check("b", 1e-6, np.min, floor=True).record([np.inf], None),
+              Check("c", 1.0).record([0.5], None)]
     report = build_report("cmd", {}, checks,
                           records=[{"r": float("nan"), "v": [1.0, -np.inf]}])
     out = tmp_path / "r.json"
@@ -143,8 +155,8 @@ def test_nonfinite_check_serializes_as_null(tmp_path):
 
 
 def test_finite_payload_bytes_golden():
-    checks = [CheckRecord("a", 1.25e-9, 0.0, 1e-6, True),
-              CheckRecord("b", 0.5, 1e-2, 0.0, True)]
+    checks = [record("a", 1.25e-9, 0.0, 1e-6, True),
+              record("b", 0.5, 1e-2, 0.0, True)]
     report = build_report("cmd", {"seed": 3, "H": (0.1, 0.2, 0.3)}, checks,
                           records=[{"x": np.float64(2.5), "n": np.int64(4)}])
     assert payload_bytes(report) == (
