@@ -35,8 +35,7 @@ from .dirac import EXTREME_SCALES, MassScale, clifford_defect, \
     squared_dirac_matrix, top_spinor_matrix
 from .dynamics import integrate_trajectory, transport_check
 from .fields import LinearField, draw_field
-from .geometry import CURVATURE_STEP, conformal_transform, \
-    riemann_scalar_at, weyl_scalar_at
+from .geometry import conformal_transform, riemann_scalar_at, weyl_scalar_at
 from .hj import EMConfig, WaveInputs, conformal_coupling, draw_wave_inputs, \
     linearization_check
 from .lorentz_reps import Irrep, angular_laplacian_check, casimir_value, \
@@ -215,6 +214,8 @@ OUT = Param("out", OUT_PATH, None, "output path (default stdout)",
 FORMAT = Param("format", _one_of("json", "csv"), "json", "report format")
 A = Param("a", POSITIVE, 1.0, "internal length scale")
 STEP = Param("h", POSITIVE, 1e-3, "stencil step")
+# outer step of verify-curvature's stencil and of verify-weyl's moved R
+CURVATURE_STEP = 1e-2
 H_FIELD = Param("H", VECTOR, None, "constant magnetic field "
                 "(verify-dirac: drawn per draw by default)")
 E_FIELD = Param("E", VECTOR, None, "constant electric field "
@@ -301,7 +302,9 @@ def _run_verify_weyl(cfg: dict, rng: np.random.Generator):
         q = sample_point(rng, rot_scale=1.0, boost_bound=1.0)
         base = weyl_scalar_at(metric, log_chi, q, h, form="phi", r_scalar=r)
         new_metric, new_log_chi = conformal_transform(metric, log_chi, log_rho)
-        moved = weyl_scalar_at(new_metric, new_log_chi, q, h, form="phi")
+        r_moved = riemann_scalar_at(new_metric, q, CURVATURE_STEP)
+        moved = weyl_scalar_at(new_metric, new_log_chi, q, h, form="phi",
+                               r_scalar=r_moved)
         rho0 = float(np.exp(log_rho(q)))
         weight_errs.append(abs(rho0 * moved - base) / max(abs(base), 1.0))
 

@@ -18,9 +18,6 @@ import numpy as np
 
 from .fd import derivative_stack, value_and_derivative_stack
 
-# outer step of the curvature stencil (verify-curvature, the Weyl fallback)
-CURVATURE_STEP = 1e-2
-
 # ---------------------------------------------------------------------------
 # metric fields
 # ---------------------------------------------------------------------------
@@ -214,7 +211,7 @@ def laplace_beltrami(metric: MetricField, f: Callable[[np.ndarray], np.ndarray],
 def weyl_scalar_at(metric: MetricField,
                    log_chi: Callable[[np.ndarray], np.ndarray],
                    point: np.ndarray, h: float,
-                   form: str, r_scalar: float | None = None) -> float:
+                   form: str, r_scalar: float) -> float:
     """Weyl scalar curvature of the metric and the gauge chi = exp(log_chi)
     at one point.
 
@@ -224,14 +221,11 @@ def weyl_scalar_at(metric: MetricField,
       with the Weyl covector phi_i = d_i log chi raised by the inverse metric.
     * ``form="chi"``:  R + 2(n-1) (lap chi)/chi - n(n-1) |grad chi|^2/chi^2.
 
-    with n = ``metric.dim``. ``r_scalar`` short-circuits the Riemann scalar
-    when it is known in closed form (it enters both forms additively);
-    without it, ``riemann_scalar_at`` steps by CURVATURE_STEP.
+    with n = ``metric.dim`` and R = ``r_scalar``, the caller's Riemann scalar
+    of the metric at the point: neither form computes curvature.
     """
     point = np.asarray(point, dtype=float)
-    n = metric.dim
-    r = riemann_scalar_at(metric, point, CURVATURE_STEP) \
-        if r_scalar is None else float(r_scalar)
+    n, r = metric.dim, float(r_scalar)
 
     if form == "phi":
         div_phi = laplace_beltrami(metric, log_chi, point, h=h)

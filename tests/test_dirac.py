@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+from aqm_lab.config_space import GroupMetric, frame_coefficients, \
+    killing_vectors
+from aqm_lab.geometry import laplace_beltrami
 from aqm_lab.hj import EMConfig
-from aqm_lab.lorentz_reps import Irrep, casimir_value, irrep_generators
+from aqm_lab.lorentz_reps import Irrep, casimir_value, d_matrix, \
+    d_matrix_inverse, irrep_generators, reps_up_to_dim
 from aqm_lab.dirac import (
     XI2,
     MassScale,
@@ -90,6 +94,50 @@ def test_parity_spin_coupling_field_free():
     a = 0.9
     delta = parity_spin_coupling(Irrep(0, 0.5), EMConfig.zero(), a)
     assert np.max(np.abs(delta - 1.5 / a ** 2 * np.eye(4))) < 1e-12
+
+
+def _pull_back(em, a):
+    """The group potential a^2 C^T c: the charges c pulled back through the
+    frame C."""
+    return lambda t: a ** 2 * (em.generator_charges() @ frame_coefficients(t))
+
+
+def _push_forward(em, a):
+    """hj's group potential K c, with K = ``killing_vectors`` = C^-1."""
+    return lambda t: killing_vectors(t) @ em.generator_charges()
+
+
+@pytest.mark.parametrize("potential", [
+    _pull_back,
+    pytest.param(_push_forward, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 10: hj's group potential K c "
+                            "does not reduce to the spin block")),
+], ids=["pull_back", "push_forward"])
+def test_group_block_reduces_to_spin_coupling_for_every_irrep(potential):
+    # the gauged group Laplacian on D(theta), times D^-1, is -S: one
+    # laplace_beltrami pass on every irrep up to dimension 9 at one draw,
+    # which pins spin_coupling_matrix on the irreps no verb reads
+    rng = np.random.default_rng(10)
+    a = rng.uniform(0.7, 1.4)
+    em = EMConfig(e_field=0.3 * rng.uniform(-1, 1, 3),
+                  h_field=0.3 * rng.uniform(-1, 1, 3),
+                  kappa=rng.uniform(0.5, 2.0))
+    theta = rng.uniform(-1.2, 1.2, 6)
+    reps = reps_up_to_dim(9)
+    assert len(reps) == 23
+
+    def d_all(t):
+        return np.concatenate([d_matrix(rep, t).reshape(
+            t.shape[:-1] + (rep.dim ** 2,)) for rep in reps], axis=-1)
+
+    lap = laplace_beltrami(GroupMetric(a), d_all, theta, h=1e-2,
+                           h_inner=1e-3, potential=potential(em, a))
+    ends = np.cumsum([rep.dim ** 2 for rep in reps])[:-1]
+    for rep, part in zip(reps, np.split(lap, ends)):
+        m = -part.reshape(rep.dim, rep.dim) @ d_matrix_inverse(rep, theta)
+        s = spin_coupling_matrix(rep, em, a)
+        scale = max(np.max(np.abs(s)), a ** -2)
+        assert np.max(np.abs(m - s)) / scale <= 1e-5, rep.label()
 
 
 def test_squared_dirac_zero_momentum_golden():

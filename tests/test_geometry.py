@@ -495,11 +495,15 @@ def test_weyl_scalar_conformal_weight():
     base = weyl_scalar_at(m, log_chi, q, h=1e-3, form="phi",
                           r_scalar=m.riemann_scalar())
     new_m, new_log_chi = conformal_transform(m, log_chi, log_rho)
-    moved = weyl_scalar_at(new_m, new_log_chi, q, h=1e-3, form="phi")
+    # the moved metric has no closed-form R: as in verify-weyl, it is
+    # differentiated at the curvature step
+    r_moved = riemann_scalar_at(new_m, q, h=1e-2)
+    moved = weyl_scalar_at(new_m, new_log_chi, q, h=1e-3, form="phi",
+                           r_scalar=r_moved)
     rho0 = float(np.exp(log_rho(q)))
     assert abs(rho0 * moved - base) / max(abs(base), 1.0) < 1e-5
     moved_chi = weyl_scalar_at(new_m, new_log_chi, q, h=1e-3,
-                               form="chi")
+                               form="chi", r_scalar=r_moved)
     assert abs(moved_chi - moved) / max(abs(moved), abs(moved_chi)) < 1e-6
 
 

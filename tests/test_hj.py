@@ -258,6 +258,31 @@ def test_linearization_control_detects_wrong_coupling():
     assert abs(defect) > 1e-2
 
 
+# seeds 44, 54 and 63 are the one-draw runs whose control misses the
+# 1e-2 floor of verify-linearization; 40 and 41 pass it
+@pytest.mark.parametrize("seed, misses_floor", [
+    (44, True), (54, True), (63, True), (40, False), (41, False)])
+def test_linearization_control_matches_its_prediction(seed, misses_floor):
+    # the wrong-coupling control is (xi^2 - 1/4)(R_W - R), with R_W from
+    # the chi form: the phi form is the one hj_residual reads, and a
+    # prediction from it would match the defect by the code's own algebra
+    rng = np.random.default_rng(seed)
+    fields = draw_wave_inputs(rng)
+    q = sample_point(rng, rot_scale=1.5, boost_bound=1.5)
+    metric = TopMetric(1.0)
+    ems = (EMConfig.zero(), EMConfig(e_field=(0.2, 0.1, -0.3),
+                                     h_field=(0.3, -0.2, 0.4)))
+    xi2 = conformal_coupling(10) ** 2
+    defects, _, _ = linearization_check(fields, ems, metric, q, r_scalar=6.0,
+                                        xi2=(xi2, 0.25), h=1e-3)
+    control = defects[0, 1]
+    rw = weyl_scalar_at(metric, fields.log_chi, q, h=1e-3, form="chi",
+                        r_scalar=6.0)
+    prediction = (xi2 - 0.25) * (rw - 6.0)
+    assert (abs(control) < 1e-2) == misses_floor
+    assert abs(control - prediction) <= 1e-5 * abs(prediction)
+
+
 @pytest.mark.parametrize("seed", [24, 25, 26])
 @pytest.mark.parametrize("em", [
     EMConfig.zero(),

@@ -25,12 +25,13 @@ the reduced side never reaches the gamma matrices, and the Dirac side
 never reaches the spin coupling block, the Casimir value or the irrep
 generators.
 
-The Weyl scalar never reads the closed-form R: its R is the caller's
-argument or a finite-difference result. Its two forms share by design the
-Laplace-Beltrami primitive and the top metric's inverse. The Riemann
-scalar that the conformal-weight check takes of the rescaled metric is,
-as in the curvature check, a result of ``matrix`` alone: it never reaches
-the top metric's inverse, sqrt g or closed-form R, or the Killing fields.
+The Weyl scalar computes no curvature: its R is always its caller's
+argument, so it reaches neither the closed-form R nor the finite-difference
+Riemann scalar. Its two forms share by design the Laplace-Beltrami
+primitive and the top metric's inverse. The Riemann scalar that the
+conformal-weight check takes of the rescaled metric and passes in is, as
+in the curvature check, a result of ``matrix`` alone: it never reaches the
+top metric's inverse, sqrt g or closed-form R, or the Killing fields.
 """
 
 from __future__ import annotations
@@ -85,7 +86,8 @@ REPRESENTATIONS = (
 )
 WEYL = (
     Row("geometry.weyl_scalar_at",
-        forbidden=("config_space.TopMetric.riemann_scalar",),
+        forbidden=("config_space.TopMetric.riemann_scalar",
+                   "geometry.riemann_scalar_at"),
         shared=("geometry.laplace_beltrami",
                 "config_space.TopMetric.inverse")),
     Row("geometry.riemann_scalar_at",

@@ -30,8 +30,6 @@ ALLOWED = {
     "geometry.laplace_beltrami.potential",
     # only the Casimir check steps the inner gradient apart from the outer
     "geometry.laplace_beltrami.h_inner",
-    # the conformally moved metric has no closed-form R
-    "geometry.weyl_scalar_at.r_scalar",
     # EMConfig.zero and perfbench/test_tracing.py give no coupling
     "hj.EMConfig.kappa",
     # perfbench/test_tracing.py runs it at the conformal coupling and the
