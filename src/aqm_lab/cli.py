@@ -589,11 +589,13 @@ def _build_parser() -> argparse.ArgumentParser:
                     "curvature, Weyl scalar forms, exact linearization, "
                     "representation identities, the squared spin-1/2 operator, "
                     "and trajectory bundle transport.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, verb in VERBS.items():
-        p = sub.add_parser(name, help=verb.help)
+        # flags match exactly: --h is not --help, --n not --n-draws
+        p = sub.add_parser(name, help=verb.help, allow_abbrev=False)
         for param in verb.params:
             kind = param.kind
             p.add_argument(param.flag, dest=param.name, default=None,

@@ -71,6 +71,28 @@ def _within_chart(q: np.ndarray) -> np.ndarray:
     return np.all(np.abs(theta[..., 3:]) <= RAPIDITY_MAX, axis=-1)
 
 
+class _StageMetric(TopMetric):
+    """The top metric inside one ``integrate_trajectory``: it keeps the
+    Killing fields of the last angle array, read-only, and evaluates them
+    again when any bit of the angles differs: ``hj._CheckMetric`` keyed on
+    the angles, as stage points differ in x. One slot suffices, as the
+    stages arrive in order."""
+
+    def __init__(self, metric: TopMetric):
+        super().__init__(metric.a)
+        self._metric = metric
+        self._angles = self._killing = None
+
+    def killing_fields(self, q):
+        _, theta = split_point(q)
+        angles = (theta.shape, theta.tobytes())
+        if angles != self._angles:
+            self._angles = angles
+            self._killing = self._metric.killing_fields(q).view()
+            self._killing.flags.writeable = False
+        return self._killing
+
+
 def integrate_trajectory(fields: WaveInputs, em: EMConfig, metric: TopMetric,
                          starts: np.ndarray, ds: float, n_steps: int,
                          h: float) -> Bundle:
@@ -85,6 +107,11 @@ def integrate_trajectory(fields: WaveInputs, em: EMConfig, metric: TopMetric,
     v = u#/sqrt|u.u| would step through its singularity, and as "rapidity"
     when a boost leaves the chart domain. It is then held at its last
     sample, its slope 0, while the others run on.
+
+    The stages read the Killing fields through ``_StageMetric``, a store of
+    one slot for this call: the plane wave, whose angles stay fixed to the
+    bit, evaluates them once, not at every stage. It shares an input, never
+    a derived quantity, so every result keeps its bytes.
     """
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 2 or not len(starts) or n_steps < 1:
@@ -97,6 +124,7 @@ def integrate_trajectory(fields: WaveInputs, em: EMConfig, metric: TopMetric,
     truncated = np.full(len(starts), None, dtype=object)
     running = np.ones(len(starts), dtype=bool)
     start = None
+    metric = _StageMetric(metric)
 
     def stop(rows, reason, step):
         truncated[rows] = reason

@@ -4,6 +4,12 @@ Everything downstream (curvature, Weyl scalar, wave operator, angular
 Laplacian) is built from nested first derivatives, so one stencil lives
 here: the fourth-order central first derivative.
 
+The stencil is antisymmetric, and its sum takes the differences first,
+((f(+h) - f(-h)) w1 + (f(+2h) - f(-2h)) w2) / h: along an axis that f does
+not read, the derivative is exactly 0, not roundoff of order 1e-16/h. The
+integrator of ``dynamics`` relies on that zero: the plane wave's angles
+then stay fixed to the bit.
+
 Every callable differentiated here follows one convention, that of a numpy
 gufunc with signature ``(n)->()``: it takes points on the last axis, with
 any number of leading batch axes, and returns its values with those batch
@@ -52,7 +58,8 @@ def derivative_stack(f: Callable[[np.ndarray], np.ndarray], point: np.ndarray,
     points = point[..., None, :] + steps.reshape(
         steps.shape[:1] + (1,) * len(batch) + steps.shape[1:])
     values = np.asarray(f(points))  # values[k]: all points at offset k
-    return sum(w * v for w, v in zip(WEIGHTS, values)) / h
+    v_m2, v_m1, v_p1, v_p2 = values  # the rows at OFFSETS -2, -1, 1, 2
+    return ((v_p1 - v_m1) * WEIGHTS[2] + (v_p2 - v_m2) * WEIGHTS[3]) / h
 
 
 def value_and_derivative_stack(f: Callable[[np.ndarray], np.ndarray],
@@ -62,8 +69,8 @@ def value_and_derivative_stack(f: Callable[[np.ndarray], np.ndarray],
 
     The points ride along with the stencil points that ``derivative_stack``
     hands over: ``f`` sees one flat batch of shape (n_stencil + n_batch,
-    dim), stencil points first, and the stack is the weighted sum of the
-    stencil rows.
+    dim), stencil points first, and the stack is the difference-first sum
+    of the stencil rows.
     """
     point = np.asarray(point, dtype=float)
     dim = point.shape[-1]

@@ -202,8 +202,8 @@ def raised_momentum(fields: WaveInputs, em: EMConfigs, metric: TopMetric,
 
     A lone config gives (*batch, 10) and (*batch,), for the RK4 stages of
     ``dynamics``: sent the stack of one, they read transport ``op_rel_p50``
-    0.51-0.52 against 0.47-0.48 (3 of 3 interleaved pairs, 2-core host),
-    and about 3% slower with the stacked potential written in place.
+    0.31-0.33 against 0.30 (about 6% slower, 4 of 4 interleaved pairs of
+    6 s, 2-core host).
     """
     point = np.asarray(point, dtype=float)
     x, _ = split_point(point)

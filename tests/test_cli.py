@@ -109,6 +109,21 @@ def test_rejected_flag_is_one_error_line(capsys, argv, prefix):
     assert captured.err.startswith(prefix), captured.err
 
 
+@pytest.mark.parametrize("argv, prefix", [
+    # verify-reps has no --h, and --h is not read as --help
+    (["verify-reps", "--h", "1e-3"], "error: unrecognized arguments: --h "),
+    (["verify-dirac", "--n", "1"], "error: unrecognized arguments: --n 1"),
+    (["--vers"], "error: "),
+], ids=["h_help", "n_n_draws", "root_version"])
+def test_flag_prefix_is_not_a_flag(capsys, argv, prefix):
+    # flags match exactly, on the root parser and on every verb's
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(prefix), captured.err
+
+
 def test_help_and_version_exit_zero(capsys):
     assert main(["--version"]) == 0
     assert main(["trace", "--help"]) == 0
@@ -642,8 +657,10 @@ def test_extreme_scales_write_no_runtime_warning(argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify-weyl", "--n-draws", "1", "--h", "1e-300"],
-    ["trace", "--n-draws", "2", "--steps", "5", "--h", "1e-300",
+    # at a step of 1e300 the stencil points are far outside the chart,
+    # where the group metric is not finite
+    ["verify-weyl", "--n-draws", "1", "--h", "1e300"],
+    ["trace", "--n-draws", "2", "--steps", "5", "--h", "1e300",
      "--format", "json"],
     # NaN residuals inside a worst-case loop must not be dropped by max()
     ["verify-dirac", "--n-draws", "1", "--kappa", "1e300"],
@@ -659,6 +676,29 @@ def test_nonfinite_values_fail_checks_in_valid_json(argv, capsys):
     assert payload["passed"] is False
     if argv[0] == "trace":
         assert "trace_max_divergence" in {c["name"] for c in nonfinite}
+
+
+STEP_VERBS = sorted(name for name, verb in cli.VERBS.items()
+                    if any(p.flag == "--h" for p in verb.params))
+
+
+def test_step_verbs_are_the_stencil_verbs():
+    assert STEP_VERBS == ["trace", "verify-curvature", "verify-linearization",
+                          "verify-weyl"]
+
+
+@pytest.mark.parametrize("command", STEP_VERBS)
+def test_collapsed_stencil_fails_every_verb_with_a_step(command, capsys):
+    # at h = 1e-300, q +- h == q: every stencil point is its centre, and
+    # the difference-first sum reads an exact 0 for every derivative. No
+    # verb that takes --h passes on that
+    argv = [command, "--n-draws", "1", "--h", "1e-300"]
+    if command == "trace":
+        argv = [command, "--n-draws", "2", "--steps", "5", "--h", "1e-300",
+                "--format", "json"]
+    assert main(argv) == 1
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["passed"] is False
 
 
 @pytest.mark.parametrize("a", ["1e-200", "1e200"])

@@ -207,8 +207,9 @@ def test_transport_report_plane_wave():
 
 
 def test_transport_check_keeps_nan_divergence():
-    # at h = 1e-300 every stencil quotient overflows and each section
-    # divergence is NaN; the worst case must stay NaN, not max(0.0, nan) = 0.0
+    # at h = 1e300 the stencil points are far outside the chart, where the
+    # group metric is not finite, and each section divergence is NaN; the
+    # worst case must stay NaN, not max(0.0, nan) = 0.0
     fields = _plane_wave(np.array([0.3, -0.2, 0.4]))
     q0 = np.array([0.1, -0.2, 0.3, 0.25, 0.2, -0.1, 0.3, 0.1, 0.2, -0.3])
     bundle = integrate_trajectory(fields, EM0, METRIC,
@@ -216,7 +217,7 @@ def test_transport_check_keeps_nan_divergence():
                                   ds=0.01, n_steps=5, h=1e-3)
     with np.errstate(all="ignore"):
         report = transport_check(fields, EM0, METRIC, bundle, n_sections=5,
-                                 h=1e-300)
+                                 h=1e300)
     assert np.isnan(report.max_divergence)
     assert report.min_distance > 0.0
 
@@ -513,6 +514,92 @@ def test_bundle_calls_velocity_field_once_per_stage(monkeypatch):
         counts.append(len(calls))
     # the start evaluation is the first stage of step 0
     assert counts == [4 * n_steps, 4 * n_steps]
+
+
+def _plane_wave_bundle():
+    """``trace``'s plane wave and starts: the angles stay fixed."""
+    fields, starts = cli._plane_wave_bundle_inputs(
+        np.random.default_rng(7), 3, 0.05)
+    return fields, EM0, starts
+
+
+def _moving_bundle():
+    """A drawn phase on top of -2 x^0 under an EM field, timelike along
+    the path: the angles move at every stage."""
+    rng = np.random.default_rng(2)
+    drawn = draw_wave_inputs(rng)
+    fields = WaveInputs(
+        s_field=lambda q: drawn.s_field(q) - 2.0 * np.asarray(q)[..., 0],
+        log_chi=drawn.log_chi)
+    em = EMConfig(e_field=rng.uniform(-0.5, 0.5, 3),
+                  h_field=rng.uniform(-0.5, 0.5, 3), kappa=1.5)
+    q0 = sample_point(rng, rot_scale=1.0, boost_bound=1.0)
+    return fields, em, q0 + 0.1 * rng.uniform(-1.0, 1.0, (4, 10))
+
+
+@pytest.mark.parametrize("bundle_inputs", [_plane_wave_bundle, _moving_bundle],
+                         ids=["plane_wave", "moving"])
+def test_bundle_is_bitwise_that_without_the_killing_store(bundle_inputs,
+                                                          monkeypatch):
+    # the stages share the Killing fields of the last angle array; with
+    # the store taken out every array keeps its bits
+    fields, em, starts = bundle_inputs()
+
+    def run():
+        return integrate_trajectory(fields, em, METRIC, starts, ds=0.02,
+                                    n_steps=12, h=1e-3)
+
+    kept = run()
+    monkeypatch.setattr(dynamics, "_StageMetric", lambda metric: metric)
+    bypassed = run()
+    for name in ("points", "n_samples", "start_velocity", "start_norm2"):
+        a, b = getattr(kept, name), getattr(bypassed, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert list(kept.truncated) == list(bypassed.truncated) == [None] * len(
+        starts)
+
+
+@pytest.mark.parametrize("bundle_inputs, calls_per_step",
+                         [(_plane_wave_bundle, 0), (_moving_bundle, 4)],
+                         ids=["plane_wave", "moving"])
+def test_bundle_evaluates_killing_fields_once_per_angle_array(
+        bundle_inputs, calls_per_step, monkeypatch):
+    # the plane wave's angles stay fixed to the bit, so its Killing fields
+    # are evaluated once for the whole integration; angles that move give
+    # a new array, and one evaluation, at every stage
+    calls = []
+    original = config_space.killing_vectors
+
+    def counted(theta):
+        calls.append(theta.shape)
+        return original(theta)
+
+    monkeypatch.setattr(config_space, "killing_vectors", counted)
+    fields, em, starts = bundle_inputs()
+    n_steps = 12
+    bundle = integrate_trajectory(fields, em, METRIC, starts, ds=0.02,
+                                  n_steps=n_steps, h=1e-3)
+    assert np.all(bundle.n_samples == n_steps + 1)
+    assert len(calls) == max(1, calls_per_step * n_steps)
+    angles_fixed = np.all(bundle.points[..., 4:] == starts[:, 4:])
+    assert angles_fixed == (calls_per_step == 0)
+
+
+def test_stage_metric_hands_back_read_only_killing_fields():
+    # one slot: an equal angle array gets the kept K, any other a new one
+    view = dynamics._StageMetric(METRIC)
+    q = np.stack([sample_point(np.random.default_rng(s), 1.0, 1.0)
+                  for s in range(3)])
+    k = view.killing_fields(q)
+    assert not k.flags.writeable
+    np.testing.assert_array_equal(k, METRIC.killing_fields(q))
+    moved_x = q.copy()
+    moved_x[:, :4] += 1.0
+    assert view.killing_fields(moved_x) is k
+    moved = q.copy()
+    moved[1, 6] = np.nextafter(moved[1, 6], np.inf)
+    assert view.killing_fields(moved) is not k
+    assert view.killing_fields(q) is not k
 
 
 def test_transport_check_evaluates_each_section_once(monkeypatch):

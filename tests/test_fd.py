@@ -8,7 +8,7 @@ from aqm_lab import cli, config_space, fd, hj
 from aqm_lab.config_space import GroupMetric, TopMetric, sample_point
 from aqm_lab.fd import central_diff, derivative_stack, \
     value_and_derivative_stack
-from aqm_lab.fields import BandLimitedField, draw_field
+from aqm_lab.fields import BandLimitedField, LinearField, draw_field
 from aqm_lab.hj import EMConfig, draw_wave_inputs, linearization_check
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "aqm_lab"
@@ -264,6 +264,57 @@ def test_nested_batched_stack_matches_reference():
     assert got.shape == ref.shape == (4, 4)
     assert np.max(np.abs(got - ref)) <= _tol(scale, h, 2)
     assert np.max(np.abs(got[:, 2])) <= _tol(scale, h, 2)
+
+
+@pytest.mark.parametrize("field", ["linear", "band_limited"])
+def test_derivative_stack_is_exactly_zero_along_an_unread_axis(field):
+    # the difference-first sum of equal values is 0 to the bit, where the
+    # four-term weighted sum left roundoff of order eps / h. The plane-wave
+    # bundle keeps its angles fixed on this zero
+    rng = np.random.default_rng(40)
+    unread = [1, 4, 7, 9]
+    if field == "linear":
+        coeffs = rng.uniform(-2.0, 2.0, 10)
+        coeffs[unread] = 0.0
+        f = LinearField(coeffs)
+    else:
+        drawn = draw_field(rng, 10)
+        wavevec, poly = drawn.wavevec.copy(), drawn.poly.copy()
+        wavevec[:, unread] = 0.0
+        poly[..., unread] = 0.0
+        f = BandLimitedField(drawn.amp, wavevec, drawn.phase, poly,
+                             drawn.degree)
+    for h in (1e-3, 1e-2):
+        for batch in ((), (7,), (3, 5)):
+            point = rng.uniform(-2.0, 2.0, batch + (10,))
+            stack = derivative_stack(f, point, h=h)
+            assert np.all(stack[..., unread] == 0.0), (h, batch)
+            assert np.all(stack[..., [0, 2, 3]] != 0.0), (h, batch)
+
+
+def test_difference_first_sum_matches_the_four_term_sum():
+    # against the weighted sum of the four stencil rows in offset order, as
+    # the table STENCILS states it: the two sums part by a few ulps of the
+    # largest stencil value over h, per element
+    rng = np.random.default_rng(41)
+    cases = dict(_POINTWISE, band_limited=draw_field(rng, 5))
+    offsets, weights = STENCILS[4]
+    for h in (1e-3, 2.5e-2):
+        for name, f in cases.items():
+            seen = []
+
+            def recorded(q, f=f):
+                seen.append(np.asarray(f(q)))
+                return seen[-1]
+
+            point = rng.uniform(-1.0, 1.0, (6, 5))
+            stack = derivative_stack(recorded, point, h=h)
+            (values,) = seen
+            assert len(values) == len(offsets)
+            four_term = sum(w * v for w, v in zip(weights, values)) / h
+            scale = np.max(np.abs(values), axis=0) / h
+            assert np.all(np.abs(stack - four_term)
+                          <= 4.0 * np.finfo(float).eps * scale), (h, name)
 
 
 def test_derivative_stack_calls_f_once():
